@@ -4,13 +4,18 @@
 // loopback clients, each HELLOing as its own tenant and running the
 // drill-down workload (progressively narrower focal boxes, so after the
 // first query every SELECT is a containment derivation in that tenant's
-// session cache) in strict request-response style for several rounds.
+// session cache) in strict request-response style. Each client count runs
+// as many whole drill-down rounds as it takes to time at least 1000
+// requests, so even the 1-client p99 has ten samples beyond it.
 //
 // Reported per client count: request latency p50/p99 and aggregate
-// throughput. BUSY fast-fails are counted separately — admission control
+// throughput. The server runs one dispatcher worker per engine thread, so
+// throughput can grow with the client count up to the engine's
+// parallelism. BUSY fast-fails are counted separately — admission control
 // shedding load is the designed behaviour, not a latency sample. One JSON
 // line per client count lands in the bench sink (BENCH_plans.json) with
-// `clients` and `p99_ms` fields alongside the usual run attribution.
+// `clients`, `dispatch_workers` and `p99_ms` fields alongside the usual run
+// attribution.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -34,7 +39,7 @@ namespace bench {
 namespace {
 
 constexpr int kClientCounts[] = {1, 8, 32};
-constexpr int kRounds = 4;
+constexpr size_t kMinRequests = 1000;
 
 std::vector<LocalizedQuery> DrillDown(const BenchDataset& dataset) {
   const Schema& schema = dataset.data->schema();
@@ -155,7 +160,7 @@ struct LoadResult {
   double wall_ms = 0.0;
 };
 
-LoadResult RunClients(uint16_t port, int clients,
+LoadResult RunClients(uint16_t port, int clients, int rounds,
                       const std::vector<std::string>& mine_lines) {
   std::vector<LoadResult> per_client(clients);
   std::vector<std::thread> threads;
@@ -170,7 +175,7 @@ LoadResult RunClients(uint16_t port, int clients,
         r.errors++;
         return;
       }
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         for (const std::string& line : mine_lines) {
           Timer timer;
           std::string header = client.Request(line);
@@ -208,8 +213,9 @@ double Percentile(std::vector<double>* sorted, double p) {
   return (*sorted)[idx];
 }
 
-void AppendLoadJson(const BenchDataset& dataset, unsigned threads, int clients,
-                    const LoadResult& r, double p50, double p99) {
+void AppendLoadJson(const BenchDataset& dataset, unsigned threads,
+                    size_t workers, int clients, const LoadResult& r,
+                    double p50, double p99) {
   std::string path = JsonSinkPath();
   if (path.empty()) return;
   std::FILE* out = std::fopen(path.c_str(), "a");
@@ -221,12 +227,13 @@ void AppendLoadJson(const BenchDataset& dataset, unsigned threads, int clients,
   std::fprintf(out,
                "{\"figure\":\"server_load\",\"dataset\":\"%s\","
                "\"records\":%u,\"scale\":%g,\"num_threads\":%u,"
-               "\"backend\":\"%s\",\"clients\":%d,\"requests\":%llu,"
+               "\"backend\":\"%s\",\"dispatch_workers\":%zu,"
+               "\"clients\":%d,\"requests\":%llu,"
                "\"busy\":%llu,\"errors\":%llu,\"p50_ms\":%.4f,"
                "\"p99_ms\":%.4f,\"throughput_rps\":%.1f}\n",
                dataset.name.c_str(), dataset.data->num_records(),
                ScaleFromEnv(), threads, ExecBackendName(BackendFromEnv()),
-               clients, static_cast<unsigned long long>(r.ok),
+               workers, clients, static_cast<unsigned long long>(r.ok),
                static_cast<unsigned long long>(r.busy),
                static_cast<unsigned long long>(r.errors), p50, p99,
                r.ok / (r.wall_ms / 1000.0));
@@ -262,14 +269,18 @@ int main() {
     return 1;
   }
 
-  std::printf("server load — %s (%u records), drill-down x %d rounds, "
-              "%u engine threads\n\n",
-              dataset.name.c_str(), dataset.data->num_records(), kRounds,
-              threads);
+  std::printf("server load — %s (%u records), drill-down rounds for >= %zu "
+              "requests, %u engine threads, %zu dispatcher workers\n\n",
+              dataset.name.c_str(), dataset.data->num_records(), kMinRequests,
+              threads, server.dispatch_workers());
   std::printf("%8s %10s %10s %10s %8s %8s\n", "clients", "p50 ms", "p99 ms",
               "req/s", "ok", "busy");
   for (int clients : kClientCounts) {
-    LoadResult result = RunClients(server.port(), clients, mine_lines);
+    const size_t per_round = static_cast<size_t>(clients) * mine_lines.size();
+    const int rounds =
+        static_cast<int>((kMinRequests + per_round - 1) / per_round);
+    LoadResult result =
+        RunClients(server.port(), clients, rounds, mine_lines);
     double p50 = Percentile(&result.latencies_ms, 0.50);
     double p99 = Percentile(&result.latencies_ms, 0.99);
     double rps = result.ok / (result.wall_ms / 1000.0);
@@ -282,7 +293,8 @@ int main() {
       server.Shutdown();
       return 1;
     }
-    AppendLoadJson(dataset, threads, clients, result, p50, p99);
+    AppendLoadJson(dataset, threads, server.dispatch_workers(), clients,
+                   result, p50, p99);
   }
 
   server.Shutdown();

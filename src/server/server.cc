@@ -30,7 +30,7 @@ std::string ErrnoMessage(const char* what) {
 
 /// Per-connection state. The framer, tenant binding, and quit bookkeeping
 /// are touched only by the owning event-loop thread; everything under
-/// `mutex` is shared with the dispatcher (response delivery).
+/// `mutex` is shared with the dispatcher workers (response delivery).
 struct Server::Conn {
   explicit Conn(size_t max_line_bytes) : framer(max_line_bytes) {}
 
@@ -45,7 +45,7 @@ struct Server::Conn {
 
   std::mutex mutex;
   // Guarded by mutex.
-  uint32_t pending = 0;  // queued dispatcher items not yet answered
+  uint32_t pending = 0;  // queued strand items not yet answered
   std::string outbox;
   size_t out_pos = 0;
   bool want_write = false;        // EPOLLOUT armed
@@ -136,6 +136,13 @@ struct Server::Pending {
   bool quit_after = false;
 };
 
+/// One tenant's queue. `scheduled` is set while the strand is on the ready
+/// list or a worker runs it, so no two workers ever run one tenant.
+struct Server::Strand {
+  std::deque<Pending> items;
+  bool scheduled = false;
+};
+
 Server::Server(const Engine& engine, ServerOptions options)
     : engine_(&engine),
       options_(std::move(options)),
@@ -208,7 +215,14 @@ Status Server::Start() {
   for (auto& loop : loops_) {
     loop->thread = std::thread(&Server::IoLoopMain, this, loop.get());
   }
-  dispatcher_ = std::thread(&Server::DispatcherMain, this);
+  // As many dispatcher workers as the engine can run plans in parallel:
+  // concurrent tenants share the engine's caller-participating pool.
+  const unsigned workers =
+      engine_->pool() != nullptr ? engine_->pool()->parallelism() : 1;
+  worker_cvs_ = std::vector<std::condition_variable>(workers);
+  for (unsigned i = 0; i < workers; ++i) {
+    workers_.emplace_back(&Server::WorkerMain, this, i);
+  }
   {
     std::lock_guard<std::mutex> lock(lifecycle_mutex_);
     started_ = true;
@@ -324,26 +338,37 @@ void Server::RespondOrdered(const std::shared_ptr<Conn>& conn,
   Pending item;
   item.kind = Pending::Kind::kPrebuilt;
   item.conn = conn;
+  item.tenant = conn->tenant;  // queued behind this tenant's pending work
   item.prebuilt = std::move(response);
   item.quit_after = quit_after;
   EnqueuePending(std::move(item));
 }
 
 void Server::EnqueuePending(Pending item) {
-  bool accepted = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!queue_closing_) {
-      queue_.push_back(std::move(item));
-      accepted = true;
+    std::unique_ptr<Strand>& strand = strands_[item.tenant.get()];
+    if (strand == nullptr) strand = std::make_unique<Strand>();
+    // Once the strands close, only a scheduled strand still gets drained.
+    if (!queue_closing_ || strand->scheduled) {
+      strand->items.push_back(std::move(item));
+      if (!strand->scheduled) {
+        strand->scheduled = true;
+        ready_.push_back(strand.get());
+        // Last in, first out: a lone tenant's requests keep landing on the
+        // worker that just served it, whose caches they warmed.
+        if (!idle_.empty()) {
+          worker_cvs_[idle_.back()].notify_one();
+          idle_.pop_back();
+        }
+      }
+      return;
     }
   }
-  if (accepted) {
-    queue_cv_.notify_one();
-    return;
-  }
-  // Shutdown race: the queue closed between the admission check and the
-  // push. Answer directly and roll back the admission slot.
+  // Shutdown race: the strands closed between the admission check and the
+  // push. This tenant's strand is idle, so everything the connection queued
+  // earlier is answered and a direct reply keeps its order; roll back the
+  // admission slot.
   if (item.kind == Pending::Kind::kMine) service_.Release(item.tenant.get());
   Deliver(item.conn, ErrResponse("SHUTDOWN", "server is shutting down"),
           item.quit_after);
@@ -462,7 +487,7 @@ void Server::HandleLine(IoLoop* loop, const std::shared_ptr<Conn>& conn,
         return;
       }
 
-      // MINE: admission, then hand to the dispatcher.
+      // MINE: admission, then onto the tenant's strand.
       if (draining_.load(std::memory_order_acquire)) {
         RespondOrdered(conn,
                        ErrResponse("SHUTDOWN", "server is shutting down"));
@@ -500,67 +525,86 @@ void Server::HandleLine(IoLoop* loop, const std::shared_ptr<Conn>& conn,
   (void)loop;
 }
 
-void Server::DispatcherMain() {
+void Server::WorkerMain(size_t index) {
+  const size_t turn_max = std::max<uint32_t>(1, options_.batch_max);
+  std::vector<Pending> turn;
+  std::unique_lock<std::mutex> lock(queue_mutex_);
   for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock,
-                     [this] { return queue_closing_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // queue_closing_ and drained
-      while (!queue_.empty() && batch.size() < options_.batch_max) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+    if (ready_.empty()) {
+      // Closing with nothing ready: every strand is empty or being
+      // finished by the worker that runs it.
+      if (queue_closing_) return;
+      idle_.push_back(index);
+      worker_cvs_[index].wait(lock);
+      // Woken by a push (which popped this worker), by Shutdown, or
+      // spuriously; recheck either way.
+      std::erase(idle_, index);
+      continue;
     }
-    size_t i = 0;
-    while (i < batch.size()) {
-      Pending& item = batch[i];
-      if (item.kind == Pending::Kind::kMine) {
-        // Maximal run of same-tenant mines executes as one batch: subset
-        // sharing and duplicate reuse across the tenant's pipelined
-        // requests. Per-connection response order is preserved because
-        // the run keeps queue order.
-        size_t j = i;
-        while (j < batch.size() &&
-               batch[j].kind == Pending::Kind::kMine &&
-               batch[j].tenant == item.tenant) {
-          j++;
-        }
-        std::vector<Service::MineRequest> group;
-        group.reserve(j - i);
-        for (size_t k = i; k < j; ++k) {
-          Service::MineRequest request;
-          request.query = batch[k].query;
-          request.has_deadline = batch[k].has_deadline;
-          request.deadline = batch[k].deadline;
-          group.push_back(std::move(request));
-        }
-        const std::vector<std::string> responses =
-            service_.ExecuteMineGroup(item.tenant.get(), group, &kill_);
-        for (size_t k = i; k < j; ++k) {
-          Deliver(batch[k].conn, responses[k - i]);
-          service_.Release(batch[k].tenant.get());
-        }
-        i = j;
-        continue;
-      }
-      switch (item.kind) {
-        case Pending::Kind::kPrebuilt:
-          Deliver(item.conn, item.prebuilt, item.quit_after);
-          break;
-        case Pending::Kind::kExplain:
-          Deliver(item.conn,
-                  service_.ExecuteExplain(item.tenant.get(), item.query));
-          break;
-        case Pending::Kind::kStats:
-          Deliver(item.conn, service_.RenderStats(item.tenant.get()));
-          break;
-        case Pending::Kind::kMine:
-          break;  // handled above
-      }
-      i++;
+    Strand* strand = ready_.front();
+    ready_.pop_front();
+    while (!strand->items.empty() && turn.size() < turn_max) {
+      turn.push_back(std::move(strand->items.front()));
+      strand->items.pop_front();
     }
+    lock.unlock();
+    RunTurn(turn);
+    turn.clear();
+    lock.lock();
+    if (strand->items.empty()) {
+      strand->scheduled = false;
+    } else {
+      // Round-robin: the tenant waits behind every other ready tenant. No
+      // wake: this worker loops straight back to the ready list.
+      ready_.push_back(strand);
+    }
+  }
+}
+
+void Server::RunTurn(const std::vector<Pending>& batch) {
+  size_t i = 0;
+  while (i < batch.size()) {
+    const Pending& item = batch[i];
+    if (item.kind == Pending::Kind::kMine) {
+      // A maximal run of mines executes as one batch: subset sharing and
+      // duplicate reuse across the tenant's pipelined requests. Every item
+      // of a turn belongs to one tenant, and the run keeps queue order, so
+      // per-connection response order is preserved.
+      size_t j = i;
+      while (j < batch.size() && batch[j].kind == Pending::Kind::kMine) j++;
+      std::vector<Service::MineRequest> group;
+      group.reserve(j - i);
+      for (size_t k = i; k < j; ++k) {
+        Service::MineRequest request;
+        request.query = batch[k].query;
+        request.has_deadline = batch[k].has_deadline;
+        request.deadline = batch[k].deadline;
+        group.push_back(std::move(request));
+      }
+      const std::vector<std::string> responses =
+          service_.ExecuteMineGroup(item.tenant.get(), group, &kill_);
+      for (size_t k = i; k < j; ++k) {
+        Deliver(batch[k].conn, responses[k - i]);
+        service_.Release(batch[k].tenant.get());
+      }
+      i = j;
+      continue;
+    }
+    switch (item.kind) {
+      case Pending::Kind::kPrebuilt:
+        Deliver(item.conn, item.prebuilt, item.quit_after);
+        break;
+      case Pending::Kind::kExplain:
+        Deliver(item.conn,
+                service_.ExecuteExplain(item.tenant.get(), item.query));
+        break;
+      case Pending::Kind::kStats:
+        Deliver(item.conn, service_.RenderStats(item.tenant.get()));
+        break;
+      case Pending::Kind::kMine:
+        break;  // handled above
+    }
+    i++;
   }
 }
 
@@ -600,7 +644,7 @@ void Server::IoLoopMain(IoLoop* loop) {
       loop->listener_open = false;
     }
     if (stopping) {
-      // The dispatcher has already drained (Shutdown joins it before
+      // The workers have already drained (Shutdown joins them before
       // setting io_stop_), so pending counts are final; keep polling only
       // until the outboxes flush or the drain budget lapses.
       bool idle = true;
@@ -652,14 +696,14 @@ void Server::Shutdown() {
   }
   if (service_.inflight() > 0) kill_.Cancel();
 
-  // Phase 3: close the queue; the dispatcher drains what is left (the
-  // killed work included) and exits.
+  // Phase 3: close the strands; the workers drain every tenant's queue
+  // (the killed work included) and join.
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     queue_closing_ = true;
+    for (std::condition_variable& cv : worker_cvs_) cv.notify_one();
   }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 
   // Phase 4: flush outboxes and stop the event loops.
   drain_deadline_ =

@@ -90,7 +90,9 @@ class Tenant {
 /// event loop: admission control, batched execution against the shared
 /// engine with per-tenant cache override, and deterministic response
 /// rendering. Thread-safe; the epoll loops call Admit/Release/GetTenant
-/// while the dispatcher calls the Execute* methods.
+/// (and answer idle connections' EXPLAIN/STATS inline) while the
+/// dispatcher workers call the Execute* methods for several tenants at
+/// once.
 class Service {
  public:
   Service(const Engine& engine, ServiceOptions options);

@@ -2,11 +2,15 @@
 // `server_smoke`): spawn it on an ephemeral port, drive a scripted
 // multi-tenant session over TCP, and diff every response byte-for-byte
 // against a direct Engine replay with the same per-tenant session caches.
-// Finishes with a SIGTERM and asserts a clean graceful-drain exit.
+// Finishes with a SIGTERM and asserts a clean graceful-drain exit. A
+// second check asserts that every thread of a listening server blocks
+// SIGINT and SIGTERM, so a process-directed signal always reaches the
+// draining sigwait instead of killing the process.
 //
 // argv[1] is the path to the colarm_server binary (passed by CMake as
 // $<TARGET_FILE:colarm_server>).
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +70,7 @@ class ServerProcess {
   }
 
   uint16_t port() const { return port_; }
+  pid_t pid() const { return pid_; }
 
   std::string ReadStdoutLine() {
     std::string line;
@@ -213,6 +219,49 @@ class DirectReplay {
   const Engine* engine_;
   QueryCache cache_;
 };
+
+/// The SigBlk mask of every thread of `pid`, keyed by thread id.
+std::vector<std::pair<std::string, uint64_t>> BlockedSignalsPerThread(
+    pid_t pid) {
+  std::vector<std::pair<std::string, uint64_t>> masks;
+  const std::string task_dir = "/proc/" + std::to_string(pid) + "/task";
+  DIR* dir = ::opendir(task_dir.c_str());
+  if (dir == nullptr) return masks;
+  while (const dirent* entry = ::readdir(dir)) {
+    const std::string tid = entry->d_name;
+    if (tid == "." || tid == "..") continue;
+    std::ifstream status(task_dir + "/" + tid + "/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("SigBlk:", 0) != 0) continue;
+      masks.emplace_back(tid, std::stoull(line.substr(7), nullptr, 16));
+      break;
+    }
+  }
+  ::closedir(dir);
+  return masks;
+}
+
+TEST(ServerSmokeTest, EveryThreadBlocksShutdownSignals) {
+  ASSERT_NE(g_server_binary, nullptr)
+      << "usage: server_smoke_test <path-to-colarm_server>";
+  ServerProcess server;
+  server.Spawn();
+  // Once LISTENING is printed, the engine pool, the event loops and the
+  // dispatcher workers all exist.
+  const auto masks = BlockedSignalsPerThread(server.pid());
+  ASSERT_GT(masks.size(), 1u);
+  const uint64_t shutdown_signals =
+      (uint64_t{1} << (SIGINT - 1)) | (uint64_t{1} << (SIGTERM - 1));
+  for (const auto& [tid, mask] : masks) {
+    // The main thread is the intended receiver: while it sits in sigwait
+    // the kernel reports the awaited signals as unblocked.
+    if (tid == std::to_string(server.pid())) continue;
+    EXPECT_EQ(mask & shutdown_signals, shutdown_signals)
+        << "thread " << tid << " leaves SIGINT/SIGTERM unblocked";
+  }
+  server.TerminateGracefully();
+}
 
 TEST(ServerSmokeTest, MultiTenantSessionByteIdenticalThenDrains) {
   ASSERT_NE(g_server_binary, nullptr)

@@ -1,8 +1,8 @@
 // In-process tests of the multi-tenant query server: byte-identity with a
 // direct Engine replay, protocol negative paths over real sockets (torn
 // frames, oversized lines, pre-HELLO commands, double QUIT, parse errors),
-// admission control, per-request deadlines, concurrent clients, and
-// graceful shutdown.
+// admission control, per-request deadlines, concurrent clients, per-tenant
+// strand ordering across dispatcher workers, and graceful shutdown.
 #include "server/server.h"
 
 #include <arpa/inet.h>
@@ -12,14 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/query_parser.h"
 #include "data/salary_dataset.h"
+#include "data/synthetic.h"
 #include "server/protocol.h"
 
 namespace colarm {
@@ -41,10 +46,18 @@ const char* const kDrillDown[] = {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    data_ = std::make_unique<Dataset>(MakeSalaryDataset());
+    BuildEngine(MakeSalaryDataset(), kPrimarySupport, /*threads=*/0);
+  }
+
+  /// Serves `data` from an engine with `threads` workers (0 = hardware);
+  /// the server runs as many dispatcher workers.
+  void BuildEngine(Dataset data, double primary_support, unsigned threads) {
+    engine_.reset();
+    data_ = std::make_unique<Dataset>(std::move(data));
     EngineOptions options;
-    options.index.primary_support = kPrimarySupport;
+    options.index.primary_support = primary_support;
     options.calibrate = false;  // deterministic plan choice
+    options.num_threads = threads;
     auto engine = Engine::Build(*data_, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(engine.value());
@@ -153,6 +166,19 @@ class Client {
   std::string buf_;
   size_t pos_ = 0;
 };
+
+/// The rule listing of a MINE response: everything after the "OK <n>"
+/// header and the plan/cache summary line, which batching may change.
+std::string RulesOf(const std::string& response) {
+  const size_t header_end = response.find('\n');
+  return response.substr(response.find('\n', header_end + 1) + 1);
+}
+
+/// A STATS payload without the framing header and the trailing in-flight
+/// line, which other tenants' progress moves.
+std::string StatsBody(const std::string& payload) {
+  return payload.substr(0, payload.find("inflight tenant "));
+}
 
 TEST_F(ServerTest, ResponsesByteIdenticalToDirectEngine) {
   auto server = StartServer();
@@ -593,10 +619,7 @@ TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
             failures[c]++;
             continue;
           }
-          // Skip the "OK <n>" header line and the plan/cache summary line.
-          size_t header_end = resp.find('\n');
-          size_t summary_end = resp.find('\n', header_end + 1);
-          if (resp.substr(summary_end + 1) != expected_rules[q]) failures[c]++;
+          if (RulesOf(resp) != expected_rules[q]) failures[c]++;
         }
         if (client.ReadResponse().rfind("OK ", 0) != 0) failures[c]++;
       }
@@ -611,8 +634,8 @@ TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
 }
 
 TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
-  // A pipelined burst from one connection lands in the dispatcher as one
-  // same-tenant group and runs through the BatchExecutor; the rules must
+  // A pipelined burst from one connection lands on its tenant's strand,
+  // and one worker turn runs it through the BatchExecutor; the rules must
   // still be identical to sequential execution.
   auto server = StartServer();
   Client client(server->port());
@@ -635,13 +658,9 @@ TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
     // Batched counting may commit memos at a different time than the
     // sequential replay, which can legitimately change the cache-tier
     // line; the rule listing itself must match byte-for-byte.
-    std::string direct_payload =
-        RenderMineResult(data_->schema(), direct.value());
-    std::string server_rules = resp.substr(resp.find("\n", resp.find("\n") +
-                                                     1) + 1);
-    std::string direct_rules =
-        direct_payload.substr(direct_payload.find('\n') + 1);
-    EXPECT_EQ(server_rules, direct_rules) << text;
+    EXPECT_EQ(RulesOf(resp), RulesOf(OkResponse(RenderMineResult(
+                                 data_->schema(), direct.value()))))
+        << text;
   }
 }
 
@@ -725,6 +744,296 @@ TEST_F(ServerTest, ShutdownWhileMinesInFlightStillStops) {
   server->Shutdown();
   for (auto& t : threads) t.join();
   EXPECT_EQ(server->service().inflight(), 0u);
+}
+
+// Two connections of one tenant plus three single-connection tenants, all
+// pipelining MINE/EXPLAIN/STATS bursts through four dispatcher workers.
+// Every connection's responses come back in request order, and each
+// tenant's STATS equals a sequential per-tenant replay of its requests
+// against a fresh session cache. Each burst asks for distinct focal boxes,
+// so running a burst as one batch changes no cache counter, and the shared
+// tenant's connections drill into disjoint regions (Seattle and Boston), so
+// no interleaving of the two changes one either.
+TEST_F(ServerTest, TenantStrandsKeepOrderAndSequentialStats) {
+  BuildEngine(MakeSalaryDataset(), kPrimarySupport, /*threads=*/4);
+  ServerOptions options;
+  options.service.max_inflight = 256;
+  options.service.max_tenant_inflight = 64;
+  auto server = StartServer(options);
+
+  auto query_text = [](const std::string& ranges) {
+    return "REPORT LOCALIZED ASSOCIATION RULES WHERE RANGE " + ranges +
+           " HAVING minsupport = 0.5 AND minconfidence = 0.6;";
+  };
+  const std::vector<std::string> seattle = {
+      query_text("Location = {Seattle}"),
+      query_text("Location = {Seattle} AND Age = {30-40}"),
+      query_text("Location = {Seattle} AND Company = {Microsoft}"),
+      query_text("Location = {Seattle} AND Company = {Facebook}")};
+  const std::vector<std::string> boston = {
+      query_text("Location = {Boston}"),
+      query_text("Location = {Boston} AND Gender = {M}"),
+      query_text("Location = {Boston} AND Age = {20-30}"),
+      query_text("Location = {Boston} AND Company = {Google}")};
+  const std::vector<std::string> other = {
+      query_text("Gender = {M}"),
+      query_text("Gender = {F} AND Age = {20-30}"),
+      query_text("Company = {Google}"),
+      query_text("Age = {30-40}")};
+
+  struct Session {
+    std::string tenant;
+    const std::vector<std::string>* queries;
+  };
+  const std::vector<Session> sessions = {{"shared", &seattle},
+                                         {"shared", &boston},
+                                         {"t1", &seattle},
+                                         {"t2", &boston},
+                                         {"t3", &other}};
+  constexpr int kRounds = 3;
+  struct Request {
+    Verb verb;
+    size_t query;  // unused for STATS
+  };
+  const std::vector<Request> burst = {
+      {Verb::kMine, 0},    {Verb::kMine, 1}, {Verb::kExplain, 2},
+      {Verb::kMine, 2},    {Verb::kStats, 0}, {Verb::kMine, 3}};
+
+  // Sequential per-tenant replay. The shared tenant replays its first
+  // connection's requests, then its second's.
+  struct Replay {
+    std::unique_ptr<QueryCache> cache;
+    TenantStats stats;
+  };
+  std::map<std::string, Replay> replays;
+  // Per session, per request: the expected rule listing (MINE), response
+  // (EXPLAIN) or STATS body (empty for the shared tenant, whose mid-run
+  // counters depend on its other connection's progress).
+  std::vector<std::vector<std::string>> expected(sessions.size());
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    const Session& session = sessions[s];
+    Replay& replay = replays[session.tenant];
+    if (replay.cache == nullptr) {
+      replay.cache = std::make_unique<QueryCache>(
+          engine_->index(), server->service().options().tenant_cache);
+    }
+    const SessionContext context{replay.cache.get(), nullptr};
+    const bool shared = session.tenant == "shared";
+    for (int round = 0; round < kRounds; ++round) {
+      for (const Request& request : burst) {
+        if (request.verb == Verb::kStats) {
+          const CacheTelemetry telemetry = replay.cache->telemetry();
+          expected[s].push_back(
+              shared ? "" : StatsBody(RenderStatsPayload(
+                                session.tenant, replay.stats, &telemetry,
+                                0, 0)));
+          continue;
+        }
+        auto query =
+            ParseQuery(data_->schema(), (*session.queries)[request.query]);
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        if (request.verb == Verb::kExplain) {
+          auto decision = engine_->Explain(*query, context);
+          ASSERT_TRUE(decision.ok());
+          replay.stats.explains++;
+          expected[s].push_back(OkResponse(RenderExplain(*decision)));
+          continue;
+        }
+        auto result = engine_->Execute(*query, context);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        replay.stats.mines++;
+        replay.stats.rules += result->rules.rules.size();
+        expected[s].push_back(RulesOf(
+            OkResponse(RenderMineResult(data_->schema(), *result))));
+      }
+    }
+    // Reordered MINE responses are caught only if a session's rule
+    // listings differ from each other.
+    for (size_t a = 0; a < burst.size(); ++a) {
+      for (size_t b = a + 1; b < burst.size(); ++b) {
+        if (burst[a].verb != Verb::kMine || burst[b].verb != Verb::kMine) {
+          continue;
+        }
+        ASSERT_NE(expected[s][a], expected[s][b])
+            << session.tenant << " requests " << a << " and " << b;
+      }
+    }
+  }
+
+  std::vector<std::vector<std::string>> failures(sessions.size());
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    threads.emplace_back([&, s] {
+      const Session& session = sessions[s];
+      std::vector<std::string>& failed = failures[s];
+      Client client(server->port());
+      client.Send("HELLO " + session.tenant + "\n");
+      if (client.ReadResponse() != OkResponse("hello " + session.tenant +
+                                              "\n")) {
+        failed.push_back("HELLO");
+        return;
+      }
+      size_t next = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        std::string bytes;
+        for (const Request& request : burst) {
+          const std::string& text = (*session.queries)[request.query];
+          switch (request.verb) {
+            case Verb::kMine: bytes += "MINE " + text + "\n"; break;
+            case Verb::kExplain: bytes += "EXPLAIN " + text + "\n"; break;
+            default: bytes += "STATS\n"; break;
+          }
+        }
+        client.Send(bytes);
+        for (const Request& request : burst) {
+          const std::string response = client.ReadResponse();
+          const std::string& want = expected[s][next];
+          bool ok = response.rfind("OK ", 0) == 0;
+          if (ok && request.verb == Verb::kMine) {
+            ok = RulesOf(response) == want;
+          } else if (ok && request.verb == Verb::kExplain) {
+            ok = response == want;
+          } else if (ok) {
+            const std::string payload =
+                response.substr(response.find('\n') + 1);
+            ok = want.empty() ? payload.rfind("tenant shared\n", 0) == 0
+                              : StatsBody(payload) == want;
+          }
+          if (!ok) {
+            failed.push_back(StrFormat("round %d request %zu: ", round,
+                                       next % burst.size()) +
+                             response.substr(0, 200));
+          }
+          ++next;
+        }
+      }
+      client.Send("QUIT\n");
+      if (client.ReadResponse() != OkResponse("bye\n")) {
+        failed.push_back("QUIT");
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    EXPECT_TRUE(failures[s].empty())
+        << "session " << s << " (" << sessions[s].tenant << "): "
+        << failures[s].size() << " failures, first: "
+        << (failures[s].empty() ? "" : failures[s].front());
+  }
+
+  // A worker releases a MINE's admission slot just after delivering its
+  // response; wait for the last release before reading the counters.
+  for (int i = 0; i < 1000 && server->service().inflight() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server->service().inflight(), 0u);
+  for (const auto& [tenant, replay] : replays) {
+    Client client(server->port());
+    client.Send("HELLO " + tenant + "\nSTATS\n");
+    client.ReadResponse();
+    const CacheTelemetry telemetry = replay.cache->telemetry();
+    EXPECT_EQ(client.ReadResponse(),
+              OkResponse(RenderStatsPayload(tenant, replay.stats, &telemetry,
+                                            0, 0)))
+        << tenant;
+  }
+}
+
+// Shutdown while four tenants have MINEs queued and running on four
+// dispatcher workers: every admitted MINE is answered exactly once (OK,
+// DEADLINE from the kill-switch, or SHUTDOWN), the admission counters
+// return to zero, and the workers join within the drain budget.
+TEST_F(ServerTest, ShutdownDrainsEveryTenantStrand) {
+  BuildEngine(GenerateSynthetic(ChessLikeConfig(0.25)).value(),
+              /*primary_support=*/0.6, /*threads=*/4);
+  ServerOptions options;
+  options.drain_timeout_ms = 1000.0;
+  // Short turns: most of each tenant's burst waits on its strand when the
+  // drain starts, and a worker's turn in flight stays short to unwind.
+  options.batch_max = 2;
+  options.service.max_inflight = 512;
+  options.service.max_tenant_inflight = 128;
+  auto server = StartServer(options);
+
+  // Distinct region boxes and thresholds, so no MINE is a duplicate or an
+  // exact cache hit of another and each one mines.
+  const Attribute& region = data_->schema().attribute(0);
+  const uint32_t domain = region.domain_size();
+  constexpr int kTenants = 4;
+  constexpr int kMines = 96;
+  std::vector<std::vector<std::string>> lines(kTenants);
+  for (int t = 0; t < kTenants; ++t) {
+    for (int m = 0; m < kMines; ++m) {
+      const uint32_t lo = (t * kMines + m) % (domain / 4);
+      const uint32_t hi = std::min(domain - 1, lo + domain / 2 + m % 3);
+      std::string values;
+      for (uint32_t v = lo; v <= hi; ++v) {
+        if (!values.empty()) values += ", ";
+        values += region.values[v];
+      }
+      lines[t].push_back(StrFormat(
+          "MINE REPORT LOCALIZED ASSOCIATION RULES WHERE RANGE %s = {%s} "
+          "HAVING minsupport = %.2f AND minconfidence = 0.99;\n",
+          region.name.c_str(), values.c_str(), 0.78 + 0.01 * (m % 4)));
+    }
+  }
+
+  std::vector<std::vector<std::string>> responses(kTenants);
+  std::vector<int> eof(kTenants, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTenants; ++t) {
+    threads.emplace_back([&, t] {
+      Client client(server->port());
+      client.Send("HELLO drain" + std::to_string(t) + "\n");
+      if (client.ReadResponse().rfind("OK ", 0) != 0) return;
+      std::string burst;
+      for (const std::string& line : lines[t]) burst += line;
+      client.Send(burst);
+      for (;;) {
+        std::string response = client.ReadResponse();
+        if (response.empty()) break;
+        responses[t].push_back(std::move(response));
+      }
+      eof[t] = client.AtEof() ? 1 : 0;
+    });
+  }
+  const uint64_t total = uint64_t{kTenants} * kMines;
+  for (int i = 0;
+       i < 2000 && server->stats().requests_admitted.load() < total; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->stats().requests_admitted.load(), total);
+
+  const auto start = std::chrono::steady_clock::now();
+  server->Shutdown();
+  const double shutdown_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  for (auto& t : threads) t.join();
+
+  // Phase 2 waits at most one drain budget before the kill-switch fires;
+  // the workers then join, and the outboxes flush, within one more each.
+  EXPECT_LT(shutdown_ms, 3 * options.drain_timeout_ms);
+  EXPECT_EQ(server->service().inflight(), 0u);
+  int answered = 0;
+  int killed = 0;
+  for (int t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(responses[t].size(), static_cast<size_t>(kMines))
+        << "tenant " << t;
+    EXPECT_EQ(eof[t], 1) << "tenant " << t;
+    for (const std::string& response : responses[t]) {
+      const bool ok = response.rfind("OK ", 0) == 0;
+      const bool deadline = response.rfind("ERR DEADLINE", 0) == 0;
+      EXPECT_TRUE(ok || deadline || response.rfind("ERR SHUTDOWN", 0) == 0)
+          << response;
+      answered += ok ? 1 : 0;
+      killed += deadline ? 1 : 0;
+    }
+  }
+  std::printf("drain: %d answered, %d unwound by the kill-switch, "
+              "shutdown %.1f ms\n",
+              answered, killed, shutdown_ms);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 # Configures a thread-sanitized build of the tree in BUILD_DIR, builds the
-# server integration suite, and runs it — the event loops, the dispatcher,
-# admission control, and the shutdown phases all execute under TSan, with
-# the 8-client concurrent-hammer test as the main workload. Driven by the
-# `tsan_server` ctest entry (see tests/CMakeLists.txt); a failure at any
-# step fails the test. Expects SOURCE_DIR and BUILD_DIR.
+# server integration suite, and runs it — the event loops, the dispatcher
+# workers and their per-tenant strands, admission control, and the shutdown
+# phases all execute under TSan, with the 8-client concurrent hammer, the
+# strand-ordering test and the drain of busy strands as the main workloads.
+# Driven by the `tsan_server` ctest entry (see tests/CMakeLists.txt); a
+# failure at any step fails the test. Expects SOURCE_DIR and BUILD_DIR.
 
 foreach(var SOURCE_DIR BUILD_DIR)
   if(NOT DEFINED ${var})

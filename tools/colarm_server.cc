@@ -17,7 +17,8 @@
 //   --csv FILE          input relation (default: built-in salary data)
 //   --bins N            discretization bins for numeric CSV columns
 //   --primary F         primary support for the offline build
-//   --threads N         engine worker threads (0 = hardware)
+//   --threads N         engine worker threads (0 = hardware); also the
+//                       number of tenants whose requests run at once
 //   --io-threads N      event-loop threads (0 = min(hardware, 4))
 //   --cache-mb N        per-tenant session-cache budget in MiB
 //                       (default 16; 0 disables tenant caches)
@@ -162,6 +163,18 @@ Result<ToolOptions> ParseArgs(int argc, char** argv) {
 }
 
 int ServerMain(int argc, char** argv) {
+  // Block the shutdown signals before any thread exists (the engine's pool
+  // starts in Engine::Build), so every thread inherits the mask and a
+  // process-directed SIGINT/SIGTERM waits for the sigwait below: the drain
+  // runs on the main thread, not in a signal handler. A signal that arrives
+  // during the index build stays pending and drains the server as soon as
+  // it listens.
+  sigset_t signals;
+  sigemptyset(&signals);
+  sigaddset(&signals, SIGINT);
+  sigaddset(&signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
   auto parsed = ParseArgs(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
@@ -199,15 +212,6 @@ int ServerMain(int argc, char** argv) {
   // Writes race client disconnects by design; MSG_NOSIGNAL covers sends,
   // this covers anything else.
   ::signal(SIGPIPE, SIG_IGN);
-
-  // Block the shutdown signals in every thread the server spawns, then
-  // sigwait them here: the drain runs on the main thread, not in a signal
-  // handler.
-  sigset_t signals;
-  sigemptyset(&signals);
-  sigaddset(&signals, SIGINT);
-  sigaddset(&signals, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
   Server server(**engine, options.server);
   Status started = server.Start();
