@@ -1,14 +1,10 @@
-// Micro-benchmarks comparing the mining substrates (Apriori vs Eclat vs
-// FP-growth vs CHARM) on a common synthetic relation, plus tidset
-// intersection throughput — the primitive the cost model calibrates.
+// Micro-benchmarks of the mining substrate: CHARM on a synthetic relation
+// at three thresholds, plus tidset intersection throughput — the
+// primitive the cost model calibrates.
 #include <benchmark/benchmark.h>
 
 #include "data/synthetic.h"
-#include "mining/apriori.h"
 #include "mining/charm.h"
-#include "mining/declat.h"
-#include "mining/eclat.h"
-#include "mining/fpgrowth.h"
 #include "mining/tidset.h"
 
 namespace colarm {
@@ -25,42 +21,6 @@ Dataset MakeData() {
   config.group_coherence = 0.5;
   return GenerateSynthetic(config).value();
 }
-
-void BM_Apriori(benchmark::State& state) {
-  Dataset data = MakeData();
-  const uint32_t min_count = MinCount(state.range(0) / 100.0, 2000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MineApriori(data, min_count).size());
-  }
-}
-BENCHMARK(BM_Apriori)->Arg(50)->Arg(30);
-
-void BM_Eclat(benchmark::State& state) {
-  Dataset data = MakeData();
-  const uint32_t min_count = MinCount(state.range(0) / 100.0, 2000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MineEclat(data, min_count).size());
-  }
-}
-BENCHMARK(BM_Eclat)->Arg(50)->Arg(30)->Arg(10);
-
-void BM_DEclat(benchmark::State& state) {
-  Dataset data = MakeData();
-  const uint32_t min_count = MinCount(state.range(0) / 100.0, 2000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MineDEclat(data, min_count).size());
-  }
-}
-BENCHMARK(BM_DEclat)->Arg(50)->Arg(30)->Arg(10);
-
-void BM_FpGrowth(benchmark::State& state) {
-  Dataset data = MakeData();
-  const uint32_t min_count = MinCount(state.range(0) / 100.0, 2000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MineFpGrowth(data, min_count).size());
-  }
-}
-BENCHMARK(BM_FpGrowth)->Arg(50)->Arg(30)->Arg(10);
 
 void BM_Charm(benchmark::State& state) {
   Dataset data = MakeData();
@@ -115,20 +75,6 @@ BENCHMARK(BM_TidsetIntersectSkewed)
     ->Arg(1 << 11)   // 32x: the switch-over point
     ->Arg(1 << 14)   // 256x
     ->Arg(1 << 18);  // 4096x
-
-void BM_TidsetIsSubsetSkewed(benchmark::State& state) {
-  const auto big_n = static_cast<uint32_t>(state.range(0));
-  constexpr uint32_t kSmallN = 64;
-  Tidset big;
-  Tidset sub;
-  for (uint32_t i = 0; i < big_n; ++i) big.push_back(i);
-  for (uint32_t i = 0; i < kSmallN; ++i) sub.push_back(i * (big_n / kSmallN));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TidsetIsSubset(sub, big));
-  }
-  state.SetItemsProcessed(state.iterations() * kSmallN);
-}
-BENCHMARK(BM_TidsetIsSubsetSkewed)->Arg(1 << 11)->Arg(1 << 14)->Arg(1 << 18);
 
 }  // namespace
 }  // namespace colarm

@@ -201,7 +201,6 @@ Result<BatchResult> BatchExecutor::Execute(
         options.use_optimizer ? decision.chosen : options.forced_plan;
     PlanExecOptions exec;
     exec.rulegen = engine_->options().rulegen;
-    exec.arm_miner = engine_->options().arm_miner;
     exec.shared_subset = shared[i];
     exec.pool = pool;
     exec.backend = engine_->options().backend;
@@ -294,7 +293,6 @@ Status BatchExecutor::SequentialExecute(
         options.use_optimizer ? decision.chosen : options.forced_plan;
     PlanExecOptions exec;
     exec.rulegen = engine_->options().rulegen;
-    exec.arm_miner = engine_->options().arm_miner;
     exec.shared_subset = shared;
     exec.backend = engine_->options().backend;
     exec.cancel = options.cancel;

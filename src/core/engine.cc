@@ -89,7 +89,6 @@ Result<QueryResult> Engine::Run(const LocalizedQuery& query, PlanKind forced,
 
   PlanExecOptions exec;
   exec.rulegen = options_.rulegen;
-  exec.arm_miner = options_.arm_miner;
   exec.pool = pool_.get();
   exec.backend = options_.backend;
   exec.cache = cache;

@@ -19,8 +19,6 @@ struct EngineOptions {
   /// for tests).
   bool calibrate = true;
   CostConstants cost_constants;
-  /// Algorithm the ARM baseline plan uses to mine the focal subset.
-  ArmMinerKind arm_miner = ArmMinerKind::kCharm;
   /// Record-level execution backend for every query this engine runs.
   /// kBitmap executes on the vertical bitmap index; results and effort
   /// counters are byte-identical to kScalar, only wall time differs. The

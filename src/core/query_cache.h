@@ -67,9 +67,9 @@ struct CountMemoEntry {
 /// One memoized ARM mining result for a (box, constraints, local minimum
 /// count) triple: the qualified (MIP id, local count) pairs the miner
 /// produced, sorted by MIP id, plus the local-CFI tally the run charged.
-/// Replaying it skips the from-scratch CHARM/FP-growth pass outright while
-/// keeping rules and effort counters byte-identical — the qualified set is
-/// a pure function of the triple. Immutable once published.
+/// Replaying it skips the from-scratch CHARM pass outright while keeping
+/// rules and effort counters byte-identical — the qualified set is a pure
+/// function of the triple. Immutable once published.
 struct ArmMemoEntry {
   uint64_t local_cfis = 0;
   std::vector<std::pair<uint32_t, uint32_t>> qualified;  // (mip_id, count)
@@ -178,9 +178,9 @@ struct CacheEntrySnapshot {
 ///        ELIMINATE/VERIFY, replayed by later queries on the same box with
 ///        different thresholds (exact by threshold monotonicity) — plus
 ///        per-(box, constraints, min count) ARM mining results, so a
-///        repeated ARM-plan query skips the from-scratch CHARM/FP-growth
-///        pass entirely (exact: the qualified set is a pure function of
-///        that triple).
+///        repeated ARM-plan query skips the from-scratch CHARM pass
+///        entirely (exact: the qualified set is a pure function of that
+///        triple).
 ///
 /// Every tier is byte-identical to cold execution in rules and effort
 /// counters: warm paths charge the cold semantic record-check price, the

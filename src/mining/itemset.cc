@@ -51,13 +51,6 @@ std::string ItemsetToString(const Schema& schema,
   return out;
 }
 
-void SortItemsets(std::vector<FrequentItemset>* itemsets) {
-  std::sort(itemsets->begin(), itemsets->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              return a.items < b.items;
-            });
-}
-
 uint32_t MinCount(double fraction, uint32_t total) {
   if (fraction <= 0.0 || total == 0) return 1;
   double raw = fraction * static_cast<double>(total);

@@ -30,18 +30,6 @@ bool ItemsetDisjoint(std::span<const ItemId> a, std::span<const ItemId> b);
 /// "{Age=20-30, Salary=90K-120K}" rendering.
 std::string ItemsetToString(const Schema& schema, std::span<const ItemId> items);
 
-/// A frequent itemset together with its (global or local) absolute support
-/// count.
-struct FrequentItemset {
-  Itemset items;
-  uint32_t count = 0;
-
-  bool operator==(const FrequentItemset& other) const = default;
-};
-
-/// Canonical ordering used to compare miner outputs in tests.
-void SortItemsets(std::vector<FrequentItemset>* itemsets);
-
 /// Converts a fractional support threshold into the smallest absolute count
 /// that satisfies it: the least c with c / total >= fraction (at least 1).
 uint32_t MinCount(double fraction, uint32_t total);

@@ -95,20 +95,6 @@ uint32_t TidsetIntersectSize(std::span<const Tid> a, std::span<const Tid> b) {
   return count;
 }
 
-bool TidsetIsSubset(std::span<const Tid> a, std::span<const Tid> b) {
-  if (a.size() > b.size()) return false;
-  if (a.size() * kGallopSkewRatio < b.size()) {
-    size_t j = 0;
-    for (Tid key : a) {
-      j = GallopLowerBound(b, j, key);
-      if (j == b.size() || b[j] != key) return false;
-      ++j;
-    }
-    return true;
-  }
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
 uint64_t TidsetSum(std::span<const Tid> tids) {
   uint64_t sum = 0;
   for (Tid t : tids) sum += t;

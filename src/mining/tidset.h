@@ -9,8 +9,8 @@
 
 namespace colarm {
 
-/// A tidset is the sorted list of record ids supporting an itemset. All
-/// vertical miners (Eclat, CHARM) operate on tidset intersections.
+/// A tidset is the sorted list of record ids supporting an itemset. CHARM
+/// and the record-level operators work on tidset intersections.
 using Tidset = std::vector<Tid>;
 
 /// Sorted-merge intersection a ∩ b.
@@ -23,9 +23,6 @@ void TidsetIntersectInto(std::span<const Tid> a, std::span<const Tid> b,
 
 /// |a ∩ b| without materializing the intersection.
 uint32_t TidsetIntersectSize(std::span<const Tid> a, std::span<const Tid> b);
-
-/// True iff sorted a ⊆ sorted b.
-bool TidsetIsSubset(std::span<const Tid> a, std::span<const Tid> b);
 
 /// Sum of tids — the cheap hash CHARM uses to bucket equal tidsets.
 uint64_t TidsetSum(std::span<const Tid> tids);

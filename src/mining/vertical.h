@@ -9,7 +9,7 @@
 namespace colarm {
 
 /// Vertical (item -> tidset) representation of a dataset, the input format
-/// for Eclat and CHARM. tidset(i) lists the records carrying item i.
+/// for CHARM. tidset(i) lists the records carrying item i.
 class VerticalView {
  public:
   explicit VerticalView(const Dataset& dataset);

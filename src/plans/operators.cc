@@ -4,7 +4,6 @@
 
 #include "bitmap/bitmap_counter.h"
 #include "core/query_cache.h"
-#include "mining/fpgrowth.h"
 #include "mining/local_counter.h"
 
 namespace colarm {
@@ -469,30 +468,6 @@ void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
 
 namespace {
 
-// ARM via FP-growth: mine every locally frequent itemset, then keep the
-// ones that are prestored CFIs (exact trie lookups). Because the frequent
-// list is complete above the threshold, the qualified set and its counts
-// are identical to the CHARM path's.
-std::vector<QualifiedItemset> ArmMineFpGrowth(PlanContext* ctx,
-                                              std::span<const Tid> mine_tids) {
-  std::vector<QualifiedItemset> qualified;
-  std::vector<FrequentItemset> frequent =
-      MineFpGrowth(ctx->index.dataset(), mine_tids, ctx->local_min_count);
-  ctx->local_cfis = frequent.size();
-  for (const FrequentItemset& f : frequent) {
-    ThrowIfCancelled(ctx->cancel);
-    auto id = ctx->index.ittree().Find(f.items);
-    if (!id.has_value()) continue;
-    if (!ctx->MipConstraintAllowed(*id)) continue;
-    qualified.push_back({*id, f.count});
-  }
-  std::sort(qualified.begin(), qualified.end(),
-            [](const QualifiedItemset& a, const QualifiedItemset& b) {
-              return a.mip_id < b.mip_id;
-            });
-  return qualified;
-}
-
 // The cold mining pass behind OpArmMine; its (deterministic) qualified set
 // and local-CFI tally are what the ARM memo records and replays.
 std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
@@ -515,10 +490,6 @@ std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
     ctx->record_checks += ctx->subset.tids.size();
     if (seeded.empty()) return qualified;
     mine_tids = seeded;
-  }
-
-  if (ctx->arm_miner == ArmMinerKind::kFpGrowth) {
-    return ArmMineFpGrowth(ctx, mine_tids);
   }
 
   // Traditional two-step mining over the extracted focal subset, with

@@ -46,16 +46,6 @@ enum class ExecBackend {
 
 const char* ExecBackendName(ExecBackend backend);
 
-/// Which algorithm the ARM baseline plan mines the focal subset with.
-/// CHARM (closed itemsets) is the paper's choice; the FP-growth variant
-/// mines all frequent itemsets and intersects them with the prestored
-/// family — same results, different cost profile (see the ablation in
-/// bench/micro_operators.cc).
-enum class ArmMinerKind {
-  kCharm,
-  kFpGrowth,
-};
-
 /// Mutable per-query state shared by the operators of one plan execution:
 /// the query, the materialized focal subset, and the effort counters the
 /// plan statistics report.
@@ -63,7 +53,6 @@ struct PlanContext {
   const MipIndex& index;
   const LocalizedQuery& query;
   RuleGenOptions rulegen;
-  ArmMinerKind arm_miner = ArmMinerKind::kCharm;
 
   /// Worker pool for the record-level operators (ELIMINATE / VERIFY /
   /// SUPPORTED-VERIFY partition their candidate lists across it). Null or

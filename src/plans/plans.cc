@@ -54,11 +54,9 @@ std::vector<uint32_t> AllCandidates(const CandidateSet& set) {
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
                                const RuleGenOptions& rulegen,
-                               const FocalSubset* shared_subset,
-                               ArmMinerKind arm_miner) {
+                               const FocalSubset* shared_subset) {
   PlanExecOptions exec;
   exec.rulegen = rulegen;
-  exec.arm_miner = arm_miner;
   exec.shared_subset = shared_subset;
   return ExecutePlan(kind, index, query, exec);
 }
@@ -96,7 +94,6 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   ctx.record_checks += select_checks;
   ctx.cache = exec.cache;
   ctx.memo_txn = exec.memo_txn;
-  ctx.arm_miner = exec.arm_miner;
   ctx.cancel = exec.cancel;
   stats.select_ms = stage.ElapsedMillis();
   stats.subset_size = ctx.subset.size();
@@ -223,8 +220,8 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   stats.rules_considered = ctx.rule_stats.rules_considered;
   stats.rules_emitted = ctx.rule_stats.rules_emitted;
   stats.itemsets_skipped = ctx.rule_stats.itemsets_skipped;
-  stats.total_ms = total_timer.ElapsedMillis();
   result.rules.Canonicalize();
+  stats.total_ms = total_timer.ElapsedMillis();
   return result;
 }
 

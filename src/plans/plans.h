@@ -33,6 +33,8 @@ const char* PlanKindName(PlanKind kind);
 struct PlanStats {
   PlanKind plan = PlanKind::kSEV;
 
+  /// Wall time of the whole ExecutePlan call, from query validation through
+  /// the canonicalized rule set (so it includes Canonicalize()).
   double total_ms = 0.0;
   double select_ms = 0.0;     // focal subset materialization / SELECT
   double search_ms = 0.0;     // SEARCH or SUPPORTED-SEARCH
@@ -64,7 +66,6 @@ struct PlanResult {
 /// Everything that shapes one plan execution besides the query itself.
 struct PlanExecOptions {
   RuleGenOptions rulegen;
-  ArmMinerKind arm_miner = ArmMinerKind::kCharm;
   /// When non-null it must hold the query's focal box already materialized;
   /// the SELECT pass is then skipped (multi-query optimization, see
   /// core/batch.h).
@@ -105,8 +106,7 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
                                const RuleGenOptions& rulegen = {},
-                               const FocalSubset* shared_subset = nullptr,
-                               ArmMinerKind arm_miner = ArmMinerKind::kCharm);
+                               const FocalSubset* shared_subset = nullptr);
 
 }  // namespace colarm
 

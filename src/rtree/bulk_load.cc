@@ -14,7 +14,6 @@ class RTreeBuilder {
     if (entries.empty()) return tree;
 
     tree.nodes_.clear();
-    tree.free_nodes_.clear();
 
     // Leaf level: pack entries in order.
     std::vector<uint32_t> level;

@@ -13,15 +13,8 @@ RTree::RTree(uint32_t dims, Options options) : dims_(dims), options_(options) {
 }
 
 uint32_t RTree::NewNode(bool leaf) {
-  uint32_t id;
-  if (!free_nodes_.empty()) {
-    id = free_nodes_.back();
-    free_nodes_.pop_back();
-    nodes_[id] = Node{};
-  } else {
-    id = static_cast<uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
+  const auto id = static_cast<uint32_t>(nodes_.size());
+  nodes_.emplace_back();
   nodes_[id].leaf = leaf;
   nodes_[id].mbr = Rect::MakeEmpty(dims_);
   return id;
@@ -292,95 +285,6 @@ void RTree::SearchSupported(const Rect& query, uint32_t min_count,
                             const Visitor& visitor,
                             SearchStats* stats) const {
   SearchImpl(root_, query, min_count, /*use_support=*/true, visitor, stats);
-}
-
-bool RTree::RemoveImpl(uint32_t node_id, const Rect& box, uint32_t id,
-                       std::vector<uint32_t>* path) {
-  path->push_back(node_id);
-  Node& node = nodes_[node_id];
-  if (node.leaf) {
-    for (uint32_t i = 0; i < node.fanout(); ++i) {
-      if (node.ids[i] == id && node.boxes[i] == box) {
-        node.boxes.erase(node.boxes.begin() + i);
-        node.ids.erase(node.ids.begin() + i);
-        node.counts.erase(node.counts.begin() + i);
-        return true;
-      }
-    }
-  } else {
-    for (uint32_t i = 0; i < node.fanout(); ++i) {
-      if (node.boxes[i].Contains(box) &&
-          RemoveImpl(node.ids[i], box, id, path)) {
-        return true;
-      }
-    }
-  }
-  path->pop_back();
-  return false;
-}
-
-bool RTree::Remove(const Rect& box, uint32_t id) {
-  std::vector<uint32_t> path;
-  if (!RemoveImpl(root_, box, id, &path)) return false;
-  --size_;
-
-  // CondenseTree: dissolve underflowing non-root nodes bottom-up and
-  // remember their leaf entries for re-insertion.
-  std::vector<RTreeEntry> orphans;
-  for (size_t depth = path.size(); depth-- > 1;) {
-    uint32_t node_id = path[depth];
-    uint32_t parent_id = path[depth - 1];
-    if (nodes_[node_id].fanout() < options_.min_entries) {
-      CollectLeafEntries(node_id, &orphans);
-      Node& parent = nodes_[parent_id];
-      for (uint32_t i = 0; i < parent.fanout(); ++i) {
-        if (parent.ids[i] == node_id) {
-          parent.boxes.erase(parent.boxes.begin() + i);
-          parent.ids.erase(parent.ids.begin() + i);
-          parent.counts.erase(parent.counts.begin() + i);
-          break;
-        }
-      }
-      FreeSubtree(node_id);
-    }
-  }
-  AdjustPath(path);
-
-  // Shrink the root while it is an internal node with a single child.
-  while (!nodes_[root_].leaf && nodes_[root_].fanout() == 1) {
-    uint32_t old_root = root_;
-    root_ = nodes_[root_].ids[0];
-    free_nodes_.push_back(old_root);
-    --height_;
-  }
-  if (!nodes_[root_].leaf && nodes_[root_].fanout() == 0) {
-    nodes_[root_].leaf = true;
-    height_ = 1;
-  }
-
-  size_ -= static_cast<uint32_t>(orphans.size());
-  for (const RTreeEntry& orphan : orphans) Insert(orphan);
-  return true;
-}
-
-void RTree::CollectLeafEntries(uint32_t node_id,
-                               std::vector<RTreeEntry>* out) const {
-  const Node& node = nodes_[node_id];
-  if (node.leaf) {
-    for (uint32_t i = 0; i < node.fanout(); ++i) {
-      out->push_back({node.boxes[i], node.ids[i], node.counts[i]});
-    }
-  } else {
-    for (uint32_t child : node.ids) CollectLeafEntries(child, out);
-  }
-}
-
-void RTree::FreeSubtree(uint32_t node_id) {
-  const Node& node = nodes_[node_id];
-  if (!node.leaf) {
-    for (uint32_t child : node.ids) FreeSubtree(child);
-  }
-  free_nodes_.push_back(node_id);
 }
 
 void RTree::ForEachNode(const NodeVisitor& visitor) const {

@@ -21,8 +21,8 @@ struct RTreeEntry {
 };
 
 /// n-dimensional R-tree (Guttman, SIGMOD'84) with quadratic split for
-/// dynamic inserts, deletion with re-insertion, and support-aware search.
-/// Packed (bulk-loaded) construction lives in rtree/bulk_load.h.
+/// dynamic inserts and support-aware search. Packed (bulk-loaded)
+/// construction, which builds the MIP-index, lives in rtree/bulk_load.h.
 class RTree {
  public:
   struct Options {
@@ -53,11 +53,6 @@ class RTree {
   const Options& options() const { return options_; }
 
   void Insert(const RTreeEntry& entry);
-
-  /// Removes the entry with the given id and exact box. Returns false if
-  /// absent. Underflowing nodes are dissolved and their entries
-  /// re-inserted (Guttman's CondenseTree).
-  bool Remove(const Rect& box, uint32_t id);
 
   /// Reports every entry whose box intersects `query`.
   void Search(const Rect& query, const Visitor& visitor,
@@ -105,18 +100,12 @@ class RTree {
   void SearchImpl(uint32_t node_id, const Rect& query, uint32_t min_count,
                   bool use_support, const Visitor& visitor,
                   SearchStats* stats) const;
-  bool RemoveImpl(uint32_t node_id, const Rect& box, uint32_t id,
-                  std::vector<uint32_t>* path);
   bool CheckNode(uint32_t node_id, uint32_t depth) const;
   uint32_t NodeHeight(uint32_t node_id) const;
-  void CollectLeafEntries(uint32_t node_id,
-                          std::vector<RTreeEntry>* out) const;
-  void FreeSubtree(uint32_t node_id);
 
   uint32_t dims_;
   Options options_;
   std::vector<Node> nodes_;
-  std::vector<uint32_t> free_nodes_;
   uint32_t root_ = 0;
   uint32_t size_ = 0;
   uint32_t height_ = 1;

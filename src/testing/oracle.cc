@@ -3,78 +3,10 @@
 #include <algorithm>
 
 #include "mining/constraints.h"
+#include "testing/brute_force.h"
 
 namespace colarm {
 namespace fuzzing {
-
-namespace {
-
-/// Tids (within `tids`, or all records when `tids` is null) containing
-/// every item of `items`, by raw column lookups.
-std::vector<Tid> SupportingTids(const Dataset& dataset,
-                                std::span<const ItemId> items,
-                                const std::vector<Tid>* tids) {
-  std::vector<Tid> out;
-  auto contains = [&](Tid t) {
-    for (ItemId item : items) {
-      if (!dataset.ContainsItem(t, item)) return false;
-    }
-    return true;
-  };
-  if (tids == nullptr) {
-    for (Tid t = 0; t < dataset.num_records(); ++t) {
-      if (contains(t)) out.push_back(t);
-    }
-  } else {
-    for (Tid t : *tids) {
-      if (contains(t)) out.push_back(t);
-    }
-  }
-  return out;
-}
-
-/// The closure of an itemset: every item present in all of `tids`. With at
-/// least one supporting record this is well defined and contains `items`.
-Itemset ClosureOf(const Dataset& dataset, std::span<const Tid> tids) {
-  const Schema& schema = dataset.schema();
-  Itemset closure;
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    const ValueId v = dataset.Value(tids.front(), a);
-    bool shared = true;
-    for (Tid t : tids.subspan(1)) {
-      if (dataset.Value(t, a) != v) {
-        shared = false;
-        break;
-      }
-    }
-    if (shared) closure.push_back(schema.ItemOf(a, v));
-  }
-  return closure;
-}
-
-/// Depth-first enumeration of every globally frequent itemset at
-/// `min_count`, keeping only the closed ones (itemset == its closure).
-void EnumerateClosed(const Dataset& dataset, uint32_t min_count,
-                     Itemset* prefix, const std::vector<Tid>& tids,
-                     ItemId next_item, std::vector<FrequentItemset>* out) {
-  if (!prefix->empty()) {
-    Itemset closure = ClosureOf(dataset, tids);
-    if (closure == *prefix) {
-      out->push_back({*prefix, static_cast<uint32_t>(tids.size())});
-    }
-  }
-  const ItemId num_items = dataset.schema().num_items();
-  for (ItemId item = next_item; item < num_items; ++item) {
-    prefix->push_back(item);
-    std::vector<Tid> extended = SupportingTids(dataset, {&item, 1}, &tids);
-    if (extended.size() >= min_count) {
-      EnumerateClosed(dataset, min_count, prefix, extended, item + 1, out);
-    }
-    prefix->pop_back();
-  }
-}
-
-}  // namespace
 
 uint32_t OracleMinCount(double fraction, uint32_t total) {
   if (fraction <= 0.0 || total == 0) return 1;
@@ -110,13 +42,8 @@ Result<RuleSet> OracleLocalizedRules(const Dataset& dataset,
 
   // The prestored family from first principles: closed + globally frequent
   // at the primary threshold.
-  const uint32_t primary_count =
-      OracleMinCount(primary_support, dataset.num_records());
-  std::vector<Tid> all(dataset.num_records());
-  for (Tid t = 0; t < dataset.num_records(); ++t) all[t] = t;
-  std::vector<FrequentItemset> closed;
-  Itemset prefix;
-  EnumerateClosed(dataset, primary_count, &prefix, all, 0, &closed);
+  const std::vector<ClosedItemset> closed = MineClosedBruteForce(
+      dataset, OracleMinCount(primary_support, dataset.num_records()));
 
   const std::vector<bool> allowed = query.ItemAttrMask(schema);
   int64_t min_count =
@@ -125,7 +52,7 @@ Result<RuleSet> OracleLocalizedRules(const Dataset& dataset,
       options.inject_min_count_bias;
   if (min_count < 1) min_count = 1;
 
-  for (const FrequentItemset& cfi : closed) {
+  for (const ClosedItemset& cfi : closed) {
     const size_t len = cfi.items.size();
     if (len < 2 || len > options.max_itemset_length || len > 31) continue;
     bool attrs_ok = true;
@@ -139,7 +66,7 @@ Result<RuleSet> OracleLocalizedRules(const Dataset& dataset,
     // Exact at the itemset level: a rule's itemset is the full CFI.
     if (!ItemsetSatisfiesConstraints(cfi.items, query.constraints)) continue;
     const auto local =
-        static_cast<uint32_t>(SupportingTids(dataset, cfi.items, &dq).size());
+        static_cast<uint32_t>(SupportingTids(dataset, cfi.items, dq).size());
     if (local < min_count) continue;
 
     const uint32_t full_mask = (1u << len) - 1;
@@ -166,13 +93,13 @@ Result<RuleSet> OracleLocalizedRules(const Dataset& dataset,
         if (!pinned_ok) continue;
       }
       const auto acount = static_cast<uint32_t>(
-          SupportingTids(dataset, antecedent, &dq).size());
+          SupportingTids(dataset, antecedent, dq).size());
       if (acount == 0) continue;
       const double confidence = static_cast<double>(local) / acount;
       if (confidence + 1e-12 < query.minconf) continue;
       if (query.constraints.HasMeasures()) {
         const auto ccount = static_cast<uint32_t>(
-            SupportingTids(dataset, consequent, &dq).size());
+            SupportingTids(dataset, consequent, dq).size());
         const RuleCounts counts{local, acount, ccount,
                                 static_cast<uint32_t>(dq.size())};
         if (!PassesMeasureFloors(counts, query.constraints)) continue;

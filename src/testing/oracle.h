@@ -27,7 +27,8 @@ struct OracleOptions {
 ///   2. The prestored family is re-derived from first principles: every
 ///      globally frequent itemset at the primary threshold whose closure
 ///      (the set of items shared by all its supporting records) equals
-///      itself.
+///      itself (MineClosedBruteForce, testing/brute_force.h — the same
+///      reference the unit tests check CHARM and the MIP-index against).
 ///   3. Local supports and antecedent counts come from per-itemset scans
 ///      over DQ; thresholds use the contract's ceil semantics and the
 ///      contract's confidence tolerance (conf + 1e-12 >= minconf).

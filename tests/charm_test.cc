@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "data/salary_dataset.h"
 #include "data/synthetic.h"
-#include "mining/brute_force.h"
 #include "mining/charm.h"
-#include "mining/eclat.h"
 #include "test_util.h"
+#include "testing/brute_force.h"
 
 namespace colarm {
 namespace {
@@ -99,7 +100,7 @@ TEST(CharmTest, ClosedSetsCompressFrequentSets) {
   Dataset data = RandomDataset(66, 100, 5, 2);
   const uint32_t min_count = 20;
   auto closed = MineCharm(data, min_count);
-  auto frequent = MineEclat(data, min_count);
+  auto frequent = MineFrequentBruteForce(data, min_count);
   EXPECT_LE(closed.size(), frequent.size());
   // Every frequent itemset's support must be recoverable as the max
   // support among closed supersets.
@@ -112,6 +113,35 @@ TEST(CharmTest, ClosedSetsCompressFrequentSets) {
     }
     EXPECT_EQ(best, f.count) << "closure property violated";
   }
+}
+
+// Every subset of a frequent itemset is frequent with at least its support,
+// on the reference the closed-set tests compare against.
+TEST(CharmTest, ReferenceSupportsAreDownwardClosed) {
+  Dataset data = RandomDataset(21, 60, 5, 3);
+  auto frequent = MineFrequentBruteForce(data, 6);
+  std::map<Itemset, uint32_t> by_items;
+  for (const auto& f : frequent) by_items[f.items] = f.count;
+  for (const auto& f : frequent) {
+    if (f.items.size() < 2) continue;
+    for (size_t drop = 0; drop < f.items.size(); ++drop) {
+      Itemset sub;
+      for (size_t i = 0; i < f.items.size(); ++i) {
+        if (i != drop) sub.push_back(f.items[i]);
+      }
+      auto it = by_items.find(sub);
+      ASSERT_NE(it, by_items.end())
+          << "subset of a frequent itemset missing from output";
+      EXPECT_GE(it->second, f.count);
+    }
+  }
+}
+
+TEST(CharmTest, ThresholdAboveDatasetYieldsNothing) {
+  Dataset data = RandomDataset(13, 20, 3, 3);
+  EXPECT_TRUE(MineCharm(data, 21).empty());
+  EXPECT_TRUE(MineClosedBruteForce(data, 21).empty());
+  EXPECT_TRUE(MineFrequentBruteForce(data, 21).empty());
 }
 
 TEST(CharmTest, SalaryClosedSetAroundRG) {

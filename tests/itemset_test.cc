@@ -42,14 +42,6 @@ TEST(ItemsetTest, ToString) {
   EXPECT_EQ(ItemsetToString(schema, Itemset{}), "{}");
 }
 
-TEST(ItemsetTest, SortItemsets) {
-  std::vector<FrequentItemset> sets = {{{3}, 1}, {{1, 2}, 5}, {{1}, 9}};
-  SortItemsets(&sets);
-  EXPECT_EQ(sets[0].items, (Itemset{1}));
-  EXPECT_EQ(sets[1].items, (Itemset{1, 2}));
-  EXPECT_EQ(sets[2].items, (Itemset{3}));
-}
-
 TEST(MinCountTest, ExactBoundaries) {
   // c / total >= fraction with the smallest such c.
   EXPECT_EQ(MinCount(0.5, 10), 5u);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "data/salary_dataset.h"
-#include "mining/brute_force.h"
+#include "testing/brute_force.h"
 #include "mip/mip_index.h"
 #include "test_util.h"
 

@@ -150,59 +150,6 @@ TEST(RTreeTest, SupportedSearchVisitsFewerNodes) {
   EXPECT_LE(supported.nodes_visited, plain.nodes_visited);
 }
 
-TEST(RTreeTest, RemoveDeletesExactly) {
-  auto entries = RandomEntries(11, 120, 2, 25, 5);
-  RTree tree(2);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-
-  // Remove every third entry and re-verify search + invariants.
-  std::vector<RTreeEntry> kept;
-  for (uint32_t i = 0; i < entries.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_TRUE(tree.Remove(entries[i].box, entries[i].id));
-    } else {
-      kept.push_back(entries[i]);
-    }
-  }
-  EXPECT_EQ(tree.size(), kept.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-
-  Rng rng(12);
-  for (int q = 0; q < 15; ++q) {
-    Rect query = RandomBox(rng, 2, 25, 10);
-    EXPECT_EQ(TreeSearch(tree, query), BruteForceSearch(kept, query));
-  }
-}
-
-TEST(RTreeTest, RemoveMissingReturnsFalse) {
-  RTree tree(2);
-  Rect box = Rect::MakeEmpty(2);
-  box.SetInterval(0, 1, 2);
-  box.SetInterval(1, 1, 2);
-  tree.Insert({box, 5, 1});
-  EXPECT_FALSE(tree.Remove(box, 6));     // wrong id
-  Rect other = box;
-  other.SetInterval(0, 0, 2);
-  EXPECT_FALSE(tree.Remove(other, 5));   // wrong box
-  EXPECT_TRUE(tree.Remove(box, 5));
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, RemoveAllThenReinsert) {
-  auto entries = RandomEntries(13, 200, 2, 20, 4);
-  RTree tree(2);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-  for (const RTreeEntry& e : entries) {
-    ASSERT_TRUE(tree.Remove(e.box, e.id));
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-  EXPECT_EQ(tree.size(), entries.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
 TEST(RTreeTest, ForEachNodeLevelsAreConsistent) {
   auto entries = RandomEntries(17, 600, 2, 40, 6);
   RTree tree(2);

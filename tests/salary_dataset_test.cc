@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "data/salary_dataset.h"
-#include "mining/brute_force.h"
+#include "testing/brute_force.h"
 
 namespace colarm {
 namespace {
@@ -25,6 +25,25 @@ TEST(SalaryDatasetTest, GlobalRuleRG) {
   uint32_t age_only = CountSupport(data, std::vector<ItemId>{age_a0});
   EXPECT_EQ(both, 5u);
   EXPECT_EQ(age_only, 6u);
+}
+
+// Hand-counted Table 1 supports, as the reference miner reports them at a
+// threshold of 5 records.
+TEST(SalaryDatasetTest, FrequentItemsetsAtFive) {
+  Dataset data = MakeSalaryDataset();
+  auto frequent = MineFrequentBruteForce(data, 5);
+  const Schema& schema = data.schema();
+  auto find = [&](const Itemset& items) -> int {
+    for (const auto& f : frequent) {
+      if (f.items == items) return static_cast<int>(f.count);
+    }
+    return -1;
+  };
+  EXPECT_EQ(find({schema.ItemOf(2, 0)}), 5);              // Boston x5
+  EXPECT_EQ(find({schema.ItemOf(4, 0)}), 6);              // Age 20-30 x6
+  EXPECT_EQ(find({schema.ItemOf(5, 2)}), 8);              // Salary 90-120 x8
+  EXPECT_EQ(find({schema.ItemOf(4, 0), schema.ItemOf(5, 2)}), 5);  // RG pair
+  EXPECT_EQ(find({schema.ItemOf(0, 0)}), -1);             // IBM only x3
 }
 
 // Localized rule RL = (Age=30-40 => Salary=90K-120K) for female Seattle

@@ -571,7 +571,7 @@ TEST(ServiceAdmissionTest, BoundsEnforcedDeterministically) {
 
 TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
   // 8 clients, each its own tenant and connection, hammering pipelined
-  // MINE/STATS/EXPLAIN traffic. This is the tsan_server workload: the
+  // MINE/STATS/EXPLAIN traffic. This is the main TSan workload: the
   // assertion here is well-formedness and rule-count agreement; the nested
   // TSan build asserts the absence of data races.
   auto server = StartServer();

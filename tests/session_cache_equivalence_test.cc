@@ -387,7 +387,7 @@ TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
 }
 
 // ARM mining memo: a repeated ARM-plan execution replays its qualified
-// set from the tier-3 memo instead of re-running CHARM/FP-growth — with
+// set from the tier-3 memo instead of re-running CHARM — with
 // byte-identical rules and effort counters — both in-session and across a
 // v4 save/load restart.
 TEST_P(SessionCacheEquivalenceTest, ArmMineMemoReplayMatchesCold) {

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "data/dataset.h"
-#include "mining/brute_force.h"
 #include "mining/rule.h"
 #include "mip/mip_index.h"
 #include "plans/query.h"

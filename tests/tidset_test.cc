@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "mining/tidset.h"
 
@@ -34,12 +32,6 @@ TEST(TidsetTest, IntersectSizeMatchesIntersect) {
   }
 }
 
-TEST(TidsetTest, Subset) {
-  EXPECT_TRUE(TidsetIsSubset(Tidset{}, Tidset{1}));
-  EXPECT_TRUE(TidsetIsSubset(Tidset{2, 4}, Tidset{1, 2, 3, 4}));
-  EXPECT_FALSE(TidsetIsSubset(Tidset{2, 5}, Tidset{1, 2, 3, 4}));
-}
-
 // Size-skewed operands route through the galloping (exponential-probe)
 // path; heavily random trials pin it to the merge loop's answers.
 TEST(TidsetTest, GallopingIntersectSizeMatchesMerge) {
@@ -67,32 +59,6 @@ TEST(TidsetTest, GallopingIntersectSizeMatchesMerge) {
   EXPECT_EQ(TidsetIntersectSize(Tidset{2099}, big), 1u);
   EXPECT_EQ(TidsetIntersectSize(Tidset{3000}, big), 0u);
   EXPECT_EQ(TidsetIntersectSize(Tidset{5, 150, 3000}, big), 1u);
-}
-
-TEST(TidsetTest, GallopingSubsetMatchesIncludes) {
-  Rng rng(19);
-  for (int trial = 0; trial < 40; ++trial) {
-    Tidset big;
-    Tidset sub;
-    for (Tid t = 0; t < 4000; ++t) {
-      if (rng.Bernoulli(0.5)) {
-        big.push_back(t);
-        if (rng.Bernoulli(0.01)) sub.push_back(t);
-      }
-    }
-    EXPECT_TRUE(TidsetIsSubset(sub, big));
-    if (!sub.empty()) {
-      // Perturb one element off the big set: no longer a subset.
-      Tidset broken = sub;
-      broken[broken.size() / 2] += 1;
-      std::sort(broken.begin(), broken.end());
-      bool expected = std::includes(big.begin(), big.end(), broken.begin(),
-                                    broken.end());
-      EXPECT_EQ(TidsetIsSubset(broken, big), expected);
-    }
-  }
-  // A larger "subset" can never qualify.
-  EXPECT_FALSE(TidsetIsSubset(Tidset{1, 2, 3}, Tidset{1, 2}));
 }
 
 TEST(TidsetTest, Sum) {
