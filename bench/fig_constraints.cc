@@ -113,7 +113,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& engine,
   std::fprintf(
       out,
       "{\"dataset\":\"%s\",\"figure\":\"constraints\",\"records\":%u,"
-      "\"scale\":%g,\"num_threads\":%u,\"backend\":\"%s\","
+      "\"scale\":%g,\"num_threads\":%u,"
       "\"scenario\":\"%s\",\"queries\":%zu,\"rules\":%zu,"
       "\"pushdown_ms\":%.3f,\"postfilter_ms\":%.3f,\"speedup\":%.2f,"
       "\"pushdown_effort\":{\"record_checks\":%llu,"
@@ -124,7 +124,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& engine,
       engine.pool() != nullptr
           ? static_cast<unsigned>(engine.pool()->parallelism())
           : 1u,
-      ExecBackendName(engine.options().backend), scenario, queries,
+      scenario, queries,
       push.rules, push.ms, post.ms, post.ms / std::max(push.ms, 1e-9),
       static_cast<unsigned long long>(push.record_checks),
       static_cast<unsigned long long>(push.rules_considered),

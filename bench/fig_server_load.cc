@@ -227,13 +227,12 @@ void AppendLoadJson(const BenchDataset& dataset, unsigned threads,
   std::fprintf(out,
                "{\"figure\":\"server_load\",\"dataset\":\"%s\","
                "\"records\":%u,\"scale\":%g,\"num_threads\":%u,"
-               "\"backend\":\"%s\",\"dispatch_workers\":%zu,"
+               "\"dispatch_workers\":%zu,"
                "\"clients\":%d,\"requests\":%llu,"
                "\"busy\":%llu,\"errors\":%llu,\"p50_ms\":%.4f,"
                "\"p99_ms\":%.4f,\"throughput_rps\":%.1f}\n",
                dataset.name.c_str(), dataset.data->num_records(),
-               ScaleFromEnv(), threads, ExecBackendName(BackendFromEnv()),
-               workers, clients, static_cast<unsigned long long>(r.ok),
+               ScaleFromEnv(), threads, workers, clients, static_cast<unsigned long long>(r.ok),
                static_cast<unsigned long long>(r.busy),
                static_cast<unsigned long long>(r.errors), p50, p99,
                r.ok / (r.wall_ms / 1000.0));

@@ -95,7 +95,6 @@ std::unique_ptr<Engine> BuildCachedEngine(const BenchDataset& dataset) {
   options.index.primary_support = dataset.primary_support;
   options.calibrate = true;
   options.num_threads = ThreadsFromEnv();
-  options.backend = BackendFromEnv();
   options.cache.enabled = true;
   auto engine = Engine::Build(*dataset.data, options);
   if (!engine.ok()) {
@@ -136,7 +135,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
   std::fprintf(
       out,
       "{\"dataset\":\"%s\",\"figure\":\"session_cache\",\"records\":%u,"
-      "\"scale\":%g,\"num_threads\":%u,\"backend\":\"%s\","
+      "\"scale\":%g,\"num_threads\":%u,"
       "\"workload\":\"%s\",\"queries\":%zu,"
       "\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
@@ -146,7 +145,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
       warm.pool() != nullptr
           ? static_cast<unsigned>(warm.pool()->parallelism())
           : 1u,
-      ExecBackendName(warm.options().backend), workload, queries, cold_ms,
+      workload, queries, cold_ms,
       warm_ms, hot_ms, cold_ms / std::max(warm_ms, 1e-9),
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),
@@ -173,7 +172,7 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
   std::fprintf(
       out,
       "{\"dataset\":\"%s\",\"figure\":\"cache_scale\",\"records\":%u,"
-      "\"scale\":%g,\"num_threads\":%u,\"backend\":\"%s\","
+      "\"scale\":%g,\"num_threads\":%u,"
       "\"workload\":\"%s\",\"queries\":%zu,"
       "\"cold_ms\":%.3f,\"mmap_warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"mmap_warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
@@ -183,7 +182,7 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
       restored.pool() != nullptr
           ? static_cast<unsigned>(restored.pool()->parallelism())
           : 1u,
-      ExecBackendName(restored.options().backend), workload, queries,
+      workload, queries,
       cold_ms, mmap_warm_ms, hot_ms, cold_ms / std::max(mmap_warm_ms, 1e-9),
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),

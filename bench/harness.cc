@@ -54,14 +54,6 @@ unsigned ThreadsFromEnv() {
   return static_cast<unsigned>(threads);
 }
 
-ExecBackend BackendFromEnv() {
-  const char* env = std::getenv("COLARM_BENCH_BACKEND");
-  if (env == nullptr || *env == '\0') return ExecBackend::kScalar;
-  if (std::strcmp(env, "bitmap") == 0) return ExecBackend::kBitmap;
-  if (std::strcmp(env, "scalar") == 0) return ExecBackend::kScalar;
-  DieOnBadKnob("COLARM_BENCH_BACKEND", env, "\"scalar\" or \"bitmap\"");
-}
-
 std::string JsonSinkPath() {
   const char* env = std::getenv("COLARM_BENCH_JSON");
   return env != nullptr ? std::string(env) : std::string("BENCH_plans.json");
@@ -91,12 +83,11 @@ void AppendScenarioJson(const BenchDataset& dataset, const Engine& engine,
   }
   std::fprintf(out,
                "{\"dataset\":\"%s\",\"records\":%u,\"scale\":%g,"
-               "\"num_threads\":%u,\"backend\":\"%s\",\"simd\":\"%s\","
+               "\"num_threads\":%u,\"simd\":\"%s\","
                "\"index_build_ms\":%.3f,"
                "\"dq\":%g,\"minsupp\":%g,\"minconf\":%g,\"avg_ms\":{",
                dataset.name.c_str(), dataset.data->num_records(),
                ScaleFromEnv(), EngineThreads(engine),
-               ExecBackendName(engine.options().backend),
                SimdLevelName(ActiveSimdLevel()), index_build_ms, dq,
                minsupp, dataset.minconf);
   for (size_t i = 0; i < kAllPlans.size(); ++i) {
@@ -153,7 +144,6 @@ std::unique_ptr<Engine> BuildEngine(const BenchDataset& dataset) {
   options.index.primary_support = dataset.primary_support;
   options.calibrate = true;
   options.num_threads = ThreadsFromEnv();
-  options.backend = BackendFromEnv();
   auto engine = Engine::Build(*dataset.data, options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine build failed: %s\n",

@@ -32,12 +32,6 @@ double ScaleFromEnv();
 /// Misparses are fatal (stderr + exit 2).
 unsigned ThreadsFromEnv();
 
-/// Execution backend for the engine, read from COLARM_BENCH_BACKEND:
-/// "scalar" (default) or "bitmap". Anything else is fatal (stderr +
-/// exit 2). The backend also lands in the JSON sink so runs are
-/// attributable after the fact.
-ExecBackend BackendFromEnv();
-
 /// Machine-readable sink for plan-figure runs: one JSON object per line
 /// appended per (dataset, DQ, minsupp) scenario. Path comes from
 /// COLARM_BENCH_JSON (default "BENCH_plans.json"; empty string disables).

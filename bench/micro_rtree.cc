@@ -1,6 +1,6 @@
-// Micro-benchmarks for the R-tree substrate: dynamic insert, range search
-// on dynamically built vs packed trees, and the supported filter's pruning
-// effect (the ablation behind the SS-* plans).
+// Micro-benchmarks for the R-tree substrate: STR bulk loading, range
+// search on the packed tree, and the supported filter's pruning effect
+// (the ablation behind the SS-* plans).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -32,18 +32,6 @@ Rect MakeQuery(uint32_t dims, ValueId lo, ValueId hi) {
   return box;
 }
 
-void BM_RTreeDynamicInsert(benchmark::State& state) {
-  const auto count = static_cast<uint32_t>(state.range(0));
-  auto entries = MakeEntries(count, 4);
-  for (auto _ : state) {
-    RTree tree(4);
-    for (const RTreeEntry& e : entries) tree.Insert(e);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * count);
-}
-BENCHMARK(BM_RTreeDynamicInsert)->Arg(1000)->Arg(10000);
-
 void BM_RTreeBulkLoadSTR(benchmark::State& state) {
   const auto count = static_cast<uint32_t>(state.range(0));
   auto entries = MakeEntries(count, 4);
@@ -54,19 +42,6 @@ void BM_RTreeBulkLoadSTR(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * count);
 }
 BENCHMARK(BM_RTreeBulkLoadSTR)->Arg(1000)->Arg(10000);
-
-void BM_RTreeSearchDynamic(benchmark::State& state) {
-  auto entries = MakeEntries(20000, 4);
-  RTree tree(4);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-  Rect query = MakeQuery(4, 20, 60);
-  for (auto _ : state) {
-    size_t hits = 0;
-    tree.Search(query, [&hits](const RTreeEntry&, bool) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_RTreeSearchDynamic);
 
 void BM_RTreeSearchPacked(benchmark::State& state) {
   auto entries = MakeEntries(20000, 4);

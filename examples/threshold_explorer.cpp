@@ -1,16 +1,19 @@
-// Threshold explorer: the PARAS-style interactive loop. One record-level
-// pass materializes the full (support, confidence) parameter space of a
-// focal subset; every threshold combination afterwards is answered
-// instantly. Prints the rule-count map an exploration UI would render and
-// drills into one cell.
+// Threshold explorer: the interactive "try 80/90... now 75/85..." loop on
+// one focal subset. Every (minsupp, minconf) cell is an ordinary
+// Engine::Execute call with the session cache on: the first query on the
+// box materializes the focal subset and records per-itemset subset counts
+// in the count memo; every later cell reuses the cached subset and replays
+// the memoized counts instead of rescanning records. Prints the rule-count
+// map an exploration UI would render, the cache's work, and one cell's
+// rules.
 //
 //   $ ./threshold_explorer
 #include <cstdio>
+#include <vector>
 
 #include "common/timer.h"
 #include "core/engine.h"
 #include "core/explain.h"
-#include "core/parameter_space.h"
 #include "data/synthetic.h"
 
 using namespace colarm;
@@ -20,48 +23,54 @@ int main() {
   if (!data.ok()) return 1;
   EngineOptions options;
   options.index.primary_support = 0.6;
+  options.cache.enabled = true;
   auto engine = Engine::Build(*data, options);
   if (!engine.ok()) return 1;
 
-  LocalizedQuery base;
-  base.ranges = {{0, 10, 49}};  // a 40%-of-domain region window
-  std::printf("Focal selection: %s\n",
-              base.ToString(data->schema()).c_str());
+  LocalizedQuery query;
+  query.ranges = {{0, 10, 49}};  // a 40%-of-domain region window
+  std::printf("Focal selection: %s\n\n",
+              query.ToString(data->schema()).c_str());
 
-  Timer build_timer;
-  auto view = ParameterSpaceView::Build((*engine)->index(), base,
-                                        {.min_support_floor = 0.62});
-  if (!view.ok()) {
-    std::fprintf(stderr, "%s\n", view.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("Parameter space materialized in %.1f ms: |DQ|=%u, %zu rule "
-              "points at floor %.0f%%.\n\n",
-              build_timer.ElapsedMillis(), view->subset_size(),
-              view->num_points(), view->floor() * 100.0);
-
-  const std::vector<double> supps = {0.65, 0.70, 0.75, 0.80, 0.85, 0.90};
+  const std::vector<double> supps = {0.75, 0.80, 0.85, 0.90};
   const std::vector<double> confs = {0.70, 0.80, 0.90, 0.95, 0.99};
-  Timer grid_timer;
-  auto grid = view->CountGrid(supps, confs);
-  std::printf("Rule counts by (minsupp x minconf) — %.2f ms for the whole "
-              "grid:\n\n        ",
-              grid_timer.ElapsedMillis());
+  std::printf("Rule counts by (minsupp x minconf):\n\n          ");
   for (double conf : confs) std::printf("  conf>=%2.0f%%", conf * 100);
   std::printf("\n");
+
+  Timer sweep_timer;
+  double first_ms = 0.0;
   for (size_t i = 0; i < supps.size(); ++i) {
     std::printf("supp>=%2.0f%%", supps[i] * 100);
     for (size_t j = 0; j < confs.size(); ++j) {
-      std::printf("  %9u", grid[i][j]);
+      query.minsupp = supps[i];
+      query.minconf = confs[j];
+      Timer cell_timer;
+      auto result = (*engine)->Execute(query);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+        return 1;
+      }
+      if (i == 0 && j == 0) first_ms = cell_timer.ElapsedMillis();
+      std::printf("  %9zu", result->rules.rules.size());
     }
     std::printf("\n");
   }
+  const size_t cells = supps.size() * confs.size();
+  const CacheTelemetry cache = (*engine)->cache()->telemetry();
+  std::printf("\n%zu cells in %.1f ms (first, cold: %.1f ms). Session cache: "
+              "%llu exact subset hits, %llu miss, %llu count-memo hits.\n",
+              cells, sweep_timer.ElapsedMillis(), first_ms,
+              static_cast<unsigned long long>(cache.hits_exact),
+              static_cast<unsigned long long>(cache.misses),
+              static_cast<unsigned long long>(cache.hits_count_memo));
 
   // Drill into a cell of interest.
   std::printf("\nDrilling into (minsupp 80%%, minconf 95%%):\n");
-  auto rules = view->RulesAt(0.80, 0.95);
-  if (rules.ok()) {
-    std::printf("%s", FormatRules(data->schema(), *rules, 8).c_str());
-  }
+  query.minsupp = 0.80;
+  query.minconf = 0.95;
+  auto rules = (*engine)->Execute(query);
+  if (!rules.ok()) return 1;
+  std::printf("%s", FormatRules(data->schema(), rules->rules, 8).c_str());
   return 0;
 }

@@ -12,7 +12,7 @@ namespace colarm {
 
 /// A dense, word-aligned bitmap over a fixed record universe [0, size):
 /// bit t is set iff record t is a member. The word-parallel substrate of
-/// the vertical execution backend — one AND+popcount over 64 records per
+/// the dense record-level routes — one AND+popcount over 64 records per
 /// instruction instead of 64 record-level probes.
 ///
 /// All binary kernels require equal universes. The range variants operate
@@ -88,6 +88,17 @@ class Bitmap {
   uint32_t size_ = 0;
   std::vector<uint64_t> words_;
 };
+
+/// The one density bar of every tid-set representation choice: a set of
+/// `count` records out of `universe` is dense when it holds at least one
+/// record per 64-bit word (count x 64 >= universe). Above it a bitmap pass
+/// touches no more words than a tid-list pass touches tids, so the word-
+/// parallel route wins; below it the sorted list (or a per-record probe)
+/// does. HybridTidset, the MIP build's miner choice and the plan
+/// operators' record-level routes all call it.
+inline bool IsDense(uint64_t count, uint64_t universe) {
+  return count * Bitmap::kBitsPerWord >= universe;
+}
 
 }  // namespace colarm
 

@@ -2,19 +2,10 @@
 
 namespace colarm {
 
-namespace {
-
-bool DenseEnough(size_t count, uint32_t universe) {
-  return static_cast<uint64_t>(count) * Bitmap::kBitsPerWord >=
-         static_cast<uint64_t>(universe);
-}
-
-}  // namespace
-
 HybridTidset HybridTidset::FromTids(Tidset tids, uint32_t universe) {
   HybridTidset out;
   out.universe_ = universe;
-  if (DenseEnough(tids.size(), universe)) {
+  if (IsDense(tids.size(), universe)) {
     out.dense_ = true;
     out.count_ = static_cast<uint32_t>(tids.size());
     out.bits_ = Bitmap::FromTids(tids, universe);
@@ -32,7 +23,7 @@ HybridTidset HybridTidset::Intersect(const HybridTidset& a,
     Bitmap result(a.universe_);
     Bitmap::AndInto(a.bits_, b.bits_, &result);
     const auto count = static_cast<uint32_t>(result.Count());
-    if (DenseEnough(count, a.universe_)) {
+    if (IsDense(count, a.universe_)) {
       out.dense_ = true;
       out.count_ = count;
       out.bits_ = std::move(result);

@@ -10,7 +10,7 @@
 namespace colarm {
 
 /// A tidset that stores itself as a dense Bitmap when it covers at least
-/// one record per word (size x 64 >= universe) and as a sorted tid list
+/// one record per word (IsDense, bitmap/bitmap.h) and as a sorted tid list
 /// otherwise. CHARM's intersections then run word-parallel near the root
 /// of the IT-tree, where tidsets are fat, and fall back to merge/probe as
 /// the search deepens and tidsets sparsify — dense∧dense is an AND,

@@ -9,7 +9,7 @@
 
 namespace colarm {
 
-/// The word-level kernel vocabulary of the vertical bitmap backend, as a
+/// The word-level kernel vocabulary of the bitmap routes, as a
 /// function-pointer table so one binary carries scalar, AVX2, and AVX-512
 /// implementations side by side and picks at runtime (common/cpu_features).
 ///

@@ -1,7 +1,5 @@
 #include "bitmap/vertical_index.h"
 
-#include <algorithm>
-
 namespace colarm {
 
 VerticalIndex VerticalIndex::Build(const Dataset& dataset, ThreadPool* pool) {
@@ -29,97 +27,6 @@ VerticalIndex VerticalIndex::FromBitmaps(std::vector<Bitmap> bitmaps,
   index.num_records_ = num_records;
   index.items_ = std::move(bitmaps);
   return index;
-}
-
-Bitmap VerticalIndex::MaterializeDq(const Schema& schema, const Rect& box,
-                                    ThreadPool* pool) const {
-  Bitmap dq(num_records_);
-
-  // Attributes with a real restriction, tightest interval first so the
-  // running AND sparsifies as early as possible.
-  std::vector<AttrId> constrained;
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    if (box.lo(a) != 0 || box.hi(a) != schema.attribute(a).domain_size() - 1) {
-      constrained.push_back(a);
-    }
-  }
-  if (constrained.empty()) {
-    dq.Fill();
-    return dq;
-  }
-  std::sort(constrained.begin(), constrained.end(),
-            [&](AttrId a, AttrId b) { return box.Extent(a) < box.Extent(b); });
-
-  // Word-range sharding: every word of DQ depends only on the same word of
-  // the item bitmaps, so [0, num_words) splits freely across the pool.
-  const size_t words = dq.num_words();
-  const size_t chunks =
-      IsParallel(pool) && words >= 64
-          ? std::min(words, static_cast<size_t>(pool->parallelism()) * 4)
-          : 1;
-  ParallelChunks(pool, words, chunks, [&](size_t, size_t begin, size_t end) {
-    const auto word_begin = static_cast<uint32_t>(begin);
-    const auto word_end = static_cast<uint32_t>(end);
-    Bitmap range_or(num_records_);
-    bool first = true;
-    for (AttrId a : constrained) {
-      const ItemId base = schema.item_base(a);
-      for (uint64_t* w = range_or.mutable_words() + word_begin;
-           w != range_or.mutable_words() + word_end; ++w) {
-        *w = 0;
-      }
-      for (ValueId v = box.lo(a); v <= box.hi(a); ++v) {
-        range_or.OrWithRange(items_[base + v], word_begin, word_end);
-      }
-      if (first) {
-        for (uint32_t w = word_begin; w < word_end; ++w) {
-          dq.mutable_words()[w] = range_or.words()[w];
-        }
-        first = false;
-      } else {
-        dq.AndWithRange(range_or, word_begin, word_end);
-      }
-    }
-  });
-  return dq;
-}
-
-void VerticalIndex::NarrowDq(const Schema& schema, const Rect& box,
-                             const Rect& outer, Bitmap* dq,
-                             ThreadPool* pool) const {
-  // Only attributes whose interval narrowed relative to the outer box need
-  // re-testing; tightest interval first, as in MaterializeDq.
-  std::vector<AttrId> narrowed;
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    if (box.lo(a) != outer.lo(a) || box.hi(a) != outer.hi(a)) {
-      narrowed.push_back(a);
-    }
-  }
-  if (narrowed.empty()) return;
-  std::sort(narrowed.begin(), narrowed.end(),
-            [&](AttrId a, AttrId b) { return box.Extent(a) < box.Extent(b); });
-
-  const size_t words = dq->num_words();
-  const size_t chunks =
-      IsParallel(pool) && words >= 64
-          ? std::min(words, static_cast<size_t>(pool->parallelism()) * 4)
-          : 1;
-  ParallelChunks(pool, words, chunks, [&](size_t, size_t begin, size_t end) {
-    const auto word_begin = static_cast<uint32_t>(begin);
-    const auto word_end = static_cast<uint32_t>(end);
-    Bitmap range_or(num_records_);
-    for (AttrId a : narrowed) {
-      const ItemId base = schema.item_base(a);
-      for (uint64_t* w = range_or.mutable_words() + word_begin;
-           w != range_or.mutable_words() + word_end; ++w) {
-        *w = 0;
-      }
-      for (ValueId v = box.lo(a); v <= box.hi(a); ++v) {
-        range_or.OrWithRange(items_[base + v], word_begin, word_end);
-      }
-      dq->AndWithRange(range_or, word_begin, word_end);
-    }
-  });
 }
 
 }  // namespace colarm

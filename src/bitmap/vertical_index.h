@@ -6,15 +6,13 @@
 #include "bitmap/bitmap.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
-#include "rtree/rect.h"
 
 namespace colarm {
 
 /// The vertical bitmap representation of a dataset: one dense Bitmap per
-/// (attribute, value) item, bit t set iff record t carries the item. This
-/// is what the kBitmap execution backend runs on — DQ materialization is
-/// an AND over per-attribute range-ORs, and every record-level support
-/// count becomes popcount(item-AND ∩ DQ) instead of a row scan.
+/// (attribute, value) item, bit t set iff record t carries the item. The
+/// dense-DQ record-level routes run on it: every support count becomes
+/// popcount(item-AND ∩ DQ) instead of a row scan.
 ///
 /// Built once per MipIndex (parallel over attributes on the engine pool)
 /// and persisted in the index cache (format v3). Memory is
@@ -37,24 +35,6 @@ class VerticalIndex {
   uint32_t num_records() const { return num_records_; }
   uint32_t num_items() const { return static_cast<uint32_t>(items_.size()); }
   const Bitmap& item(ItemId item) const { return items_[item]; }
-
-  /// Materializes the focal-subset bitmap: for every attribute the box
-  /// constrains (interval narrower than the domain), OR the value bitmaps
-  /// of [lo, hi], then AND the per-attribute results. Unconstrained boxes
-  /// yield the full-universe bitmap. Word ranges shard across `pool`.
-  Bitmap MaterializeDq(const Schema& schema, const Rect& box,
-                       ThreadPool* pool) const;
-
-  /// Incremental form of MaterializeDq for the session cache's containment
-  /// tier: `dq` already holds the subset of `outer` (a box containing
-  /// `box`); AND in the range-ORs of only the attributes whose interval
-  /// actually narrowed. Attributes with identical intervals are already
-  /// reflected in `dq` and are skipped. Word-range sharded like
-  /// MaterializeDq; the result equals MaterializeDq(schema, box, ...) ∩ dq,
-  /// which by containment equals the full materialization of `box` within
-  /// the same universe.
-  void NarrowDq(const Schema& schema, const Rect& box, const Rect& outer,
-                Bitmap* dq, ThreadPool* pool) const;
 
  private:
   uint32_t num_records_ = 0;

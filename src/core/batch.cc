@@ -34,24 +34,6 @@ std::string QueryKey(const LocalizedQuery& query) {
   return key;
 }
 
-// Materializes one shared focal subset on the engine's configured backend.
-// The bitmap route yields the same sorted tid list as the scalar scan, so
-// sharing stays backend-transparent. `pool` is null here on purpose when
-// called from inside a parallel region (boxes already run concurrently).
-FocalSubset MaterializeSubset(const MipIndex& index, const Rect& box,
-                              ExecBackend backend, ThreadPool* pool) {
-  if (backend == ExecBackend::kBitmap && !index.vertical().empty()) {
-    FocalSubset subset;
-    subset.box = box;
-    subset.tids =
-        index.vertical()
-            .MaterializeDq(index.dataset().schema(), box, pool)
-            .ToTids();
-    return subset;
-  }
-  return FocalSubset::Materialize(index.dataset(), box);
-}
-
 }  // namespace
 
 Result<BatchResult> BatchExecutor::Execute(
@@ -139,9 +121,7 @@ Result<BatchResult> BatchExecutor::Execute(
         if (inserted) {
           // Shared subsets carry no per-query SELECT charge (the cache-less
           // batch materializes them outside any query too).
-          boxes.push_back(
-              cache->Acquire(box, engine_->options().backend, pool, nullptr)
-                  .subset);
+          boxes.push_back(cache->Acquire(box, nullptr).subset);
         } else {
           ++batch.subsets_shared;
         }
@@ -150,10 +130,7 @@ Result<BatchResult> BatchExecutor::Execute(
         // Unshared mode: every unique query pays the cold per-query SELECT
         // price, exactly like a cache-less run.
         box_index[i] = boxes.size();
-        boxes.push_back(cache
-                            ->Acquire(box, engine_->options().backend, pool,
-                                      &select_checks[i])
-                            .subset);
+        boxes.push_back(cache->Acquire(box, &select_checks[i]).subset);
       }
     }
     for (size_t i : unique) shared[i] = &boxes[box_index[i]];
@@ -176,8 +153,7 @@ Result<BatchResult> BatchExecutor::Execute(
     }
     boxes.resize(rects.size());
     ParallelFor(pool, rects.size(), [&](size_t b) {
-      boxes[b] = MaterializeSubset(index, rects[b],
-                                   engine_->options().backend, nullptr);
+      boxes[b] = FocalSubset::Materialize(index.dataset(), rects[b]);
     });
     for (size_t i : unique) shared[i] = &boxes[box_index[i]];
   }
@@ -203,7 +179,6 @@ Result<BatchResult> BatchExecutor::Execute(
     exec.rulegen = engine_->options().rulegen;
     exec.shared_subset = shared[i];
     exec.pool = pool;
-    exec.backend = engine_->options().backend;
     exec.cache = cache;
     exec.memo_txn = txns[i].get();
     exec.cancel = options.cancel;
@@ -278,9 +253,7 @@ Status BatchExecutor::SequentialExecute(
       if (it == subsets.end()) {
         it = subsets
                  .emplace(std::move(key),
-                          MaterializeSubset(index, box,
-                                            engine_->options().backend,
-                                            nullptr))
+                          FocalSubset::Materialize(index.dataset(), box))
                  .first;
       } else {
         ++batch->subsets_shared;
@@ -294,7 +267,6 @@ Status BatchExecutor::SequentialExecute(
     PlanExecOptions exec;
     exec.rulegen = engine_->options().rulegen;
     exec.shared_subset = shared;
-    exec.backend = engine_->options().backend;
     exec.cancel = options.cancel;
     Result<PlanResult> plan = ExecutePlan(kind, index, query, exec);
     if (!plan.ok()) return plan.status();

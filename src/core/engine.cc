@@ -49,8 +49,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(const Dataset& dataset,
   engine->cardinality_ = std::make_unique<CardinalityEstimator>(
       dataset.schema(), engine->index_->histograms(), dataset.num_records());
   engine->optimizer_ = std::make_unique<Optimizer>(
-      CostModel(engine->index_->stats(), *engine->cardinality_, constants,
-                options.backend));
+      CostModel(engine->index_->stats(), *engine->cardinality_, constants));
   if (options.cache.enabled && options.cache.byte_budget > 0) {
     engine->cache_ =
         std::make_unique<QueryCache>(*engine->index_, options.cache);
@@ -90,7 +89,6 @@ Result<QueryResult> Engine::Run(const LocalizedQuery& query, PlanKind forced,
   PlanExecOptions exec;
   exec.rulegen = options_.rulegen;
   exec.pool = pool_.get();
-  exec.backend = options_.backend;
   exec.cache = cache;
   exec.memo_txn = txn.get();
   exec.cancel = session.cancel;

@@ -19,12 +19,6 @@ struct EngineOptions {
   /// for tests).
   bool calibrate = true;
   CostConstants cost_constants;
-  /// Record-level execution backend for every query this engine runs.
-  /// kBitmap executes on the vertical bitmap index; results and effort
-  /// counters are byte-identical to kScalar, only wall time differs. The
-  /// cost model is told the backend so its per-operator constants match
-  /// what actually executes.
-  ExecBackend backend = ExecBackend::kScalar;
   /// When non-empty, Build() first tries to load the MIP-index from this
   /// file (validating the dataset fingerprint and build options) and, on a
   /// miss, mines it and writes the file — preprocess once across process

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "bitmap/bitmap.h"
-
 namespace colarm {
 
 namespace {
 
 // Fixed per-structure overheads folded into the byte accounting: map node,
 // key, bookkeeping. Exactness does not matter — determinism across
-// backends and thread counts does, and both terms depend only on logical
-// content.
+// thread counts does, and both terms depend only on logical content.
 constexpr size_t kEntryOverhead = 64;
 constexpr size_t kMemoOverhead = 48;
 
@@ -352,27 +349,14 @@ QueryCache::ComposePlan QueryCache::PlanComposeLocked(const Rect& box) const {
 }
 
 std::vector<Tid> QueryCache::ExecuteComposeLocked(const ComposePlan& plan,
-                                                  const Rect& box,
-                                                  ExecBackend backend,
-                                                  ThreadPool* pool) const {
+                                                  const Rect& box) const {
   const Dataset& dataset = index_->dataset();
-  const Schema& schema = dataset.schema();
-  const uint32_t m = dataset.num_records();
-  const bool bitmap_route =
-      backend == ExecBackend::kBitmap && !index_->vertical().empty();
   auto tids_of = [&](const std::string& key) -> const std::vector<Tid>& {
     return entries_.at(key).subset->tids;
   };
 
   switch (plan.shape) {
     case ComposePlan::Shape::kUnion: {
-      if (bitmap_route) {
-        Bitmap acc(m);
-        for (const std::string& key : plan.sources) {
-          acc.OrWith(Bitmap::FromTids(tids_of(key), m));
-        }
-        return acc.ToTids();
-      }
       std::vector<Tid> out = tids_of(plan.sources.front());
       std::vector<Tid> merged;
       for (size_t i = 1; i < plan.sources.size(); ++i) {
@@ -386,13 +370,6 @@ std::vector<Tid> QueryCache::ExecuteComposeLocked(const ComposePlan& plan,
       return out;
     }
     case ComposePlan::Shape::kDifference: {
-      if (bitmap_route) {
-        Bitmap acc = Bitmap::FromTids(tids_of(plan.sources.front()), m);
-        for (size_t i = 1; i < plan.sources.size(); ++i) {
-          acc.AndNotWith(Bitmap::FromTids(tids_of(plan.sources[i]), m));
-        }
-        return acc.ToTids();
-      }
       std::vector<Tid> strip;
       std::vector<Tid> merged;
       for (size_t i = 1; i < plan.sources.size(); ++i) {
@@ -413,17 +390,6 @@ std::vector<Tid> QueryCache::ExecuteComposeLocked(const ComposePlan& plan,
     case ComposePlan::Shape::kIntersect: {
       const std::vector<Tid>& a = tids_of(plan.sources[0]);
       const std::vector<Tid>& b = tids_of(plan.sources[1]);
-      if (bitmap_route) {
-        Bitmap ba = Bitmap::FromTids(a, m);
-        Bitmap bb = Bitmap::FromTids(b, m);
-        Bitmap acc(m);
-        Bitmap::AndInto(ba, bb, &acc);
-        if (plan.delta_attrs > 0) {
-          index_->vertical().NarrowDq(schema, box, plan.residual_outer, &acc,
-                                      pool);
-        }
-        return acc.ToTids();
-      }
       std::vector<Tid> meet;
       meet.reserve(std::min(a.size(), b.size()));
       std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
@@ -477,15 +443,13 @@ CacheHint QueryCache::Probe(const Rect& box) const {
   return hint;
 }
 
-QueryCache::Lease QueryCache::Acquire(const Rect& box, ExecBackend backend,
-                                      ThreadPool* pool,
+QueryCache::Lease QueryCache::Acquire(const Rect& box,
                                       uint64_t* record_checks) {
   const Dataset& dataset = index_->dataset();
   const Schema& schema = dataset.schema();
 
   // The cold semantic price, regardless of which tier actually serves the
-  // subset — the same convention that keeps the bitmap backend's counters
-  // byte-identical to the scalar scan's.
+  // subset, so warm effort counters stay byte-identical to cold ones.
   if (record_checks != nullptr && BoxIsConstrained(schema, box)) {
     *record_checks += dataset.num_records();
   }
@@ -513,28 +477,18 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box, ExecBackend backend,
     const std::vector<AttrId> narrowed = NarrowedAttrs(box, src.box);
     FocalSubset derived;
     derived.box = box;
-    const bool bitmap_route =
-        backend == ExecBackend::kBitmap && !index_->vertical().empty();
-    if (bitmap_route) {
-      // AND the cached subset's bitmap with one range-OR per narrowed
-      // attribute — the incremental form of MaterializeDq.
-      Bitmap dq = Bitmap::FromTids(src.tids, dataset.num_records());
-      index_->vertical().NarrowDq(schema, box, src.box, &dq, pool);
-      derived.tids = dq.ToTids();
-    } else {
-      // Re-test only the narrowed attributes over the cached tid list.
-      derived.tids.reserve(src.tids.size());
-      for (Tid t : src.tids) {
-        bool inside = true;
-        for (AttrId a : narrowed) {
-          ValueId v = dataset.Value(t, a);
-          if (v < box.lo(a) || v > box.hi(a)) {
-            inside = false;
-            break;
-          }
+    // Re-test only the narrowed attributes over the cached tid list.
+    derived.tids.reserve(src.tids.size());
+    for (Tid t : src.tids) {
+      bool inside = true;
+      for (AttrId a : narrowed) {
+        ValueId v = dataset.Value(t, a);
+        if (v < box.lo(a) || v > box.hi(a)) {
+          inside = false;
+          break;
         }
-        if (inside) derived.tids.push_back(t);
       }
+      if (inside) derived.tids.push_back(t);
     }
     NoteDerivationSourceLocked(plan.sources.front());
     lease.subset = derived;
@@ -548,7 +502,7 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box, ExecBackend backend,
     ++counters_.hits_compose;
     FocalSubset derived;
     derived.box = box;
-    derived.tids = ExecuteComposeLocked(plan, box, backend, pool);
+    derived.tids = ExecuteComposeLocked(plan, box);
     for (const std::string& source : plan.sources) {
       NoteDerivationSourceLocked(source);
     }
@@ -560,13 +514,7 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box, ExecBackend backend,
   }
 
   ++counters_.misses;
-  FocalSubset cold;
-  if (backend == ExecBackend::kBitmap && !index_->vertical().empty()) {
-    cold.box = box;
-    cold.tids = index_->vertical().MaterializeDq(schema, box, pool).ToTids();
-  } else {
-    cold = FocalSubset::Materialize(dataset, box);
-  }
+  FocalSubset cold = FocalSubset::Materialize(dataset, box);
   lease.subset = cold;
   lease.tier = CacheTier::kNone;
   InsertLocked(std::move(key), box,

@@ -38,8 +38,8 @@ struct QueryCacheOptions {
 
 /// Observability counters. Hits/misses/evictions/rejects are monotonic
 /// totals; bytes/entries are the resident state. All are deterministic for
-/// a given query sequence — independent of backend, thread count, and
-/// timing.
+/// a given query sequence — independent of thread count, record-level
+/// route, and timing.
 struct CacheTelemetry {
   uint64_t hits_exact = 0;
   uint64_t hits_containment = 0;
@@ -165,10 +165,8 @@ struct CacheEntrySnapshot {
 ///
 ///   1.   exact: a query's box is resident → copy its tid list, no scan;
 ///   2.   containment: a resident box *contains* the query's box → derive
-///        DQ by filtering the cached subset (scalar: re-test the cached
-///        tids on the narrowed attributes; bitmap: AND the cached subset's
-///        bitmap with one range-OR per narrowed attribute) — exact by the
-///        focal-box containment invariant;
+///        DQ by re-testing the cached tids on the narrowed attributes only
+///        — exact by the focal-box containment invariant;
 ///   2.5. compose: the box is assembled from *overlapping* resident boxes
 ///        via union / difference / intersection of their tid lists (slab
 ///        geometry keeps every shape provably exact; see PlanComposeLocked)
@@ -183,10 +181,9 @@ struct CacheEntrySnapshot {
 ///        triple).
 ///
 /// Every tier is byte-identical to cold execution in rules and effort
-/// counters: warm paths charge the cold semantic record-check price, the
-/// same convention the bitmap backend already follows. Entries store tid
-/// lists only (no backend-specific sidecars), so byte accounting,
-/// eviction order, and telemetry are identical across backends.
+/// counters: warm paths charge the cold semantic record-check price.
+/// Entries store tid lists only, so byte accounting, eviction order, and
+/// telemetry depend on the logical content alone.
 ///
 /// Admission/eviction is scan-resistant (TinyLFU + 2Q) instead of pure
 /// LRU: a 4-row count-min sketch estimates per-box request frequency, new
@@ -224,8 +221,7 @@ class QueryCache {
   /// constrains anything) regardless of tier, so plan statistics stay
   /// byte-identical to cold execution. Call from sequential points only
   /// (see class comment).
-  Lease Acquire(const Rect& box, ExecBackend backend, ThreadPool* pool,
-                uint64_t* record_checks);
+  Lease Acquire(const Rect& box, uint64_t* record_checks);
 
   /// Tier-3 read: the committed memo for (box, constraints, MIP), null on
   /// a miss. Does not count telemetry — callers call NoteMemoServed() when
@@ -319,7 +315,7 @@ class QueryCache {
     /// kIntersect: a.box ∩ b.box).
     Rect residual_outer;
     uint32_t delta_attrs = 0;  // attrs the residual filter re-tests
-    double summed_runs = 0.0;  // tid-run length the scalar merge walks
+    double summed_runs = 0.0;  // tid-run length the merge walks
     double cost = 0.0;         // size-proxy cost (see PlanComposeLocked)
   };
 
@@ -332,13 +328,11 @@ class QueryCache {
   /// the pre-2.5 behavior. Caller holds mutex_.
   ComposePlan PlanComposeLocked(const Rect& box) const;
 
-  /// Materializes the planned composition. Bitmap backend: word-parallel
-  /// OR/ANDNOT/AND through the SIMD dispatch plus a NarrowDq residual;
-  /// scalar: merges of sorted tid runs. Both produce the exact sorted
+  /// Materializes the planned composition by merges of sorted tid runs
+  /// plus a residual re-test of the narrowed attributes: the exact sorted
   /// T_box. Caller holds mutex_.
   std::vector<Tid> ExecuteComposeLocked(const ComposePlan& plan,
-                                        const Rect& box, ExecBackend backend,
-                                        ThreadPool* pool) const;
+                                        const Rect& box) const;
 
   /// Bumps per-entry derivation accounting and promotes `key` into the
   /// protected segment. Caller holds mutex_.

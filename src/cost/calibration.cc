@@ -93,13 +93,13 @@ CostConstants Calibrate(const Dataset& dataset) {
         return TidsetIntersectSize(a, b);
       }));
 
-  // Word-parallel AND+popcount throughput, the unit of every kBitmap
-  // operator (DQ materialization, ELIMINATE counts, VERIFY subset DFS).
+  // Word-parallel AND+popcount throughput, the unit of every dense-DQ
+  // route (ELIMINATE counts, the VERIFY subset-lattice DFS).
   // Bitmap::AndCount routes through the dispatched SIMD kernel table, so
   // this constant automatically prices the ISA level active at build time
-  // (COLARM_SIMD / SetActiveSimdLevel) — a vectorized host calibrates a
-  // proportionally cheaper bitmap backend, a forced-scalar run a dearer
-  // one, and the optimizer's crossover points move with it.
+  // (COLARM_SIMD / SetActiveSimdLevel) — a vectorized host calibrates
+  // proportionally cheaper dense routes, a forced-scalar run dearer ones,
+  // and the optimizer's crossover points move with it.
   constexpr uint32_t kBitmapBits = 512 * Bitmap::kBitsPerWord;
   Bitmap bits_a(kBitmapBits);
   Bitmap bits_b(kBitmapBits);

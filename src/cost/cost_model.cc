@@ -157,47 +157,15 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
     }
   }
 
-  // Words per bitmap — the unit every kBitmap kernel is priced in.
-  const double words =
-      std::ceil(m / static_cast<double>(Bitmap::kBitsPerWord));
-
-  // SELECT. Scalar: one relation scan. Bitmap: per attribute a range-OR
-  // plus an AND over the word array, then one pass converting DQ to tids.
-  // The term is plan-independent either way, so its accuracy never sways
-  // plan choice — only the absolute estimate. A session-cache hint replaces
-  // the cold scan with what actually runs: copying the cached tid list on
-  // an exact hit, or filtering the cached (containing) subset on a
-  // containment hit — scalar re-tests each cached record on the narrowed
-  // attributes, bitmap ANDs one range-OR per narrowed attribute.
-  constexpr double kAvgOrWidth = 3.0;  // value bitmaps OR'd per attribute
-  if (hint != nullptr && hint->tier == CacheTier::kExact) {
+  // SELECT runs one route: a row scan of the relation when cold, or, on a
+  // session-cache hint, what the cache actually does — copying the cached
+  // tid list on an exact hit, re-testing each cached record on a
+  // containment hit, walking the summed sorted runs of a tier-2.5
+  // composition (hint->cached_size covers all three). The term is
+  // plan-uniform, so its accuracy never sways plan choice — only the
+  // absolute estimate.
+  if (hint != nullptr && hint->tier != CacheTier::kNone) {
     est.select = hint->cached_size * constants_.select_record_ns;
-  } else if (hint != nullptr && hint->tier == CacheTier::kContainment) {
-    if (backend_ == ExecBackend::kBitmap) {
-      est.select = hint->delta_attrs * (kAvgOrWidth + 1.0) * words *
-                       constants_.bitmap_word_ns +
-                   subset * constants_.select_record_ns;
-    } else {
-      est.select = hint->cached_size * constants_.select_record_ns;
-    }
-  } else if (hint != nullptr && hint->tier == CacheTier::kCompose) {
-    // Tier 2.5: combine `compose_sources` resident tid lists (union /
-    // difference / intersection) plus a residual delta filter. Bitmap
-    // prices one word pass per source; scalar walks the summed sorted
-    // runs (hint->cached_size). Like every SELECT reprice this is
-    // plan-uniform, so composition never sways which plan wins.
-    if (backend_ == ExecBackend::kBitmap) {
-      est.select = hint->compose_sources * words * constants_.bitmap_word_ns +
-                   hint->delta_attrs * (kAvgOrWidth + 1.0) * words *
-                       constants_.bitmap_word_ns +
-                   subset * constants_.select_record_ns;
-    } else {
-      est.select = hint->cached_size * constants_.select_record_ns;
-    }
-  } else if (backend_ == ExecBackend::kBitmap) {
-    est.select = stats_->num_attributes * (kAvgOrWidth + 1.0) * words *
-                     constants_.bitmap_word_ns +
-                 subset * constants_.select_record_ns;
   } else {
     est.select = m * constants_.select_record_ns;
   }
@@ -205,26 +173,31 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
   const bool supported = kind == PlanKind::kSSEV || kind == PlanKind::kSSVS ||
                          kind == PlanKind::kSSEUV;
 
-  // ELIMINATE's containment scan exits on the first mismatching item, so
-  // it averages ~2 probes per record; VERIFY's subset-mask pass must test
-  // every item of the itemset on every record. The bitmap backend prices
-  // the same work in word passes: an AND-chain of avg_len item bitmaps
-  // plus the popcount against DQ per ELIMINATE candidate, and one AND per
-  // subset of the itemset (the lattice DFS, ~2^len = rules_per + 2 nodes)
-  // per VERIFY itemset — floored at its per-record probe fallback, which
-  // the counter switches to when the lattice is the costlier route.
+  // The record-level terms follow the route the estimated |DQ| selects,
+  // by the density predicate execution uses. Row probes: ELIMINATE's
+  // containment scan exits on the first mismatching item, so it averages
+  // ~2 probes per record; VERIFY's subset-mask pass tests every item of
+  // the itemset on every record. Dense DQ (bitmap built, never for ARM):
+  // an AND-chain of avg_len item bitmaps plus the popcount against DQ per
+  // ELIMINATE candidate, and one AND per subset of the itemset (the
+  // lattice DFS, ~2^len = rules_per + 2 nodes) per VERIFY itemset —
+  // floored at the row probe, which the counter falls back to when the
+  // lattice is the costlier route.
   constexpr double kAvgEliminateChecks = 2.0;
+  const bool dense =
+      kind != PlanKind::kARM &&
+      IsDense(static_cast<uint64_t>(subset), stats_->num_records);
+  const double words =
+      std::ceil(m / static_cast<double>(Bitmap::kBitsPerWord));
   const double eliminate_per_cand =
-      backend_ == ExecBackend::kBitmap
-          ? (avg_len + 1.0) * words * constants_.bitmap_word_ns
-          : subset * kAvgEliminateChecks * constants_.record_item_check_ns;
-  const double scalar_verify_scan =
+      dense ? (avg_len + 1.0) * words * constants_.bitmap_word_ns
+            : subset * kAvgEliminateChecks * constants_.record_item_check_ns;
+  const double probe_verify_scan =
       subset * avg_len * constants_.record_item_check_ns;
   const double verify_scan_per_itemset =
-      backend_ == ExecBackend::kBitmap
-          ? std::min((rules_per + 2.0) * words * constants_.bitmap_word_ns,
-                     scalar_verify_scan)
-          : scalar_verify_scan;
+      dense ? std::min((rules_per + 2.0) * words * constants_.bitmap_word_ns,
+                       probe_verify_scan)
+            : probe_verify_scan;
   const double verify_per_itemset =
       verify_scan_per_itemset + rules_per * constants_.rule_check_ns;
 

@@ -30,8 +30,8 @@ struct CacheHint {
   /// |cached subset| the derive step touches (exact: the subset itself;
   /// compose: the summed tid-run length the combine walks).
   double cached_size = 0.0;
-  /// Attributes whose interval actually narrowed (containment only) —
-  /// the bitmap delta-filter ANDs one range-OR per such attribute.
+  /// Attributes whose interval actually narrowed (containment and
+  /// compose) — the ones the derive step re-tests per cached record.
   uint32_t delta_attrs = 0;
   /// Resident entries a tier-2.5 composition combines (compose only).
   uint32_t compose_sources = 0;
@@ -65,16 +65,12 @@ struct PlanCostEstimate {
 /// evaluations — no data access.
 class CostModel {
  public:
-  /// `backend` selects which per-operator unit costs price the record-level
-  /// terms: row scans (kScalar) or word-parallel bitmap kernels (kBitmap).
-  /// Cardinalities and formulas are backend-free; only the unit costs move.
+  /// The record-level terms are priced by the route execution takes for
+  /// the estimated |DQ|: word-parallel bitmap kernels when it clears the
+  /// density bar (IsDense, bitmap/bitmap.h), row probes otherwise.
   CostModel(const IndexStats& stats, const CardinalityEstimator& cardinality,
-            CostConstants constants,
-            ExecBackend backend = ExecBackend::kScalar)
-      : stats_(&stats),
-        cardinality_(&cardinality),
-        constants_(constants),
-        backend_(backend) {}
+            CostConstants constants)
+      : stats_(&stats), cardinality_(&cardinality), constants_(constants) {}
 
   /// `hint` (when non-null) reprices the SELECT term with what the session
   /// cache would actually do — an exact-hit copy or a containment delta
@@ -116,7 +112,6 @@ class CostModel {
   const IndexStats* stats_;
   const CardinalityEstimator* cardinality_;
   CostConstants constants_;
-  ExecBackend backend_ = ExecBackend::kScalar;
 };
 
 }  // namespace colarm

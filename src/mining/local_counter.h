@@ -4,21 +4,42 @@
 #include <span>
 #include <vector>
 
+#include "bitmap/bitmap.h"
+#include "bitmap/vertical_index.h"
 #include "data/dataset.h"
 #include "mining/itemset.h"
 #include "mining/tidset.h"
 
 namespace colarm {
 
+/// Local support of one (sorted) itemset within a dense focal-subset
+/// bitmap: popcount(AND of the item bitmaps ∩ DQ), computed word-parallel
+/// with no row access. `scratch` (universe-sized) avoids per-call
+/// allocation in the ELIMINATE candidate loop; it is clobbered.
+uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
+                          std::span<const ItemId> itemset, Bitmap* scratch);
+
 /// Counts, within a focal subset, the local support of *every* subset of a
-/// candidate itemset in a single scan — the record-level workhorse of the
-/// VERIFY operator (rule confidence needs antecedent counts for all
+/// candidate itemset — the record-level workhorse of VERIFY and
+/// SUPPORTED-VERIFY (rule confidence needs antecedent counts for all
 /// partitions of the itemset).
 ///
-/// For itemsets up to kMaxMaskItems items the counter builds a
-/// 2^L mask histogram (which record carries which sub-pattern) and applies
-/// a superset-sum (zeta) transform so each CountOf() is O(1); longer
-/// itemsets fall back to per-query scans over the stored tid list.
+/// For itemsets up to kMaxMaskItems items the counter precomputes all 2^L
+/// subset counts, so each CountOf() is O(1). Two routes fill the table:
+///
+///   row probe    each focal record's sub-pattern mask from L column
+///                lookups, then a superset-sum (zeta) transform;
+///   lattice DFS  one AND + popcount per subset of the itemset over the
+///                item bitmaps and the DQ bitmap, each node reusing its
+///                parent's intersection — taken only when the caller passes
+///                a dense DQ's bitmap and the lattice moves fewer words than
+///                the probe touches cells.
+///
+/// Longer itemsets count per query: word-parallel against a given DQ
+/// bitmap, otherwise by scanning the tid list. The route never shows:
+/// counts are identical, and `record_checks` charges one semantic pass over
+/// the focal subset per full count (plus one per long-itemset CountOf), so
+/// plans report byte-identical statistics whichever route ran.
 class LocalSubsetCounter {
  public:
   static constexpr size_t kMaxMaskItems = 20;
@@ -27,8 +48,13 @@ class LocalSubsetCounter {
   /// counter spans it rather than copying — the caller's tid storage must
   /// outlive the counter, which every call site guarantees (the
   /// FocalSubset lives in the plan context, the counter in a loop body).
+  /// `vertical` and `dq` come together: the index's item bitmaps and the
+  /// focal subset as a bitmap, passed only when DQ is dense (IsDense);
+  /// null runs the row routes.
   LocalSubsetCounter(const Dataset& dataset, Itemset itemset,
-                     std::span<const Tid> tids);
+                     std::span<const Tid> tids,
+                     const VerticalIndex* vertical = nullptr,
+                     const Bitmap* dq = nullptr);
 
   /// Local support count of a subset of the constructor itemset. `subset`
   /// must be sorted and a subset of `itemset()`; unknown items count as
@@ -45,19 +71,26 @@ class LocalSubsetCounter {
   /// plan cost statistics).
   uint64_t record_checks() const { return record_checks_; }
 
-  /// True iff the counter took the mask route, i.e. subset_table() holds
-  /// all 2^L subset counts (the session cache's count-memo payload).
+  /// True iff subset_table() holds all 2^L subset counts (the session
+  /// cache's count-memo payload), i.e. the itemset has at most
+  /// kMaxMaskItems items.
   bool has_subset_table() const { return use_mask_; }
   std::span<const uint32_t> subset_table() const { return superset_counts_; }
 
  private:
   uint32_t MaskOf(std::span<const ItemId> subset) const;
+  void RowProbe();
+  void LatticeDfs();
+  /// Direct count of one itemset over the focal subset (long itemsets).
+  uint32_t Count(std::span<const ItemId> items) const;
 
   const Dataset& dataset_;
+  const VerticalIndex* vertical_;
+  const Bitmap* dq_;
   Itemset itemset_;
   std::span<const Tid> tids_;
   bool use_mask_ = false;
-  std::vector<uint32_t> superset_counts_;  // after zeta transform
+  std::vector<uint32_t> superset_counts_;  // [mask] = |records ⊇ mask|
   uint32_t full_count_ = 0;
   mutable uint64_t record_checks_ = 0;
 };

@@ -50,10 +50,11 @@ struct RuleGenFilter {
 /// assumed to already satisfy the local minsupport check (the ELIMINATE /
 /// SUPPORTED-VERIFY operators guarantee that).
 ///
-/// Templated over the subset counter so both execution backends share the
-/// enumeration: LocalSubsetCounter (row scans) and BitmapSubsetCounter
-/// (word-parallel) expose the same CountOf/CountFull/itemset/base_size
-/// contract and identical counts, so the emitted rules are byte-identical.
+/// Templated over the subset counter so cold and memo-replayed counts share
+/// the enumeration: LocalSubsetCounter (row probe or lattice DFS) and
+/// MemoSubsetCounter (core/query_cache.h) expose the same
+/// CountOf/CountFull/itemset/base_size contract and identical counts, so
+/// the emitted rules are byte-identical.
 template <typename Counter>
 void GenerateRulesForItemset(const Counter& counter, double minconf,
                              const RuleGenOptions& options,

@@ -68,9 +68,7 @@ Result<MipIndex> MipIndex::Build(const Dataset& dataset,
   // hybrid miner's near-root intersections all run word-parallel, so it
   // wins outright. Below the bar the list miner avoids paying bitmap
   // conversions for tidsets that would immediately sparsify.
-  const bool use_hybrid =
-      static_cast<uint64_t>(primary_count) * Bitmap::kBitsPerWord >=
-      static_cast<uint64_t>(dataset.num_records());
+  const bool use_hybrid = IsDense(primary_count, dataset.num_records());
   if (IsParallel(pool)) {
     // Prefix branches mine concurrently; the tight bounding box — the
     // dominant per-CFI cost — is derived on the worker inside the map

@@ -71,7 +71,7 @@ class MipIndex {
   const DatasetHistograms& histograms() const { return histograms_; }
 
   /// The vertical bitmap form of the dataset, built (or cache-loaded)
-  /// alongside the index; the kBitmap execution backend runs on it.
+  /// alongside the index; the dense-DQ record-level routes run on it.
   const VerticalIndex& vertical() const { return vertical_; }
 
   /// Global support count of an arbitrary itemset via the closed-superset

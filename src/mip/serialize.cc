@@ -15,7 +15,7 @@ constexpr uint32_t kMagic = 0x434c524d;  // "CLRM"
 // that survives the structural checks (bit flips in counts, boxes, item
 // ids that stay in range) is still rejected deterministically. Version 3
 // persists the vertical bitmap index between the MIP records and the
-// checksum, so the kBitmap backend skips its rebuild on cache load; v2
+// checksum, so the dense-DQ routes skip its rebuild on cache load; v2
 // files are rejected (the engine falls back to a rebuild).
 constexpr uint32_t kVersion = 3;
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;

@@ -2,57 +2,18 @@
 
 #include <algorithm>
 
-#include "bitmap/bitmap_counter.h"
 #include "core/query_cache.h"
 #include "mining/local_counter.h"
 
 namespace colarm {
 
-const char* ExecBackendName(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kScalar:
-      return "scalar";
-    case ExecBackend::kBitmap:
-      return "bitmap";
-  }
-  return "?";
-}
-
-namespace {
-
-// True iff the box restricts any attribute below its full domain — the
-// condition under which the scalar SELECT scans (and prices) the relation.
-bool BoxIsConstrained(const Schema& schema, const Rect& box) {
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    if (box.lo(a) != 0 || box.hi(a) != schema.attribute(a).domain_size() - 1) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
-                         const RuleGenOptions& rulegen, ThreadPool* pool,
-                         ExecBackend backend)
+                         const RuleGenOptions& rulegen, ThreadPool* pool)
     : index(index), query(query), rulegen(rulegen), pool(pool) {
   const Schema& schema = index.dataset().schema();
   item_attr_mask = query.ItemAttrMask(schema);
-  const Rect box = query.ToRect(schema);
-  if (backend == ExecBackend::kBitmap && !index.vertical().empty()) {
-    vertical = &index.vertical();
-    dq_bitmap = vertical->MaterializeDq(schema, box, pool);
-    subset.box = box;
-    subset.tids = dq_bitmap.ToTids();
-    // Same record-check price as the scalar scan, which touches every
-    // record only when the box constrains something.
-    if (BoxIsConstrained(schema, box)) {
-      record_checks += index.dataset().num_records();
-    }
-  } else {
-    subset = FocalSubset::Materialize(index.dataset(), box, &record_checks);
-  }
+  subset = FocalSubset::Materialize(index.dataset(), query.ToRect(schema),
+                                    &record_checks);
   local_min_count =
       subset.size() == 0 ? 1 : MinCount(query.minsupp, subset.size());
   InitConstraints();
@@ -60,17 +21,19 @@ PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
 
 PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
                          const RuleGenOptions& rulegen, FocalSubset shared,
-                         ThreadPool* pool, ExecBackend backend)
+                         ThreadPool* pool)
     : index(index), query(query), rulegen(rulegen), pool(pool) {
   item_attr_mask = query.ItemAttrMask(index.dataset().schema());
   subset = std::move(shared);
-  if (backend == ExecBackend::kBitmap && !index.vertical().empty()) {
-    vertical = &index.vertical();
-    dq_bitmap = Bitmap::FromTids(subset.tids, index.dataset().num_records());
-  }
   local_min_count =
       subset.size() == 0 ? 1 : MinCount(query.minsupp, subset.size());
   InitConstraints();
+}
+
+void PlanContext::BuildDqBitmap() {
+  const uint32_t universe = index.dataset().num_records();
+  if (subset.size() == 0 || !IsDense(subset.size(), universe)) return;
+  dq_bitmap = Bitmap::FromTids(subset.tids, universe);
 }
 
 void PlanContext::InitConstraints() {
@@ -168,26 +131,25 @@ CandidateSet OpSupportedSearch(PlanContext* ctx) {
 
 namespace {
 
-// Sequential ELIMINATE body over one candidate range; the parallel path
-// runs it per chunk with chunk-local outputs. The bitmap backend computes
-// each candidate's local count as popcount(item-AND ∩ DQ) — one scratch
-// bitmap per range keeps the candidate loop allocation-free — while
-// charging the same record-check price as the scalar row scan.
 // True when this execution both reads and records the session cache's
 // per-(box, itemset) count memo.
 bool MemoActive(const PlanContext& ctx) {
   return ctx.cache != nullptr && ctx.memo_txn != nullptr;
 }
 
+// Sequential ELIMINATE body over one candidate range; the parallel path
+// runs it per chunk with chunk-local outputs. A dense DQ counts each
+// candidate as popcount(item-AND ∩ DQ) — one scratch bitmap per range
+// keeps the candidate loop allocation-free — a sparse one by row probes;
+// both charge one pass over the focal subset.
 void EliminateRange(PlanContext* ctx, std::span<const uint32_t> candidates,
                     std::vector<QualifiedItemset>* qualified,
                     uint64_t* record_checks) {
   const Dataset& dataset = ctx->index.dataset();
   const bool memo = MemoActive(*ctx);
+  const Bitmap* dq = ctx->dq();
   Bitmap scratch;
-  if (ctx->vertical != nullptr) {
-    scratch = Bitmap(ctx->vertical->num_records());
-  }
+  if (dq != nullptr) scratch = Bitmap(dq->size());
   for (uint32_t id : candidates) {
     ThrowIfCancelled(ctx->cancel);
     if (!ctx->MipConstraintAllowed(id)) continue;
@@ -208,8 +170,8 @@ void EliminateRange(PlanContext* ctx, std::span<const uint32_t> candidates,
         continue;
       }
     }
-    if (ctx->vertical != nullptr) {
-      count = BitmapLocalCount(*ctx->vertical, ctx->dq_bitmap, mip.items,
+    if (dq != nullptr) {
+      count = BitmapLocalCount(ctx->index.vertical(), *dq, mip.items,
                                &scratch);
     } else {
       for (Tid t : ctx->subset.tids) {
@@ -292,10 +254,10 @@ struct VerifyShard {
 };
 
 // Records one cold-computed counter into the query's memo transaction: the
-// subset table when the counter ran the mask route, otherwise just the
-// full count (which still settles later ELIMINATE / disqualification).
-template <typename Counter>
-void RecordCounter(PlanContext* ctx, uint32_t mip_id, const Counter& counter) {
+// subset table when the counter built one, otherwise just the full count
+// (which still settles later ELIMINATE / disqualification).
+void RecordCounter(PlanContext* ctx, uint32_t mip_id,
+                   const LocalSubsetCounter& counter) {
   if (counter.has_subset_table()) {
     ctx->memo_txn->RecordTable(mip_id, counter.CountFull(),
                                counter.subset_table());
@@ -322,22 +284,16 @@ bool TryMemoVerify(PlanContext* ctx, uint32_t mip_id, const Itemset& items,
   return true;
 }
 
-// Rule generation + memo recording for one cold-computed counter.
-template <typename Counter>
-void VerifyColdOne(PlanContext* ctx, uint32_t mip_id, const Counter& counter,
-                   bool memo, RuleSet* out, RuleGenStats* rule_stats,
-                   uint64_t* record_checks) {
-  GenerateRulesForItemset(counter, ctx->query.minconf, ctx->rulegen,
-                          ctx->FilterForItemset(counter.itemset()), out,
-                          rule_stats);
-  *record_checks += counter.record_checks();
-  if (memo) RecordCounter(ctx, mip_id, counter);
+// The cold subset counter for one itemset: over the DQ bitmap's dense
+// routes when the plan built it, row probes otherwise.
+LocalSubsetCounter ColdCounter(const PlanContext& ctx, const Itemset& items) {
+  return LocalSubsetCounter(ctx.index.dataset(), items, ctx.subset.tids,
+                            &ctx.index.vertical(), ctx.dq());
 }
 
 void VerifyRange(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
                  RuleSet* out, RuleGenStats* rule_stats,
                  uint64_t* record_checks) {
-  const Dataset& dataset = ctx->index.dataset();
   const bool memo = MemoActive(*ctx);
   for (const QualifiedItemset& q : qualified) {
     ThrowIfCancelled(ctx->cancel);
@@ -346,20 +302,15 @@ void VerifyRange(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
                               record_checks)) {
       continue;
     }
-    if (ctx->vertical != nullptr) {
-      BitmapSubsetCounter counter(*ctx->vertical, ctx->dq_bitmap, items,
-                                  ctx->subset.tids);
-      VerifyColdOne(ctx, q.mip_id, counter, memo, out, rule_stats,
-                    record_checks);
-    } else {
-      LocalSubsetCounter counter(dataset, items, ctx->subset.tids);
-      VerifyColdOne(ctx, q.mip_id, counter, memo, out, rule_stats,
-                    record_checks);
-    }
+    const LocalSubsetCounter counter = ColdCounter(*ctx, items);
+    GenerateRulesForItemset(counter, ctx->query.minconf, ctx->rulegen,
+                            ctx->FilterForItemset(items), out, rule_stats);
+    *record_checks += counter.record_checks();
+    if (memo) RecordCounter(ctx, q.mip_id, counter);
   }
 }
 
-// One SUPPORTED-VERIFY candidate, shared by both backends: the counter's
+// One SUPPORTED-VERIFY candidate, cold or memo-replayed: the counter's
 // full count decides qualification, then the same counter feeds rule
 // generation — one pass does both jobs.
 template <typename Counter>
@@ -375,7 +326,6 @@ void SupportedVerifyOne(PlanContext* ctx, const Counter& counter, RuleSet* out,
 void SupportedVerifyRange(PlanContext* ctx,
                           std::span<const uint32_t> candidates, RuleSet* out,
                           RuleGenStats* rule_stats, uint64_t* record_checks) {
-  const Dataset& dataset = ctx->index.dataset();
   const bool memo = MemoActive(*ctx);
   for (uint32_t id : candidates) {
     ThrowIfCancelled(ctx->cancel);
@@ -401,16 +351,9 @@ void SupportedVerifyRange(PlanContext* ctx,
         continue;
       }
     }
-    if (ctx->vertical != nullptr) {
-      BitmapSubsetCounter counter(*ctx->vertical, ctx->dq_bitmap, items,
-                                  ctx->subset.tids);
-      SupportedVerifyOne(ctx, counter, out, rule_stats, record_checks);
-      if (memo) RecordCounter(ctx, id, counter);
-    } else {
-      LocalSubsetCounter counter(dataset, items, ctx->subset.tids);
-      SupportedVerifyOne(ctx, counter, out, rule_stats, record_checks);
-      if (memo) RecordCounter(ctx, id, counter);
-    }
+    const LocalSubsetCounter counter = ColdCounter(*ctx, items);
+    SupportedVerifyOne(ctx, counter, out, rule_stats, record_checks);
+    if (memo) RecordCounter(ctx, id, counter);
   }
 }
 
@@ -477,7 +420,7 @@ std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
   // their supports within DQ equal their supports within the records of DQ
   // holding every CONTAIN item — mining that (often much smaller) seed
   // subset yields identical counts for every constraint-allowed MIP. The
-  // restriction pass charges one focal-subset scan on either backend.
+  // restriction pass charges one focal-subset scan.
   std::span<const Tid> mine_tids = ctx->subset.tids;
   std::vector<Tid> seeded;
   if (ctx->item_constrained && !ctx->query.constraints.must_contain.empty()) {

@@ -33,19 +33,6 @@ struct QualifiedItemset {
   uint32_t local_count = 0;
 };
 
-/// Record-level execution backend. kScalar runs the row scans (horizontal
-/// layout); kBitmap runs the same operators word-parallel on the vertical
-/// bitmap index (DQ as an AND of range-ORs, support counts as popcounts).
-/// Both produce byte-identical rule sets and effort counters — the
-/// counters price semantic record checks, not machine operations, so
-/// explain output and optimizer-accuracy comparisons stay backend-free.
-enum class ExecBackend {
-  kScalar,
-  kBitmap,
-};
-
-const char* ExecBackendName(ExecBackend backend);
-
 /// Mutable per-query state shared by the operators of one plan execution:
 /// the query, the materialized focal subset, and the effort counters the
 /// plan statistics report.
@@ -62,10 +49,12 @@ struct PlanContext {
   /// are byte-identical to the sequential execution.
   ThreadPool* pool = nullptr;
 
-  /// Non-null iff this execution runs on the kBitmap backend; points at
-  /// the index's vertical bitmap form, with `dq_bitmap` the materialized
-  /// focal subset over the same universe.
-  const VerticalIndex* vertical = nullptr;
+  /// The focal subset as a bitmap over the relation, built by
+  /// BuildDqBitmap() only when DQ is dense (IsDense) and the plan counts
+  /// records in it; empty otherwise. Its presence selects the word-
+  /// parallel record-level routes (bitmap ELIMINATE counts, the subset
+  /// counter's lattice DFS); without it every count runs as row probes
+  /// over `subset.tids`. Routes never change a count or an effort counter.
   Bitmap dq_bitmap;
 
   /// Session cache wiring (both null when caching is off). When both are
@@ -104,22 +93,28 @@ struct PlanContext {
   RuleGenStats rule_stats;
   uint64_t local_cfis = 0;  // ARM plan only
 
-  /// Materializes DQ and derives the absolute local support threshold.
-  /// kBitmap materializes through the vertical index (word-range sharded
-  /// on `pool`); the resulting tid list — and the record-check price —
-  /// is identical to the scalar scan's.
+  /// Materializes DQ (one row scan) and derives the absolute local
+  /// support threshold.
   PlanContext(const MipIndex& index, const LocalizedQuery& query,
-              const RuleGenOptions& rulegen, ThreadPool* pool = nullptr,
-              ExecBackend backend = ExecBackend::kScalar);
+              const RuleGenOptions& rulegen, ThreadPool* pool = nullptr);
 
   /// Reuses an already-materialized focal subset (multi-query execution:
-  /// queries sharing a RANGE share one SELECT pass). `shared.box` must
-  /// equal the query's box. kBitmap re-derives the DQ bitmap from the
-  /// shared tid list (cheap: one pass over the tids).
+  /// queries sharing a RANGE share one SELECT pass; the session cache).
+  /// `shared.box` must equal the query's box.
   PlanContext(const MipIndex& index, const LocalizedQuery& query,
               const RuleGenOptions& rulegen, FocalSubset shared,
-              ThreadPool* pool = nullptr,
-              ExecBackend backend = ExecBackend::kScalar);
+              ThreadPool* pool = nullptr);
+
+  /// Builds `dq_bitmap` from the tid list (one pass) iff DQ is dense.
+  /// Plans that count records call it once after SELECT; ARM, which mines
+  /// its own vertical view, never does.
+  void BuildDqBitmap();
+
+  /// The dense-route DQ bitmap, or null when the record-level operators
+  /// run as row probes.
+  const Bitmap* dq() const {
+    return dq_bitmap.size() == 0 ? nullptr : &dq_bitmap;
+  }
 
   /// True iff every item of the MIP lies on an allowed item attribute.
   bool MipAttrsAllowed(uint32_t mip_id) const;

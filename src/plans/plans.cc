@@ -76,22 +76,26 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   auto make_context = [&]() -> PlanContext {
     if (exec.shared_subset != nullptr) {
       return PlanContext(index, query, exec.rulegen, *exec.shared_subset,
-                         exec.pool, exec.backend);
+                         exec.pool);
     }
     if (exec.cache != nullptr) {
       // SELECT through the session cache: exact hit, containment
       // derivation, or cold materialize-and-insert — always priced at the
       // cold record-check cost.
-      QueryCache::Lease lease =
-          exec.cache->Acquire(query.ToRect(index.dataset().schema()),
-                              exec.backend, exec.pool, &select_checks);
+      QueryCache::Lease lease = exec.cache->Acquire(
+          query.ToRect(index.dataset().schema()), &select_checks);
       return PlanContext(index, query, exec.rulegen, std::move(lease.subset),
-                         exec.pool, exec.backend);
+                         exec.pool);
     }
-    return PlanContext(index, query, exec.rulegen, exec.pool, exec.backend);
+    return PlanContext(index, query, exec.rulegen, exec.pool);
   };
   PlanContext ctx = make_context();
   ctx.record_checks += select_checks;
+  // Plans that count records in DQ get its bitmap when DQ is dense; ARM
+  // mines its own vertical view of DQ and verifies by row probes.
+  if (kind != PlanKind::kARM && !ctx.constraints_precluded) {
+    ctx.BuildDqBitmap();
+  }
   ctx.cache = exec.cache;
   ctx.memo_txn = exec.memo_txn;
   ctx.cancel = exec.cancel;
@@ -99,11 +103,14 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   stats.subset_size = ctx.subset.size();
   stats.local_min_count = ctx.local_min_count;
 
-  // Cooperative cancellation: the operator loops poll the token per
-  // candidate and unwind with CancelledException (rethrown by
-  // ParallelChunks when the poll fires inside a shard); the catch below
-  // converts the unwind into a Status so callers never see an exception.
+  // Cooperative cancellation: the driver polls once after SELECT, so a
+  // request cancelled while queued or selecting skips SEARCH and mining;
+  // the operator loops poll the token per candidate and unwind with
+  // CancelledException (rethrown by ParallelChunks when the poll fires
+  // inside a shard); the catch below converts the unwind into a Status so
+  // callers never see an exception.
   try {
+  ThrowIfCancelled(ctx.cancel);
   // Constraints that preclude every rule (contradictory CONTAIN/EXCLUDE, a
   // CONTAIN item outside the vocabulary or the focal box) short-circuit
   // the whole pipeline: the answer is empty before any search or scan.

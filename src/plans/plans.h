@@ -74,10 +74,6 @@ struct PlanExecOptions {
   /// sequential path. Parallel execution is byte-identical to sequential
   /// (rules, canonical order, and every effort counter).
   ThreadPool* pool = nullptr;
-  /// Record-level execution backend; kBitmap runs the operators on the
-  /// index's vertical bitmaps. Backends are byte-identical in results and
-  /// effort counters, differing only in wall time.
-  ExecBackend backend = ExecBackend::kScalar;
   /// Session cache (core/query_cache.h). When set and `shared_subset` is
   /// null, the SELECT stage acquires the focal subset through the cache
   /// (exact hit / containment derivation / cold materialize-and-insert)
@@ -91,7 +87,7 @@ struct PlanExecOptions {
   CountMemoTxn* memo_txn = nullptr;
   /// Cooperative cancellation (per-request deadlines, server shutdown).
   /// The record-level operators poll it at candidate granularity and the
-  /// plan driver at stage boundaries; when it fires, ExecutePlan returns
+  /// plan driver once after SELECT; when it fires, ExecutePlan returns
   /// Status kDeadlineExceeded instead of a result. Null = never cancelled.
   const CancelToken* cancel = nullptr;
 };

@@ -20,9 +20,10 @@ struct RTreeEntry {
   uint32_t count = 0;
 };
 
-/// n-dimensional R-tree (Guttman, SIGMOD'84) with quadratic split for
-/// dynamic inserts and support-aware search. Packed (bulk-loaded)
-/// construction, which builds the MIP-index, lives in rtree/bulk_load.h.
+/// n-dimensional R-tree (Guttman, SIGMOD'84) with support-aware search.
+/// Trees are built only by packing (rtree/bulk_load.h: BulkLoadSTR,
+/// BulkLoadPacked), which is how the MIP-index is constructed; a
+/// default-constructed tree is empty.
 class RTree {
  public:
   struct Options {
@@ -51,8 +52,6 @@ class RTree {
   /// Height in levels; 1 = root is a leaf. Leaves are level 0 internally.
   uint32_t height() const { return height_; }
   const Options& options() const { return options_; }
-
-  void Insert(const RTreeEntry& entry);
 
   /// Reports every entry whose box intersects `query`.
   void Search(const Rect& query, const Visitor& visitor,
@@ -91,12 +90,8 @@ class RTree {
   };
 
   uint32_t NewNode(bool leaf);
-  void RecomputeNode(uint32_t node_id);
-  uint32_t ChooseLeaf(const Rect& box, std::vector<uint32_t>* path) const;
   void AddToNode(uint32_t node_id, const Rect& box, uint32_t id,
                  uint32_t count);
-  void SplitNode(uint32_t node_id, std::vector<uint32_t>& path);
-  void AdjustPath(const std::vector<uint32_t>& path);
   void SearchImpl(uint32_t node_id, const Rect& query, uint32_t min_count,
                   bool use_support, const Visitor& visitor,
                   SearchStats* stats) const;

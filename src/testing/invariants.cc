@@ -57,7 +57,8 @@ std::string DiffRuleSets(const Schema& schema, const RuleSet& got,
 
 /// First-difference summary between the deterministic effort counters of
 /// two runs of the same plan (timings are excluded: they are the only
-/// fields allowed to differ between backends).
+/// fields allowed to differ between thread counts, SIMD levels, and
+/// cache tiers).
 std::string DiffEffort(const PlanStats& got, const PlanStats& want) {
   auto diff = [](const char* name, uint64_t g, uint64_t w) {
     return StrFormat("%s: %llu vs %llu expected", name,
@@ -156,13 +157,11 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
   const RuleGenOptions rulegen = WideRuleGen(options.oracle);
 
   auto run_plan = [&](const MipIndex& idx, PlanKind kind,
-                      const LocalizedQuery& query, ThreadPool* pool,
-                      ExecBackend backend =
-                          ExecBackend::kScalar) -> Result<PlanResult> {
+                      const LocalizedQuery& query,
+                      ThreadPool* pool) -> Result<PlanResult> {
     PlanExecOptions exec;
     exec.rulegen = rulegen;
     exec.pool = pool;
-    exec.backend = backend;
     return ExecutePlan(kind, idx, query, exec);
   };
 
@@ -266,6 +265,8 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
                  DiffRuleSets(schema, result->rules, expected));
       }
 
+      // Parallel runs must match the sequential one byte-for-byte: rules
+      // against the expected answer, effort counters against the run.
       for (auto& pool : pools) {
         auto parallel = run_plan(*index, kind, query, pool.get());
         if (!parallel.ok()) {
@@ -273,63 +274,20 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
                StrFormat("%s with %u threads: %s", PlanKindName(kind),
                          pool->parallelism(),
                          parallel.status().ToString().c_str()));
-        } else if (!parallel->rules.SameAs(expected)) {
+          continue;
+        }
+        if (!parallel->rules.SameAs(expected)) {
           fail("thread-invariance", qi,
                StrFormat("%s with %u threads: %s", PlanKindName(kind),
                          pool->parallelism(),
                          DiffRuleSets(schema, parallel->rules, expected)
                              .c_str()));
         }
-      }
-
-      // Backend equivalence: the bitmap backend must match the scalar run
-      // of the same plan byte-for-byte — rules *and* effort counters — at
-      // every pool size.
-      if (options.check_backends) {
-        auto bitmap = run_plan(*index, kind, query, nullptr,
-                               ExecBackend::kBitmap);
-        if (!bitmap.ok()) {
-          fail("backend-equivalence", qi,
-               StrFormat("%s bitmap: %s", PlanKindName(kind),
-                         bitmap.status().ToString().c_str()));
-        } else {
-          if (!bitmap->rules.SameAs(result->rules)) {
-            fail("backend-equivalence", qi,
-                 StrFormat("%s bitmap: %s", PlanKindName(kind),
-                           DiffRuleSets(schema, bitmap->rules, result->rules)
-                               .c_str()));
-          }
-          std::string effort = DiffEffort(bitmap->stats, result->stats);
-          if (!effort.empty()) {
-            fail("backend-equivalence", qi,
-                 StrFormat("%s bitmap effort: %s", PlanKindName(kind),
-                           effort.c_str()));
-          }
-        }
-        for (auto& pool : pools) {
-          auto parallel = run_plan(*index, kind, query, pool.get(),
-                                   ExecBackend::kBitmap);
-          if (!parallel.ok()) {
-            fail("backend-equivalence", qi,
-                 StrFormat("%s bitmap with %u threads: %s", PlanKindName(kind),
-                           pool->parallelism(),
-                           parallel.status().ToString().c_str()));
-            continue;
-          }
-          if (!parallel->rules.SameAs(result->rules)) {
-            fail("backend-equivalence", qi,
-                 StrFormat("%s bitmap with %u threads: %s", PlanKindName(kind),
-                           pool->parallelism(),
-                           DiffRuleSets(schema, parallel->rules, result->rules)
-                               .c_str()));
-          }
-          std::string effort = DiffEffort(parallel->stats, result->stats);
-          if (!effort.empty()) {
-            fail("backend-equivalence", qi,
-                 StrFormat("%s bitmap effort with %u threads: %s",
-                           PlanKindName(kind), pool->parallelism(),
-                           effort.c_str()));
-          }
+        std::string effort = DiffEffort(parallel->stats, result->stats);
+        if (!effort.empty()) {
+          fail("thread-invariance", qi,
+               StrFormat("%s effort with %u threads: %s", PlanKindName(kind),
+                         pool->parallelism(), effort.c_str()));
         }
       }
     }
@@ -338,31 +296,25 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
       auto reloaded = run_plan(*loaded, PlanKind::kSEV, query, nullptr);
       if (!reloaded.ok()) {
         fail("serialize-roundtrip", qi, reloaded.status().ToString());
-      } else if (!reloaded->rules.SameAs(baseline->rules)) {
-        fail("serialize-roundtrip", qi,
-             DiffRuleSets(schema, reloaded->rules, baseline->rules));
-      }
-      // The reloaded index carries the deserialized vertical bitmaps; a
-      // bitmap-backend run over it exercises the v3 load path end to end.
-      if (options.check_backends) {
-        auto bitmap = run_plan(*loaded, PlanKind::kSEV, query, nullptr,
-                               ExecBackend::kBitmap);
-        if (!bitmap.ok()) {
+      } else {
+        // The reloaded index carries the deserialized vertical bitmaps,
+        // which a dense DQ's routes read: the v3 load path end to end.
+        if (!reloaded->rules.SameAs(baseline->rules)) {
           fail("serialize-roundtrip", qi,
-               "bitmap on reloaded index: " + bitmap.status().ToString());
-        } else if (!bitmap->rules.SameAs(baseline->rules)) {
-          fail("serialize-roundtrip", qi,
-               "bitmap on reloaded index: " +
-                   DiffRuleSets(schema, bitmap->rules, baseline->rules));
+               DiffRuleSets(schema, reloaded->rules, baseline->rules));
+        }
+        std::string effort = DiffEffort(reloaded->stats, baseline->stats);
+        if (!effort.empty()) {
+          fail("serialize-roundtrip", qi, "effort: " + effort);
         }
       }
     }
 
     // Differential constraint equivalence: the constrained baseline must
-    // equal the post-filtered unconstrained twin. A single scalar S-E-V
+    // equal the post-filtered unconstrained twin. A single S-E-V
     // comparison covers the full matrix because every invariant above
-    // already checks each plan / backend / thread / SIMD / cache variant
-    // against this same constrained baseline.
+    // already checks each plan / thread / SIMD / cache variant against
+    // this same constrained baseline.
     if (options.check_constraints && !query.constraints.Empty()) {
       LocalizedQuery twin = query;
       twin.constraints = RuleConstraints{};
@@ -462,217 +414,160 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
     }
   }
 
+  std::vector<size_t> valid;
+  for (size_t qi = 0; qi < fuzz_case.queries.size(); ++qi) {
+    if (fuzz_case.queries[qi].Validate(schema).ok()) valid.push_back(qi);
+  }
+  EngineOptions cold_options;
+  cold_options.index.primary_support = fuzz_case.primary_support;
+  cold_options.rulegen = rulegen;
+  cold_options.calibrate = false;
+  cold_options.num_threads = 1;
+
+  // A warm engine's answer against the cache-less one: same rules, same
+  // effort counters, same plan decision.
+  auto check_warm = [&](const char* invariant, const char* pass, size_t qi,
+                        const Result<QueryResult>& warm,
+                        const QueryResult& cold) {
+    if (!warm.ok()) {
+      fail(invariant, qi,
+           StrFormat("%s: %s", pass, warm.status().ToString().c_str()));
+      return;
+    }
+    if (!warm->rules.SameAs(cold.rules)) {
+      fail(invariant, qi,
+           StrFormat("%s: %s", pass,
+                     DiffRuleSets(schema, warm->rules, cold.rules).c_str()));
+    }
+    std::string effort = DiffEffort(warm->stats, cold.stats);
+    if (!effort.empty()) {
+      fail(invariant, qi, StrFormat("%s effort: %s", pass, effort.c_str()));
+    }
+    if (warm->plan_used != cold.plan_used ||
+        warm->decision.chosen != cold.decision.chosen) {
+      fail(invariant, qi,
+           StrFormat("%s: plan %s vs cold %s", pass,
+                     PlanKindName(warm->plan_used),
+                     PlanKindName(cold.plan_used)));
+    }
+  };
+
   // Session-cache equivalence: the whole query sequence replayed through a
   // cache-enabled engine — first pass (misses + containment derivations),
   // second pass (fully hot), and a deterministically shuffled order after
   // clearing the cache — must answer every query byte-identically to a
   // cache-less engine: same rules, same effort counters, same plan.
-  if (options.check_session_cache) {
-    std::vector<size_t> valid;
-    for (size_t qi = 0; qi < fuzz_case.queries.size(); ++qi) {
-      if (fuzz_case.queries[qi].Validate(schema).ok()) valid.push_back(qi);
+  auto check_session_cache = [&]() {
+    auto cold_engine = Engine::Build(dataset, cold_options);
+    EngineOptions warm_options = cold_options;
+    warm_options.cache.enabled = true;
+    if (options.check_threads && !options.thread_counts.empty()) {
+      warm_options.num_threads = options.thread_counts.back();
     }
-    std::vector<ExecBackend> backends{ExecBackend::kScalar};
-    if (options.check_backends) backends.push_back(ExecBackend::kBitmap);
-    for (ExecBackend backend : backends) {
-      if (valid.empty()) break;
-      const char* backend_name =
-          backend == ExecBackend::kBitmap ? "bitmap" : "scalar";
-      EngineOptions cold_options;
-      cold_options.index.primary_support = fuzz_case.primary_support;
-      cold_options.rulegen = rulegen;
-      cold_options.calibrate = false;
-      cold_options.backend = backend;
-      cold_options.num_threads = 1;
-      auto cold_engine = Engine::Build(dataset, cold_options);
-      EngineOptions warm_options = cold_options;
-      warm_options.cache.enabled = true;
-      if (options.check_threads && !options.thread_counts.empty()) {
-        warm_options.num_threads = options.thread_counts.back();
-      }
-      auto warm_engine = Engine::Build(dataset, warm_options);
-      if (!cold_engine.ok() || !warm_engine.ok()) {
-        fail("session-cache", 0,
-             StrFormat("%s engine build failed", backend_name));
-        continue;
-      }
-
-      std::vector<QueryResult> cold_results(fuzz_case.queries.size());
-      bool engines_ok = true;
-      for (size_t qi : valid) {
-        auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
-        if (!cold.ok()) {
-          fail("session-cache", qi,
-               StrFormat("%s cold: %s", backend_name,
-                         cold.status().ToString().c_str()));
-          engines_ok = false;
-          break;
-        }
-        cold_results[qi] = std::move(cold.value());
-      }
-      if (!engines_ok) continue;
-
-      auto check_pass = [&](const char* pass, size_t qi) {
-        auto warm = (*warm_engine)->Execute(fuzz_case.queries[qi]);
-        const QueryResult& cold = cold_results[qi];
-        if (!warm.ok()) {
-          fail("session-cache", qi,
-               StrFormat("%s %s: %s", backend_name, pass,
-                         warm.status().ToString().c_str()));
-          return;
-        }
-        if (!warm->rules.SameAs(cold.rules)) {
-          fail("session-cache", qi,
-               StrFormat("%s %s: %s", backend_name, pass,
-                         DiffRuleSets(schema, warm->rules, cold.rules)
-                             .c_str()));
-        }
-        std::string effort = DiffEffort(warm->stats, cold.stats);
-        if (!effort.empty()) {
-          fail("session-cache", qi,
-               StrFormat("%s %s effort: %s", backend_name, pass,
-                         effort.c_str()));
-        }
-        if (warm->plan_used != cold.plan_used ||
-            warm->decision.chosen != cold.decision.chosen) {
-          fail("session-cache", qi,
-               StrFormat("%s %s: plan %s vs cold %s", backend_name, pass,
-                         PlanKindName(warm->plan_used),
-                         PlanKindName(cold.plan_used)));
-        }
-      };
-
-      for (size_t qi : valid) check_pass("warm", qi);
-      for (size_t qi : valid) check_pass("hot", qi);
-
-      // Shuffled order from a cleared cache: reuse opportunities differ
-      // (drill-downs may now run before their outer box), answers may not.
-      (*warm_engine)->cache()->Clear();
-      std::vector<size_t> shuffled = valid;
-      Rng rng(fuzz_case.seed ^ 0x5e55u);
-      for (size_t i = shuffled.size(); i > 1; --i) {
-        std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
-      }
-      for (size_t qi : shuffled) check_pass("shuffled", qi);
+    auto warm_engine = Engine::Build(dataset, warm_options);
+    if (!cold_engine.ok() || !warm_engine.ok()) {
+      fail("session-cache", 0, "engine build failed");
+      return;
     }
-  }
+
+    std::vector<QueryResult> cold_results(fuzz_case.queries.size());
+    for (size_t qi : valid) {
+      auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
+      if (!cold.ok()) {
+        fail("session-cache", qi,
+             "cold: " + cold.status().ToString());
+        return;
+      }
+      cold_results[qi] = std::move(cold.value());
+    }
+
+    auto check_pass = [&](const char* pass, size_t qi) {
+      check_warm("session-cache", pass, qi,
+                 (*warm_engine)->Execute(fuzz_case.queries[qi]),
+                 cold_results[qi]);
+    };
+    for (size_t qi : valid) check_pass("warm", qi);
+    for (size_t qi : valid) check_pass("hot", qi);
+
+    // Shuffled order from a cleared cache: reuse opportunities differ
+    // (drill-downs may now run before their outer box), answers may not.
+    (*warm_engine)->cache()->Clear();
+    std::vector<size_t> shuffled = valid;
+    Rng rng(fuzz_case.seed ^ 0x5e55u);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+    }
+    for (size_t qi : shuffled) check_pass("shuffled", qi);
+  };
+  if (options.check_session_cache && !valid.empty()) check_session_cache();
 
   // Cache-persistence round-trip: run the sequence warm, save the session
   // cache to the v4 file, load it into a FRESH engine, and replay. The
   // persisted-warm pass must answer every query byte-identically to a
   // cache-less engine — rules, effort counters, and plan choice — i.e. a
   // restart with a warm file is semantically invisible.
-  if (options.check_cache_persistence) {
-    std::vector<size_t> valid;
-    for (size_t qi = 0; qi < fuzz_case.queries.size(); ++qi) {
-      if (fuzz_case.queries[qi].Validate(schema).ok()) valid.push_back(qi);
+  auto check_cache_persistence = [&]() {
+    auto cold_engine = Engine::Build(dataset, cold_options);
+    EngineOptions warm_options = cold_options;
+    warm_options.cache.enabled = true;
+    auto warm_engine = Engine::Build(dataset, warm_options);
+    auto fresh_engine = Engine::Build(dataset, warm_options);
+    if (!cold_engine.ok() || !warm_engine.ok() || !fresh_engine.ok()) {
+      fail("cache-persistence", 0, "engine build failed");
+      return;
     }
-    std::vector<ExecBackend> backends{ExecBackend::kScalar};
-    if (options.check_backends) backends.push_back(ExecBackend::kBitmap);
-    for (ExecBackend backend : backends) {
-      if (valid.empty()) break;
-      const char* backend_name =
-          backend == ExecBackend::kBitmap ? "bitmap" : "scalar";
-      EngineOptions cold_options;
-      cold_options.index.primary_support = fuzz_case.primary_support;
-      cold_options.rulegen = rulegen;
-      cold_options.calibrate = false;
-      cold_options.backend = backend;
-      cold_options.num_threads = 1;
-      auto cold_engine = Engine::Build(dataset, cold_options);
-      EngineOptions warm_options = cold_options;
-      warm_options.cache.enabled = true;
-      auto warm_engine = Engine::Build(dataset, warm_options);
-      auto fresh_engine = Engine::Build(dataset, warm_options);
-      if (!cold_engine.ok() || !warm_engine.ok() || !fresh_engine.ok()) {
-        fail("cache-persistence", 0,
-             StrFormat("%s engine build failed", backend_name));
-        continue;
-      }
 
-      std::vector<QueryResult> cold_results(fuzz_case.queries.size());
-      bool engines_ok = true;
-      for (size_t qi : valid) {
-        auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
-        auto warm = (*warm_engine)->Execute(fuzz_case.queries[qi]);
-        if (!cold.ok() || !warm.ok()) {
-          fail("cache-persistence", qi,
-               StrFormat("%s populate: %s", backend_name,
-                         (!cold.ok() ? cold.status() : warm.status())
-                             .ToString()
-                             .c_str()));
-          engines_ok = false;
-          break;
-        }
-        cold_results[qi] = std::move(cold.value());
+    std::vector<QueryResult> cold_results(fuzz_case.queries.size());
+    for (size_t qi : valid) {
+      auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
+      auto warm = (*warm_engine)->Execute(fuzz_case.queries[qi]);
+      if (!cold.ok() || !warm.ok()) {
+        fail("cache-persistence", qi,
+             "populate: " +
+                 (!cold.ok() ? cold.status() : warm.status()).ToString());
+        return;
       }
-      if (!engines_ok) continue;
-
-      const std::filesystem::path cache_dump =
-          std::filesystem::temp_directory_path() /
-          StrFormat("colarm_fuzz_cache_%d_%llu_%s.ccache",
-                    static_cast<int>(getpid()),
-                    static_cast<unsigned long long>(fuzz_case.seed),
-                    backend_name);
-      Status saved = SaveQueryCache(*(*warm_engine)->cache(),
-                                    (*warm_engine)->index(),
-                                    cache_dump.string());
-      if (!saved.ok()) {
-        fail("cache-persistence", 0,
-             StrFormat("%s save failed: %s", backend_name,
-                       saved.ToString().c_str()));
-        continue;
-      }
-      Status restored =
-          LoadQueryCache((*fresh_engine)->index(), cache_dump.string(),
-                         (*fresh_engine)->cache());
-      std::remove(cache_dump.string().c_str());
-      if (!restored.ok()) {
-        fail("cache-persistence", 0,
-             StrFormat("%s load failed: %s", backend_name,
-                       restored.ToString().c_str()));
-        continue;
-      }
-
-      for (size_t qi : valid) {
-        auto warm = (*fresh_engine)->Execute(fuzz_case.queries[qi]);
-        const QueryResult& cold = cold_results[qi];
-        if (!warm.ok()) {
-          fail("cache-persistence", qi,
-               StrFormat("%s replay: %s", backend_name,
-                         warm.status().ToString().c_str()));
-          continue;
-        }
-        if (!warm->rules.SameAs(cold.rules)) {
-          fail("cache-persistence", qi,
-               StrFormat("%s replay: %s", backend_name,
-                         DiffRuleSets(schema, warm->rules, cold.rules)
-                             .c_str()));
-        }
-        std::string effort = DiffEffort(warm->stats, cold.stats);
-        if (!effort.empty()) {
-          fail("cache-persistence", qi,
-               StrFormat("%s replay effort: %s", backend_name,
-                         effort.c_str()));
-        }
-        if (warm->plan_used != cold.plan_used ||
-            warm->decision.chosen != cold.decision.chosen) {
-          fail("cache-persistence", qi,
-               StrFormat("%s replay: plan %s vs cold %s", backend_name,
-                         PlanKindName(warm->plan_used),
-                         PlanKindName(cold.plan_used)));
-        }
-      }
+      cold_results[qi] = std::move(cold.value());
     }
+
+    const std::filesystem::path cache_dump =
+        std::filesystem::temp_directory_path() /
+        StrFormat("colarm_fuzz_cache_%d_%llu.ccache",
+                  static_cast<int>(getpid()),
+                  static_cast<unsigned long long>(fuzz_case.seed));
+    Status saved = SaveQueryCache(*(*warm_engine)->cache(),
+                                  (*warm_engine)->index(),
+                                  cache_dump.string());
+    if (!saved.ok()) {
+      fail("cache-persistence", 0, "save failed: " + saved.ToString());
+      return;
+    }
+    Status restored =
+        LoadQueryCache((*fresh_engine)->index(), cache_dump.string(),
+                       (*fresh_engine)->cache());
+    std::remove(cache_dump.string().c_str());
+    if (!restored.ok()) {
+      fail("cache-persistence", 0, "load failed: " + restored.ToString());
+      return;
+    }
+    for (size_t qi : valid) {
+      check_warm("cache-persistence", "replay", qi,
+                 (*fresh_engine)->Execute(fuzz_case.queries[qi]),
+                 cold_results[qi]);
+    }
+  };
+  if (options.check_cache_persistence && !valid.empty()) {
+    check_cache_persistence();
   }
 
   // SIMD equivalence: re-run representative plans at every kernel ISA level
   // this host can execute and require byte-identical rules AND effort
-  // counters against the forced-scalar kernels. kSEV on the scalar backend
-  // drives the galloping lower-bound probe; the bitmap backend drives the
-  // word kernels; kARM stresses tidset intersection hardest. Levels switch
-  // only between runs (pools quiescent), and the entry level is restored
-  // before returning so later invariants see the caller's configuration.
+  // counters against the forced-scalar kernels. kSEV drives the word
+  // kernels on a dense DQ and the row routes otherwise; kARM stresses
+  // tidset intersection hardest. Levels
+  // switch only between runs (pools quiescent), and the entry level is
+  // restored before returning so later invariants see the caller's
+  // configuration.
   if (options.check_simd) {
     const SimdLevel original = ActiveSimdLevel();
     const int max_level = static_cast<int>(MaxSupportedSimdLevel());
@@ -682,51 +577,41 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
       const LocalizedQuery& query = fuzz_case.queries[qi];
       if (!query.Validate(schema).ok()) continue;
       for (PlanKind kind : simd_plans) {
-        for (ExecBackend backend :
-             {ExecBackend::kScalar, ExecBackend::kBitmap}) {
-          if (backend == ExecBackend::kBitmap && !options.check_backends) {
-            continue;
-          }
-          const char* backend_name =
-              backend == ExecBackend::kBitmap ? "bitmap" : "scalar";
-          SetActiveSimdLevel(SimdLevel::kScalar);
-          auto baseline = run_plan(*index, kind, query, nullptr, backend);
-          if (!baseline.ok()) {
-            fail("simd-equivalence", qi,
-                 StrFormat("%s %s scalar baseline: %s", PlanKindName(kind),
-                           backend_name, baseline.status().ToString().c_str()));
-            continue;
-          }
-          std::vector<ThreadPool*> run_pools{nullptr};
-          if (shared_pool != nullptr) run_pools.push_back(shared_pool);
-          for (int l = 1; l <= max_level; ++l) {
-            const SimdLevel level = static_cast<SimdLevel>(l);
-            if (!SetActiveSimdLevel(level)) continue;
-            for (ThreadPool* pool : run_pools) {
-              const unsigned threads = pool ? pool->parallelism() : 1;
-              auto got = run_plan(*index, kind, query, pool, backend);
-              if (!got.ok()) {
-                fail("simd-equivalence", qi,
-                     StrFormat("%s %s @%s x%u: %s", PlanKindName(kind),
-                               backend_name, SimdLevelName(level), threads,
-                               got.status().ToString().c_str()));
-                continue;
-              }
-              if (!got->rules.SameAs(baseline->rules)) {
-                fail("simd-equivalence", qi,
-                     StrFormat("%s %s @%s x%u: %s", PlanKindName(kind),
-                               backend_name, SimdLevelName(level), threads,
-                               DiffRuleSets(schema, got->rules,
-                                            baseline->rules)
-                                   .c_str()));
-              }
-              std::string effort = DiffEffort(got->stats, baseline->stats);
-              if (!effort.empty()) {
-                fail("simd-equivalence", qi,
-                     StrFormat("%s %s @%s x%u effort: %s", PlanKindName(kind),
-                               backend_name, SimdLevelName(level), threads,
-                               effort.c_str()));
-              }
+        SetActiveSimdLevel(SimdLevel::kScalar);
+        auto baseline = run_plan(*index, kind, query, nullptr);
+        if (!baseline.ok()) {
+          fail("simd-equivalence", qi,
+               StrFormat("%s scalar baseline: %s", PlanKindName(kind),
+                         baseline.status().ToString().c_str()));
+          continue;
+        }
+        std::vector<ThreadPool*> run_pools{nullptr};
+        if (shared_pool != nullptr) run_pools.push_back(shared_pool);
+        for (int l = 1; l <= max_level; ++l) {
+          const SimdLevel level = static_cast<SimdLevel>(l);
+          if (!SetActiveSimdLevel(level)) continue;
+          for (ThreadPool* pool : run_pools) {
+            const unsigned threads = pool ? pool->parallelism() : 1;
+            auto got = run_plan(*index, kind, query, pool);
+            if (!got.ok()) {
+              fail("simd-equivalence", qi,
+                   StrFormat("%s @%s x%u: %s", PlanKindName(kind),
+                             SimdLevelName(level), threads,
+                             got.status().ToString().c_str()));
+              continue;
+            }
+            if (!got->rules.SameAs(baseline->rules)) {
+              fail("simd-equivalence", qi,
+                   StrFormat("%s @%s x%u: %s", PlanKindName(kind),
+                             SimdLevelName(level), threads,
+                             DiffRuleSets(schema, got->rules, baseline->rules)
+                                 .c_str()));
+            }
+            std::string effort = DiffEffort(got->stats, baseline->stats);
+            if (!effort.empty()) {
+              fail("simd-equivalence", qi,
+                   StrFormat("%s @%s x%u effort: %s", PlanKindName(kind),
+                             SimdLevelName(level), threads, effort.c_str()));
             }
           }
         }

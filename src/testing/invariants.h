@@ -29,7 +29,6 @@ struct CheckOptions {
   bool check_serialize = true;
   bool check_monotonic = true;
   bool check_containment = true;
-  bool check_backends = true;
   /// Replay the case's query sequence through a session-cache-enabled
   /// engine — cold vs. warm, a second cache-hot pass, and a deterministic
   /// shuffled order — requiring byte-identical rules, effort counters, and
@@ -37,14 +36,14 @@ struct CheckOptions {
   bool check_session_cache = true;
   /// Re-run representative plans at every SIMD kernel level the host can
   /// execute (AVX2, AVX-512) and require byte-identical rules and effort
-  /// counters against the forced-scalar kernels, on both execution
-  /// backends and thread counts. No-op on hosts without vector ISAs.
+  /// counters against the forced-scalar kernels, at 1 and N threads.
+  /// No-op on hosts without vector ISAs.
   bool check_simd = true;
   /// Differential constraint equivalence: for every constrained query, a
   /// constrained run must equal post-filtering the unconstrained twin's
-  /// rules. One scalar S-E-V comparison covers the whole matrix — every
-  /// other invariant already cross-checks each backend / thread / SIMD /
-  /// cache variant against the constrained baseline.
+  /// rules. One S-E-V comparison covers the whole matrix — every other
+  /// invariant already cross-checks each thread / SIMD / cache variant
+  /// against the constrained baseline.
   bool check_constraints = true;
   /// Cache-persistence round-trip: run the sequence warm, save the session
   /// cache (v4 file), load it into a fresh engine, and replay — the
@@ -58,23 +57,22 @@ struct CheckOptions {
 /// violations found (empty = the case passes):
 ///
 ///   plan-vs-oracle      all six plans equal the brute-force oracle
-///   thread-invariance   rules identical under every pool size (and a
-///                       parallel index build equals the sequential one)
+///   thread-invariance   rules and effort counters identical under every
+///                       pool size (and a parallel index build equals the
+///                       sequential one)
 ///   serialize-roundtrip save -> load preserves MIPs and query answers
+///                       (rules and effort counters)
 ///   monotonicity        raising minsupp or minconf never adds rules, and
 ///                       surviving rules keep their exact counts
 ///   containment         shrinking the focal box never increases any
 ///                       absolute count of a rule present in both results
-///   backend-equivalence the bitmap execution backend returns byte-
-///                       identical rules AND effort counters to the scalar
-///                       one, at every pool size and on a reloaded index
 ///   session-cache       replaying the query sequence through the session
-///                       cache (warm, cache-hot, and shuffled-order passes,
-///                       on both backends) answers every query exactly like
-///                       a cache-less engine
+///                       cache (warm, cache-hot, and shuffled-order passes)
+///                       answers every query exactly like a cache-less
+///                       engine
 ///   simd-equivalence    every SIMD level the host supports (scalar, AVX2,
 ///                       AVX-512) yields byte-identical rules and effort
-///                       counters on both backends, at 1 and N threads
+///                       counters, at 1 and N threads
 ///   constraint-equivalence  constraints pushed into execution return
 ///                       exactly FilterRules(unconstrained twin) — the
 ///                       post-filter reference semantics

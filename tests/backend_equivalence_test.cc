@@ -1,18 +1,71 @@
+// Record-level route coverage. The plans pick their route from one density
+// predicate (IsDense: |DQ| x 64 >= |D|): dense DQs count on bitmaps
+// (ELIMINATE popcounts, the VERIFY lattice DFS), sparse ones by row probes.
+// There is no switch to force either route, so these tests place focal
+// boxes on both sides of the bar — one record below it, on it, one above
+// it, and far to either side — and check every plan against the brute-
+// force oracle at 1, 2 and 8 threads, with byte-identical effort counters
+// across thread counts, at every local count boundary beside the bar,
+// under constraint pushdown, and on a reloaded index.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <tuple>
+#include <cstdio>
+#include <string>
+#include <vector>
 
-#include "core/engine.h"
-#include "data/salary_dataset.h"
-#include "data/synthetic.h"
+#include "common/rng.h"
+#include "mip/serialize.h"
 #include "plans/plans.h"
-#include "test_util.h"
+#include "testing/oracle.h"
 
 namespace colarm {
 namespace {
 
-using testing_util::RandomDataset;
+constexpr uint32_t kRecords = 1280;  // the bar: 1280 / 64 = 20 records
+constexpr uint32_t kBar = kRecords / Bitmap::kBitsPerWord;
+constexpr double kPrimarySupport = 0.15;
+
+// Attribute 0 is the region the focal boxes select on: its prefix counts
+// put [0, 0] far below the bar (3 records), [0, 1] one below it (19),
+// [0, 2] on it (20), [0, 3] one above it (21), and [0, 4] far above it.
+// Attributes 1-4 are skewed toward value 0 so itemsets clear both the
+// global primary threshold and local thresholds inside small boxes.
+Dataset RouteDataset() {
+  std::vector<Attribute> attrs;
+  attrs.push_back({"region", {"r0", "r1", "r2", "r3", "r4", "r5"}});
+  for (int a = 1; a <= 4; ++a) {
+    attrs.push_back({"a" + std::to_string(a), {"v0", "v1", "v2"}});
+  }
+  Dataset dataset{Schema(std::move(attrs))};
+  const uint32_t region_counts[] = {3, 16, 1, 1, 379};
+  Rng rng(2024);
+  std::vector<ValueId> record(5);
+  for (Tid t = 0; t < kRecords; ++t) {
+    uint32_t region = 5;
+    for (uint32_t v = 0, seen = 0; v < 5; ++v) {
+      seen += region_counts[v];
+      if (t < seen) {
+        region = v;
+        break;
+      }
+    }
+    record[0] = static_cast<ValueId>(region);
+    for (uint32_t a = 1; a <= 4; ++a) {
+      record[a] = rng.Bernoulli(0.7) ? 0
+                                     : static_cast<ValueId>(rng.Uniform(3));
+    }
+    if (!dataset.AddRecord(record).ok()) std::abort();
+  }
+  return dataset;
+}
+
+LocalizedQuery Query(ValueId hi, double minsupp = 0.3, double minconf = 0.6) {
+  LocalizedQuery query;
+  query.ranges = {{0, 0, hi}};
+  query.minsupp = minsupp;
+  query.minconf = minconf;
+  return query;
+}
 
 RuleGenOptions WideRuleGen() {
   RuleGenOptions options;
@@ -20,8 +73,7 @@ RuleGenOptions WideRuleGen() {
   return options;
 }
 
-// Deterministic effort counters of a plan run; timings excluded. The
-// backends must agree on every one of these, not just on the rules.
+// Deterministic effort counters of a plan run; timings excluded.
 std::vector<uint64_t> Effort(const PlanStats& stats) {
   return {stats.subset_size,          stats.local_min_count,
           stats.candidates_search,    stats.candidates_contained,
@@ -31,182 +83,173 @@ std::vector<uint64_t> Effort(const PlanStats& stats) {
           stats.itemsets_skipped};
 }
 
-// Runs every plan on both backends at 1, 2, and 8 threads and demands
-// byte-identical rule sets and effort counters everywhere. `queries` come
-// from the caller so each dataset exercises its interesting boxes.
-void ExpectBackendsEquivalent(const MipIndex& index,
-                              const std::vector<LocalizedQuery>& queries) {
-  ThreadPool pool2(2);
-  ThreadPool pool8(8);
-  std::vector<ThreadPool*> pools = {nullptr, &pool2, &pool8};
+class RouteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dataset_ = std::make_unique<Dataset>(RouteDataset());
+    auto index =
+        MipIndex::Build(*dataset_, {.primary_support = kPrimarySupport});
+    ASSERT_TRUE(index.ok());
+    index_ = std::make_unique<MipIndex>(std::move(index.value()));
+  }
 
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const LocalizedQuery& query = queries[qi];
-    ASSERT_TRUE(query.Validate(index.dataset().schema()).ok());
+  uint32_t SubsetSize(const LocalizedQuery& query) const {
+    return FocalSubset::Materialize(*dataset_,
+                                    query.ToRect(dataset_->schema()))
+        .size();
+  }
+
+  // Every plan at 1, 2 and 8 threads against the oracle; effort counters
+  // must not move with the thread count. Returns the number of rules so
+  // callers can assert the box was not vacuous.
+  size_t ExpectPlansMatchOracle(const MipIndex& index,
+                                const LocalizedQuery& query,
+                                const std::string& label) {
+    auto oracle = fuzzing::OracleLocalizedRules(*dataset_, kPrimarySupport,
+                                                query);
+    EXPECT_TRUE(oracle.ok()) << label;
+    if (!oracle.ok()) return 0;
+    ThreadPool pool2(2);
+    ThreadPool pool8(8);
     for (PlanKind kind : kAllPlans) {
-      PlanExecOptions scalar_exec;
-      scalar_exec.rulegen = WideRuleGen();
-      auto scalar = ExecutePlan(kind, index, query, scalar_exec);
-      ASSERT_TRUE(scalar.ok()) << PlanKindName(kind);
-
-      for (ThreadPool* pool : pools) {
-        for (ExecBackend backend :
-             {ExecBackend::kScalar, ExecBackend::kBitmap}) {
-          PlanExecOptions exec;
-          exec.rulegen = WideRuleGen();
-          exec.pool = pool;
-          exec.backend = backend;
-          auto run = ExecutePlan(kind, index, query, exec);
-          ASSERT_TRUE(run.ok()) << PlanKindName(kind);
-          const char* label = ExecBackendName(backend);
-          const unsigned threads = pool ? pool->parallelism() : 1;
-          EXPECT_TRUE(run->rules.SameAs(scalar->rules))
-              << PlanKindName(kind) << " " << label << " x" << threads
-              << " query " << qi << ": " << run->rules.rules.size()
-              << " rules vs " << scalar->rules.rules.size();
-          EXPECT_EQ(Effort(run->stats), Effort(scalar->stats))
-              << PlanKindName(kind) << " " << label << " x" << threads
-              << " query " << qi;
+      std::vector<uint64_t> sequential_effort;
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                               &pool8}) {
+        PlanExecOptions exec;
+        exec.rulegen = WideRuleGen();
+        exec.pool = pool;
+        auto run = ExecutePlan(kind, index, query, exec);
+        const unsigned threads = pool ? pool->parallelism() : 1;
+        EXPECT_TRUE(run.ok()) << label << " " << PlanKindName(kind);
+        if (!run.ok()) continue;
+        EXPECT_TRUE(run->rules.SameAs(*oracle))
+            << label << " " << PlanKindName(kind) << " x" << threads << ": "
+            << run->rules.rules.size() << " rules vs "
+            << oracle->rules.size();
+        if (pool == nullptr) {
+          sequential_effort = Effort(run->stats);
+        } else {
+          EXPECT_EQ(Effort(run->stats), sequential_effort)
+              << label << " " << PlanKindName(kind) << " x" << threads;
         }
       }
+    }
+    return oracle->rules.size();
+  }
+
+  std::unique_ptr<Dataset> dataset_;
+  std::unique_ptr<MipIndex> index_;
+};
+
+// The fixture's boxes sit where their names say, and PlanContext builds the
+// DQ bitmap exactly on the dense side — and never for ARM.
+TEST_F(RouteTest, BarSelectsTheRoute) {
+  EXPECT_EQ(SubsetSize(Query(0)), 3u);
+  EXPECT_EQ(SubsetSize(Query(1)), kBar - 1);
+  EXPECT_EQ(SubsetSize(Query(2)), kBar);
+  EXPECT_EQ(SubsetSize(Query(3)), kBar + 1);
+  EXPECT_EQ(SubsetSize(Query(4)), 400u);
+  for (ValueId hi = 0; hi <= 4; ++hi) {
+    PlanContext ctx(*index_, Query(hi), WideRuleGen());
+    ctx.BuildDqBitmap();
+    EXPECT_EQ(ctx.dq() != nullptr, hi >= 2) << "box [0, " << hi << "]";
+  }
+}
+
+TEST_F(RouteTest, EveryPlanMatchesOracleAroundTheBar) {
+  size_t rules = 0;
+  for (ValueId hi = 0; hi <= 5; ++hi) {
+    rules += ExpectPlansMatchOracle(*index_, Query(hi),
+                                    "box [0, " + std::to_string(hi) + "]");
+  }
+  // Unconstrained box: DQ is the whole relation.
+  LocalizedQuery all = Query(0);
+  all.ranges.clear();
+  rules += ExpectPlansMatchOracle(*index_, all, "full domain");
+  // Threshold extremes on the boundary boxes.
+  rules += ExpectPlansMatchOracle(*index_, Query(1, 1.0, 1.0), "bar-1 1/1");
+  rules += ExpectPlansMatchOracle(*index_, Query(2, 0.05, 0.1), "bar low");
+  EXPECT_GT(rules, 0u);
+}
+
+// Local minsupport on every count boundary of the boxes beside the bar:
+// minsupp = k / |DQ| makes each k the exact qualifying count, so a route
+// that miscounts any candidate by one flips its qualification.
+TEST_F(RouteTest, EveryCountBoundaryMatchesOracle) {
+  for (ValueId hi : {ValueId{1}, ValueId{2}, ValueId{3}}) {
+    const uint32_t size = SubsetSize(Query(hi));
+    for (uint32_t k = 1; k <= size; ++k) {
+      ExpectPlansMatchOracle(*index_,
+                             Query(hi, static_cast<double>(k) / size, 0.1),
+                             "box [0, " + std::to_string(hi) + "] count " +
+                                 std::to_string(k));
     }
   }
 }
 
-LocalizedQuery MakeQuery(double minsupp, double minconf,
-                         std::vector<RangeSelection> ranges,
-                         std::vector<AttrId> item_attrs = {}) {
-  LocalizedQuery query;
-  query.minsupp = minsupp;
-  query.minconf = minconf;
-  query.ranges = std::move(ranges);
-  query.item_attrs = std::move(item_attrs);
-  return query;
-}
+// Constraint pushdown reaches into both routes: CONTAIN seeding, EXCLUDE
+// projection, pinned antecedents and measure floors, each on a box just
+// below and just on the bar.
+TEST_F(RouteTest, ConstrainedQueriesMatchOracleOnBothRoutes) {
+  const Schema& schema = dataset_->schema();
+  for (ValueId hi : {ValueId{1}, ValueId{2}}) {
+    const std::string side = hi == 1 ? "sparse " : "dense ";
 
-TEST(BackendEquivalenceTest, RandomDatasets) {
-  for (uint64_t seed : {3u, 17u}) {
-    Dataset dataset = RandomDataset(seed, 400, 5, 4);
-    auto index = MipIndex::Build(dataset, {.primary_support = 0.08});
-    ASSERT_TRUE(index.ok());
-    std::vector<LocalizedQuery> queries = {
-        MakeQuery(0.1, 0.5, {{0, 0, 1}}),
-        MakeQuery(0.05, 0.3, {{0, 0, 2}, {2, 1, 3}}),
-        MakeQuery(0.2, 0.8, {{1, 0, 0}}),
-        MakeQuery(0.1, 0.5, {}),                       // unconstrained box
-        MakeQuery(0.1, 0.5, {{3, 0, 1}}, {0, 1, 2, 3}),
-    };
-    ExpectBackendsEquivalent(*index, queries);
-  }
-}
-
-TEST(BackendEquivalenceTest, SalaryDataset) {
-  Dataset dataset = MakeSalaryDataset();
-  auto index = MipIndex::Build(dataset, {.primary_support = 0.2});
-  ASSERT_TRUE(index.ok());
-  // The paper's running example: the female Seattle subset (plus the
-  // trivial unconstrained query).
-  std::vector<LocalizedQuery> queries = {
-      MakeQuery(0.3, 0.6, {{2, 1, 1}, {3, 1, 1}}),
-      MakeQuery(0.3, 0.6, {}),
-  };
-  ExpectBackendsEquivalent(*index, queries);
-}
-
-TEST(BackendEquivalenceTest, SyntheticPlantedPattern) {
-  SyntheticConfig config;
-  config.seed = 5;
-  config.num_records = 1500;
-  config.num_attributes = 8;
-  config.region_domain = 10;
-  config.local_patterns = {{0, 2, {2, 3, 4}, 1, 0.9}};
-  auto dataset = GenerateSynthetic(config);
-  ASSERT_TRUE(dataset.ok());
-  auto index = MipIndex::Build(*dataset, {.primary_support = 0.05});
-  ASSERT_TRUE(index.ok());
-  std::vector<LocalizedQuery> queries = {
-      MakeQuery(0.15, 0.6, {{0, 0, 2}}),   // inside the planted region
-      MakeQuery(0.15, 0.6, {{0, 3, 9}}),   // outside it
-      MakeQuery(0.05, 0.3, {{0, 0, 4}, {1, 0, 1}}),
-  };
-  ExpectBackendsEquivalent(*index, queries);
-}
-
-// Constraint pushdown must stay byte-identical across backends and pool
-// sizes: constrained CHARM seeding, the vertical-view EXCLUDE projection,
-// VERIFY short-circuits, and measure gates all run inside the per-backend
-// operators, so each constraint shape sweeps the full matrix.
-TEST(BackendEquivalenceTest, ConstrainedQueries) {
-  for (uint64_t seed : {7u, 23u}) {
-    Dataset dataset = RandomDataset(seed, 300, 5, 4);
-    const Schema& schema = dataset.schema();
-    auto index = MipIndex::Build(dataset, {.primary_support = 0.08});
-    ASSERT_TRUE(index.ok());
-
-    LocalizedQuery contain = MakeQuery(0.1, 0.4, {{0, 0, 1}});
+    LocalizedQuery contain = Query(hi, 0.2, 0.4);
     contain.constraints.must_contain = {schema.ItemOf(1, 0)};
 
-    LocalizedQuery exclude = MakeQuery(0.05, 0.3, {{0, 0, 2}});
+    LocalizedQuery exclude = Query(hi, 0.1, 0.3);
     exclude.constraints.must_exclude = {schema.ItemOf(2, 1),
                                         schema.ItemOf(4, 0)};
 
-    LocalizedQuery pinned = MakeQuery(0.1, 0.4, {{1, 0, 1}});
-    pinned.constraints.antecedent_only = {0, 3};
+    LocalizedQuery pinned = Query(hi, 0.2, 0.4);
+    pinned.constraints.antecedent_only = {1, 3};
 
-    LocalizedQuery measures = MakeQuery(0.05, 0.3, {{2, 0, 2}});
+    LocalizedQuery measures = Query(hi, 0.1, 0.3);
     measures.constraints.min_lift = 1.0;
     measures.constraints.min_kulczynski = 0.5;
 
-    LocalizedQuery combined = MakeQuery(0.05, 0.3, {{0, 0, 2}});
+    LocalizedQuery combined = Query(hi, 0.1, 0.3);
     combined.constraints.must_contain = {schema.ItemOf(3, 0)};
     combined.constraints.must_exclude = {schema.ItemOf(4, 2)};
     combined.constraints.antecedent_only = {1};
     combined.constraints.min_cosine = 0.4;
 
-    LocalizedQuery contradictory = MakeQuery(0.1, 0.4, {{0, 0, 1}});
+    LocalizedQuery contradictory = Query(hi, 0.2, 0.4);
     contradictory.constraints.must_contain = {schema.ItemOf(1, 0)};
     contradictory.constraints.must_exclude = {schema.ItemOf(1, 0)};
 
-    ExpectBackendsEquivalent(
-        *index,
-        {contain, exclude, pinned, measures, combined, contradictory});
+    ExpectPlansMatchOracle(*index_, contain, side + "contain");
+    ExpectPlansMatchOracle(*index_, exclude, side + "exclude");
+    ExpectPlansMatchOracle(*index_, pinned, side + "pinned");
+    ExpectPlansMatchOracle(*index_, measures, side + "measures");
+    ExpectPlansMatchOracle(*index_, combined, side + "combined");
+    ExpectPlansMatchOracle(*index_, contradictory, side + "contradictory");
   }
 }
 
-// The engine-level knob: two engines differing only in `backend` agree on
-// every optimizer-chosen answer, and the bitmap engine agrees with the
-// scalar reference per forced plan.
-TEST(BackendEquivalenceTest, EngineBackendKnob) {
-  Dataset dataset = RandomDataset(29, 300, 5, 4);
-  EngineOptions scalar_options;
-  scalar_options.index.primary_support = 0.08;
-  scalar_options.num_threads = 1;
-  scalar_options.rulegen = WideRuleGen();
-  EngineOptions bitmap_options = scalar_options;
-  bitmap_options.backend = ExecBackend::kBitmap;
-
-  auto scalar = Engine::Build(dataset, scalar_options);
-  auto bitmap = Engine::Build(dataset, bitmap_options);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_TRUE(bitmap.ok());
-
-  std::vector<LocalizedQuery> queries = {
-      MakeQuery(0.1, 0.5, {{0, 0, 1}}),
-      MakeQuery(0.05, 0.4, {{1, 0, 2}, {4, 0, 1}}),
-  };
-  for (const LocalizedQuery& query : queries) {
-    auto a = (*scalar)->Execute(query);
-    auto b = (*bitmap)->Execute(query);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(b->rules.SameAs(a->rules));
+// A reloaded index carries the deserialized item bitmaps the dense routes
+// read: it answers like the oracle, with the built index's effort counters.
+TEST_F(RouteTest, ReloadedIndexMatchesOracleOnBothRoutes) {
+  const std::string path = ::testing::TempDir() + "/route_test.clrm";
+  ASSERT_TRUE(SaveMipIndex(*index_, path).ok());
+  auto loaded = LoadMipIndex(*dataset_, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (ValueId hi : {ValueId{0}, ValueId{1}, ValueId{2}, ValueId{3},
+                     ValueId{4}}) {
+    const LocalizedQuery query = Query(hi);
+    ExpectPlansMatchOracle(*loaded, query,
+                           "reloaded box [0, " + std::to_string(hi) + "]");
     for (PlanKind kind : kAllPlans) {
-      auto fa = (*scalar)->ExecuteWithPlan(query, kind);
-      auto fb = (*bitmap)->ExecuteWithPlan(query, kind);
-      ASSERT_TRUE(fa.ok());
-      ASSERT_TRUE(fb.ok());
-      EXPECT_TRUE(fb->rules.SameAs(fa->rules)) << PlanKindName(kind);
-      EXPECT_EQ(Effort(fb->stats), Effort(fa->stats)) << PlanKindName(kind);
+      PlanExecOptions exec;
+      exec.rulegen = WideRuleGen();
+      auto built = ExecutePlan(kind, *index_, query, exec);
+      auto reloaded = ExecutePlan(kind, *loaded, query, exec);
+      ASSERT_TRUE(built.ok());
+      ASSERT_TRUE(reloaded.ok());
+      EXPECT_EQ(Effort(reloaded->stats), Effort(built->stats))
+          << PlanKindName(kind) << " box [0, " << hi << "]";
     }
   }
 }

@@ -16,24 +16,19 @@ class BenchEnvTest : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("COLARM_BENCH_SCALE");
     ::unsetenv("COLARM_BENCH_THREADS");
-    ::unsetenv("COLARM_BENCH_BACKEND");
   }
 };
 
 TEST_F(BenchEnvTest, UnsetAndEmptyMeanDefaults) {
   ::unsetenv("COLARM_BENCH_SCALE");
   ::unsetenv("COLARM_BENCH_THREADS");
-  ::unsetenv("COLARM_BENCH_BACKEND");
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0);
   EXPECT_EQ(ThreadsFromEnv(), 0u);
-  EXPECT_EQ(BackendFromEnv(), ExecBackend::kScalar);
 
   ::setenv("COLARM_BENCH_SCALE", "", 1);
   ::setenv("COLARM_BENCH_THREADS", "", 1);
-  ::setenv("COLARM_BENCH_BACKEND", "", 1);
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0);
   EXPECT_EQ(ThreadsFromEnv(), 0u);
-  EXPECT_EQ(BackendFromEnv(), ExecBackend::kScalar);
 }
 
 TEST_F(BenchEnvTest, ValidValuesParse) {
@@ -41,10 +36,6 @@ TEST_F(BenchEnvTest, ValidValuesParse) {
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 0.25);
   ::setenv("COLARM_BENCH_THREADS", "8", 1);
   EXPECT_EQ(ThreadsFromEnv(), 8u);
-  ::setenv("COLARM_BENCH_BACKEND", "bitmap", 1);
-  EXPECT_EQ(BackendFromEnv(), ExecBackend::kBitmap);
-  ::setenv("COLARM_BENCH_BACKEND", "scalar", 1);
-  EXPECT_EQ(BackendFromEnv(), ExecBackend::kScalar);
 }
 
 using BenchEnvDeathTest = BenchEnvTest;
@@ -86,12 +77,6 @@ TEST_F(BenchEnvDeathTest, OverflowingThreadsDies) {
   ::setenv("COLARM_BENCH_THREADS", "99999999999999999999", 1);
   EXPECT_EXIT(ThreadsFromEnv(), ::testing::ExitedWithCode(2),
               "COLARM_BENCH_THREADS");
-}
-
-TEST_F(BenchEnvDeathTest, UnknownBackendDies) {
-  ::setenv("COLARM_BENCH_BACKEND", "cuda", 1);
-  EXPECT_EXIT(BackendFromEnv(), ::testing::ExitedWithCode(2),
-              "COLARM_BENCH_BACKEND");
 }
 
 }  // namespace

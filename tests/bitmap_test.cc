@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "bitmap/bitmap.h"
-#include "bitmap/bitmap_counter.h"
 #include "bitmap/hybrid_tidset.h"
 #include "bitmap/vertical_index.h"
 #include "common/rng.h"
@@ -153,33 +152,6 @@ TEST(VerticalIndexTest, ParallelBuildIsIdentical) {
   }
 }
 
-TEST(VerticalIndexTest, MaterializeDqMatchesScalarScan) {
-  Dataset dataset = RandomDataset(23, 400, 5, 4);
-  const Schema& schema = dataset.schema();
-  ThreadPool pool(4);
-  VerticalIndex vertical = VerticalIndex::Build(dataset, nullptr);
-  Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    Rect box = Rect::FullDomain(schema);
-    for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-      if (!rng.Bernoulli(0.5)) continue;
-      ValueId lo = static_cast<ValueId>(rng.Uniform(4));
-      ValueId hi = static_cast<ValueId>(
-          std::min<uint64_t>(3, lo + rng.Uniform(3)));
-      box.SetInterval(a, lo, hi);
-    }
-    FocalSubset scalar = FocalSubset::Materialize(dataset, box);
-    EXPECT_EQ(vertical.MaterializeDq(schema, box, nullptr).ToTids(),
-              scalar.tids);
-    EXPECT_EQ(vertical.MaterializeDq(schema, box, &pool).ToTids(),
-              scalar.tids);
-  }
-  // Unconstrained box: every record.
-  Bitmap all = vertical.MaterializeDq(schema, Rect::FullDomain(schema),
-                                      nullptr);
-  EXPECT_EQ(all.Count(), dataset.num_records());
-}
-
 TEST(BitmapCounterTest, LocalCountMatchesRowScan) {
   Dataset dataset = RandomDataset(31, 250, 4, 3);
   const Schema& schema = dataset.schema();
@@ -205,80 +177,15 @@ TEST(BitmapCounterTest, LocalCountMatchesRowScan) {
   }
 }
 
-// BitmapSubsetCounter must agree with LocalSubsetCounter on every subset of
-// every itemset, across both of its internal strategies (lattice DFS vs
-// row-probe + zeta; the cost switch flips with |DQ| and itemset length) and
-// the long-itemset AND-chain fallback.
-TEST(BitmapCounterTest, SubsetCounterMatchesScalarCounter) {
-  Dataset dataset = RandomDataset(51, 500, 6, 4);
-  const Schema& schema = dataset.schema();
-  VerticalIndex vertical = VerticalIndex::Build(dataset, nullptr);
-
-  Rng rng(61);
-  for (uint32_t subset_extent : {0u, 1u, 3u}) {
-    Rect box = Rect::FullDomain(schema);
-    if (subset_extent > 0) box.SetInterval(0, 0, subset_extent - 1);
-    FocalSubset subset = FocalSubset::Materialize(dataset, box);
-    Bitmap dq = Bitmap::FromTids(subset.tids, dataset.num_records());
-
-    for (size_t len : {0ul, 1ul, 2ul, 4ul, 8ul, 12ul}) {
-      Itemset items;
-      while (items.size() < len) {
-        ItemId item = static_cast<ItemId>(rng.Uniform(schema.num_items()));
-        if (std::find(items.begin(), items.end(), item) == items.end()) {
-          items.push_back(item);
-        }
-      }
-      std::sort(items.begin(), items.end());
-
-      LocalSubsetCounter scalar(dataset, items, subset.tids);
-      BitmapSubsetCounter bitmap(vertical, dq, items, subset.tids);
-      EXPECT_EQ(bitmap.CountFull(), scalar.CountFull());
-      EXPECT_EQ(bitmap.base_size(), scalar.base_size());
-      EXPECT_EQ(bitmap.record_checks(), scalar.record_checks());
-
-      // Every subset via bitmask enumeration (capped for the longer sets).
-      const uint32_t full = len == 0 ? 0 : (1u << len) - 1;
-      const uint32_t step = len > 8 ? 37 : 1;
-      for (uint32_t mask = 0; mask <= full; mask += step) {
-        Itemset sub;
-        for (size_t i = 0; i < len; ++i) {
-          if (mask & (1u << i)) sub.push_back(items[i]);
-        }
-        EXPECT_EQ(bitmap.CountOf(sub), scalar.CountOf(sub))
-            << "len " << len << " mask " << mask;
-      }
-      EXPECT_EQ(bitmap.record_checks(), scalar.record_checks());
-    }
-  }
-}
-
-TEST(BitmapCounterTest, LongItemsetFallbackMatches) {
-  Dataset dataset = RandomDataset(71, 120, 6, 4);
-  const Schema& schema = dataset.schema();
-  VerticalIndex vertical = VerticalIndex::Build(dataset, nullptr);
-  FocalSubset subset =
-      FocalSubset::Materialize(dataset, Rect::FullDomain(schema));
-  Bitmap dq = Bitmap::FromTids(subset.tids, dataset.num_records());
-
-  // 22 items exceeds kMaxMaskItems, forcing the per-query AND-chain.
-  Itemset items;
-  for (ItemId i = 0; i < 22; ++i) items.push_back(i);
-  ASSERT_GT(items.size(), BitmapSubsetCounter::kMaxMaskItems);
-
-  LocalSubsetCounter scalar(dataset, items, subset.tids);
-  BitmapSubsetCounter bitmap(vertical, dq, items, subset.tids);
-  EXPECT_EQ(bitmap.CountFull(), scalar.CountFull());
-  EXPECT_EQ(bitmap.record_checks(), scalar.record_checks());
-  Rng rng(81);
-  for (int trial = 0; trial < 10; ++trial) {
-    Itemset sub;
-    for (ItemId item : items) {
-      if (rng.Bernoulli(0.3)) sub.push_back(item);
-    }
-    EXPECT_EQ(bitmap.CountOf(sub), scalar.CountOf(sub));
-    EXPECT_EQ(bitmap.record_checks(), scalar.record_checks());
-  }
+// The one density bar: at least one record per 64-bit word.
+TEST(DensityTest, BarIsOneRecordPerWord) {
+  EXPECT_TRUE(IsDense(4, 256));
+  EXPECT_FALSE(IsDense(3, 256));
+  // 25,568 records span 399.5 words: 400 records clear the bar, 399 do not.
+  EXPECT_TRUE(IsDense(400, 25568));
+  EXPECT_FALSE(IsDense(399, 25568));
+  EXPECT_TRUE(IsDense(1, 64));
+  EXPECT_FALSE(IsDense(0, 1));
 }
 
 TEST(HybridTidsetTest, PicksRepresentationByDensity) {

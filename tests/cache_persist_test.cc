@@ -71,9 +71,9 @@ void Populate(const Env& env, QueryCache* cache) {
   uint64_t ignored = 0;
   Rect outer = env.Box({{0, 0, 2}});
   Rect inner = env.Box({{0, 0, 1}, {2, 0, 1}});
-  cache->Acquire(outer, ExecBackend::kScalar, nullptr, &ignored);
-  cache->Acquire(inner, ExecBackend::kScalar, nullptr, &ignored);
-  cache->Acquire(inner, ExecBackend::kScalar, nullptr, &ignored);  // exact hit
+  cache->Acquire(outer, &ignored);
+  cache->Acquire(inner, &ignored);
+  cache->Acquire(inner, &ignored);  // exact hit
   auto txn = cache->BeginTxn(inner);
   txn->RecordFull(2, 9);
   txn->RecordTable(5, 17, std::vector<uint32_t>{40, 30, 21, 17});
@@ -293,7 +293,7 @@ TEST(CachePersistTest, LoadReplacesExistingResidency) {
   QueryCache target(*env.index, Enabled());
   uint64_t ignored = 0;
   Rect stale = env.Box({{1, 0, 1}});
-  target.Acquire(stale, ExecBackend::kScalar, nullptr, &ignored);
+  target.Acquire(stale, &ignored);
   ASSERT_EQ(target.Probe(stale).tier, CacheTier::kExact);
 
   ASSERT_TRUE(LoadQueryCache(*env.index, path, &target).ok());

@@ -137,14 +137,41 @@ TEST(CostModelTest, ContainedEstimateBounded) {
   EXPECT_LE(est.est_contained, est.est_candidates + 1e-9);
 }
 
+// ELIMINATE is priced by the route its estimated |DQ| selects: row probes
+// (record_item_check_ns) below the density bar, bitmap words
+// (bitmap_word_ns) above it — and each route only by its own constant.
 TEST(CostModelTest, EstimatesDependOnConstants) {
   Fixture fx = Fixture::Make(10);
-  CostConstants expensive;
-  expensive.record_item_check_ns = 1000.0;
-  CostModel pricey(fx.index->stats(), *fx.cardinality, expensive);
-  auto cheap_est = fx.model->Estimate(PlanKind::kSEV, Query(0.4, {{0, 0, 1}}));
-  auto pricey_est = pricey.Estimate(PlanKind::kSEV, Query(0.4, {{0, 0, 1}}));
-  EXPECT_GT(pricey_est.eliminate, cheap_est.eliminate);
+  const LocalizedQuery sparse = Query(0.4, {{0, 1, 1}, {1, 1, 1}, {2, 1, 1}});
+  const LocalizedQuery dense = Query(0.4, {{0, 0, 1}});
+  auto estimated_dense = [&](const LocalizedQuery& query) {
+    const auto size =
+        static_cast<uint64_t>(fx.cardinality->SubsetSize(query));
+    return IsDense(size, fx.data->num_records());
+  };
+  ASSERT_FALSE(estimated_dense(sparse));
+  ASSERT_TRUE(estimated_dense(dense));
+
+  CostConstants probes;
+  probes.record_item_check_ns = 1000.0;
+  CostModel pricey_probes(fx.index->stats(), *fx.cardinality, probes);
+  CostConstants words;
+  words.bitmap_word_ns = 1000.0;
+  CostModel pricey_words(fx.index->stats(), *fx.cardinality, words);
+
+  const double sparse_base =
+      fx.model->Estimate(PlanKind::kSEV, sparse).eliminate;
+  EXPECT_GT(pricey_probes.Estimate(PlanKind::kSEV, sparse).eliminate,
+            sparse_base);
+  EXPECT_EQ(pricey_words.Estimate(PlanKind::kSEV, sparse).eliminate,
+            sparse_base);
+
+  const double dense_base =
+      fx.model->Estimate(PlanKind::kSEV, dense).eliminate;
+  EXPECT_GT(pricey_words.Estimate(PlanKind::kSEV, dense).eliminate,
+            dense_base);
+  EXPECT_EQ(pricey_probes.Estimate(PlanKind::kSEV, dense).eliminate,
+            dense_base);
 }
 
 TEST(CalibrationTest, ProducesPositiveConstants) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "mining/local_counter.h"
+#include "plans/focal_subset.h"
 #include "test_util.h"
 
 namespace colarm {
@@ -91,6 +95,95 @@ TEST(LocalSubsetCounterTest, RecordChecksAccumulate) {
   std::vector<Tid> tids = {0, 1, 2, 3, 4};
   LocalSubsetCounter counter(data, {data.schema().ItemOf(0, 0)}, tids);
   EXPECT_EQ(counter.record_checks(), tids.size());
+}
+
+// Every route of the counter agrees on every count and on the effort
+// counter: the row probe (no DQ bitmap), and, over a dense DQ's bitmap,
+// the lattice DFS or the row probe — the DFS-vs-probe switch flips with
+// |DQ| and itemset length across this sweep — for every subset of every
+// itemset.
+TEST(LocalSubsetCounterTest, DenseRoutesMatchRowRoutes) {
+  Dataset data = RandomDataset(51, 500, 6, 4);
+  const Schema& schema = data.schema();
+  const VerticalIndex vertical = VerticalIndex::Build(data, nullptr);
+
+  Rng rng(61);
+  for (uint32_t extent : {0u, 1u, 3u}) {
+    Rect box = Rect::FullDomain(schema);
+    if (extent > 0) box.SetInterval(0, 0, extent - 1);
+    FocalSubset subset = FocalSubset::Materialize(data, box);
+    ASSERT_TRUE(IsDense(subset.size(), data.num_records()));
+    const Bitmap dq = Bitmap::FromTids(subset.tids, data.num_records());
+
+    for (size_t len : {0ul, 1ul, 2ul, 4ul, 8ul, 12ul}) {
+      Itemset items;
+      while (items.size() < len) {
+        ItemId item = static_cast<ItemId>(rng.Uniform(schema.num_items()));
+        if (std::find(items.begin(), items.end(), item) == items.end()) {
+          items.push_back(item);
+        }
+      }
+      std::sort(items.begin(), items.end());
+
+      LocalSubsetCounter rows(data, items, subset.tids);
+      LocalSubsetCounter dense(data, items, subset.tids, &vertical, &dq);
+      EXPECT_EQ(dense.CountFull(), rows.CountFull());
+      EXPECT_EQ(dense.CountFull(), NaiveCount(data, subset.tids, items));
+      EXPECT_EQ(dense.base_size(), rows.base_size());
+      EXPECT_EQ(dense.record_checks(), rows.record_checks());
+      EXPECT_EQ(dense.has_subset_table(), rows.has_subset_table());
+      EXPECT_TRUE(std::ranges::equal(dense.subset_table(),
+                                     rows.subset_table()));
+
+      const uint32_t full = len == 0 ? 0 : (1u << len) - 1;
+      const uint32_t step = len > 8 ? 37 : 1;
+      for (uint32_t mask = 0; mask <= full; mask += step) {
+        Itemset sub;
+        for (size_t i = 0; i < len; ++i) {
+          if (mask & (1u << i)) sub.push_back(items[i]);
+        }
+        EXPECT_EQ(dense.CountOf(sub), rows.CountOf(sub))
+            << "len " << len << " mask " << mask;
+      }
+      EXPECT_EQ(dense.record_checks(), rows.record_checks());
+    }
+  }
+}
+
+// Past kMaxMaskItems both routes count per query: an AND-chain against the
+// DQ bitmap, or a scan of the tid list. Counts and the per-query pass
+// charged to `record_checks` agree.
+TEST(LocalSubsetCounterTest, LongItemsetBothRoutes) {
+  Dataset data = RandomDataset(71, 120, 22, 2);
+  const Schema& schema = data.schema();
+  const VerticalIndex vertical = VerticalIndex::Build(data, nullptr);
+  Rect box = Rect::FullDomain(schema);
+  box.SetInterval(0, 0, 0);
+  FocalSubset subset = FocalSubset::Materialize(data, box);
+  ASSERT_TRUE(IsDense(subset.size(), data.num_records()));
+  const Bitmap dq = Bitmap::FromTids(subset.tids, data.num_records());
+
+  Itemset items;
+  for (AttrId a = 0; a < 22; ++a) items.push_back(schema.ItemOf(a, 0));
+  ASSERT_GT(items.size(), LocalSubsetCounter::kMaxMaskItems);
+
+  LocalSubsetCounter rows(data, items, subset.tids);
+  LocalSubsetCounter dense(data, items, subset.tids, &vertical, &dq);
+  EXPECT_FALSE(dense.has_subset_table());
+  EXPECT_EQ(dense.CountFull(), rows.CountFull());
+  EXPECT_EQ(dense.CountFull(), NaiveCount(data, subset.tids, items));
+  EXPECT_EQ(dense.record_checks(), rows.record_checks());
+  Rng rng(81);
+  for (int trial = 0; trial < 10; ++trial) {
+    Itemset sub;
+    for (ItemId item : items) {
+      if (rng.Bernoulli(0.3)) sub.push_back(item);
+    }
+    const uint32_t expected = NaiveCount(data, subset.tids, sub);
+    EXPECT_EQ(rows.CountOf(sub), expected);
+    EXPECT_EQ(dense.CountOf(sub), expected);
+    EXPECT_EQ(dense.record_checks(), rows.record_checks());
+  }
 }
 
 }  // namespace

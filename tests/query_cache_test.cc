@@ -48,7 +48,7 @@ TEST(QueryCacheTest, ColdMissThenExactHit) {
 
   EXPECT_EQ(cache.Probe(box).tier, CacheTier::kNone);
   uint64_t checks = 0;
-  auto cold = cache.Acquire(box, ExecBackend::kScalar, nullptr, &checks);
+  auto cold = cache.Acquire(box, &checks);
   EXPECT_EQ(cold.tier, CacheTier::kNone);
   EXPECT_EQ(checks, env.data->num_records());
   FocalSubset expected = FocalSubset::Materialize(*env.data, box);
@@ -59,7 +59,7 @@ TEST(QueryCacheTest, ColdMissThenExactHit) {
   EXPECT_EQ(hint.tier, CacheTier::kExact);
   EXPECT_EQ(hint.cached_size, static_cast<double>(expected.tids.size()));
   checks = 0;
-  auto warm = cache.Acquire(box, ExecBackend::kScalar, nullptr, &checks);
+  auto warm = cache.Acquire(box, &checks);
   EXPECT_EQ(warm.tier, CacheTier::kExact);
   EXPECT_EQ(checks, env.data->num_records());
   EXPECT_EQ(warm.subset.tids, expected.tids);
@@ -76,21 +76,18 @@ TEST(QueryCacheTest, UnconstrainedBoxChargesNothing) {
   QueryCache cache(*env.index, Enabled());
   Rect box = env.Box({});  // full-domain box: the cold scan is free too
   uint64_t checks = 0;
-  auto lease = cache.Acquire(box, ExecBackend::kScalar, nullptr, &checks);
+  auto lease = cache.Acquire(box, &checks);
   EXPECT_EQ(checks, 0u);
   EXPECT_EQ(lease.subset.tids.size(), env.data->num_records());
 }
 
-class ContainmentTest : public ::testing::TestWithParam<ExecBackend> {};
-
-TEST_P(ContainmentTest, DerivedSubsetMatchesColdMaterialization) {
-  const ExecBackend backend = GetParam();
+TEST(QueryCacheTest, DerivedSubsetMatchesColdMaterialization) {
   Env env = Env::Make(3);
   QueryCache cache(*env.index, Enabled());
 
   Rect outer = env.Box({{0, 0, 2}});
   uint64_t ignored = 0;
-  cache.Acquire(outer, backend, nullptr, &ignored);
+  cache.Acquire(outer, &ignored);
 
   // Drill-downs narrowing one and two attributes, both contained in outer.
   for (const auto& ranges :
@@ -99,7 +96,7 @@ TEST_P(ContainmentTest, DerivedSubsetMatchesColdMaterialization) {
     Rect inner = env.Box(ranges);
     CacheHint hint = cache.Probe(inner);
     ASSERT_EQ(hint.tier, CacheTier::kContainment);
-    auto lease = cache.Acquire(inner, backend, nullptr, &ignored);
+    auto lease = cache.Acquire(inner, &ignored);
     EXPECT_EQ(lease.tier, CacheTier::kContainment);
     FocalSubset expected = FocalSubset::Materialize(*env.data, inner);
     EXPECT_EQ(lease.subset.tids, expected.tids);
@@ -109,18 +106,12 @@ TEST_P(ContainmentTest, DerivedSubsetMatchesColdMaterialization) {
   EXPECT_EQ(cache.telemetry().hits_containment, 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ContainmentTest,
-                         ::testing::Values(ExecBackend::kScalar,
-                                           ExecBackend::kBitmap));
-
 TEST(QueryCacheTest, ContainmentPrefersSmallestSource) {
   Env env = Env::Make(4);
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
-  auto wide = cache.Acquire(env.Box({{0, 0, 3}}), ExecBackend::kScalar,
-                            nullptr, &ignored);
-  auto tight = cache.Acquire(env.Box({{0, 0, 2}}), ExecBackend::kScalar,
-                             nullptr, &ignored);
+  auto wide = cache.Acquire(env.Box({{0, 0, 3}}), &ignored);
+  auto tight = cache.Acquire(env.Box({{0, 0, 2}}), &ignored);
   ASSERT_LT(tight.subset.tids.size(), wide.subset.tids.size());
   CacheHint hint = cache.Probe(env.Box({{0, 0, 1}}));
   ASSERT_EQ(hint.tier, CacheTier::kContainment);
@@ -134,8 +125,8 @@ TEST(QueryCacheTest, LruEvictionUnderTightBudget) {
   uint64_t ignored = 0;
   Rect a = env.Box({{0, 0, 1}});
   Rect b = env.Box({{1, 0, 1}});
-  cache.Acquire(a, ExecBackend::kScalar, nullptr, &ignored);
-  cache.Acquire(b, ExecBackend::kScalar, nullptr, &ignored);
+  cache.Acquire(a, &ignored);
+  cache.Acquire(b, &ignored);
   CacheTelemetry t = cache.telemetry();
   EXPECT_GT(t.evictions, 0u);
   EXPECT_LE(t.bytes, 1500u);
@@ -152,15 +143,14 @@ TEST(QueryCacheTest, DeterministicStateAcrossInstances) {
           std::vector<RangeSelection>{{0, 0, 1}},
           std::vector<RangeSelection>{{1, 0, 1}},
           std::vector<RangeSelection>{{0, 0, 2}}}) {
-      cache->Acquire(env.Box(ranges), ExecBackend::kScalar, nullptr,
-                     &ignored);
+      cache->Acquire(env.Box(ranges), &ignored);
     }
     return cache->telemetry();
   };
-  QueryCache scalar_cache(*env.index, Enabled());
-  QueryCache bitmap_like(*env.index, Enabled());
-  CacheTelemetry one = run(&scalar_cache);
-  CacheTelemetry two = run(&bitmap_like);
+  QueryCache first(*env.index, Enabled());
+  QueryCache second(*env.index, Enabled());
+  CacheTelemetry one = run(&first);
+  CacheTelemetry two = run(&second);
   EXPECT_EQ(one.hits_exact, two.hits_exact);
   EXPECT_EQ(one.hits_containment, two.hits_containment);
   EXPECT_EQ(one.misses, two.misses);
@@ -173,7 +163,7 @@ TEST(QueryCacheTest, MemoCommitAndReplay) {
   QueryCache cache(*env.index, Enabled());
   Rect box = env.Box({{0, 0, 1}});
   uint64_t ignored = 0;
-  cache.Acquire(box, ExecBackend::kScalar, nullptr, &ignored);
+  cache.Acquire(box, &ignored);
   const std::string key = CanonicalBoxKey(box);
 
   EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
@@ -221,12 +211,11 @@ TEST(QueryCacheTest, CommitToEvictedBoxIsDropped) {
   QueryCache cache(*env.index, Enabled(1500));
   Rect a = env.Box({{0, 0, 1}});
   uint64_t ignored = 0;
-  cache.Acquire(a, ExecBackend::kScalar, nullptr, &ignored);
+  cache.Acquire(a, &ignored);
   auto txn = cache.BeginTxn(a);
   txn->RecordFull(1, 5);
   // Evict `a` by inserting another box under the one-subset budget.
-  cache.Acquire(env.Box({{1, 0, 1}}), ExecBackend::kScalar, nullptr,
-                &ignored);
+  cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
   ASSERT_EQ(cache.Probe(a).tier, CacheTier::kNone);
   cache.Commit(txn.get());  // must not resurrect the entry
   EXPECT_EQ(cache.MemoLookup(CanonicalBoxKey(a), "", 1), nullptr);
@@ -237,8 +226,7 @@ TEST(QueryCacheTest, ClearDropsResidencyButKeepsTotals) {
   Env env = Env::Make(9);
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
-  cache.Acquire(env.Box({{0, 0, 1}}), ExecBackend::kScalar, nullptr,
-                &ignored);
+  cache.Acquire(env.Box({{0, 0, 1}}), &ignored);
   cache.Clear();
   CacheTelemetry t = cache.telemetry();
   EXPECT_EQ(t.bytes, 0u);
@@ -327,15 +315,12 @@ Dataset IntersectDataset() {
   });
 }
 
-class ComposeTest : public ::testing::TestWithParam<ExecBackend> {};
-
-TEST_P(ComposeTest, UnionAssemblesAdjacentSlabs) {
-  const ExecBackend backend = GetParam();
+TEST(QueryCacheComposeTest, UnionAssemblesAdjacentSlabs) {
   Env env = Env::Make(11);
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
-  cache.Acquire(env.Box({{0, 0, 1}}), backend, nullptr, &ignored);
-  cache.Acquire(env.Box({{0, 2, 2}}), backend, nullptr, &ignored);
+  cache.Acquire(env.Box({{0, 0, 1}}), &ignored);
+  cache.Acquire(env.Box({{0, 2, 2}}), &ignored);
 
   Rect q = env.Box({{0, 0, 2}});
   FocalSubset expected = FocalSubset::Materialize(*env.data, q);
@@ -350,7 +335,7 @@ TEST_P(ComposeTest, UnionAssemblesAdjacentSlabs) {
   EXPECT_EQ(hint.cached_size, static_cast<double>(expected.tids.size()));
 
   uint64_t checks = 0;
-  auto lease = cache.Acquire(q, backend, nullptr, &checks);
+  auto lease = cache.Acquire(q, &checks);
   EXPECT_EQ(lease.tier, CacheTier::kCompose);
   EXPECT_EQ(checks, env.data->num_records());  // warm charges the cold price
   EXPECT_EQ(lease.subset.tids, expected.tids);
@@ -359,15 +344,14 @@ TEST_P(ComposeTest, UnionAssemblesAdjacentSlabs) {
   EXPECT_EQ(cache.Probe(q).tier, CacheTier::kExact);
 }
 
-TEST_P(ComposeTest, DifferenceSubtractsComplementSlab) {
-  const ExecBackend backend = GetParam();
+TEST(QueryCacheComposeTest, DifferenceSubtractsComplementSlab) {
   CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
   // Slab first, outer second, so neither acquisition derives from the
   // other and both land as independent cold entries.
-  cache.Acquire(env.Box({{0, 2, 2}}), backend, nullptr, &ignored);
-  cache.Acquire(env.Box({{0, 0, 2}}), backend, nullptr, &ignored);
+  cache.Acquire(env.Box({{0, 2, 2}}), &ignored);
+  cache.Acquire(env.Box({{0, 0, 2}}), &ignored);
   ASSERT_EQ(cache.telemetry().misses, 2u);
 
   Rect q = env.Box({{0, 0, 1}});
@@ -376,7 +360,7 @@ TEST_P(ComposeTest, DifferenceSubtractsComplementSlab) {
   EXPECT_EQ(hint.compose_sources, 2u);   // outer + one complement slab
   EXPECT_EQ(hint.cached_size, 140.0);    // |T_W| + |T_S| = 100 + 40
 
-  auto lease = cache.Acquire(q, backend, nullptr, &ignored);
+  auto lease = cache.Acquire(q, &ignored);
   EXPECT_EQ(lease.tier, CacheTier::kCompose);
   FocalSubset expected = FocalSubset::Materialize(*env.data, q);
   ASSERT_EQ(expected.tids.size(), 60u);
@@ -389,15 +373,13 @@ TEST_P(ComposeTest, DifferenceSubtractsComplementSlab) {
   EXPECT_EQ(derivations, 2u);
 }
 
-TEST_P(ComposeTest, IntersectionMeetsAtTheQueryBox) {
-  const ExecBackend backend = GetParam();
+TEST(QueryCacheComposeTest, IntersectionMeetsAtTheQueryBox) {
   CraftedEnv env = CraftedEnv::Make(IntersectDataset());
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
-  auto a = cache.Acquire(env.Box({{0, 0, 1}, {1, 0, 1}, {2, 0, 1}}), backend,
-                         nullptr, &ignored);
-  auto b = cache.Acquire(env.Box({{3, 0, 1}, {4, 0, 1}}), backend, nullptr,
-                         &ignored);
+  auto a =
+      cache.Acquire(env.Box({{0, 0, 1}, {1, 0, 1}, {2, 0, 1}}), &ignored);
+  auto b = cache.Acquire(env.Box({{3, 0, 1}, {4, 0, 1}}), &ignored);
   ASSERT_EQ(a.subset.tids.size(), 31u);
   ASSERT_EQ(b.subset.tids.size(), 28u);
   ASSERT_EQ(cache.telemetry().misses, 2u);
@@ -411,7 +393,7 @@ TEST_P(ComposeTest, IntersectionMeetsAtTheQueryBox) {
   EXPECT_EQ(hint.delta_attrs, 0u);
   EXPECT_EQ(hint.cached_size, 87.0);  // 31 + 28 + min(31,28) * (0+1)
 
-  auto lease = cache.Acquire(q, backend, nullptr, &ignored);
+  auto lease = cache.Acquire(q, &ignored);
   EXPECT_EQ(lease.tier, CacheTier::kCompose);
   FocalSubset expected = FocalSubset::Materialize(*env.data, q);
   ASSERT_EQ(expected.tids.size(), 20u);
@@ -419,16 +401,12 @@ TEST_P(ComposeTest, IntersectionMeetsAtTheQueryBox) {
   EXPECT_EQ(cache.telemetry().hits_compose, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ComposeTest,
-                         ::testing::Values(ExecBackend::kScalar,
-                                           ExecBackend::kBitmap));
-
 TEST(QueryCacheComposeTest, CostGateRefusesBreakEvenUnion) {
   CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
   QueryCache cache(*env.index, Enabled());
   uint64_t ignored = 0;
-  cache.Acquire(env.Box({{1, 0, 1}}), ExecBackend::kScalar, nullptr, &ignored);
-  cache.Acquire(env.Box({{1, 2, 2}}), ExecBackend::kScalar, nullptr, &ignored);
+  cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
+  cache.Acquire(env.Box({{1, 2, 2}}), &ignored);
 
   // Attribute 1 never takes value 3, so [0,2] is a constrained box that
   // still covers every record: the resident slabs tile it geometrically,
@@ -439,60 +417,53 @@ TEST(QueryCacheComposeTest, CostGateRefusesBreakEvenUnion) {
             env.data->num_records());
   EXPECT_EQ(cache.Probe(q).tier, CacheTier::kNone);
 
-  auto lease = cache.Acquire(q, ExecBackend::kScalar, nullptr, &ignored);
+  auto lease = cache.Acquire(q, &ignored);
   EXPECT_EQ(lease.tier, CacheTier::kNone);
   EXPECT_EQ(cache.telemetry().hits_compose, 0u);
   EXPECT_EQ(cache.telemetry().misses, 3u);
 }
 
-TEST(QueryCacheComposeTest, DeterministicAcrossBackendsAndPools) {
+TEST(QueryCacheComposeTest, DeterministicAcrossInstances) {
   CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
   struct Outcome {
     std::vector<std::vector<Tid>> tids;
     CacheTelemetry telemetry;
   };
   // Exercises miss, containment (S from W), difference compose, and an
-  // exact hit — through the scalar merges and the word-parallel bitmap
-  // kernels at several pool widths. State and bytes must not depend on
-  // the execution route.
-  auto run = [&](ExecBackend backend, ThreadPool* pool) {
+  // exact hit. Every served subset equals the cold materialization, and
+  // state and bytes are a pure function of the acquisition sequence.
+  const std::vector<std::vector<RangeSelection>> sequence = {
+      {{0, 0, 2}}, {{0, 2, 2}}, {{0, 0, 1}}, {{0, 0, 2}}};
+  auto run = [&]() {
     QueryCache cache(*env.index, Enabled());
     uint64_t ignored = 0;
     Outcome out;
-    for (const auto& ranges : {std::vector<RangeSelection>{{0, 0, 2}},
-                               std::vector<RangeSelection>{{0, 2, 2}},
-                               std::vector<RangeSelection>{{0, 0, 1}},
-                               std::vector<RangeSelection>{{0, 0, 2}}}) {
-      out.tids.push_back(
-          cache.Acquire(env.Box(ranges), backend, pool, &ignored).subset.tids);
+    for (const auto& ranges : sequence) {
+      out.tids.push_back(cache.Acquire(env.Box(ranges), &ignored).subset.tids);
     }
     out.telemetry = cache.telemetry();
     return out;
   };
-  ThreadPool pool2(2);
-  ThreadPool pool8(8);
-  const Outcome base = run(ExecBackend::kScalar, nullptr);
+  const Outcome base = run();
   EXPECT_EQ(base.telemetry.misses, 1u);
   EXPECT_EQ(base.telemetry.hits_containment, 1u);
   EXPECT_EQ(base.telemetry.hits_compose, 1u);
   EXPECT_EQ(base.telemetry.hits_exact, 1u);
-  std::vector<Outcome> variants;
-  variants.push_back(run(ExecBackend::kBitmap, nullptr));
-  variants.push_back(run(ExecBackend::kBitmap, &pool2));
-  variants.push_back(run(ExecBackend::kBitmap, &pool8));
-  for (const Outcome& variant : variants) {
-    EXPECT_EQ(variant.tids, base.tids);
-    EXPECT_EQ(variant.telemetry.hits_exact, base.telemetry.hits_exact);
-    EXPECT_EQ(variant.telemetry.hits_containment,
-              base.telemetry.hits_containment);
-    EXPECT_EQ(variant.telemetry.hits_compose, base.telemetry.hits_compose);
-    EXPECT_EQ(variant.telemetry.misses, base.telemetry.misses);
-    EXPECT_EQ(variant.telemetry.evictions, base.telemetry.evictions);
-    EXPECT_EQ(variant.telemetry.admission_rejects,
-              base.telemetry.admission_rejects);
-    EXPECT_EQ(variant.telemetry.bytes, base.telemetry.bytes);
-    EXPECT_EQ(variant.telemetry.entries, base.telemetry.entries);
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    EXPECT_EQ(base.tids[i],
+              FocalSubset::Materialize(*env.data, env.Box(sequence[i])).tids);
   }
+  const Outcome again = run();
+  EXPECT_EQ(again.tids, base.tids);
+  EXPECT_EQ(again.telemetry.hits_exact, base.telemetry.hits_exact);
+  EXPECT_EQ(again.telemetry.hits_containment, base.telemetry.hits_containment);
+  EXPECT_EQ(again.telemetry.hits_compose, base.telemetry.hits_compose);
+  EXPECT_EQ(again.telemetry.misses, base.telemetry.misses);
+  EXPECT_EQ(again.telemetry.evictions, base.telemetry.evictions);
+  EXPECT_EQ(again.telemetry.admission_rejects,
+            base.telemetry.admission_rejects);
+  EXPECT_EQ(again.telemetry.bytes, base.telemetry.bytes);
+  EXPECT_EQ(again.telemetry.entries, base.telemetry.entries);
 }
 
 // ---------------------------------------------------------------------
@@ -510,9 +481,9 @@ TEST(QueryCacheTest, ScanResistantAdmissionKeepsHotEntries) {
   {
     QueryCache probe(*env.index, Enabled());
     uint64_t ignored = 0;
-    probe.Acquire(h1, ExecBackend::kScalar, nullptr, &ignored);
+    probe.Acquire(h1, &ignored);
     b1 = probe.telemetry().bytes;
-    probe.Acquire(h2, ExecBackend::kScalar, nullptr, &ignored);
+    probe.Acquire(h2, &ignored);
     b2 = probe.telemetry().bytes - b1;
   }
   ASSERT_GT(b1, 0u);
@@ -523,10 +494,10 @@ TEST(QueryCacheTest, ScanResistantAdmissionKeepsHotEntries) {
   QueryCache cache(*env.index, Enabled(b1 + b2));
   uint64_t ignored = 0;
   for (int i = 0; i < 3; ++i) {
-    cache.Acquire(h1, ExecBackend::kScalar, nullptr, &ignored);
+    cache.Acquire(h1, &ignored);
   }
   for (int i = 0; i < 3; ++i) {
-    cache.Acquire(h2, ExecBackend::kScalar, nullptr, &ignored);
+    cache.Acquire(h2, &ignored);
   }
   ASSERT_EQ(cache.telemetry().entries, 2u);
   ASSERT_EQ(cache.telemetry().evictions, 0u);
@@ -538,7 +509,7 @@ TEST(QueryCacheTest, ScanResistantAdmissionKeepsHotEntries) {
   const std::vector<Rect> sweep = {env.Box({{2, 0, 1}}), env.Box({{3, 0, 1}}),
                                    env.Box({{4, 0, 1}})};
   for (const Rect& box : sweep) {
-    cache.Acquire(box, ExecBackend::kScalar, nullptr, &ignored);
+    cache.Acquire(box, &ignored);
   }
 
   CacheTelemetry t = cache.telemetry();

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "rtree/rtree.h"
+#include "rtree/bulk_load.h"
 
 namespace colarm {
 namespace {
@@ -55,15 +55,17 @@ class RTreeSearchTest : public ::testing::TestWithParam<RTreeParam> {};
 TEST_P(RTreeSearchTest, MatchesBruteForceAndKeepsInvariants) {
   auto [seed, count, dims] = GetParam();
   auto entries = RandomEntries(seed, count, dims, 40, 8);
-  RTree tree(dims);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-  EXPECT_EQ(tree.size(), count);
-  EXPECT_TRUE(tree.CheckInvariants());
+  // Both loaders that build the MIP-index: tiled (STR) and caller-ordered.
+  for (const RTree& tree :
+       {BulkLoadSTR(dims, entries), BulkLoadPacked(dims, entries)}) {
+    EXPECT_EQ(tree.size(), count);
+    EXPECT_TRUE(tree.CheckInvariants());
 
-  Rng rng(seed ^ 0xabcdef);
-  for (int q = 0; q < 25; ++q) {
-    Rect query = RandomBox(rng, dims, 40, 15);
-    EXPECT_EQ(TreeSearch(tree, query), BruteForceSearch(entries, query));
+    Rng rng(seed ^ 0xabcdef);
+    for (int q = 0; q < 25; ++q) {
+      Rect query = RandomBox(rng, dims, 40, 15);
+      EXPECT_EQ(TreeSearch(tree, query), BruteForceSearch(entries, query));
+    }
   }
 }
 
@@ -87,15 +89,13 @@ TEST(RTreeTest, EmptyTreeSearch) {
 }
 
 TEST(RTreeTest, ContainedFlagIsCorrect) {
-  RTree tree(2);
   Rect inner = Rect::MakeEmpty(2);
   inner.SetInterval(0, 2, 3);
   inner.SetInterval(1, 2, 3);
   Rect crossing = Rect::MakeEmpty(2);
   crossing.SetInterval(0, 0, 9);
   crossing.SetInterval(1, 2, 3);
-  tree.Insert({inner, 1, 10});
-  tree.Insert({crossing, 2, 10});
+  RTree tree = BulkLoadPacked(2, {{inner, 1, 10}, {crossing, 2, 10}});
 
   Rect query = Rect::MakeEmpty(2);
   query.SetInterval(0, 1, 5);
@@ -112,8 +112,7 @@ TEST(RTreeTest, ContainedFlagIsCorrect) {
 TEST(RTreeTest, SupportedSearchPrunesByCount) {
   const uint32_t dims = 2;
   auto entries = RandomEntries(42, 400, dims, 30, 6);
-  RTree tree(dims);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
+  RTree tree = BulkLoadSTR(dims, entries);
 
   Rng rng(43);
   for (int q = 0; q < 20; ++q) {
@@ -136,8 +135,7 @@ TEST(RTreeTest, SupportedSearchPrunesByCount) {
 
 TEST(RTreeTest, SupportedSearchVisitsFewerNodes) {
   auto entries = RandomEntries(7, 800, 3, 50, 5);
-  RTree tree(3);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
+  RTree tree = BulkLoadSTR(3, entries);
   Rect query = Rect::MakeEmpty(3);
   for (uint32_t d = 0; d < 3; ++d) query.SetInterval(d, 0, 49);
 
@@ -152,8 +150,7 @@ TEST(RTreeTest, SupportedSearchVisitsFewerNodes) {
 
 TEST(RTreeTest, ForEachNodeLevelsAreConsistent) {
   auto entries = RandomEntries(17, 600, 2, 40, 6);
-  RTree tree(2);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
+  RTree tree = BulkLoadSTR(2, entries);
   uint32_t max_level = 0;
   uint32_t leaf_level = UINT32_MAX;
   tree.ForEachNode([&](uint32_t level, const Rect&, bool leaf, uint32_t) {
@@ -166,12 +163,20 @@ TEST(RTreeTest, ForEachNodeLevelsAreConsistent) {
   EXPECT_EQ(max_level + 1, tree.height());
 }
 
-TEST(RTreeTest, HeightGrowsLogarithmically) {
-  auto entries = RandomEntries(19, 2000, 2, 60, 3);
-  RTree tree(2);
-  for (const RTreeEntry& e : entries) tree.Insert(e);
-  EXPECT_GE(tree.height(), 3u);
-  EXPECT_LE(tree.height(), 6u);
+// Packing fills every node but the last per level, so a packed tree is as
+// shallow as any R-tree with the same fanout can be: the least h with
+// max_entries^h >= n. No tree with that node capacity is shallower.
+TEST(RTreeTest, PackedHeightIsMinimal) {
+  const uint32_t fanout = RTree::Options().max_entries;
+  for (uint32_t count : {1u, 16u, 17u, 256u, 257u, 2000u}) {
+    auto entries = RandomEntries(19, count, 2, 60, 3);
+    uint32_t min_height = 1;
+    for (uint64_t reach = fanout; reach < count; reach *= fanout) {
+      ++min_height;
+    }
+    EXPECT_EQ(BulkLoadSTR(2, entries).height(), min_height) << count;
+    EXPECT_EQ(BulkLoadPacked(2, entries).height(), min_height) << count;
+  }
 }
 
 }  // namespace

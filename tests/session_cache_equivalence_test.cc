@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include "core/cache_persist.h"
 #include "core/engine.h"
@@ -86,16 +85,15 @@ std::vector<LocalizedQuery> SessionQueries() {
 }
 
 class SessionCacheEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<ExecBackend, unsigned>> {};
+    : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SessionCacheEquivalenceTest, WarmMatchesColdByteForByte) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(51, 260, 5, 4));
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -117,8 +115,7 @@ TEST_P(SessionCacheEquivalenceTest, WarmMatchesColdByteForByte) {
       ASSERT_TRUE(cold.ok());
       ASSERT_TRUE(warm.ok());
       std::string context =
-          "backend=" + std::to_string(static_cast<int>(backend)) +
-          " threads=" + std::to_string(num_threads) + " pass=" +
+          "threads=" + std::to_string(num_threads) + " pass=" +
           std::to_string(pass) + " query " + std::to_string(i);
       EXPECT_TRUE(
           cold->rules.SameAs(ReferenceLocalizedRules((*cold_engine)->index(),
@@ -150,13 +147,12 @@ TEST_P(SessionCacheEquivalenceTest, WarmMatchesColdByteForByte) {
 }
 
 TEST_P(SessionCacheEquivalenceTest, ForcedPlansMatchColdAcrossAllSix) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(52, 220, 5, 4));
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -195,16 +191,15 @@ TEST_P(SessionCacheEquivalenceTest, ForcedPlansMatchColdAcrossAllSix) {
 // Constrained queries through the session cache: a warm engine replaying a
 // constrained exploration session (CONTAIN / EXCLUDE / pinned attributes /
 // measure floors over shared and repeated boxes) answers byte-identically
-// to a cold cache-less engine, on both backends at every pool size.
+// to a cold cache-less engine at every pool size.
 TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(54, 240, 5, 4));
   const Schema& schema = data->schema();
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -250,8 +245,7 @@ TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
       ASSERT_TRUE(cold.ok());
       ASSERT_TRUE(warm.ok());
       std::string context =
-          "backend=" + std::to_string(static_cast<int>(backend)) +
-          " threads=" + std::to_string(num_threads) + " pass=" +
+          "threads=" + std::to_string(num_threads) + " pass=" +
           std::to_string(pass) + " constrained query " + std::to_string(i);
       ExpectSameRules(cold->rules, warm->rules, context);
       ExpectSameEffort(cold->stats, warm->stats, context);
@@ -267,13 +261,12 @@ TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
 // (difference) — answers byte-identically to a cold cache-less engine,
 // and the optimizer's plan choice is untouched by composition repricing.
 TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(56, 260, 5, 4));
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -309,8 +302,7 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
       ASSERT_TRUE(cold.ok());
       ASSERT_TRUE(warm.ok());
       std::string context =
-          "backend=" + std::to_string(static_cast<int>(backend)) +
-          " threads=" + std::to_string(num_threads) + " pass=" +
+          "threads=" + std::to_string(num_threads) + " pass=" +
           std::to_string(pass) + " overlap query " + std::to_string(i);
       ExpectSameRules(cold->rules, warm->rules, context);
       ExpectSameEffort(cold->stats, warm->stats, context);
@@ -330,16 +322,14 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
 // to a cold cache-less engine, with the restored residency serving exact
 // hits from the first query on.
 TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(57, 240, 5, 4));
   const std::string path = ::testing::TempDir() + "/session_warm_" +
-                           std::to_string(static_cast<int>(backend)) + "_" +
                            std::to_string(num_threads) + ".ccache";
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -371,8 +361,7 @@ TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
     ASSERT_TRUE(cold.ok());
     ASSERT_TRUE(warm.ok());
     std::string context =
-        "backend=" + std::to_string(static_cast<int>(backend)) +
-        " threads=" + std::to_string(num_threads) + " restarted query " +
+        "threads=" + std::to_string(num_threads) + " restarted query " +
         std::to_string(i);
     ExpectSameRules(cold->rules, warm->rules, context);
     ExpectSameEffort(cold->stats, warm->stats, context);
@@ -391,16 +380,14 @@ TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
 // byte-identical rules and effort counters — both in-session and across a
 // v4 save/load restart.
 TEST_P(SessionCacheEquivalenceTest, ArmMineMemoReplayMatchesCold) {
-  const auto [backend, num_threads] = GetParam();
+  const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(58, 240, 5, 4));
   const std::string path = ::testing::TempDir() + "/arm_memo_" +
-                           std::to_string(static_cast<int>(backend)) + "_" +
                            std::to_string(num_threads) + ".ccache";
 
   EngineOptions cold_options;
   cold_options.index.primary_support = 0.2;
   cold_options.calibrate = false;
-  cold_options.backend = backend;
   cold_options.num_threads = 1;
   auto cold_engine = Engine::Build(*data, cold_options);
   ASSERT_TRUE(cold_engine.ok());
@@ -425,8 +412,7 @@ TEST_P(SessionCacheEquivalenceTest, ArmMineMemoReplayMatchesCold) {
   auto replay = (*warm_engine)->ExecuteWithPlan(query, PlanKind::kARM);
   ASSERT_TRUE(replay.ok());
   std::string context =
-      "backend=" + std::to_string(static_cast<int>(backend)) +
-      " threads=" + std::to_string(num_threads);
+      "threads=" + std::to_string(num_threads);
   // The second run served the mining result from the memo...
   EXPECT_GT((*warm_engine)->cache()->telemetry().hits_count_memo,
             memo_before)
@@ -504,11 +490,8 @@ TEST(SessionCacheEquivalenceTest, MemoEntriesNeverLeakAcrossConstraintKeys) {
       << "constrained replay missed its own memo namespace";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BackendsAndThreads, SessionCacheEquivalenceTest,
-    ::testing::Combine(::testing::Values(ExecBackend::kScalar,
-                                         ExecBackend::kBitmap),
-                       ::testing::Values(1u, 2u, 8u)));
+INSTANTIATE_TEST_SUITE_P(Threads, SessionCacheEquivalenceTest,
+                         ::testing::Values(1u, 2u, 8u));
 
 // Default options build no cache at all: behaviour (including telemetry
 // fields) is exactly the cache-less engine's.

@@ -7,7 +7,7 @@
 #include "core/engine.h"
 #include "core/query_parser.h"
 #include "data/salary_dataset.h"
-#include "rtree/rtree.h"
+#include "rtree/bulk_load.h"
 #include "test_util.h"
 
 namespace colarm {
@@ -17,8 +17,10 @@ using testing_util::RandomDataset;
 using testing_util::ReferenceLocalizedRules;
 
 // ---------------------------------------------------------------------
-// R-tree fuzz: random interleaving of inserts and searches with
-// invariants checked continuously against a shadow set.
+// R-tree fuzz: a random interleaving of entry arrivals and searches. The
+// MIP-index is only ever packed, so every search runs on a tree re-packed
+// from the current entries (alternating the STR and caller-ordered
+// loaders), with invariants checked continuously against a shadow set.
 
 class RTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -26,9 +28,11 @@ TEST_P(RTreeFuzzTest, InterleavedOperationsKeepInvariants) {
   Rng rng(GetParam());
   const uint32_t dims = 3;
   const uint32_t domain = 20;
-  RTree tree(dims);
   std::vector<RTreeEntry> shadow;
+  RTree tree(dims);
+  bool stale = false;
   uint32_t next_id = 0;
+  uint32_t packs = 0;
 
   auto random_box = [&rng, dims, domain]() {
     Rect box = Rect::MakeEmpty(dims);
@@ -40,15 +44,21 @@ TEST_P(RTreeFuzzTest, InterleavedOperationsKeepInvariants) {
     }
     return box;
   };
+  auto repack = [&]() {
+    if (!stale) return;
+    tree = (packs++ % 2 == 0) ? BulkLoadSTR(dims, shadow)
+                              : BulkLoadPacked(dims, shadow);
+    stale = false;
+  };
 
   for (int op = 0; op < 600; ++op) {
     double dice = rng.NextDouble();
     if (dice < 0.7 || shadow.empty()) {
-      RTreeEntry entry{random_box(), next_id++,
-                       static_cast<uint32_t>(rng.Uniform(100))};
-      tree.Insert(entry);
-      shadow.push_back(entry);
+      shadow.push_back({random_box(), next_id++,
+                        static_cast<uint32_t>(rng.Uniform(100))});
+      stale = true;
     } else {
+      repack();
       Rect query = random_box();
       std::set<uint32_t> expected;
       for (const RTreeEntry& e : shadow) {
@@ -60,10 +70,12 @@ TEST_P(RTreeFuzzTest, InterleavedOperationsKeepInvariants) {
       ASSERT_EQ(actual, expected) << "at op " << op;
     }
     if (op % 50 == 0) {
+      repack();
       ASSERT_TRUE(tree.CheckInvariants()) << "at op " << op;
       ASSERT_EQ(tree.size(), shadow.size());
     }
   }
+  repack();
   EXPECT_TRUE(tree.CheckInvariants());
 }
 

@@ -4,11 +4,17 @@
 // primary support, query batch) that is checked against every metamorphic
 // invariant: all six plans vs. the brute-force oracle, thread-count
 // invariance (1/2/8), serialize round-trips, threshold monotonicity,
-// focal-box containment dominance, backend and session-cache equivalence,
-// SIMD kernel-level equivalence, and differential constraint equivalence
-// (constrained execution == post-filtered unconstrained execution). The
-// first failing case is shrunk to a minimal dataset+query reproducer and
-// printed as a ready-to-paste test.
+// focal-box containment dominance, session-cache equivalence and cache
+// persistence, SIMD kernel-level equivalence, and differential constraint
+// equivalence (constrained execution == post-filtered unconstrained
+// execution). The first failing case is shrunk to a minimal dataset+query
+// reproducer and printed as a ready-to-paste test.
+//
+// The record-level operators pick their route from the focal subset's
+// density (|DQ| x 64 >= |D|: bitmaps, otherwise row probes). Small cases
+// put almost every non-empty DQ over that bar, so every eighth seed draws
+// a wide case — 640 to 2000 records over wider domains, whose narrow
+// boxes fall below it — and the run reports how many DQs took each route.
 //
 // Usage:
 //   colarm_fuzz [flags]
@@ -16,8 +22,8 @@
 // Flags:
 //   --seeds N          number of cases to run (default 50)
 //   --seed-base S      first seed (default 1); case i uses seed S+i
-//   --smoke            CI preset: small cases, fixed seed base, finishes
-//                      well under a minute; exit code 1 on any violation
+//   --smoke            CI preset: small cases, fixed seed base, finishes in
+//                      a few seconds; exit code 1 on any violation
 //   --minutes M        long-running mode: keep drawing seeds until M
 //                      minutes elapsed (overrides --seeds)
 //   --threads A,B,...  pool sizes for the thread-invariance sweep
@@ -31,13 +37,16 @@
 //   --no-shrink        report the raw failing case without minimizing it
 //   --inject-off-by-one  bias the oracle's local minsupport threshold by
 //                      +1 to demonstrate that a >= vs > bug is caught
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bitmap/bitmap.h"
 #include "common/string_util.h"
+#include "plans/focal_subset.h"
 #include "testing/generator.h"
 #include "testing/invariants.h"
 #include "testing/shrinker.h"
@@ -118,6 +127,43 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
   return true;
 }
 
+// Every eighth seed is a wide case: enough records that a narrow box's DQ
+// falls under the density bar, so both record-level routes run.
+fuzzing::FuzzLimits LimitsForSeed(uint64_t seed, fuzzing::FuzzLimits limits) {
+  if (seed % 8 != 0) return limits;
+  limits.min_records = 640;
+  limits.max_records = 2000;
+  limits.max_attrs = std::min<uint32_t>(limits.max_attrs, 5);
+  limits.min_domain = 4;
+  limits.max_domain = 8;
+  return limits;
+}
+
+// Tally of the focal subsets a case's queries select, by the route the
+// record-level operators take on them.
+struct RouteSplit {
+  uint64_t dense = 0;
+  uint64_t sparse = 0;
+  uint64_t empty = 0;
+
+  void Add(const fuzzing::FuzzCase& fuzz_case) {
+    const Dataset& dataset = fuzz_case.dataset;
+    for (const LocalizedQuery& query : fuzz_case.queries) {
+      if (!query.Validate(dataset.schema()).ok()) continue;
+      const uint32_t size =
+          FocalSubset::Materialize(dataset, query.ToRect(dataset.schema()))
+              .size();
+      if (size == 0) {
+        ++empty;
+      } else if (IsDense(size, dataset.num_records())) {
+        ++dense;
+      } else {
+        ++sparse;
+      }
+    }
+  }
+};
+
 int Main(int argc, char** argv) {
   FuzzFlags flags;
   if (!ParseFlags(argc, argv, &flags)) return Usage(argv[0]);
@@ -145,6 +191,7 @@ int Main(int argc, char** argv) {
   };
 
   uint64_t ran = 0;
+  RouteSplit routes;
   for (uint64_t i = 0;; ++i) {
     if (flags.minutes > 0.0) {
       if (minutes_elapsed() >= flags.minutes) break;
@@ -152,7 +199,9 @@ int Main(int argc, char** argv) {
       break;
     }
     const uint64_t seed = flags.seed_base + i;
-    fuzzing::FuzzCase fuzz_case = fuzzing::GenerateFuzzCase(seed, limits);
+    fuzzing::FuzzCase fuzz_case =
+        fuzzing::GenerateFuzzCase(seed, LimitsForSeed(seed, limits));
+    routes.Add(fuzz_case);
     std::vector<fuzzing::Violation> violations =
         fuzzing::CheckCase(fuzz_case, flags.check);
     ++ran;
@@ -182,6 +231,10 @@ int Main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
+  std::printf("routes: %llu dense DQ(s), %llu sparse, %llu empty\n",
+              static_cast<unsigned long long>(routes.dense),
+              static_cast<unsigned long long>(routes.sparse),
+              static_cast<unsigned long long>(routes.empty));
   std::printf("OK: %llu case(s), zero invariant violations (%.1f s)\n",
               static_cast<unsigned long long>(ran), minutes_elapsed() * 60.0);
   return 0;
