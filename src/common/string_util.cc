@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
+#include <bit>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
@@ -79,6 +81,62 @@ bool ParseUint64(std::string_view input, uint64_t* out) {
   if (!buf.empty() && buf[0] == '-') return false;
   *out = value;
   return true;
+}
+
+namespace {
+
+// Fixed notation for 0 <= value < 2^32 and precision <= 9, computed on
+// the exact binary value in integers: value = m * 2^-shift, so
+// value * 10^precision = N / 2^shift with N = m * 10^precision < 2^83, and
+// the quotient rounds half to even on the exact remainder, as printf does.
+bool AppendFixedFast(double value, int precision, std::string* out) {
+  static constexpr uint32_t kPow10[] = {1,         10,        100,
+                                        1000,      10000,     100000,
+                                        1000000,   10000000,  100000000,
+                                        1000000000};
+  if (precision < 0 || precision > 9 || !(value < 0x1p32)) return false;
+  const auto bits = std::bit_cast<uint64_t>(value);
+  if ((bits >> 63) != 0) return false;  // negative, -0.0 or NaN
+  const uint64_t exponent = bits >> 52;
+  const uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
+  const uint64_t mantissa =
+      exponent == 0 ? fraction : fraction | (uint64_t{1} << 52);
+  // value < 2^32 makes the shift positive: 1075 - exponent >= 1043 - 31.
+  const uint64_t shift = exponent == 0 ? 1074 : 1075 - exponent;
+  const unsigned __int128 n =
+      static_cast<unsigned __int128>(mantissa) * kPow10[precision];
+  uint64_t scaled = 0;
+  if (shift < 84) {  // otherwise n < 2^83 is below half a unit: rounds to 0
+    scaled = static_cast<uint64_t>(n >> shift);
+    const unsigned __int128 rem = n - (static_cast<unsigned __int128>(scaled)
+                                       << shift);
+    const unsigned __int128 half = static_cast<unsigned __int128>(1)
+                                   << (shift - 1);
+    if (rem > half || (rem == half && (scaled & 1) != 0)) ++scaled;
+  }
+
+  char buf[32];
+  char* end = buf + sizeof(buf);
+  char* p = end;
+  for (int i = 0; i < precision; ++i) {
+    *--p = static_cast<char>('0' + scaled % 10);
+    scaled /= 10;
+  }
+  if (precision > 0) *--p = '.';
+  do {
+    *--p = static_cast<char>('0' + scaled % 10);
+    scaled /= 10;
+  } while (scaled != 0);
+  out->append(p, end);
+  return true;
+}
+
+}  // namespace
+
+void AppendFixed(double value, int precision, std::string* out) {
+  if (!AppendFixedFast(value, precision, out)) {
+    out->append(StrFormat("%.*f", precision, value));
+  }
 }
 
 std::string StrFormat(const char* fmt, ...) {

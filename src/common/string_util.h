@@ -25,6 +25,12 @@ bool ParseDouble(std::string_view input, double* out);
 /// Parses a non-negative integer; returns false on malformed input.
 bool ParseUint64(std::string_view input, uint64_t* out);
 
+/// Appends the bytes of printf's "%.<precision>f". Values in [0, 2^32)
+/// at precision <= 9 (every rule percentage) are rounded exactly in
+/// integers, with no format-string parsing and no temporary string; the
+/// rest go through StrFormat.
+void AppendFixed(double value, int precision, std::string* out);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

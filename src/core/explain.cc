@@ -53,23 +53,34 @@ std::string FormatPlanSummaryTable() {
       "COST(sel) + COST(ARM)\n";
 }
 
+void AppendRules(const Schema& schema, const RuleSet& rules, size_t limit,
+                 std::string* out) {
+  const size_t total = rules.rules.size();
+  const size_t shown = limit == 0 ? total : std::min(limit, total);
+  // An upper bound from the itemset sizes alone, so reserving reads no
+  // item: each label at its widest plus a separator, and the fixed text
+  // with two "100.0" percentages. The unused tail is never written.
+  size_t bound = 0;
+  for (size_t i = 0; i < shown; ++i) {
+    const Rule& rule = rules.rules[i];
+    bound += 38 + (rule.antecedent.size() + rule.consequent.size()) *
+                      (schema.widest_label() + 2);
+  }
+  out->reserve(out->size() + bound);
+  for (size_t i = 0; i < shown; ++i) {
+    out->append("  ");
+    AppendRule(schema, rules.rules[i], out);
+    out->push_back('\n');
+  }
+  if (total > shown) {
+    out->append(StrFormat("  ... and %zu more rules\n", total - shown));
+  }
+}
+
 std::string FormatRules(const Schema& schema, const RuleSet& rules,
                         size_t limit) {
-  std::vector<const Rule*> ordered;
-  ordered.reserve(rules.rules.size());
-  for (const Rule& rule : rules.rules) ordered.push_back(&rule);
-  std::sort(ordered.begin(), ordered.end(), [](const Rule* a, const Rule* b) {
-    if (a->support() != b->support()) return a->support() > b->support();
-    return a->confidence() > b->confidence();
-  });
-  if (limit == 0) limit = ordered.size();
   std::string out;
-  for (size_t i = 0; i < std::min(limit, ordered.size()); ++i) {
-    out += "  " + ordered[i]->ToString(schema) + "\n";
-  }
-  if (ordered.size() > limit) {
-    out += StrFormat("  ... and %zu more rules\n", ordered.size() - limit);
-  }
+  AppendRules(schema, rules, limit, &out);
   return out;
 }
 
@@ -103,7 +114,7 @@ std::string FormatQueryResult(const Schema& schema,
         static_cast<unsigned long long>(c.bytes),
         static_cast<unsigned long long>(c.entries));
   }
-  out += FormatRules(schema, result.rules, 10);
+  AppendRules(schema, result.rules, 10, &out);
   return out;
 }
 

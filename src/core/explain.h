@@ -14,8 +14,14 @@ std::string FormatDecision(const OptimizerDecision& decision);
 /// Renders the paper's Table 4 (the plan / optimization / cost summary).
 std::string FormatPlanSummaryTable();
 
-/// Pretty-prints up to `limit` rules (0 = all), sorted by descending local
-/// support then confidence.
+/// Appends up to `limit` rules (0 = all), one "  <rule>\n" line each, in
+/// the order the set holds them — ExecutePlan hands out canonical sets, so
+/// an answer prints by descending support then confidence. Reserves the
+/// whole listing once, then writes every rule straight into `out`.
+void AppendRules(const Schema& schema, const RuleSet& rules, size_t limit,
+                 std::string* out);
+
+/// AppendRules into a fresh string.
 std::string FormatRules(const Schema& schema, const RuleSet& rules,
                         size_t limit = 0);
 

@@ -11,10 +11,7 @@ namespace {
 
 std::string JoinItems(const Schema& schema, const Itemset& items) {
   std::string out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ';';
-    out += schema.ItemToString(items[i]);
-  }
+  AppendItems(schema, items, ";", &out);
   return out;
 }
 

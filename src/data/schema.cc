@@ -1,5 +1,7 @@
 #include "data/schema.h"
 
+#include <algorithm>
+
 namespace colarm {
 
 Schema::Schema(std::vector<Attribute> attributes)
@@ -13,11 +15,20 @@ Schema::Schema(std::vector<Attribute> attributes)
   item_base_.push_back(next);
   num_items_ = next;
   item_attr_.resize(num_items_);
+  label_offset_.reserve(num_items_ + 1);
   for (AttrId a = 0; a < attributes_.size(); ++a) {
+    const Attribute& attr = attributes_[a];
     for (ItemId i = item_base_[a]; i < item_base_[a + 1]; ++i) {
       item_attr_[i] = a;
+      label_offset_.push_back(static_cast<uint32_t>(labels_.size()));
+      labels_ += attr.name;
+      labels_ += '=';
+      labels_ += attr.values[i - item_base_[a]];
+      widest_label_ =
+          std::max<size_t>(widest_label_, labels_.size() - label_offset_.back());
     }
   }
+  label_offset_.push_back(static_cast<uint32_t>(labels_.size()));
 }
 
 Result<AttrId> Schema::AttrIdByName(const std::string& name) const {
@@ -38,12 +49,6 @@ Result<ValueId> Schema::ValueIdByLabel(AttrId a,
   }
   return Status::NotFound("attribute '" + attr.name + "' has no value '" +
                           label + "'");
-}
-
-std::string Schema::ItemToString(ItemId item) const {
-  AttrId a = AttrOfItem(item);
-  ValueId v = ValueOfItem(item);
-  return attributes_[a].name + "=" + attributes_[a].values[v];
 }
 
 }  // namespace colarm

@@ -2,6 +2,7 @@
 #define COLARM_DATA_SCHEMA_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -50,14 +51,27 @@ class Schema {
   /// Value index of `label` within attribute `a`.
   Result<ValueId> ValueIdByLabel(AttrId a, const std::string& label) const;
 
-  /// "Attr=value" rendering of an item, e.g. "Age=20-30".
-  std::string ItemToString(ItemId item) const;
+  /// "Attr=value" rendering of an item, e.g. "Age=20-30" — built once at
+  /// construction, so printing an item is a single append.
+  std::string_view ItemLabel(ItemId item) const {
+    return std::string_view(labels_).substr(
+        label_offset_[item], label_offset_[item + 1] - label_offset_[item]);
+  }
+  /// Length of the longest item label (0 for an empty schema).
+  size_t widest_label() const { return widest_label_; }
+  /// The item writer: appends ItemLabel(item) to `out`.
+  void AppendItem(ItemId item, std::string* out) const {
+    out->append(ItemLabel(item));
+  }
 
  private:
   std::vector<Attribute> attributes_;
   std::vector<ItemId> item_base_;   // size num_attributes()+1
   std::vector<AttrId> item_attr_;   // size num_items()
   uint32_t num_items_ = 0;
+  std::string labels_;                  // every item's label, concatenated
+  std::vector<uint32_t> label_offset_;  // size num_items()+1, into labels_
+  size_t widest_label_ = 0;
 };
 
 }  // namespace colarm

@@ -52,16 +52,6 @@ void AppendDouble(std::string* out, double v) {
   out->append(bytes, sizeof(bytes));
 }
 
-void AppendItemList(const Schema& schema, const Itemset& items,
-                    std::string* out) {
-  out->push_back('{');
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out->append(", ");
-    out->append(schema.ItemToString(items[i]));
-  }
-  out->push_back('}');
-}
-
 }  // namespace
 
 Status RuleConstraints::Validate(const Schema& schema) const {
@@ -115,11 +105,11 @@ std::string RuleConstraints::ToString(const Schema& schema) const {
   std::string out;
   if (!must_contain.empty()) {
     out += " AND CONTAIN ";
-    AppendItemList(schema, must_contain, &out);
+    AppendItemset(schema, must_contain, &out);
   }
   if (!must_exclude.empty()) {
     out += " AND EXCLUDE ";
-    AppendItemList(schema, must_exclude, &out);
+    AppendItemset(schema, must_exclude, &out);
   }
   if (!antecedent_only.empty()) {
     out += " AND ANTECEDENT ATTRIBUTES {";

@@ -40,14 +40,25 @@ bool ItemsetDisjoint(std::span<const ItemId> a, std::span<const ItemId> b) {
   return true;
 }
 
+void AppendItems(const Schema& schema, std::span<const ItemId> items,
+                 std::string_view sep, std::string* out) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out->append(sep);
+    schema.AppendItem(items[i], out);
+  }
+}
+
+void AppendItemset(const Schema& schema, std::span<const ItemId> items,
+                   std::string* out) {
+  out->push_back('{');
+  AppendItems(schema, items, ", ", out);
+  out->push_back('}');
+}
+
 std::string ItemsetToString(const Schema& schema,
                             std::span<const ItemId> items) {
-  std::string out = "{";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += schema.ItemToString(items[i]);
-  }
-  out += "}";
+  std::string out;
+  AppendItemset(schema, items, &out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/schema.h"
@@ -27,7 +28,15 @@ bool ItemsetIsSubset(std::span<const ItemId> sub, std::span<const ItemId> super)
 /// True iff the two sorted itemsets share no item.
 bool ItemsetDisjoint(std::span<const ItemId> a, std::span<const ItemId> b);
 
-/// "{Age=20-30, Salary=90K-120K}" rendering.
+/// Appends the items' "Attr=value" labels joined by `sep`, no braces.
+void AppendItems(const Schema& schema, std::span<const ItemId> items,
+                 std::string_view sep, std::string* out);
+
+/// Appends "{Age=20-30, Salary=90K-120K}".
+void AppendItemset(const Schema& schema, std::span<const ItemId> items,
+                   std::string* out);
+
+/// AppendItemset into a fresh string.
 std::string ItemsetToString(const Schema& schema, std::span<const ItemId> items);
 
 /// Converts a fractional support threshold into the smallest absolute count

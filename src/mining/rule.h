@@ -35,14 +35,23 @@ struct Rule {
     return antecedent == other.antecedent && consequent == other.consequent;
   }
 
+  /// AppendRule into a fresh string.
   std::string ToString(const Schema& schema) const;
 };
+
+/// The rule writer: appends "{X} => {Y} (supp=S%, conf=C%)" with both
+/// percentages to one decimal (printf "%.1f" bytes), straight into `out`.
+void AppendRule(const Schema& schema, const Rule& rule, std::string* out);
 
 /// Result set of a localized mining query.
 struct RuleSet {
   std::vector<Rule> rules;
 
-  /// Sorts by (antecedent, consequent) for stable output and comparisons.
+  /// Sorts into the canonical order, the order in which answers print:
+  /// support descending, then confidence descending (both compared
+  /// exactly on the counts; a zero denominator ranks as 0), then
+  /// antecedent, then consequent. The order is total, so equal sets
+  /// canonicalize to identical sequences whatever order they arrived in.
   void Canonicalize();
 
   /// True when both sets contain the same (X => Y) pairs with the same

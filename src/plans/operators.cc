@@ -137,24 +137,40 @@ bool MemoActive(const PlanContext& ctx) {
   return ctx.cache != nullptr && ctx.memo_txn != nullptr;
 }
 
+// Local support of one itemset within the focal subset: popcount(item-AND
+// ∩ DQ) on a dense DQ, row probes on a sparse one. `scratch` (one per
+// candidate range, sized to the DQ bitmap when there is one) keeps the
+// candidate loops allocation-free. The caller charges the pass.
+uint32_t FullLocalCount(const PlanContext& ctx, const Itemset& items,
+                        Bitmap* scratch) {
+  if (const Bitmap* dq = ctx.dq(); dq != nullptr) {
+    return BitmapLocalCount(ctx.index.vertical(), *dq, items, scratch);
+  }
+  const Dataset& dataset = ctx.index.dataset();
+  uint32_t count = 0;
+  for (Tid t : ctx.subset.tids) {
+    if (dataset.ContainsAll(t, items)) ++count;
+  }
+  return count;
+}
+
+// Bitmap scratch for FullLocalCount over one candidate range.
+Bitmap CountScratch(const PlanContext& ctx) {
+  return ctx.dq() != nullptr ? Bitmap(ctx.dq()->size()) : Bitmap();
+}
+
 // Sequential ELIMINATE body over one candidate range; the parallel path
-// runs it per chunk with chunk-local outputs. A dense DQ counts each
-// candidate as popcount(item-AND ∩ DQ) — one scratch bitmap per range
-// keeps the candidate loop allocation-free — a sparse one by row probes;
-// both charge one pass over the focal subset.
+// runs it per chunk with chunk-local outputs. Each counted candidate is
+// charged one pass over the focal subset.
 void EliminateRange(PlanContext* ctx, std::span<const uint32_t> candidates,
                     std::vector<QualifiedItemset>* qualified,
                     uint64_t* record_checks) {
-  const Dataset& dataset = ctx->index.dataset();
   const bool memo = MemoActive(*ctx);
-  const Bitmap* dq = ctx->dq();
-  Bitmap scratch;
-  if (dq != nullptr) scratch = Bitmap(dq->size());
+  Bitmap scratch = CountScratch(*ctx);
   for (uint32_t id : candidates) {
     ThrowIfCancelled(ctx->cancel);
     if (!ctx->MipConstraintAllowed(id)) continue;
     const Mip& mip = ctx->index.mip(id);
-    uint32_t count = 0;
     if (memo) {
       auto hit = ctx->cache->MemoLookup(ctx->memo_txn->box_key(),
                                         ctx->memo_txn->constraint_key(), id);
@@ -170,14 +186,7 @@ void EliminateRange(PlanContext* ctx, std::span<const uint32_t> candidates,
         continue;
       }
     }
-    if (dq != nullptr) {
-      count = BitmapLocalCount(ctx->index.vertical(), *dq, mip.items,
-                               &scratch);
-    } else {
-      for (Tid t : ctx->subset.tids) {
-        if (dataset.ContainsAll(t, mip.items)) ++count;
-      }
-    }
+    const uint32_t count = FullLocalCount(*ctx, mip.items, &scratch);
     *record_checks += ctx->subset.tids.size();
     if (memo) ctx->memo_txn->RecordFull(id, count);
     if (count >= ctx->local_min_count) {
@@ -310,9 +319,9 @@ void VerifyRange(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
   }
 }
 
-// One SUPPORTED-VERIFY candidate, cold or memo-replayed: the counter's
-// full count decides qualification, then the same counter feeds rule
-// generation — one pass does both jobs.
+// One SUPPORTED-VERIFY candidate whose counter is in hand (cold or
+// memo-replayed): the counter's full count decides qualification, then the
+// same counter feeds rule generation.
 template <typename Counter>
 void SupportedVerifyOne(PlanContext* ctx, const Counter& counter, RuleSet* out,
                         RuleGenStats* rule_stats, uint64_t* record_checks) {
@@ -323,14 +332,20 @@ void SupportedVerifyOne(PlanContext* ctx, const Counter& counter, RuleSet* out,
                           rule_stats);
 }
 
+// Cold SUPPORTED-VERIFY settles qualification with one FullLocalCount and
+// builds the 2^L subset table only for candidates that qualify. Either way the candidate
+// is charged the one focal-subset pass the table build would charge, so
+// the effort counters do not depend on which candidates qualified.
 void SupportedVerifyRange(PlanContext* ctx,
                           std::span<const uint32_t> candidates, RuleSet* out,
                           RuleGenStats* rule_stats, uint64_t* record_checks) {
   const bool memo = MemoActive(*ctx);
+  Bitmap scratch = CountScratch(*ctx);
   for (uint32_t id : candidates) {
     ThrowIfCancelled(ctx->cancel);
     if (!ctx->MipConstraintAllowed(id)) continue;
     const Itemset& items = ctx->index.mip(id).items;
+    bool known_qualified = false;
     if (memo) {
       auto hit = ctx->cache->MemoLookup(ctx->memo_txn->box_key(),
                                         ctx->memo_txn->constraint_key(), id);
@@ -343,11 +358,21 @@ void SupportedVerifyRange(PlanContext* ctx,
         continue;
       }
       if (hit != nullptr && hit->full_count < ctx->local_min_count) {
-        // A full-count-only memo (ELIMINATE's) still settles
-        // disqualification; only a qualifying candidate needs the table
-        // and falls through to the cold pass.
+        // A full-count-only memo (ELIMINATE's, or a disqualified
+        // SUPPORTED-VERIFY candidate's) settles disqualification; only a
+        // qualifying candidate needs the table and falls through to the
+        // cold pass.
         ctx->cache->NoteMemoServed();
         *record_checks += ctx->subset.tids.size();
+        continue;
+      }
+      known_qualified = hit != nullptr;
+    }
+    if (!known_qualified) {
+      const uint32_t count = FullLocalCount(*ctx, items, &scratch);
+      if (count < ctx->local_min_count) {
+        *record_checks += ctx->subset.tids.size();
+        if (memo) ctx->memo_txn->RecordFull(id, count);
         continue;
       }
     }

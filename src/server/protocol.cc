@@ -106,6 +106,7 @@ Result<Command> ParseCommandLine(std::string_view line) {
 
 std::string OkResponse(std::string_view payload) {
   std::string out = StrFormat("OK %zu\n", payload.size());
+  out.reserve(out.size() + payload.size());
   out.append(payload);
   return out;
 }
@@ -144,7 +145,7 @@ std::string RenderMineResult(const Schema& schema, const QueryResult& result) {
     if (clauses.rfind(" AND ", 0) == 0) clauses.erase(0, 5);
     out += "constraints " + clauses + "\n";
   }
-  out += FormatRules(schema, result.rules, /*limit=*/0);
+  AppendRules(schema, result.rules, /*limit=*/0, &out);
   return out;
 }
 

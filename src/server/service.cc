@@ -145,14 +145,21 @@ std::string Service::ExecuteSingleMine(Tenant* tenant,
   session.cancel = &token;
   Result<QueryResult> result = engine_->Execute(request.query, session);
 
-  std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
-  tenant->stats_.mines++;
+  {
+    // Counters only: rendering runs after the lock is released, so a
+    // STATS on the same tenant never waits behind a large answer.
+    std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
+    tenant->stats_.mines++;
+    if (!result.ok()) {
+      tenant->stats_.mine_errors++;
+    } else {
+      tenant->stats_.rules += result->rules.rules.size();
+    }
+  }
   if (!result.ok()) {
-    tenant->stats_.mine_errors++;
     return ErrResponse(StatusErrCode(result.status()),
                        result.status().message());
   }
-  tenant->stats_.rules += result->rules.rules.size();
   return OkResponse(
       RenderMineResult(engine_->index().dataset().schema(), *result));
 }
@@ -187,10 +194,14 @@ std::vector<std::string> Service::ExecuteMineGroup(
     BatchExecutor executor(*engine_);
     Result<BatchResult> batch = executor.Execute(queries, options);
     if (batch.ok()) {
-      std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
+      {
+        std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
+        for (const QueryResult& result : batch->results) {
+          tenant->stats_.mines++;
+          tenant->stats_.rules += result.rules.rules.size();
+        }
+      }
       for (const QueryResult& result : batch->results) {
-        tenant->stats_.mines++;
-        tenant->stats_.rules += result.rules.rules.size();
         responses.push_back(OkResponse(
             RenderMineResult(engine_->index().dataset().schema(), result)));
       }

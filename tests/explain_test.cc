@@ -57,6 +57,9 @@ TEST(ExplainTest, FormatRulesSortsBySupport) {
                              8,
                              9,
                              10});
+  // FormatRules prints in the order it is given; Canonicalize() is what
+  // puts the higher support first (ExecutePlan does it for every answer).
+  rules.Canonicalize();
   std::string text = FormatRules(data.schema(), rules);
   size_t high = text.find("Age=30-40");
   size_t low = text.find("Age=20-30");

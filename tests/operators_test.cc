@@ -160,24 +160,40 @@ TEST(OperatorsTest, UnionMergesAndSorts) {
   EXPECT_EQ(merged[2].mip_id, 5u);
 }
 
+// Same rules, and the same price: SUPPORTED-VERIFY charges every counted
+// candidate one focal-subset pass whether or not it qualifies (and builds
+// its subset table), so it charges ELIMINATE + VERIFY less one pass per
+// qualified itemset. Both record-level routes.
 TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
   Fixture fx = Fixture::Make(7, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx1(fx.index, query, RuleGenOptions{});
-  CandidateSet cands1 = OpSearch(&ctx1);
-  std::vector<uint32_t> all1 = cands1.contained;
-  all1.insert(all1.end(), cands1.overlapped.begin(), cands1.overlapped.end());
-  RuleSet via_ev;
-  OpVerify(&ctx1, OpEliminate(&ctx1, all1), &via_ev);
+  for (bool dense : {false, true}) {
+    PlanContext ctx1(fx.index, query, RuleGenOptions{});
+    if (dense) ctx1.BuildDqBitmap();
+    CandidateSet cands1 = OpSearch(&ctx1);
+    std::vector<uint32_t> all1 = cands1.contained;
+    all1.insert(all1.end(), cands1.overlapped.begin(),
+                cands1.overlapped.end());
+    RuleSet via_ev;
+    const std::vector<QualifiedItemset> qualified = OpEliminate(&ctx1, all1);
+    OpVerify(&ctx1, qualified, &via_ev);
 
-  PlanContext ctx2(fx.index, query, RuleGenOptions{});
-  CandidateSet cands2 = OpSearch(&ctx2);
-  std::vector<uint32_t> all2 = cands2.contained;
-  all2.insert(all2.end(), cands2.overlapped.begin(), cands2.overlapped.end());
-  RuleSet via_vs;
-  OpSupportedVerify(&ctx2, all2, &via_vs);
+    PlanContext ctx2(fx.index, query, RuleGenOptions{});
+    if (dense) ctx2.BuildDqBitmap();
+    ASSERT_EQ(ctx2.dq() != nullptr, dense);
+    CandidateSet cands2 = OpSearch(&ctx2);
+    std::vector<uint32_t> all2 = cands2.contained;
+    all2.insert(all2.end(), cands2.overlapped.begin(),
+                cands2.overlapped.end());
+    RuleSet via_vs;
+    OpSupportedVerify(&ctx2, all2, &via_vs);
 
-  EXPECT_TRUE(via_ev.SameAs(via_vs));
+    EXPECT_TRUE(via_ev.SameAs(via_vs)) << dense;
+    ASSERT_GT(all2.size(), qualified.size()) << "no candidate disqualified";
+    EXPECT_EQ(ctx1.record_checks - ctx2.record_checks,
+              qualified.size() * ctx2.subset.size())
+        << dense;
+  }
 }
 
 TEST(OperatorsTest, ArmMineMatchesEliminateQualification) {

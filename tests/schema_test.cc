@@ -57,9 +57,12 @@ TEST(SchemaTest, ValueIdByLabel) {
   EXPECT_FALSE(schema.ValueIdByLabel(99, "red").ok());
 }
 
-TEST(SchemaTest, ItemToString) {
+TEST(SchemaTest, ItemLabel) {
   Schema schema = MakeTestSchema();
-  EXPECT_EQ(schema.ItemToString(schema.ItemOf(1, 1)), "size=M");
+  EXPECT_EQ(schema.ItemLabel(schema.ItemOf(1, 1)), "size=M");
+  std::string out = "x ";
+  schema.AppendItem(schema.ItemOf(1, 1), &out);
+  EXPECT_EQ(out, "x size=M");
 }
 
 TEST(SchemaTest, EmptySchema) {
