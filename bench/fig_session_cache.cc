@@ -95,7 +95,7 @@ std::unique_ptr<Engine> BuildCachedEngine(const BenchDataset& dataset) {
   options.index.primary_support = dataset.primary_support;
   options.calibrate = true;
   options.num_threads = ThreadsFromEnv();
-  options.cache.enabled = true;
+  options.cache = QueryCacheOptions{};  // the default budget
   auto engine = Engine::Build(*dataset.data, options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine build failed: %s\n",

@@ -3,7 +3,6 @@
 // SUPPORTED-VERIFY, and full plan executions on one mid-size scenario.
 #include <benchmark/benchmark.h>
 
-#include "core/batch.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "plans/operators.h"
@@ -92,7 +91,7 @@ void BM_FullPlan(benchmark::State& state) {
 BENCHMARK(BM_FullPlan)->DenseRange(0, 5);
 
 // Multi-query ablation: an exploration session of 12 queries over 3
-// focal boxes, executed naively vs through the batch executor (shared
+// focal boxes, executed naively vs as one Engine::ExecuteBatch (shared
 // subset materializations + duplicate-result reuse).
 std::vector<LocalizedQuery> SessionQueries() {
   std::vector<LocalizedQuery> queries;
@@ -124,10 +123,9 @@ BENCHMARK(BM_SessionNaive);
 void BM_SessionBatched(benchmark::State& state) {
   const Env& env = Env::Get();
   auto queries = SessionQueries();
-  BatchExecutor executor(*env.engine);
   for (auto _ : state) {
-    auto batch = executor.Execute(queries);
-    benchmark::DoNotOptimize(batch.value().results.size());
+    BatchResult batch = env.engine->ExecuteBatch(queries);
+    benchmark::DoNotOptimize(batch.results.size());
   }
 }
 BENCHMARK(BM_SessionBatched);

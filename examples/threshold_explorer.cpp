@@ -23,7 +23,7 @@ int main() {
   if (!data.ok()) return 1;
   EngineOptions options;
   options.index.primary_support = 0.6;
-  options.cache.enabled = true;
+  options.cache = QueryCacheOptions{};  // the default budget
   auto engine = Engine::Build(*data, options);
   if (!engine.ok()) return 1;
 

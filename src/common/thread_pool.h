@@ -12,7 +12,7 @@
 namespace colarm {
 
 /// A fixed-size worker pool shared by every parallel stage of the engine
-/// (online VERIFY partitioning, the multi-query batch executor, and the
+/// (online VERIFY partitioning, the engine's multi-query batches, and the
 /// offline MIP-index build). The pool itself is deliberately dumb — a FIFO
 /// task queue — because all scheduling intelligence lives in ParallelChunks
 /// below, whose caller always participates in the work. That property makes

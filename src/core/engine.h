@@ -2,6 +2,9 @@
 #define COLARM_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/optimizer.h"
@@ -31,12 +34,13 @@ struct EngineOptions {
   /// changes wall time.
   unsigned num_threads = 0;
   /// Session cache (core/query_cache.h): focal-subset reuse across
-  /// queries and batches plus the per-(box, itemset) count memo. Disabled
-  /// by default — the default options preserve cache-less behaviour
-  /// exactly. When enabled, warm execution stays byte-identical to cold in
-  /// rules, effort counters, and plan choice; only wall time and the
-  /// decision's cache-provenance field change.
-  QueryCacheOptions cache;
+  /// queries and batches plus the per-(box, itemset) count memo. Off by
+  /// default (a zero byte budget means no cache) — the default options
+  /// preserve cache-less behaviour exactly. With a budget, warm execution
+  /// stays byte-identical to cold in rules, effort counters, and plan
+  /// choice; only wall time and the decision's cache-provenance field
+  /// change.
+  QueryCacheOptions cache = {.byte_budget = 0};
 };
 
 /// Outcome of one query: the localized rules plus which plan ran, why, and
@@ -49,7 +53,26 @@ struct QueryResult {
   OptimizerDecision decision;
   /// Session-cache telemetry for this query: hit/miss/eviction counters as
   /// deltas attributable to the query, bytes/entries as the resident state
-  /// after it. All zero when the cache is disabled.
+  /// after it. All zero when the cache is disabled, and for queries run in
+  /// a batch of two or more (see BatchResult::cache).
+  CacheTelemetry cache;
+};
+
+/// Outcome of Engine::ExecuteBatch.
+struct BatchResult {
+  /// One entry per input query, in input order: its result, or the status
+  /// that failed it alone (invalid query, cancel token fired).
+  std::vector<Result<QueryResult>> results;
+  /// Without a cache: focal-subset materializations avoided because an
+  /// earlier executed query of the batch selects the same box. Zero with a
+  /// cache, whose hit counters show that reuse instead.
+  uint32_t subsets_shared = 0;
+  /// Queries answered with an identical earlier query's outcome (same
+  /// query, same cancel token).
+  uint32_t duplicates_reused = 0;
+  /// Session-cache telemetry for the whole batch: hit/miss/eviction
+  /// counters as deltas, bytes/entries as the resident state after it.
+  /// All zero when no cache applies.
   CacheTelemetry cache;
 };
 
@@ -65,7 +88,9 @@ struct SessionContext {
   /// have been built over this engine's index.
   QueryCache* cache = nullptr;
   /// When set, the plan executors poll it and the call returns
-  /// kDeadlineExceeded instead of a result once it fires.
+  /// kDeadlineExceeded instead of a result once it fires. A token that has
+  /// fired before the query's SELECT fails it without touching the cache.
+  /// (ExecuteBatch takes one token per query instead.)
   const CancelToken* cancel = nullptr;
 };
 
@@ -92,7 +117,8 @@ class Engine {
   Result<QueryResult> Execute(const LocalizedQuery& query) const;
 
   /// Executes `query` under a session context: against the context's cache
-  /// (per-tenant sessions) and cancellation token (request deadlines).
+  /// (per-tenant sessions) and cancellation token (request deadlines). The
+  /// batch of one.
   Result<QueryResult> Execute(const LocalizedQuery& query,
                               const SessionContext& session) const;
 
@@ -100,6 +126,31 @@ class Engine {
   /// the plan-equivalence tests).
   Result<QueryResult> ExecuteWithPlan(const LocalizedQuery& query,
                                       PlanKind kind) const;
+
+  /// Multi-query execution — the paper's future-work item (b) and the
+  /// engine's only query pipeline (Execute is a batch of one). Each query
+  /// runs one sequence, in input order: acquire its focal subset (with a
+  /// cache, one QueryCache::Acquire per executed query; without, each
+  /// distinct box is materialized once, concurrently), choose its plan
+  /// with the acquisition's cache hint, begin its memo transaction, and
+  /// execute it on the engine's pool concurrently with the others. The
+  /// successful queries' memos commit afterwards in input order. A query
+  /// identical to an earlier one under the same cancel token shares that
+  /// query's outcome.
+  ///
+  /// Every result equals the query's standalone Execute in rules, plan and
+  /// every effort counter, for any thread count. Cache state transitions
+  /// are sequential, so they are deterministic too; memo reads see the
+  /// cache as it was before the batch.
+  ///
+  /// `cache` overrides the engine's cache as SessionContext::cache does
+  /// (null keeps the engine's). `cancels` is empty (nothing is cancelled)
+  /// or holds one token per query (null = never cancelled); any other size
+  /// fails every slot with kInvalidArgument. Failures stay in their slot.
+  BatchResult ExecuteBatch(std::span<const LocalizedQuery> queries,
+                           QueryCache* cache = nullptr,
+                           std::span<const CancelToken* const> cancels = {})
+      const;
 
   /// Cost estimates for all plans without executing anything.
   Result<OptimizerDecision> Explain(const LocalizedQuery& query) const;
@@ -116,16 +167,21 @@ class Engine {
   /// The engine's worker pool; null when num_threads resolved to 1.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// The session cache; null when disabled (the default) or when the byte
-  /// budget is 0. Shared with the BatchExecutor.
+  /// The session cache; null when the byte budget is 0 (the default).
   QueryCache* cache() const { return cache_.get(); }
 
  private:
   Engine() = default;
 
-  Result<QueryResult> Run(const LocalizedQuery& query, PlanKind forced,
-                          bool use_optimizer,
-                          const SessionContext& session = {}) const;
+  /// ExecuteBatch with one token per query (`cancels.size()` equals
+  /// `queries.size()`), every query on `forced` when it is set.
+  BatchResult Run(std::span<const LocalizedQuery> queries, QueryCache* cache,
+                  std::span<const CancelToken* const> cancels,
+                  std::optional<PlanKind> forced) const;
+  /// The batch of one; its result carries the batch's cache telemetry.
+  Result<QueryResult> RunOne(const LocalizedQuery& query,
+                             const SessionContext& session,
+                             std::optional<PlanKind> forced) const;
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;

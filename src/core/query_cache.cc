@@ -419,28 +419,34 @@ std::vector<Tid> QueryCache::ExecuteComposeLocked(const ComposePlan& plan,
   return {};
 }
 
-CacheHint QueryCache::Probe(const Rect& box) const {
+CacheHint QueryCache::HintLocked(const std::string& key, const Rect& box,
+                                 ComposePlan* plan) const {
   CacheHint hint;
-  std::string key = CanonicalBoxKey(box);
-  std::lock_guard<std::mutex> lock(mutex_);
   auto exact = entries_.find(key);
   if (exact != entries_.end()) {
     hint.tier = CacheTier::kExact;
     hint.cached_size = static_cast<double>(exact->second.subset->tids.size());
     return hint;
   }
-  const ComposePlan plan = PlanComposeLocked(box);
-  if (plan.shape == ComposePlan::Shape::kFilter) {
+  *plan = PlanComposeLocked(box);
+  if (plan->shape == ComposePlan::Shape::kFilter) {
     hint.tier = CacheTier::kContainment;
-    hint.cached_size = plan.summed_runs;
-    hint.delta_attrs = plan.delta_attrs;
-  } else if (plan.shape != ComposePlan::Shape::kNone) {
+    hint.cached_size = plan->summed_runs;
+    hint.delta_attrs = plan->delta_attrs;
+  } else if (plan->shape != ComposePlan::Shape::kNone) {
     hint.tier = CacheTier::kCompose;
-    hint.cached_size = plan.summed_runs;
-    hint.delta_attrs = plan.delta_attrs;
-    hint.compose_sources = static_cast<uint32_t>(plan.sources.size());
+    hint.cached_size = plan->summed_runs;
+    hint.delta_attrs = plan->delta_attrs;
+    hint.compose_sources = static_cast<uint32_t>(plan->sources.size());
   }
   return hint;
+}
+
+CacheHint QueryCache::Probe(const Rect& box) const {
+  const std::string key = CanonicalBoxKey(box);
+  ComposePlan plan;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return HintLocked(key, box, &plan);
 }
 
 QueryCache::Lease QueryCache::Acquire(const Rect& box,
@@ -456,69 +462,56 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
 
   Lease lease;
   std::string key = CanonicalBoxKey(box);
+  ComposePlan plan;
   std::lock_guard<std::mutex> lock(mutex_);
   sketch_.Record(HashKey(key));
+  lease.hint = HintLocked(key, box, &plan);
 
-  auto exact = entries_.find(key);
-  if (exact != entries_.end()) {
-    ++counters_.hits_exact;
-    ++exact->second.hits;
-    PromoteLocked(&exact->second);
-    lease.subset = *exact->second.subset;
-    lease.tier = CacheTier::kExact;
-    return lease;
-  }
-
-  const ComposePlan plan = PlanComposeLocked(box);
-  if (plan.shape == ComposePlan::Shape::kFilter) {
-    ++counters_.hits_containment;
-    const Entry& source = entries_.at(plan.sources.front());
-    const FocalSubset& src = *source.subset;
-    const std::vector<AttrId> narrowed = NarrowedAttrs(box, src.box);
-    FocalSubset derived;
-    derived.box = box;
-    // Re-test only the narrowed attributes over the cached tid list.
-    derived.tids.reserve(src.tids.size());
-    for (Tid t : src.tids) {
-      bool inside = true;
-      for (AttrId a : narrowed) {
-        ValueId v = dataset.Value(t, a);
-        if (v < box.lo(a) || v > box.hi(a)) {
-          inside = false;
-          break;
+  switch (lease.hint.tier) {
+    case CacheTier::kExact: {
+      Entry& entry = entries_.at(key);
+      ++counters_.hits_exact;
+      ++entry.hits;
+      PromoteLocked(&entry);
+      lease.subset = *entry.subset;
+      return lease;
+    }
+    case CacheTier::kContainment: {
+      ++counters_.hits_containment;
+      const FocalSubset& src = *entries_.at(plan.sources.front()).subset;
+      const std::vector<AttrId> narrowed = NarrowedAttrs(box, src.box);
+      lease.subset.box = box;
+      // Re-test only the narrowed attributes over the cached tid list.
+      lease.subset.tids.reserve(src.tids.size());
+      for (Tid t : src.tids) {
+        bool inside = true;
+        for (AttrId a : narrowed) {
+          ValueId v = dataset.Value(t, a);
+          if (v < box.lo(a) || v > box.hi(a)) {
+            inside = false;
+            break;
+          }
         }
+        if (inside) lease.subset.tids.push_back(t);
       }
-      if (inside) derived.tids.push_back(t);
+      NoteDerivationSourceLocked(plan.sources.front());
+      break;
     }
-    NoteDerivationSourceLocked(plan.sources.front());
-    lease.subset = derived;
-    lease.tier = CacheTier::kContainment;
-    InsertLocked(std::move(key), box,
-                 std::make_shared<const FocalSubset>(std::move(derived)));
-    return lease;
+    case CacheTier::kCompose:
+      ++counters_.hits_compose;
+      lease.subset.box = box;
+      lease.subset.tids = ExecuteComposeLocked(plan, box);
+      for (const std::string& source : plan.sources) {
+        NoteDerivationSourceLocked(source);
+      }
+      break;
+    case CacheTier::kNone:
+      ++counters_.misses;
+      lease.subset = FocalSubset::Materialize(dataset, box);
+      break;
   }
-
-  if (plan.shape != ComposePlan::Shape::kNone) {
-    ++counters_.hits_compose;
-    FocalSubset derived;
-    derived.box = box;
-    derived.tids = ExecuteComposeLocked(plan, box);
-    for (const std::string& source : plan.sources) {
-      NoteDerivationSourceLocked(source);
-    }
-    lease.subset = derived;
-    lease.tier = CacheTier::kCompose;
-    InsertLocked(std::move(key), box,
-                 std::make_shared<const FocalSubset>(std::move(derived)));
-    return lease;
-  }
-
-  ++counters_.misses;
-  FocalSubset cold = FocalSubset::Materialize(dataset, box);
-  lease.subset = cold;
-  lease.tier = CacheTier::kNone;
   InsertLocked(std::move(key), box,
-               std::make_shared<const FocalSubset>(std::move(cold)));
+               std::make_shared<const FocalSubset>(lease.subset));
   return lease;
 }
 

@@ -23,17 +23,10 @@ namespace colarm {
 std::string CanonicalBoxKey(const Rect& box);
 
 struct QueryCacheOptions {
-  /// Master switch. Off (the default) keeps the engine byte- and
-  /// performance-identical to a cache-less build: no probes, no inserts,
-  /// no memo, no telemetry.
-  bool enabled = false;
   /// Resident-byte budget for cached subsets plus their count memos;
-  /// eviction keeps the total under it. 0 disables the cache outright.
+  /// eviction keeps the total under it. 0 means no cache: the engine and
+  /// the server's tenants build none.
   size_t byte_budget = size_t{64} << 20;
-  /// Tier 3: memoize per-(box, itemset) local support counts so refinement
-  /// queries on the same box (different minsupp/minconf) reuse
-  /// ELIMINATE/VERIFY counts outright.
-  bool count_memo = true;
 };
 
 /// Observability counters. Hits/misses/evictions/rejects are monotonic
@@ -78,9 +71,9 @@ struct ArmMemoEntry {
 /// Buffered count-memo writes of one query execution. Operators record
 /// into the transaction (thread-safe: parallel VERIFY shards write
 /// concurrently, but always to distinct MIPs, so content is
-/// deterministic); the owner commits it at a deterministic point — query
-/// end for standalone execution, batch end in input order for the batch
-/// executor — so cache state transitions never depend on thread timing.
+/// deterministic); the engine commits it at a deterministic point — the
+/// end of its batch, in input order — so cache state transitions never
+/// depend on thread timing.
 class CountMemoTxn {
  public:
   explicit CountMemoTxn(std::string box_key, std::string constraint_key = {})
@@ -159,8 +152,8 @@ struct CacheEntrySnapshot {
       arm_memos;  // keyed (constraint key, local minimum count)
 };
 
-/// The session-scoped semantic cache (owned by the Engine, shared by the
-/// BatchExecutor): a byte-budgeted store of materialized focal subsets
+/// The session-scoped semantic cache (owned by the Engine, or by a server
+/// tenant and passed in through a SessionContext): a byte-budgeted store of materialized focal subsets
 /// keyed by canonical box, with four reuse tiers —
 ///
 ///   1.   exact: a query's box is resident → copy its tid list, no scan;
@@ -207,10 +200,11 @@ class QueryCache {
   /// neither recency, sketch, nor telemetry.
   CacheHint Probe(const Rect& box) const;
 
-  /// The focal subset handed to one plan execution, plus how it was served.
+  /// The focal subset handed to one plan execution, plus how it was served:
+  /// the hint Probe would have returned just before this acquisition.
   struct Lease {
     FocalSubset subset;
-    CacheTier tier = CacheTier::kNone;
+    CacheHint hint;
   };
 
   /// Serves the focal subset for `box` from the best tier — exact copy,
@@ -327,6 +321,13 @@ class QueryCache {
   /// filter and the cold scan; containment itself stays ungated, matching
   /// the pre-2.5 behavior. Caller holds mutex_.
   ComposePlan PlanComposeLocked(const Rect& box) const;
+
+  /// The tier that serves `box` (canonical key `key`) right now; for the
+  /// containment and compose tiers `plan` receives the route. Shared by
+  /// Probe and Acquire, so an acquisition's hint is what a probe just
+  /// before it returns. Caller holds mutex_.
+  CacheHint HintLocked(const std::string& key, const Rect& box,
+                       ComposePlan* plan) const;
 
   /// Materializes the planned composition by merges of sorted tid runs
   /// plus a residual re-test of the narrowed attributes: the exact sorted

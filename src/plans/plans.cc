@@ -2,7 +2,6 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/query_cache.h"
 
 namespace colarm {
 
@@ -53,17 +52,16 @@ std::vector<uint32_t> AllCandidates(const CandidateSet& set) {
 
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const RuleGenOptions& rulegen,
-                               const FocalSubset* shared_subset) {
+                               const RuleGenOptions& rulegen) {
   PlanExecOptions exec;
   exec.rulegen = rulegen;
-  exec.shared_subset = shared_subset;
   return ExecutePlan(kind, index, query, exec);
 }
 
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const PlanExecOptions& exec) {
+                               const PlanExecOptions& exec,
+                               std::optional<FocalSubset> subset) {
   COLARM_RETURN_IF_ERROR(query.Validate(index.dataset().schema()));
 
   PlanResult result;
@@ -72,25 +70,11 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
 
   Timer total_timer;
   Timer stage;
-  uint64_t select_checks = 0;
-  auto make_context = [&]() -> PlanContext {
-    if (exec.shared_subset != nullptr) {
-      return PlanContext(index, query, exec.rulegen, *exec.shared_subset,
-                         exec.pool);
-    }
-    if (exec.cache != nullptr) {
-      // SELECT through the session cache: exact hit, containment
-      // derivation, or cold materialize-and-insert — always priced at the
-      // cold record-check cost.
-      QueryCache::Lease lease = exec.cache->Acquire(
-          query.ToRect(index.dataset().schema()), &select_checks);
-      return PlanContext(index, query, exec.rulegen, std::move(lease.subset),
-                         exec.pool);
-    }
-    return PlanContext(index, query, exec.rulegen, exec.pool);
-  };
-  PlanContext ctx = make_context();
-  ctx.record_checks += select_checks;
+  PlanContext ctx =
+      subset.has_value()
+          ? PlanContext(index, query, exec.rulegen, std::move(*subset),
+                        exec.pool)
+          : PlanContext(index, query, exec.rulegen, exec.pool);
   // Plans that count records in DQ get its bitmap when DQ is dense; ARM
   // mines its own vertical view of DQ and verifies by row probes.
   if (kind != PlanKind::kARM && !ctx.constraints_precluded) {

@@ -2,6 +2,7 @@
 #define COLARM_PLANS_PLANS_H_
 
 #include <array>
+#include <optional>
 #include <string>
 
 #include "common/cancel.h"
@@ -66,20 +67,12 @@ struct PlanResult {
 /// Everything that shapes one plan execution besides the query itself.
 struct PlanExecOptions {
   RuleGenOptions rulegen;
-  /// When non-null it must hold the query's focal box already materialized;
-  /// the SELECT pass is then skipped (multi-query optimization, see
-  /// core/batch.h).
-  const FocalSubset* shared_subset = nullptr;
   /// Worker pool for the record-level operators; null runs the exact
   /// sequential path. Parallel execution is byte-identical to sequential
   /// (rules, canonical order, and every effort counter).
   ThreadPool* pool = nullptr;
-  /// Session cache (core/query_cache.h). When set and `shared_subset` is
-  /// null, the SELECT stage acquires the focal subset through the cache
-  /// (exact hit / containment derivation / cold materialize-and-insert)
-  /// while charging the cold record-check price. Must only be passed from
-  /// sequential acquisition points (the Engine, or the batch executor's
-  /// planning phase).
+  /// Session cache (core/query_cache.h) whose committed count memo the
+  /// operators read.
   QueryCache* cache = nullptr;
   /// Count-memo transaction for this query; reads come from the cache's
   /// committed state, writes buffer here until the owner commits them at a
@@ -94,15 +87,19 @@ struct PlanExecOptions {
 
 /// Executes one plan end to end. All six plans return the same rule set
 /// (the plan-equivalence invariant); they differ only in cost profile.
+/// `subset`, when set, is the query's focal subset, already selected by
+/// the caller (the engine's SELECT: a session-cache lease or a batch-shared
+/// materialization); the plan takes it over and skips its own SELECT pass,
+/// and the caller charges that pass's time and record checks.
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const PlanExecOptions& exec);
+                               const PlanExecOptions& exec,
+                               std::optional<FocalSubset> subset = {});
 
 /// Legacy-parameter convenience overload (tests and benches).
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const RuleGenOptions& rulegen = {},
-                               const FocalSubset* shared_subset = nullptr);
+                               const RuleGenOptions& rulegen = {});
 
 }  // namespace colarm
 

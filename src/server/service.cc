@@ -1,7 +1,5 @@
 #include "server/service.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 #include "core/cache_persist.h"
 
@@ -44,7 +42,7 @@ std::string RenderStatsPayload(const std::string& tenant_name,
 Tenant::Tenant(const Engine& engine, std::string name,
                const QueryCacheOptions& cache_options)
     : name_(std::move(name)) {
-  if (cache_options.enabled && cache_options.byte_budget > 0) {
+  if (cache_options.byte_budget > 0) {
     cache_ = std::make_unique<QueryCache>(engine.index(), cache_options);
   }
 }
@@ -124,92 +122,48 @@ void Service::NoteBusy(Tenant* tenant) {
   tenant->stats_.busy_rejections++;
 }
 
-std::string Service::ExecuteSingleMine(Tenant* tenant,
-                                       const MineRequest& request,
-                                       const CancelToken* kill) {
-  CancelToken token;
-  token.SetParent(kill);
-  if (request.has_deadline) token.SetDeadline(request.deadline);
-
-  // A request whose deadline lapsed while queued fails here instead of
-  // charging the engine for work the client already gave up on.
-  if (token.Cancelled()) {
-    std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
-    tenant->stats_.mines++;
-    tenant->stats_.mine_errors++;
-    return ErrResponse("DEADLINE", "deadline expired before execution");
+std::vector<std::string> Service::ExecuteMineGroup(
+    Tenant* tenant, std::span<const MineRequest> group,
+    const CancelToken* kill) {
+  // One batch against the tenant's cache, one token per request (its own
+  // deadline, chained to the drain kill-switch), so a request that fails
+  // fails alone.
+  std::vector<LocalizedQuery> queries;
+  queries.reserve(group.size());
+  std::vector<CancelToken> tokens(group.size());
+  std::vector<const CancelToken*> cancels;
+  cancels.reserve(group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    queries.push_back(group[i].query);
+    tokens[i].SetParent(kill);
+    if (group[i].has_deadline) tokens[i].SetDeadline(group[i].deadline);
+    cancels.push_back(&tokens[i]);
   }
-
-  SessionContext session;
-  session.cache = tenant->cache();
-  session.cancel = &token;
-  Result<QueryResult> result = engine_->Execute(request.query, session);
+  const BatchResult batch =
+      engine_->ExecuteBatch(queries, tenant->cache(), cancels);
 
   {
     // Counters only: rendering runs after the lock is released, so a
     // STATS on the same tenant never waits behind a large answer.
     std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
-    tenant->stats_.mines++;
-    if (!result.ok()) {
-      tenant->stats_.mine_errors++;
-    } else {
-      tenant->stats_.rules += result->rules.rules.size();
+    for (const Result<QueryResult>& result : batch.results) {
+      tenant->stats_.mines++;
+      if (!result.ok()) {
+        tenant->stats_.mine_errors++;
+      } else {
+        tenant->stats_.rules += result->rules.rules.size();
+      }
     }
   }
-  if (!result.ok()) {
-    return ErrResponse(StatusErrCode(result.status()),
-                       result.status().message());
-  }
-  return OkResponse(
-      RenderMineResult(engine_->index().dataset().schema(), *result));
-}
-
-std::vector<std::string> Service::ExecuteMineGroup(
-    Tenant* tenant, std::span<const MineRequest> group,
-    const CancelToken* kill) {
   std::vector<std::string> responses;
   responses.reserve(group.size());
-  if (group.size() >= 2) {
-    // Batch the group: subset sharing and duplicate reuse across the
-    // tenant's pipelined requests, against the tenant's own cache. The
-    // batch runs under the earliest deadline in the group; a batch-level
-    // failure (one poisoned query fails the whole batch) falls through to
-    // the per-request path below, which also honours each request's own
-    // deadline.
-    CancelToken token;
-    token.SetParent(kill);
-    for (const MineRequest& request : group) {
-      if (!request.has_deadline) continue;
-      if (!token.has_deadline() || request.deadline < token.deadline()) {
-        token.SetDeadline(request.deadline);
-      }
-    }
-    std::vector<LocalizedQuery> queries;
-    queries.reserve(group.size());
-    for (const MineRequest& request : group) queries.push_back(request.query);
-
-    BatchOptions options;
-    options.cache_override = tenant->cache();
-    options.cancel = &token;
-    BatchExecutor executor(*engine_);
-    Result<BatchResult> batch = executor.Execute(queries, options);
-    if (batch.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
-        for (const QueryResult& result : batch->results) {
-          tenant->stats_.mines++;
-          tenant->stats_.rules += result.rules.rules.size();
-        }
-      }
-      for (const QueryResult& result : batch->results) {
-        responses.push_back(OkResponse(
-            RenderMineResult(engine_->index().dataset().schema(), result)));
-      }
-      return responses;
-    }
-  }
-  for (const MineRequest& request : group) {
-    responses.push_back(ExecuteSingleMine(tenant, request, kill));
+  for (const Result<QueryResult>& result : batch.results) {
+    responses.push_back(
+        result.ok()
+            ? OkResponse(RenderMineResult(engine_->index().dataset().schema(),
+                                          *result))
+            : ErrResponse(StatusErrCode(result.status()),
+                          result.status().message()));
   }
   return responses;
 }

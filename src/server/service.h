@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/engine.h"
 #include "server/protocol.h"
 
@@ -17,11 +16,9 @@ namespace colarm {
 
 struct ServiceOptions {
   /// Session cache built per tenant over the shared engine's index; each
-  /// tenant's drill-down sequence hits its own containment tiers. Set
-  /// enabled=false (or byte_budget=0) for cache-less tenants.
-  QueryCacheOptions tenant_cache = {.enabled = true,
-                                    .byte_budget = size_t{16} << 20,
-                                    .count_memo = true};
+  /// tenant's drill-down sequence hits its own containment tiers. A zero
+  /// byte_budget gives cache-less tenants.
+  QueryCacheOptions tenant_cache = {.byte_budget = size_t{16} << 20};
   /// Admission control: total MINEs admitted but not yet answered, across
   /// all tenants. Excess requests fast-fail with ERR BUSY.
   uint32_t max_inflight = 64;
@@ -122,13 +119,13 @@ class Service {
     CancelToken::Clock::time_point deadline{};
   };
 
-  /// Executes a group of same-tenant MINEs — batched through the
-  /// BatchExecutor when there are 2+ (subset sharing + duplicate reuse
-  /// against the tenant's cache), single-query otherwise — and renders one
-  /// full response (OK payload or ERR line) per request, in order. On a
-  /// batch-level failure the group falls back to per-request execution so
-  /// one poisoned query cannot fail its neighbours. `kill` is the server's
-  /// drain kill-switch (may be null).
+  /// Executes a group of same-tenant MINEs, of any size, as one
+  /// Engine::ExecuteBatch against the tenant's cache (a lone MINE is a
+  /// batch of one), and renders one full response (OK payload or ERR line)
+  /// per request, in order. Each request runs under its own deadline, so a
+  /// failure stays with its request; one whose deadline passed while it
+  /// was queued answers ERR DEADLINE without touching the cache. `kill` is
+  /// the server's drain kill-switch (may be null).
   std::vector<std::string> ExecuteMineGroup(Tenant* tenant,
                                             std::span<const MineRequest> group,
                                             const CancelToken* kill);
@@ -152,8 +149,6 @@ class Service {
  private:
   /// `<cache_dir>/<sanitized tenant name>.ccache`.
   std::string CachePathFor(const std::string& tenant_name) const;
-  std::string ExecuteSingleMine(Tenant* tenant, const MineRequest& request,
-                                const CancelToken* kill);
 
   const Engine* engine_;
   ServiceOptions options_;

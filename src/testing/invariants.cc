@@ -460,7 +460,7 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
   auto check_session_cache = [&]() {
     auto cold_engine = Engine::Build(dataset, cold_options);
     EngineOptions warm_options = cold_options;
-    warm_options.cache.enabled = true;
+    warm_options.cache = QueryCacheOptions{};  // the default budget
     if (options.check_threads && !options.thread_counts.empty()) {
       warm_options.num_threads = options.thread_counts.back();
     }
@@ -509,7 +509,7 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
   auto check_cache_persistence = [&]() {
     auto cold_engine = Engine::Build(dataset, cold_options);
     EngineOptions warm_options = cold_options;
-    warm_options.cache.enabled = true;
+    warm_options.cache = QueryCacheOptions{};  // the default budget
     auto warm_engine = Engine::Build(dataset, warm_options);
     auto fresh_engine = Engine::Build(dataset, warm_options);
     if (!cold_engine.ok() || !warm_engine.ok() || !fresh_engine.ok()) {

@@ -58,7 +58,6 @@ struct Env {
 
 QueryCacheOptions Enabled() {
   QueryCacheOptions options;
-  options.enabled = true;
   options.byte_budget = size_t{64} << 20;
   return options;
 }

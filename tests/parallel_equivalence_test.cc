@@ -7,7 +7,7 @@
 #include <string>
 
 #include "common/thread_pool.h"
-#include "core/batch.h"
+#include "core/engine.h"
 #include "data/salary_dataset.h"
 #include "mip/serialize.h"
 #include "plans/plans.h"
@@ -187,17 +187,19 @@ TEST_P(ParallelEquivalenceTest, IndexBuildMatchesSequentialBytes) {
   EXPECT_EQ(seq_bytes, par_bytes);
 }
 
-// The parallel batch executor preserves results, input order, and the
-// sharing counters of the sequential loop.
-TEST_P(ParallelEquivalenceTest, BatchMatchesSequentialLoop) {
+// A batch on an N-thread engine, with and without a session cache, answers
+// every query exactly as its standalone execution does: the same rules in
+// the same order, the same plan, and the same effort counters (SELECT's
+// record checks included), on both a cold and a warm pass.
+TEST_P(ParallelEquivalenceTest, BatchMatchesStandaloneExecution) {
   const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(41, 250, 5, 4));
-  EngineOptions engine_options;
-  engine_options.index.primary_support = 0.2;
-  engine_options.calibrate = false;
-  engine_options.num_threads = 1;
-  auto engine = Engine::Build(*data, engine_options);
-  ASSERT_TRUE(engine.ok());
+  EngineOptions reference_options;
+  reference_options.index.primary_support = 0.2;
+  reference_options.calibrate = false;
+  reference_options.num_threads = 1;
+  auto reference = Engine::Build(*data, reference_options);
+  ASSERT_TRUE(reference.ok());
 
   // Session mix: threshold sweep over one region, a second region, an
   // exact duplicate, and a vocabulary drill-down.
@@ -220,48 +222,52 @@ TEST_P(ParallelEquivalenceTest, BatchMatchesSequentialLoop) {
   drill.item_attrs = {1, 2, 3};
   queries.push_back(drill);
 
-  BatchExecutor executor(**engine);
-  for (bool share : {true, false}) {
-    for (bool reuse : {true, false}) {
-      BatchOptions seq_options;
-      seq_options.share_subsets = share;
-      seq_options.reuse_duplicate_results = reuse;
-      seq_options.num_threads = 1;
-      auto seq = executor.Execute(queries, seq_options);
-      ASSERT_TRUE(seq.ok());
+  std::vector<QueryResult> standalone;
+  for (const LocalizedQuery& query : queries) {
+    auto result = (*reference)->Execute(query);
+    ASSERT_TRUE(result.ok());
+    standalone.push_back(std::move(result.value()));
+  }
 
-      BatchOptions par_options = seq_options;
-      par_options.num_threads = num_threads;
-      auto par = executor.Execute(queries, par_options);
-      ASSERT_TRUE(par.ok());
-
-      std::string context = "share=" + std::to_string(share) +
-                            " reuse=" + std::to_string(reuse) +
-                            " threads=" + std::to_string(num_threads);
-      EXPECT_EQ(seq->subsets_shared, par->subsets_shared) << context;
-      EXPECT_EQ(seq->duplicates_reused, par->duplicates_reused) << context;
-      ASSERT_EQ(seq->results.size(), par->results.size()) << context;
-      for (size_t i = 0; i < seq->results.size(); ++i) {
-        std::string qcontext = context + " query " + std::to_string(i);
-        EXPECT_EQ(seq->results[i].plan_used, par->results[i].plan_used)
+  for (bool cached : {false, true}) {
+    EngineOptions options = reference_options;
+    options.num_threads = num_threads;
+    if (cached) options.cache = QueryCacheOptions{};
+    auto engine = Engine::Build(*data, options);
+    ASSERT_TRUE(engine.ok());
+    for (int pass = 0; pass < 2; ++pass) {
+      BatchResult batch = (*engine)->ExecuteBatch(queries);
+      const std::string context = "cached=" + std::to_string(cached) +
+                                  " pass=" + std::to_string(pass) +
+                                  " threads=" + std::to_string(num_threads);
+      EXPECT_EQ(batch.duplicates_reused, 1u) << context;
+      // Without a cache the five executed queries share two boxes; with
+      // one, each acquires its own and the cache does the sharing.
+      EXPECT_EQ(batch.subsets_shared, cached ? 0u : 3u) << context;
+      ASSERT_EQ(batch.results.size(), queries.size()) << context;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const std::string qcontext = context + " query " + std::to_string(i);
+        ASSERT_TRUE(batch.results[i].ok()) << qcontext;
+        EXPECT_EQ(batch.results[i]->plan_used, standalone[i].plan_used)
             << qcontext;
-        ExpectSameRules(seq->results[i].rules, par->results[i].rules,
+        ExpectSameRules(standalone[i].rules, batch.results[i]->rules,
                         qcontext);
-        ExpectSameEffort(seq->results[i].stats, par->results[i].stats,
+        ExpectSameEffort(standalone[i].stats, batch.results[i]->stats,
                          qcontext);
       }
     }
   }
 }
 
-// A failing query fails the parallel batch exactly like the sequential one.
-TEST_P(ParallelEquivalenceTest, BatchPropagatesValidationFailure) {
+// An invalid query fails its own slot at any thread count; its neighbours
+// still answer.
+TEST_P(ParallelEquivalenceTest, BatchKeepsValidationFailureInItsSlot) {
   const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(MakeSalaryDataset());
   EngineOptions engine_options;
   engine_options.index.primary_support = 0.27;
   engine_options.calibrate = false;
-  engine_options.num_threads = 1;
+  engine_options.num_threads = num_threads;
   auto engine = Engine::Build(*data, engine_options);
   ASSERT_TRUE(engine.ok());
 
@@ -275,10 +281,10 @@ TEST_P(ParallelEquivalenceTest, BatchPropagatesValidationFailure) {
   bad.ranges = {{99, 0, 0}};
   queries.push_back(bad);
 
-  BatchExecutor executor(**engine);
-  BatchOptions options;
-  options.num_threads = num_threads;
-  EXPECT_FALSE(executor.Execute(queries, options).ok());
+  BatchResult batch = (*engine)->ExecuteBatch(queries);
+  ASSERT_EQ(batch.results.size(), 2u);
+  EXPECT_TRUE(batch.results[0].ok());
+  EXPECT_FALSE(batch.results[1].ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParallelEquivalenceTest,

@@ -36,7 +36,6 @@ struct Env {
 
 QueryCacheOptions Enabled(size_t budget = size_t{64} << 20) {
   QueryCacheOptions options;
-  options.enabled = true;
   options.byte_budget = budget;
   return options;
 }
@@ -49,7 +48,7 @@ TEST(QueryCacheTest, ColdMissThenExactHit) {
   EXPECT_EQ(cache.Probe(box).tier, CacheTier::kNone);
   uint64_t checks = 0;
   auto cold = cache.Acquire(box, &checks);
-  EXPECT_EQ(cold.tier, CacheTier::kNone);
+  EXPECT_EQ(cold.hint.tier, CacheTier::kNone);
   EXPECT_EQ(checks, env.data->num_records());
   FocalSubset expected = FocalSubset::Materialize(*env.data, box);
   EXPECT_EQ(cold.subset.tids, expected.tids);
@@ -60,7 +59,8 @@ TEST(QueryCacheTest, ColdMissThenExactHit) {
   EXPECT_EQ(hint.cached_size, static_cast<double>(expected.tids.size()));
   checks = 0;
   auto warm = cache.Acquire(box, &checks);
-  EXPECT_EQ(warm.tier, CacheTier::kExact);
+  EXPECT_EQ(warm.hint.tier, CacheTier::kExact);
+  EXPECT_EQ(warm.hint.cached_size, hint.cached_size);
   EXPECT_EQ(checks, env.data->num_records());
   EXPECT_EQ(warm.subset.tids, expected.tids);
 
@@ -97,7 +97,7 @@ TEST(QueryCacheTest, DerivedSubsetMatchesColdMaterialization) {
     CacheHint hint = cache.Probe(inner);
     ASSERT_EQ(hint.tier, CacheTier::kContainment);
     auto lease = cache.Acquire(inner, &ignored);
-    EXPECT_EQ(lease.tier, CacheTier::kContainment);
+    EXPECT_EQ(lease.hint.tier, CacheTier::kContainment);
     FocalSubset expected = FocalSubset::Materialize(*env.data, inner);
     EXPECT_EQ(lease.subset.tids, expected.tids);
     // The derived subset is now resident: the same box hits exactly.
@@ -336,7 +336,11 @@ TEST(QueryCacheComposeTest, UnionAssemblesAdjacentSlabs) {
 
   uint64_t checks = 0;
   auto lease = cache.Acquire(q, &checks);
-  EXPECT_EQ(lease.tier, CacheTier::kCompose);
+  // The acquisition reports the hint the probe just before it planned.
+  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
+  EXPECT_EQ(lease.hint.compose_sources, hint.compose_sources);
+  EXPECT_EQ(lease.hint.cached_size, hint.cached_size);
+  EXPECT_EQ(lease.hint.delta_attrs, hint.delta_attrs);
   EXPECT_EQ(checks, env.data->num_records());  // warm charges the cold price
   EXPECT_EQ(lease.subset.tids, expected.tids);
   EXPECT_EQ(cache.telemetry().hits_compose, 1u);
@@ -361,7 +365,7 @@ TEST(QueryCacheComposeTest, DifferenceSubtractsComplementSlab) {
   EXPECT_EQ(hint.cached_size, 140.0);    // |T_W| + |T_S| = 100 + 40
 
   auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.tier, CacheTier::kCompose);
+  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
   FocalSubset expected = FocalSubset::Materialize(*env.data, q);
   ASSERT_EQ(expected.tids.size(), 60u);
   EXPECT_EQ(lease.subset.tids, expected.tids);
@@ -394,7 +398,7 @@ TEST(QueryCacheComposeTest, IntersectionMeetsAtTheQueryBox) {
   EXPECT_EQ(hint.cached_size, 87.0);  // 31 + 28 + min(31,28) * (0+1)
 
   auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.tier, CacheTier::kCompose);
+  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
   FocalSubset expected = FocalSubset::Materialize(*env.data, q);
   ASSERT_EQ(expected.tids.size(), 20u);
   EXPECT_EQ(lease.subset.tids, expected.tids);
@@ -418,7 +422,7 @@ TEST(QueryCacheComposeTest, CostGateRefusesBreakEvenUnion) {
   EXPECT_EQ(cache.Probe(q).tier, CacheTier::kNone);
 
   auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.tier, CacheTier::kNone);
+  EXPECT_EQ(lease.hint.tier, CacheTier::kNone);
   EXPECT_EQ(cache.telemetry().hits_compose, 0u);
   EXPECT_EQ(cache.telemetry().misses, 3u);
 }
@@ -532,15 +536,8 @@ TEST(QueryCacheTest, EngineGatesCacheOnOptions) {
   ASSERT_TRUE(engine_off.ok());
   EXPECT_EQ((*engine_off)->cache(), nullptr);
 
-  EngineOptions zero = off;
-  zero.cache.enabled = true;
-  zero.cache.byte_budget = 0;  // explicit 0 budget also disables
-  auto engine_zero = Engine::Build(*env.data, zero);
-  ASSERT_TRUE(engine_zero.ok());
-  EXPECT_EQ((*engine_zero)->cache(), nullptr);
-
   EngineOptions on = off;
-  on.cache.enabled = true;
+  on.cache = QueryCacheOptions{};  // the default budget
   auto engine_on = Engine::Build(*env.data, on);
   ASSERT_TRUE(engine_on.ok());
   ASSERT_NE((*engine_on)->cache(), nullptr);

@@ -243,7 +243,6 @@ TEST_F(ServerTest, StatsReflectTenantActivity) {
 
 TEST_F(ServerTest, StatsReportPerTenantCacheTelemetry) {
   ServerOptions options;
-  options.service.tenant_cache.enabled = true;
   auto server = StartServer(options);
   Client client(server->port());
   client.Send("HELLO carol\n");
@@ -270,7 +269,6 @@ TEST_F(ServerTest, TenantCachePersistsAcrossRestartViaCacheDir) {
   std::remove(cache_file.c_str());
 
   ServerOptions options;
-  options.service.tenant_cache.enabled = true;
   options.service.cache_dir = cache_dir;
 
   std::string first_response;
@@ -635,8 +633,8 @@ TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
 
 TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
   // A pipelined burst from one connection lands on its tenant's strand,
-  // and one worker turn runs it through the BatchExecutor; the rules must
-  // still be identical to sequential execution.
+  // and one worker turn runs it as one engine batch; every response must
+  // be byte-identical to sequential execution, cache tier line included.
   auto server = StartServer();
   Client client(server->port());
   client.Send("HELLO burst\n");
@@ -655,13 +653,69 @@ TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
     ASSERT_TRUE(query.ok());
     auto direct = engine_->Execute(*query, SessionContext{&cache, nullptr});
     ASSERT_TRUE(direct.ok());
-    // Batched counting may commit memos at a different time than the
-    // sequential replay, which can legitimately change the cache-tier
-    // line; the rule listing itself must match byte-for-byte.
-    EXPECT_EQ(RulesOf(resp), RulesOf(OkResponse(RenderMineResult(
-                                 data_->schema(), direct.value()))))
+    // Each request runs under its own deadline token, so even the burst's
+    // duplicate (kDrillDown[2] = [0]) makes its own lookup, as the replay
+    // does.
+    EXPECT_EQ(resp,
+              OkResponse(RenderMineResult(data_->schema(), direct.value())))
         << text;
   }
+}
+
+TEST_F(ServerTest, ExpiredMineGroupLeavesTenantCacheUntouched) {
+  // Three pipelined MINEs whose deadlines passed while they were queued
+  // fail without touching the tenant's cache, as each would alone.
+  Service service(*engine_, ServiceOptions{});
+  std::shared_ptr<Tenant> tenant = service.GetTenant("late");
+  std::vector<Service::MineRequest> group;
+  for (size_t q : {0, 1, 3}) {
+    auto query = ParseQuery(data_->schema(), kDrillDown[q]);
+    ASSERT_TRUE(query.ok());
+    Service::MineRequest request;
+    request.query = std::move(query.value());
+    request.has_deadline = true;
+    request.deadline = CancelToken::Clock::now() - std::chrono::seconds(1);
+    group.push_back(std::move(request));
+  }
+  const std::vector<std::string> responses =
+      service.ExecuteMineGroup(tenant.get(), group, nullptr);
+  ASSERT_EQ(responses.size(), group.size());
+  for (const std::string& response : responses) {
+    EXPECT_EQ(response, ErrResponse("DEADLINE",
+                                    "deadline expired before execution"));
+  }
+  const std::string stats = service.RenderStats(tenant.get());
+  EXPECT_NE(stats.find("mines 3 errors 3 rules 0 "), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("cache exact 0 containment 0 compose 0 memo 0 "
+                       "misses 0 evictions 0 admitrej 0 bytes 0 entries 0\n"),
+            std::string::npos)
+      << stats;
+}
+
+TEST_F(ServerTest, IdenticalMineKeepsItsOwnDeadline) {
+  // Two identical MINEs in one group: the first expired while queued, the
+  // second still has time. The second answers under its own deadline.
+  Service service(*engine_, ServiceOptions{});
+  std::shared_ptr<Tenant> tenant = service.GetTenant("twins");
+  auto query = ParseQuery(data_->schema(), kDrillDown[0]);
+  ASSERT_TRUE(query.ok());
+  std::vector<Service::MineRequest> group(2);
+  for (Service::MineRequest& request : group) {
+    request.query = query.value();
+    request.has_deadline = true;
+  }
+  group[0].deadline = CancelToken::Clock::now() - std::chrono::seconds(1);
+  group[1].deadline = CancelToken::Clock::now() + std::chrono::hours(1);
+  const std::vector<std::string> responses =
+      service.ExecuteMineGroup(tenant.get(), group, nullptr);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0], ErrResponse("DEADLINE",
+                                      "deadline expired before execution"));
+  auto direct = engine_->Execute(query.value());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(RulesOf(responses[1]),
+            RulesOf(OkResponse(RenderMineResult(data_->schema(), *direct))));
 }
 
 TEST_F(ServerTest, HalfCloseStillAnswersThenCloses) {

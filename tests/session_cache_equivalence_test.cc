@@ -100,7 +100,7 @@ TEST_P(SessionCacheEquivalenceTest, WarmMatchesColdByteForByte) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto warm_engine = Engine::Build(*data, warm_options);
   ASSERT_TRUE(warm_engine.ok());
   ASSERT_NE((*warm_engine)->cache(), nullptr);
@@ -159,7 +159,7 @@ TEST_P(SessionCacheEquivalenceTest, ForcedPlansMatchColdAcrossAllSix) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto warm_engine = Engine::Build(*data, warm_options);
   ASSERT_TRUE(warm_engine.ok());
 
@@ -206,7 +206,7 @@ TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto warm_engine = Engine::Build(*data, warm_options);
   ASSERT_TRUE(warm_engine.ok());
 
@@ -273,7 +273,7 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto warm_engine = Engine::Build(*data, warm_options);
   ASSERT_TRUE(warm_engine.ok());
 
@@ -336,7 +336,7 @@ TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto queries = SessionQueries();
   {
     auto first_session = Engine::Build(*data, warm_options);
@@ -394,7 +394,7 @@ TEST_P(SessionCacheEquivalenceTest, ArmMineMemoReplayMatchesCold) {
 
   EngineOptions warm_options = cold_options;
   warm_options.num_threads = num_threads;
-  warm_options.cache.enabled = true;
+  warm_options.cache = QueryCacheOptions{};
   auto warm_engine = Engine::Build(*data, warm_options);
   ASSERT_TRUE(warm_engine.ok());
 
@@ -451,12 +451,11 @@ TEST(SessionCacheEquivalenceTest, MemoEntriesNeverLeakAcrossConstraintKeys) {
   options.index.primary_support = 0.2;
   options.calibrate = false;
   options.num_threads = 1;
-  options.cache.enabled = true;
+  options.cache = QueryCacheOptions{};
   auto engine = Engine::Build(*data, options);
   ASSERT_TRUE(engine.ok());
   QueryCache* cache = (*engine)->cache();
   ASSERT_NE(cache, nullptr);
-  ASSERT_TRUE(cache->options().count_memo);
 
   LocalizedQuery plain;
   plain.ranges = {{0, 0, 2}};

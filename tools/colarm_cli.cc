@@ -257,7 +257,6 @@ int Main(int argc, char** argv) {
       options.csv_path.empty() ? 0.27 : options.primary;
   engine_options.index_cache_path = options.cache_path;
   if (options.command == "session") {
-    engine_options.cache.enabled = options.cache_mb > 0;
     engine_options.cache.byte_budget = options.cache_mb << 20;
   }
   auto engine = Engine::Build(dataset, engine_options);

@@ -157,7 +157,6 @@ Result<ToolOptions> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag: " + arg);
     }
   }
-  options.server.service.tenant_cache.enabled = options.cache_mb > 0;
   options.server.service.tenant_cache.byte_budget = options.cache_mb << 20;
   return options;
 }
