@@ -20,7 +20,8 @@ struct Split {
 
 Split CountSplit(const Engine& engine, const LocalizedQuery& query) {
   Split split;
-  PlanContext ctx(engine.index(), query, RuleGenOptions{});
+  PlanContext ctx(engine.index(), query, RuleGenOptions{},
+                  OpSelect(engine.index(), query));
   if (ctx.subset.size() == 0) return split;
   CandidateSet cands = OpSupportedSearch(&ctx);
   std::vector<uint32_t> all = cands.contained;

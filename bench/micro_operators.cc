@@ -36,7 +36,8 @@ struct Env {
 void BM_Search(benchmark::State& state) {
   const Env& env = Env::Get();
   for (auto _ : state) {
-    PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{});
+    PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
+                    OpSelect(env.engine->index(), env.query));
     CandidateSet cands = OpSearch(&ctx);
     benchmark::DoNotOptimize(cands.total());
   }
@@ -46,7 +47,8 @@ BENCHMARK(BM_Search);
 void BM_SupportedSearch(benchmark::State& state) {
   const Env& env = Env::Get();
   for (auto _ : state) {
-    PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{});
+    PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
+                    OpSelect(env.engine->index(), env.query));
     CandidateSet cands = OpSupportedSearch(&ctx);
     benchmark::DoNotOptimize(cands.total());
   }
@@ -55,7 +57,8 @@ BENCHMARK(BM_SupportedSearch);
 
 void BM_Eliminate(benchmark::State& state) {
   const Env& env = Env::Get();
-  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{});
+  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
+                  OpSelect(env.engine->index(), env.query));
   CandidateSet cands = OpSearch(&ctx);
   std::vector<uint32_t> all = cands.contained;
   all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
@@ -67,7 +70,8 @@ BENCHMARK(BM_Eliminate);
 
 void BM_SupportedVerify(benchmark::State& state) {
   const Env& env = Env::Get();
-  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{});
+  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
+                  OpSelect(env.engine->index(), env.query));
   CandidateSet cands = OpSupportedSearch(&ctx);
   std::vector<uint32_t> all = cands.contained;
   all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());

@@ -7,9 +7,11 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <span>
 
 #include "common/string_util.h"
+#include "mining/local_counter.h"
 #include "mip/serialize.h"
 
 namespace colarm {
@@ -207,9 +209,9 @@ Status SaveQueryCache(const QueryCache& cache, const MipIndex& index,
       w.U32(arm_key.second);  // local minimum count
       w.U64(memo->local_cfis);
       w.U32(static_cast<uint32_t>(memo->qualified.size()));
-      for (const auto& [mip_id, count] : memo->qualified) {
-        w.U32(mip_id);
-        w.U32(count);
+      for (const QualifiedItemset& q : memo->qualified) {
+        w.U32(q.mip_id);
+        w.U32(q.local_count);
       }
     }
     w.U64(Fnv(w.Slice(section_start)));
@@ -262,6 +264,7 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
 
   std::vector<CacheEntrySnapshot> entries;
   entries.reserve(entry_count);
+  std::set<std::string> boxes;
   for (uint32_t i = 0; i < entry_count; ++i) {
     const size_t section_start = r.offset();
     CacheEntrySnapshot snap;
@@ -279,6 +282,9 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
         return Corrupt("box outside the attribute domain");
       }
       box.SetInterval(d, lo, hi);
+    }
+    if (!boxes.insert(CanonicalBoxKey(box)).second) {
+      return Corrupt("repeated box");
     }
     snap.box = box;
     const uint32_t tid_count = r.U32();
@@ -321,18 +327,30 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
       }
       CountMemoEntry memo;
       memo.full_count = r.U32();
-      if (memo.full_count > dataset.num_records()) {
-        return Corrupt("memo count exceeds the relation");
+      if (memo.full_count > tid_count) {
+        return Corrupt("memo count exceeds the subset");
       }
+      // A table is replayed by mask over the MIP's items, so it must hold
+      // exactly one count per subset of them, from the whole subset ([0])
+      // down to the full itemset.
       const uint32_t table_len = r.U32();
       if (!r.ok() || table_len > r.remaining() / sizeof(uint32_t)) {
         return Corrupt("memo table exceeds file size");
+      }
+      const size_t items = index.mip(mip_id).items.size();
+      if (table_len != 0 && (items > LocalSubsetCounter::kMaxMaskItems ||
+                             table_len != size_t{1} << items)) {
+        return Corrupt("memo table length does not match the itemset");
       }
       memo.superset_counts.resize(table_len);
       if (table_len > 0 &&
           !r.ReadBytes(memo.superset_counts.data(),
                        table_len * sizeof(uint32_t))) {
         return Corrupt("truncated memo table");
+      }
+      if (table_len != 0 && (memo.superset_counts.front() != tid_count ||
+                             memo.superset_counts.back() != memo.full_count)) {
+        return Corrupt("memo table disagrees with the subset");
       }
       snap.memos.emplace_back(
           std::make_pair(std::move(constraint_key), mip_id),
@@ -367,10 +385,10 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
         if (count > tid_count) {
           return Corrupt("ARM memo count exceeds the subset");
         }
-        if (p > 0 && mip_id <= memo.qualified.back().first) {
+        if (p > 0 && mip_id <= memo.qualified.back().mip_id) {
           return Corrupt("ARM memo qualified set is not strictly increasing");
         }
-        memo.qualified.emplace_back(mip_id, count);
+        memo.qualified.push_back({mip_id, count});
       }
       snap.arm_memos.emplace_back(
           std::make_pair(std::move(constraint_key), min_count),

@@ -238,7 +238,6 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     PlanExecOptions exec;
     exec.rulegen = options_.rulegen;
     exec.pool = pool_.get();
-    exec.cache = cache;
     exec.memo_txn = slot.txn.get();
     exec.cancel = cancels[i];
     Result<PlanResult> plan =

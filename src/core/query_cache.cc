@@ -27,7 +27,7 @@ size_t MemoBytes(const std::string& constraint_key,
 size_t ArmMemoBytes(const std::string& constraint_key,
                     const ArmMemoEntry& memo) {
   return kMemoOverhead + constraint_key.size() +
-         memo.qualified.size() * sizeof(std::pair<uint32_t, uint32_t>);
+         memo.qualified.size() * sizeof(QualifiedItemset);
 }
 
 // Same condition FocalSubset::Materialize scans (and prices) under.
@@ -125,19 +125,17 @@ std::string CanonicalBoxKey(const Rect& box) {
   return key;
 }
 
-uint32_t MemoSubsetCounter::CountOf(std::span<const ItemId> subset) const {
-  // MaskOf contract of the cold counters: position mask within the base
-  // itemset, unknown items count as never-present.
-  uint32_t mask = 0;
-  size_t pos = 0;
-  for (ItemId item : subset) {
-    while (pos < itemset_.size() && itemset_[pos] < item) ++pos;
-    if (pos == itemset_.size() || itemset_[pos] != item) return 0;
-    mask |= (1u << pos);
-    ++pos;
-  }
-  return memo_->superset_counts[mask];
+std::shared_ptr<const CountMemoEntry> CountMemoTxn::Lookup(
+    uint32_t mip_id) const {
+  return cache_->MemoLookup(box_key_, constraint_key_, mip_id);
 }
+
+std::shared_ptr<const ArmMemoEntry> CountMemoTxn::LookupArm(
+    uint32_t min_count) const {
+  return cache_->ArmMemoLookup(box_key_, constraint_key_, min_count);
+}
+
+void CountMemoTxn::NoteServed() const { cache_->NoteMemoServed(); }
 
 void CountMemoTxn::RecordFull(uint32_t mip_id, uint32_t full_count) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -153,9 +151,8 @@ void CountMemoTxn::RecordTable(uint32_t mip_id, uint32_t full_count,
   entry.superset_counts.assign(superset_counts.begin(), superset_counts.end());
 }
 
-void CountMemoTxn::RecordArmMine(
-    uint32_t min_count, uint64_t local_cfis,
-    std::vector<std::pair<uint32_t, uint32_t>> qualified) {
+void CountMemoTxn::RecordArmMine(uint32_t min_count, uint64_t local_cfis,
+                                 std::vector<QualifiedItemset> qualified) {
   std::lock_guard<std::mutex> lock(mutex_);
   arm_writes_.emplace(min_count,
                       ArmMemoEntry{local_cfis, std::move(qualified)});
@@ -540,9 +537,9 @@ void QueryCache::NoteMemoServed() {
   ++counters_.hits_count_memo;
 }
 
-std::unique_ptr<CountMemoTxn> QueryCache::BeginTxn(
-    const Rect& box, std::string constraint_key) const {
-  return std::make_unique<CountMemoTxn>(CanonicalBoxKey(box),
+std::unique_ptr<CountMemoTxn> QueryCache::BeginTxn(const Rect& box,
+                                                   std::string constraint_key) {
+  return std::make_unique<CountMemoTxn>(this, CanonicalBoxKey(box),
                                         std::move(constraint_key));
 }
 
@@ -656,7 +653,15 @@ void QueryCache::Restore(std::vector<CacheEntrySnapshot> entries) {
     entry.last_used = ++clock_;
     counters_.bytes += entry.bytes;
     ++counters_.entries;
-    entries_[CanonicalBoxKey(entry.box)] = std::move(entry);
+    // A later snapshot of the same box replaces the earlier one, and the
+    // replaced entry's bytes and count go with it.
+    auto [it, inserted] =
+        entries_.try_emplace(CanonicalBoxKey(entry.box), std::move(entry));
+    if (!inserted) {
+      counters_.bytes -= it->second.bytes;
+      --counters_.entries;
+      it->second = std::move(entry);
+    }
   }
   EvictOverBudgetLocked(nullptr);
 }
@@ -703,20 +708,11 @@ size_t QueryCache::ProtectedBytesLocked() const {
 void QueryCache::InsertLocked(std::string key, const Rect& box,
                               std::shared_ptr<const FocalSubset> subset) {
   Entry& entry = entries_[key];
-  if (entry.subset != nullptr) {
-    // Refresh (possible only via concurrent standalone callers): replace
-    // the subset, keep the memo and segment/accounting state.
-    counters_.bytes -= SubsetBytes(*entry.subset);
-  } else {
-    entry.box = box;
-    ++counters_.entries;
-  }
-  counters_.bytes += SubsetBytes(*subset);
+  entry.box = box;
   entry.bytes = SubsetBytes(*subset);
-  for (const auto& [memo_key, memo] : entry.memo) {
-    entry.bytes += MemoBytes(memo_key.first, *memo);
-  }
   entry.subset = std::move(subset);
+  ++counters_.entries;
+  counters_.bytes += entry.bytes;
   entry.last_used = ++clock_;
   EvictOverBudgetLocked(&key);
 }

@@ -58,30 +58,47 @@ struct CountMemoEntry {
 };
 
 /// One memoized ARM mining result for a (box, constraints, local minimum
-/// count) triple: the qualified (MIP id, local count) pairs the miner
-/// produced, sorted by MIP id, plus the local-CFI tally the run charged.
-/// Replaying it skips the from-scratch CHARM pass outright while keeping
-/// rules and effort counters byte-identical — the qualified set is a pure
-/// function of the triple. Immutable once published.
+/// count) triple: the qualified itemsets the miner produced, sorted by MIP
+/// id, plus the local-CFI tally the run charged. Replaying it skips the
+/// from-scratch CHARM pass outright while keeping rules and effort counters
+/// byte-identical — the qualified set is a pure function of the triple.
+/// Immutable once published.
 struct ArmMemoEntry {
   uint64_t local_cfis = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> qualified;  // (mip_id, count)
+  std::vector<QualifiedItemset> qualified;
 };
 
-/// Buffered count-memo writes of one query execution. Operators record
-/// into the transaction (thread-safe: parallel VERIFY shards write
-/// concurrently, but always to distinct MIPs, so content is
-/// deterministic); the engine commits it at a deterministic point — the
-/// end of its batch, in input order — so cache state transitions never
-/// depend on thread timing.
+class QueryCache;
+
+/// The count memo as one query execution sees it, and the operators' only
+/// handle on it: reads come from the cache's committed state, hit notes
+/// land in its telemetry at once (failed queries' hits included), and
+/// writes buffer here until the engine commits them at a deterministic
+/// point — the end of its batch, in input order — so cache state
+/// transitions never depend on thread timing. Writes are thread-safe:
+/// parallel shards record concurrently, but always to distinct MIPs, so
+/// content is deterministic.
 class CountMemoTxn {
  public:
-  explicit CountMemoTxn(std::string box_key, std::string constraint_key = {})
-      : box_key_(std::move(box_key)),
+  CountMemoTxn(QueryCache* cache, std::string box_key,
+               std::string constraint_key = {})
+      : cache_(cache),
+        box_key_(std::move(box_key)),
         constraint_key_(std::move(constraint_key)) {}
 
   const std::string& box_key() const { return box_key_; }
   const std::string& constraint_key() const { return constraint_key_; }
+
+  /// The committed memo for one MIP of this box and constraint key; null
+  /// on a miss. Serving from it is noted with NoteServed().
+  std::shared_ptr<const CountMemoEntry> Lookup(uint32_t mip_id) const;
+
+  /// The committed ARM mining result at `min_count`; null on a miss.
+  std::shared_ptr<const ArmMemoEntry> LookupArm(uint32_t min_count) const;
+
+  /// Telemetry: one candidate (or one ARM mining run) was served from the
+  /// memo instead of a record-level pass.
+  void NoteServed() const;
 
   /// Records a full-count-only fact (ELIMINATE, long itemsets). Never
   /// downgrades an already-recorded table.
@@ -94,11 +111,12 @@ class CountMemoTxn {
   /// Records one ARM mining run's complete qualified set at its local
   /// minimum count (first write wins; results are deterministic).
   void RecordArmMine(uint32_t min_count, uint64_t local_cfis,
-                     std::vector<std::pair<uint32_t, uint32_t>> qualified);
+                     std::vector<QualifiedItemset> qualified);
 
  private:
   friend class QueryCache;
 
+  QueryCache* cache_;
   std::string box_key_;
   /// RuleConstraints::CacheKey() of the owning query ("" = unconstrained).
   /// Memo facts land under (constraint_key, mip_id), so queries with
@@ -107,32 +125,6 @@ class CountMemoTxn {
   std::mutex mutex_;
   std::map<uint32_t, CountMemoEntry> writes_;
   std::map<uint32_t, ArmMemoEntry> arm_writes_;  // keyed by min_count
-};
-
-/// Drop-in counter replaying a memoized subset-count table: satisfies the
-/// GenerateRulesForItemset contract (itemset / CountFull / base_size /
-/// CountOf / record_checks) with O(1) count lookups. Reports the same
-/// record-check price the cold mask-route counter charges (one semantic
-/// pass over the focal subset), keeping warm effort counters byte-
-/// identical to cold execution.
-class MemoSubsetCounter {
- public:
-  MemoSubsetCounter(Itemset itemset, std::shared_ptr<const CountMemoEntry> memo,
-                    uint32_t base_size)
-      : itemset_(std::move(itemset)),
-        memo_(std::move(memo)),
-        base_size_(base_size) {}
-
-  uint32_t CountOf(std::span<const ItemId> subset) const;
-  uint32_t CountFull() const { return memo_->full_count; }
-  const Itemset& itemset() const { return itemset_; }
-  uint32_t base_size() const { return base_size_; }
-  uint64_t record_checks() const { return base_size_; }
-
- private:
-  Itemset itemset_;
-  std::shared_ptr<const CountMemoEntry> memo_;
-  uint32_t base_size_;
 };
 
 /// One resident entry's externally visible state — the unit the v4
@@ -218,8 +210,8 @@ class QueryCache {
   Lease Acquire(const Rect& box, uint64_t* record_checks);
 
   /// Tier-3 read: the committed memo for (box, constraints, MIP), null on
-  /// a miss. Does not count telemetry — callers call NoteMemoServed() when
-  /// they actually serve from the returned entry.
+  /// a miss. Does not count telemetry — a query's CountMemoTxn notes the
+  /// hits it actually serves.
   std::shared_ptr<const CountMemoEntry> MemoLookup(
       const std::string& box_key, const std::string& constraint_key,
       uint32_t mip_id) const;
@@ -232,13 +224,10 @@ class QueryCache {
       const std::string& box_key, const std::string& constraint_key,
       uint32_t min_count) const;
 
-  /// Telemetry: one ELIMINATE/VERIFY candidate was served from the memo.
-  void NoteMemoServed();
-
-  /// Starts a buffered memo transaction for the box under the query's
+  /// Starts the memo transaction of one query on `box` under its
   /// constraint key (no cache state is touched until Commit).
   std::unique_ptr<CountMemoTxn> BeginTxn(const Rect& box,
-                                         std::string constraint_key = {}) const;
+                                         std::string constraint_key = {});
 
   /// Merges a transaction's writes into the box's entry (dropped silently
   /// when the box has been evicted), bumps its recency, and evicts over
@@ -263,6 +252,11 @@ class QueryCache {
   void Restore(std::vector<CacheEntrySnapshot> entries);
 
  private:
+  friend class CountMemoTxn;
+
+  /// Telemetry: one candidate or ARM run was served from the memo.
+  void NoteMemoServed();
+
   struct Entry {
     Rect box;
     std::shared_ptr<const FocalSubset> subset;
@@ -341,8 +335,8 @@ class QueryCache {
   void PromoteLocked(Entry* entry);
   size_t ProtectedBytesLocked() const;
 
-  /// Inserts (or refreshes) the entry for `key` into probation, then
-  /// evicts until resident bytes fit the budget. Caller holds mutex_.
+  /// Inserts the entry for `key`, which is not resident, into probation,
+  /// then evicts until resident bytes fit the budget. Caller holds mutex_.
   void InsertLocked(std::string key, const Rect& box,
                     std::shared_ptr<const FocalSubset> subset);
 

@@ -41,7 +41,8 @@ std::vector<RegionSuggestion> ParameterRecommender::Suggest(
       probe.ranges = {{attr, lo, hi}};
       probe.minsupp = lowest_minsupp;
       probe.minconf = options.minconf;
-      PlanContext ctx(*index_, probe, RuleGenOptions{});
+      PlanContext ctx(*index_, probe, RuleGenOptions{},
+                      OpSelect(*index_, probe));
       if (ctx.subset.size() < 2) continue;
 
       // One SUPPORTED-SEARCH + one local counting pass at the lowest grid

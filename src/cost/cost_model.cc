@@ -209,21 +209,22 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
 
   switch (kind) {
     case PlanKind::kSEV:
-    case PlanKind::kSSEV: {
+    case PlanKind::kSVS:
+    case PlanKind::kSSEV:
+    case PlanKind::kSSVS: {
       est.search = ExpectedNodeAccesses(extQ, supported ? ss_pass : 1.0) *
                    constants_.rtree_box_check_ns * stats_->rtree_fanout;
       est.eliminate = candidates * attr_frac * eliminate_per_cand;
       est.verify = est.est_qualified * verify_per_itemset;
-      break;
-    }
-    case PlanKind::kSVS:
-    case PlanKind::kSSVS: {
-      est.search = ExpectedNodeAccesses(extQ, supported ? ss_pass : 1.0) *
-                   constants_.rtree_box_check_ns * stats_->rtree_fanout;
-      // Fused pass: one full-itemset record-level scan per candidate does
-      // the support and confidence work together.
-      est.verify = candidates * attr_frac * verify_scan_per_itemset +
-                   est.est_qualified * rules_per * constants_.rule_check_ns;
+      if (kind == PlanKind::kSVS || kind == PlanKind::kSSVS) {
+        // SUPPORTED-VERIFY runs ELIMINATE's count per candidate and
+        // VERIFY's step per qualifier, fused into one stage: the same work,
+        // reported where execution times it. The total below adds the two
+        // stages first, so the fused plan prices bit for bit like its
+        // unfused twin, and the tie keeps the earlier (unfused) plan.
+        est.verify = est.eliminate + est.verify;
+        est.eliminate = 0.0;
+      }
       break;
     }
     case PlanKind::kSSEUV: {
@@ -252,7 +253,8 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
     }
   }
 
-  est.total = est.select + est.search + est.eliminate + est.verify + est.mine;
+  est.total =
+      est.select + est.search + (est.eliminate + est.verify) + est.mine;
   return est;
 }
 

@@ -1,6 +1,7 @@
 #include "mining/local_counter.h"
 
 #include <array>
+#include <cassert>
 #include <utility>
 
 namespace colarm {
@@ -15,6 +16,7 @@ uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
     return static_cast<uint32_t>(Bitmap::And3Count(
         vertical.item(itemset[0]), vertical.item(itemset[1]), dq));
   }
+  if (scratch->size() != dq.size()) *scratch = Bitmap(dq.size());
   Bitmap::AndInto(vertical.item(itemset[0]), vertical.item(itemset[1]),
                   scratch);
   for (size_t i = 2; i < itemset.size(); ++i) {
@@ -23,18 +25,28 @@ uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
   return static_cast<uint32_t>(Bitmap::AndCount(*scratch, dq));
 }
 
+uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
+                    const VerticalIndex* vertical, const Bitmap* dq,
+                    std::span<const ItemId> itemset, Bitmap* scratch) {
+  if (dq != nullptr) return BitmapLocalCount(*vertical, *dq, itemset, scratch);
+  uint32_t count = 0;
+  for (Tid t : tids) {
+    if (dataset.ContainsAll(t, itemset)) ++count;
+  }
+  return count;
+}
+
 LocalSubsetCounter::LocalSubsetCounter(const Dataset& dataset, Itemset itemset,
                                        std::span<const Tid> tids,
                                        const VerticalIndex* vertical,
                                        const Bitmap* dq)
-    : dataset_(dataset),
+    : dataset_(&dataset),
       vertical_(vertical),
       dq_(dq),
       itemset_(std::move(itemset)),
       tids_(tids) {
   const size_t len = itemset_.size();
-  use_mask_ = len <= kMaxMaskItems;
-  if (!use_mask_) {
+  if (len > kMaxMaskItems) {
     full_count_ = Count(itemset_);
     return;
   }
@@ -51,19 +63,30 @@ LocalSubsetCounter::LocalSubsetCounter(const Dataset& dataset, Itemset itemset,
   } else {
     RowProbe();
   }
+  table_ = superset_counts_;
   record_checks_ += tids_.size();
-  full_count_ = superset_counts_.back();
+  full_count_ = table_.back();
+}
+
+LocalSubsetCounter::LocalSubsetCounter(Itemset itemset,
+                                       std::span<const Tid> tids,
+                                       std::span<const uint32_t> recorded)
+    : itemset_(std::move(itemset)), tids_(tids), table_(recorded) {
+  assert(itemset_.size() <= kMaxMaskItems &&
+         table_.size() == size_t{1} << itemset_.size());
+  record_checks_ = tids_.size();
+  full_count_ = table_.back();
 }
 
 void LocalSubsetCounter::RowProbe() {
   // Column pointers and wanted values hoisted out of the record loop: one
   // load and compare per (record, item), no item -> attribute lookups.
-  const Schema& schema = dataset_.schema();
+  const Schema& schema = dataset_->schema();
   const size_t len = itemset_.size();
   std::array<const ValueId*, kMaxMaskItems> columns{};
   std::array<ValueId, kMaxMaskItems> values{};
   for (size_t i = 0; i < len; ++i) {
-    columns[i] = dataset_.Column(schema.AttrOfItem(itemset_[i])).data();
+    columns[i] = dataset_->Column(schema.AttrOfItem(itemset_[i])).data();
     values[i] = schema.ValueOfItem(itemset_[i]);
   }
   for (Tid t : tids_) {
@@ -107,15 +130,8 @@ void LocalSubsetCounter::LatticeDfs() {
 
 uint32_t LocalSubsetCounter::Count(std::span<const ItemId> items) const {
   record_checks_ += tids_.size();
-  if (dq_ != nullptr) {
-    Bitmap scratch(vertical_->num_records());
-    return BitmapLocalCount(*vertical_, *dq_, items, &scratch);
-  }
-  uint32_t count = 0;
-  for (Tid t : tids_) {
-    if (dataset_.ContainsAll(t, items)) ++count;
-  }
-  return count;
+  Bitmap scratch;
+  return LocalCount(*dataset_, tids_, vertical_, dq_, items, &scratch);
 }
 
 uint32_t LocalSubsetCounter::MaskOf(std::span<const ItemId> subset) const {
@@ -133,10 +149,10 @@ uint32_t LocalSubsetCounter::MaskOf(std::span<const ItemId> subset) const {
 }
 
 uint32_t LocalSubsetCounter::CountOf(std::span<const ItemId> subset) const {
-  if (use_mask_) {
+  if (!table_.empty()) {
     uint32_t mask = MaskOf(subset);
     if (mask == UINT32_MAX) return 0;
-    return superset_counts_[mask];
+    return table_[mask];
   }
   return Count(subset);
 }

@@ -14,18 +14,28 @@ namespace colarm {
 
 /// Local support of one (sorted) itemset within a dense focal-subset
 /// bitmap: popcount(AND of the item bitmaps ∩ DQ), computed word-parallel
-/// with no row access. `scratch` (universe-sized) avoids per-call
-/// allocation in the ELIMINATE candidate loop; it is clobbered.
+/// with no row access. `scratch` holds the running AND of three or more
+/// items; it is sized to the relation on first use and clobbered, so a
+/// candidate loop that keeps one stays allocation-free.
 uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
                           std::span<const ItemId> itemset, Bitmap* scratch);
+
+/// Local support of one (sorted) itemset within a focal subset: the
+/// bitmap count when the caller passes a dense DQ's bitmap `dq` (with the
+/// index's item bitmaps `vertical`), row probes over `tids` otherwise.
+/// ELIMINATE's per-candidate count and the subset counter's per-query
+/// count past kMaxMaskItems; the caller charges the pass.
+uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
+                    const VerticalIndex* vertical, const Bitmap* dq,
+                    std::span<const ItemId> itemset, Bitmap* scratch);
 
 /// Counts, within a focal subset, the local support of *every* subset of a
 /// candidate itemset — the record-level workhorse of VERIFY and
 /// SUPPORTED-VERIFY (rule confidence needs antecedent counts for all
 /// partitions of the itemset).
 ///
-/// For itemsets up to kMaxMaskItems items the counter precomputes all 2^L
-/// subset counts, so each CountOf() is O(1). Two routes fill the table:
+/// For itemsets up to kMaxMaskItems items the counter holds all 2^L subset
+/// counts, so each CountOf() is O(1). Two routes fill the table:
 ///
 ///   row probe    each focal record's sub-pattern mask from L column
 ///                lookups, then a superset-sum (zeta) transform;
@@ -35,11 +45,15 @@ uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
 ///                a dense DQ's bitmap and the lattice moves fewer words than
 ///                the probe touches cells.
 ///
+/// A third constructor takes over a table recorded by an earlier counter
+/// (the session cache's count memo) instead of filling one.
+///
 /// Longer itemsets count per query: word-parallel against a given DQ
 /// bitmap, otherwise by scanning the tid list. The route never shows:
 /// counts are identical, and `record_checks` charges one semantic pass over
 /// the focal subset per full count (plus one per long-itemset CountOf), so
-/// plans report byte-identical statistics whichever route ran.
+/// plans report byte-identical statistics whichever route ran — a replayed
+/// table included.
 class LocalSubsetCounter {
  public:
   static constexpr size_t kMaxMaskItems = 20;
@@ -55,6 +69,17 @@ class LocalSubsetCounter {
                      std::span<const Tid> tids,
                      const VerticalIndex* vertical = nullptr,
                      const Bitmap* dq = nullptr);
+
+  /// Replays `recorded`, the subset_table() an earlier counter built for
+  /// the same itemset over the same focal subset (2^|itemset| entries,
+  /// |itemset| <= kMaxMaskItems). Spanned like `tids`: the caller keeps the
+  /// table alive. Charges the one pass the recording counter charged.
+  LocalSubsetCounter(Itemset itemset, std::span<const Tid> tids,
+                     std::span<const uint32_t> recorded);
+
+  /// The table may live in the counter itself; copies would alias it.
+  LocalSubsetCounter(const LocalSubsetCounter&) = delete;
+  LocalSubsetCounter& operator=(const LocalSubsetCounter&) = delete;
 
   /// Local support count of a subset of the constructor itemset. `subset`
   /// must be sorted and a subset of `itemset()`; unknown items count as
@@ -74,8 +99,8 @@ class LocalSubsetCounter {
   /// True iff subset_table() holds all 2^L subset counts (the session
   /// cache's count-memo payload), i.e. the itemset has at most
   /// kMaxMaskItems items.
-  bool has_subset_table() const { return use_mask_; }
-  std::span<const uint32_t> subset_table() const { return superset_counts_; }
+  bool has_subset_table() const { return !table_.empty(); }
+  std::span<const uint32_t> subset_table() const { return table_; }
 
  private:
   uint32_t MaskOf(std::span<const ItemId> subset) const;
@@ -84,13 +109,13 @@ class LocalSubsetCounter {
   /// Direct count of one itemset over the focal subset (long itemsets).
   uint32_t Count(std::span<const ItemId> items) const;
 
-  const Dataset& dataset_;
-  const VerticalIndex* vertical_;
-  const Bitmap* dq_;
+  const Dataset* dataset_ = nullptr;  // null for a replayed table
+  const VerticalIndex* vertical_ = nullptr;
+  const Bitmap* dq_ = nullptr;
   Itemset itemset_;
   std::span<const Tid> tids_;
-  bool use_mask_ = false;
   std::vector<uint32_t> superset_counts_;  // [mask] = |records ⊇ mask|
+  std::span<const uint32_t> table_;  // superset_counts_ or a recorded table
   uint32_t full_count_ = 0;
   mutable uint64_t record_checks_ = 0;
 };

@@ -8,39 +8,20 @@
 namespace colarm {
 
 PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
-                         const RuleGenOptions& rulegen, ThreadPool* pool)
-    : index(index), query(query), rulegen(rulegen), pool(pool) {
+                         const RuleGenOptions& rulegen, FocalSubset selected,
+                         ThreadPool* pool)
+    : index(index),
+      query(query),
+      rulegen(rulegen),
+      pool(pool),
+      subset(std::move(selected)) {
   const Schema& schema = index.dataset().schema();
   item_attr_mask = query.ItemAttrMask(schema);
-  subset = FocalSubset::Materialize(index.dataset(), query.ToRect(schema),
-                                    &record_checks);
   local_min_count =
       subset.size() == 0 ? 1 : MinCount(query.minsupp, subset.size());
-  InitConstraints();
-}
-
-PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
-                         const RuleGenOptions& rulegen, FocalSubset shared,
-                         ThreadPool* pool)
-    : index(index), query(query), rulegen(rulegen), pool(pool) {
-  item_attr_mask = query.ItemAttrMask(index.dataset().schema());
-  subset = std::move(shared);
-  local_min_count =
-      subset.size() == 0 ? 1 : MinCount(query.minsupp, subset.size());
-  InitConstraints();
-}
-
-void PlanContext::BuildDqBitmap() {
-  const uint32_t universe = index.dataset().num_records();
-  if (subset.size() == 0 || !IsDense(subset.size(), universe)) return;
-  dq_bitmap = Bitmap::FromTids(subset.tids, universe);
-}
-
-void PlanContext::InitConstraints() {
   search_box = subset.box;
   const RuleConstraints& constraints = query.constraints;
   if (constraints.Empty()) return;
-  const Schema& schema = index.dataset().schema();
   item_constrained = constraints.HasItemConstraints();
   constraints_precluded = query.ConstraintsPrecludeRules(schema);
   if (constraints_precluded) return;
@@ -48,6 +29,12 @@ void PlanContext::InitConstraints() {
     const ValueId value = schema.ValueOfItem(item);
     search_box.SetInterval(schema.AttrOfItem(item), value, value);
   }
+}
+
+void PlanContext::BuildDqBitmap() {
+  const uint32_t universe = index.dataset().num_records();
+  if (subset.size() == 0 || !IsDense(subset.size(), universe)) return;
+  dq_bitmap = Bitmap::FromTids(subset.tids, universe);
 }
 
 bool PlanContext::MipAttrsAllowed(uint32_t mip_id) const {
@@ -91,14 +78,6 @@ RuleGenFilter PlanContext::FilterForItemset(const Itemset& items) const {
 
 namespace {
 
-// Chunk count for the record-level operator loops: a few chunks per worker
-// for load balance (candidate costs vary with tidset sizes), coarse enough
-// that per-chunk buffers stay cheap. 1 means "run the sequential path".
-size_t OperatorChunks(const PlanContext& ctx, size_t n) {
-  if (!IsParallel(ctx.pool) || n <= 1) return 1;
-  return std::min(n, static_cast<size_t>(ctx.pool->parallelism()) * 4);
-}
-
 CandidateSet RunSearch(PlanContext* ctx, bool supported) {
   CandidateSet out;
   auto visitor = [&out](const RTreeEntry& entry, bool contained) {
@@ -121,6 +100,12 @@ CandidateSet RunSearch(PlanContext* ctx, bool supported) {
 
 }  // namespace
 
+FocalSubset OpSelect(const MipIndex& index, const LocalizedQuery& query,
+                     uint64_t* record_checks) {
+  return FocalSubset::Materialize(
+      index.dataset(), query.ToRect(index.dataset().schema()), record_checks);
+}
+
 CandidateSet OpSearch(PlanContext* ctx) {
   return RunSearch(ctx, /*supported=*/false);
 }
@@ -131,96 +116,126 @@ CandidateSet OpSupportedSearch(PlanContext* ctx) {
 
 namespace {
 
-// True when this execution both reads and records the session cache's
-// per-(box, itemset) count memo.
-bool MemoActive(const PlanContext& ctx) {
-  return ctx.cache != nullptr && ctx.memo_txn != nullptr;
+// What one candidate range produced: qualified itemsets (ELIMINATE), rules
+// (VERIFY, SUPPORTED-VERIFY), and the effort counters it charged.
+struct Shard {
+  std::vector<QualifiedItemset> qualified;
+  RuleSet rules;
+  RuleGenStats rule_stats;
+  uint64_t record_checks = 0;
+
+  // Appends the output of the range that follows this one.
+  void Append(Shard&& next) {
+    qualified.insert(qualified.end(), next.qualified.begin(),
+                     next.qualified.end());
+    rules.rules.insert(rules.rules.end(),
+                       std::make_move_iterator(next.rules.rules.begin()),
+                       std::make_move_iterator(next.rules.rules.end()));
+    rule_stats.Add(next.rule_stats);
+    record_checks += next.record_checks;
+  }
+};
+
+// The one candidate loop of the record-level operators: runs `body(range,
+// shard)` over all candidates as one range, or, on a parallel pool, over a
+// few chunks per worker (candidate costs vary with tidset sizes) with one
+// shard each, appended in chunk order. Candidates are sorted by MIP id, so
+// rules, their order before canonicalization and every effort counter are
+// byte-identical to the sequential run. Charges the counters to `ctx` and
+// returns the outputs.
+template <typename T, typename Body>
+Shard ForEachCandidate(PlanContext* ctx, std::span<const T> candidates,
+                       const Body& body) {
+  const size_t n = candidates.size();
+  const size_t chunks =
+      IsParallel(ctx->pool) && n > 1
+          ? std::min(n, static_cast<size_t>(ctx->pool->parallelism()) * 4)
+          : 1;
+  std::vector<Shard> shards(chunks);
+  ParallelChunks(ctx->pool, n, chunks,
+                 [&](size_t chunk, size_t begin, size_t end) {
+                   body(candidates.subspan(begin, end - begin),
+                        &shards[chunk]);
+                 });
+  for (size_t chunk = 1; chunk < chunks; ++chunk) {
+    shards.front().Append(std::move(shards[chunk]));
+  }
+  Shard& all = shards.front();
+  ctx->record_checks += all.record_checks;
+  ctx->rule_stats.Add(all.rule_stats);
+  return std::move(all);
 }
 
-// Local support of one itemset within the focal subset: popcount(item-AND
-// ∩ DQ) on a dense DQ, row probes on a sparse one. `scratch` (one per
-// candidate range, sized to the DQ bitmap when there is one) keeps the
-// candidate loops allocation-free. The caller charges the pass.
-uint32_t FullLocalCount(const PlanContext& ctx, const Itemset& items,
-                        Bitmap* scratch) {
-  if (const Bitmap* dq = ctx.dq(); dq != nullptr) {
-    return BitmapLocalCount(ctx.index.vertical(), *dq, items, scratch);
-  }
-  const Dataset& dataset = ctx.index.dataset();
-  uint32_t count = 0;
-  for (Tid t : ctx.subset.tids) {
-    if (dataset.ContainsAll(t, items)) ++count;
-  }
+// The committed memo for one candidate, null on a miss or without a memo.
+std::shared_ptr<const CountMemoEntry> MemoOf(const PlanContext& ctx,
+                                             uint32_t mip_id) {
+  return ctx.memo_txn != nullptr ? ctx.memo_txn->Lookup(mip_id) : nullptr;
+}
+
+// ELIMINATE's per-candidate count: the memo's full count when `memo` holds
+// one, otherwise a cold count (bitmap on a dense DQ, row probes on a sparse
+// one) recorded into the memo. Charged one focal-subset pass either way.
+uint32_t CandidateCount(const PlanContext& ctx, uint32_t mip_id,
+                        const CountMemoEntry* memo, Bitmap* scratch,
+                        uint64_t* record_checks) {
+  *record_checks += ctx.subset.tids.size();
+  if (memo != nullptr) return memo->full_count;
+  const uint32_t count =
+      LocalCount(ctx.index.dataset(), ctx.subset.tids, &ctx.index.vertical(),
+                 ctx.dq(), ctx.index.mip(mip_id).items, scratch);
+  if (ctx.memo_txn != nullptr) ctx.memo_txn->RecordFull(mip_id, count);
   return count;
 }
 
-// Bitmap scratch for FullLocalCount over one candidate range.
-Bitmap CountScratch(const PlanContext& ctx) {
-  return ctx.dq() != nullptr ? Bitmap(ctx.dq()->size()) : Bitmap();
-}
-
-// Sequential ELIMINATE body over one candidate range; the parallel path
-// runs it per chunk with chunk-local outputs. Each counted candidate is
-// charged one pass over the focal subset.
-void EliminateRange(PlanContext* ctx, std::span<const uint32_t> candidates,
-                    std::vector<QualifiedItemset>* qualified,
-                    uint64_t* record_checks) {
-  const bool memo = MemoActive(*ctx);
-  Bitmap scratch = CountScratch(*ctx);
-  for (uint32_t id : candidates) {
-    ThrowIfCancelled(ctx->cancel);
-    if (!ctx->MipConstraintAllowed(id)) continue;
-    const Mip& mip = ctx->index.mip(id);
-    if (memo) {
-      auto hit = ctx->cache->MemoLookup(ctx->memo_txn->box_key(),
-                                        ctx->memo_txn->constraint_key(), id);
-      if (hit != nullptr) {
-        // The memoized count replaces the scan; the semantic price (one
-        // pass over the focal subset) is charged as if it ran, keeping the
-        // effort counters byte-identical to cold execution.
-        ctx->cache->NoteMemoServed();
-        *record_checks += ctx->subset.tids.size();
-        if (hit->full_count >= ctx->local_min_count) {
-          qualified->push_back({id, hit->full_count});
-        }
-        continue;
-      }
-    }
-    const uint32_t count = FullLocalCount(*ctx, mip.items, &scratch);
-    *record_checks += ctx->subset.tids.size();
-    if (memo) ctx->memo_txn->RecordFull(id, count);
-    if (count >= ctx->local_min_count) {
-      qualified->push_back({id, count});
+// VERIFY's per-itemset step: rule generation over the memo's subset table
+// when `memo` holds one, otherwise over a cold counter (the lattice DFS on
+// a dense DQ's bitmap, row probes otherwise) whose counts go to the memo.
+// Returns the counter's record checks for the caller to charge.
+uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id,
+                       const CountMemoEntry* memo, Shard* shard) {
+  const Itemset& items = ctx.index.mip(mip_id).items;
+  const bool replay = memo != nullptr && !memo->superset_counts.empty();
+  if (replay) ctx.memo_txn->NoteServed();
+  const LocalSubsetCounter counter =
+      replay ? LocalSubsetCounter(items, ctx.subset.tids,
+                                  memo->superset_counts)
+             : LocalSubsetCounter(ctx.index.dataset(), items, ctx.subset.tids,
+                                  &ctx.index.vertical(), ctx.dq());
+  GenerateRulesForItemset(counter, ctx.query.minconf, ctx.rulegen,
+                          ctx.FilterForItemset(items), &shard->rules,
+                          &shard->rule_stats);
+  if (!replay && ctx.memo_txn != nullptr) {
+    if (counter.has_subset_table()) {
+      ctx.memo_txn->RecordTable(mip_id, counter.CountFull(),
+                                counter.subset_table());
+    } else {
+      ctx.memo_txn->RecordFull(mip_id, counter.CountFull());
     }
   }
+  return counter.record_checks();
 }
 
 }  // namespace
 
 std::vector<QualifiedItemset> OpEliminate(
     PlanContext* ctx, std::span<const uint32_t> candidates) {
-  std::vector<QualifiedItemset> qualified;
-  const size_t chunks = OperatorChunks(*ctx, candidates.size());
-  if (chunks <= 1) {
-    EliminateRange(ctx, candidates, &qualified, &ctx->record_checks);
-    return qualified;
-  }
-
-  // Candidates are sorted by mip_id, so concatenating chunk outputs in
-  // chunk order reproduces the sequential qualified order exactly.
-  std::vector<std::vector<QualifiedItemset>> parts(chunks);
-  std::vector<uint64_t> checks(chunks, 0);
-  ParallelChunks(ctx->pool, candidates.size(), chunks,
-                 [&](size_t chunk, size_t begin, size_t end) {
-                   EliminateRange(ctx, candidates.subspan(begin, end - begin),
-                                  &parts[chunk], &checks[chunk]);
-                 });
-  for (size_t chunk = 0; chunk < chunks; ++chunk) {
-    qualified.insert(qualified.end(), parts[chunk].begin(),
-                     parts[chunk].end());
-    ctx->record_checks += checks[chunk];
-  }
-  return qualified;
+  return ForEachCandidate(
+             ctx, candidates,
+             [ctx](std::span<const uint32_t> range, Shard* shard) {
+               Bitmap scratch;
+               for (uint32_t id : range) {
+                 ThrowIfCancelled(ctx->cancel);
+                 if (!ctx->MipConstraintAllowed(id)) continue;
+                 const auto memo = MemoOf(*ctx, id);
+                 const uint32_t count = CandidateCount(
+                     *ctx, id, memo.get(), &scratch, &shard->record_checks);
+                 if (memo != nullptr) ctx->memo_txn->NoteServed();
+                 if (count >= ctx->local_min_count) {
+                   shard->qualified.push_back({id, count});
+                 }
+               }
+             })
+      .qualified;
 }
 
 std::vector<QualifiedItemset> QualifyContained(
@@ -252,186 +267,64 @@ std::vector<QualifiedItemset> OpUnion(std::vector<QualifiedItemset> a,
 
 namespace {
 
-// Per-chunk state of the parallel VERIFY operators: each worker generates
-// into its own rule buffer with its own effort counters, merged in chunk
-// order (rules) and by summation (counters) — both reproduce the
-// sequential result exactly.
-struct VerifyShard {
-  RuleSet rules;
-  RuleGenStats rule_stats;
-  uint64_t record_checks = 0;
-};
-
-// Records one cold-computed counter into the query's memo transaction: the
-// subset table when the counter built one, otherwise just the full count
-// (which still settles later ELIMINATE / disqualification).
-void RecordCounter(PlanContext* ctx, uint32_t mip_id,
-                   const LocalSubsetCounter& counter) {
-  if (counter.has_subset_table()) {
-    ctx->memo_txn->RecordTable(mip_id, counter.CountFull(),
-                               counter.subset_table());
-  } else {
-    ctx->memo_txn->RecordFull(mip_id, counter.CountFull());
+// Appends an operator's rules to the caller's set.
+void AppendRules(RuleSet rules, RuleSet* out) {
+  if (out->rules.empty()) {
+    out->rules = std::move(rules.rules);
+    return;
   }
-}
-
-// Replays a memoized subset-count table for one itemset: rule generation
-// runs against O(1) lookups, charging the cold counter's one-pass price.
-// False when the memo has no table for it (the cold path must run).
-bool TryMemoVerify(PlanContext* ctx, uint32_t mip_id, const Itemset& items,
-                   RuleSet* out, RuleGenStats* rule_stats,
-                   uint64_t* record_checks) {
-  auto hit = ctx->cache->MemoLookup(ctx->memo_txn->box_key(),
-                                    ctx->memo_txn->constraint_key(), mip_id);
-  if (hit == nullptr || hit->superset_counts.empty()) return false;
-  ctx->cache->NoteMemoServed();
-  MemoSubsetCounter counter(items, std::move(hit),
-                            static_cast<uint32_t>(ctx->subset.tids.size()));
-  GenerateRulesForItemset(counter, ctx->query.minconf, ctx->rulegen,
-                          ctx->FilterForItemset(items), out, rule_stats);
-  *record_checks += counter.record_checks();
-  return true;
-}
-
-// The cold subset counter for one itemset: over the DQ bitmap's dense
-// routes when the plan built it, row probes otherwise.
-LocalSubsetCounter ColdCounter(const PlanContext& ctx, const Itemset& items) {
-  return LocalSubsetCounter(ctx.index.dataset(), items, ctx.subset.tids,
-                            &ctx.index.vertical(), ctx.dq());
-}
-
-void VerifyRange(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
-                 RuleSet* out, RuleGenStats* rule_stats,
-                 uint64_t* record_checks) {
-  const bool memo = MemoActive(*ctx);
-  for (const QualifiedItemset& q : qualified) {
-    ThrowIfCancelled(ctx->cancel);
-    const Itemset& items = ctx->index.mip(q.mip_id).items;
-    if (memo && TryMemoVerify(ctx, q.mip_id, items, out, rule_stats,
-                              record_checks)) {
-      continue;
-    }
-    const LocalSubsetCounter counter = ColdCounter(*ctx, items);
-    GenerateRulesForItemset(counter, ctx->query.minconf, ctx->rulegen,
-                            ctx->FilterForItemset(items), out, rule_stats);
-    *record_checks += counter.record_checks();
-    if (memo) RecordCounter(ctx, q.mip_id, counter);
-  }
-}
-
-// One SUPPORTED-VERIFY candidate whose counter is in hand (cold or
-// memo-replayed): the counter's full count decides qualification, then the
-// same counter feeds rule generation.
-template <typename Counter>
-void SupportedVerifyOne(PlanContext* ctx, const Counter& counter, RuleSet* out,
-                        RuleGenStats* rule_stats, uint64_t* record_checks) {
-  *record_checks += counter.record_checks();
-  if (counter.CountFull() < ctx->local_min_count) return;
-  GenerateRulesForItemset(counter, ctx->query.minconf, ctx->rulegen,
-                          ctx->FilterForItemset(counter.itemset()), out,
-                          rule_stats);
-}
-
-// Cold SUPPORTED-VERIFY settles qualification with one FullLocalCount and
-// builds the 2^L subset table only for candidates that qualify. Either way the candidate
-// is charged the one focal-subset pass the table build would charge, so
-// the effort counters do not depend on which candidates qualified.
-void SupportedVerifyRange(PlanContext* ctx,
-                          std::span<const uint32_t> candidates, RuleSet* out,
-                          RuleGenStats* rule_stats, uint64_t* record_checks) {
-  const bool memo = MemoActive(*ctx);
-  Bitmap scratch = CountScratch(*ctx);
-  for (uint32_t id : candidates) {
-    ThrowIfCancelled(ctx->cancel);
-    if (!ctx->MipConstraintAllowed(id)) continue;
-    const Itemset& items = ctx->index.mip(id).items;
-    bool known_qualified = false;
-    if (memo) {
-      auto hit = ctx->cache->MemoLookup(ctx->memo_txn->box_key(),
-                                        ctx->memo_txn->constraint_key(), id);
-      if (hit != nullptr && !hit->superset_counts.empty()) {
-        ctx->cache->NoteMemoServed();
-        MemoSubsetCounter counter(
-            items, std::move(hit),
-            static_cast<uint32_t>(ctx->subset.tids.size()));
-        SupportedVerifyOne(ctx, counter, out, rule_stats, record_checks);
-        continue;
-      }
-      if (hit != nullptr && hit->full_count < ctx->local_min_count) {
-        // A full-count-only memo (ELIMINATE's, or a disqualified
-        // SUPPORTED-VERIFY candidate's) settles disqualification; only a
-        // qualifying candidate needs the table and falls through to the
-        // cold pass.
-        ctx->cache->NoteMemoServed();
-        *record_checks += ctx->subset.tids.size();
-        continue;
-      }
-      known_qualified = hit != nullptr;
-    }
-    if (!known_qualified) {
-      const uint32_t count = FullLocalCount(*ctx, items, &scratch);
-      if (count < ctx->local_min_count) {
-        *record_checks += ctx->subset.tids.size();
-        if (memo) ctx->memo_txn->RecordFull(id, count);
-        continue;
-      }
-    }
-    const LocalSubsetCounter counter = ColdCounter(*ctx, items);
-    SupportedVerifyOne(ctx, counter, out, rule_stats, record_checks);
-    if (memo) RecordCounter(ctx, id, counter);
-  }
-}
-
-void MergeShards(PlanContext* ctx, std::vector<VerifyShard> shards,
-                 RuleSet* out) {
-  for (VerifyShard& shard : shards) {
-    out->rules.insert(out->rules.end(),
-                      std::make_move_iterator(shard.rules.rules.begin()),
-                      std::make_move_iterator(shard.rules.rules.end()));
-    ctx->rule_stats.rules_considered += shard.rule_stats.rules_considered;
-    ctx->rule_stats.rules_emitted += shard.rule_stats.rules_emitted;
-    ctx->rule_stats.itemsets_skipped += shard.rule_stats.itemsets_skipped;
-    ctx->record_checks += shard.record_checks;
-  }
+  out->rules.insert(out->rules.end(),
+                    std::make_move_iterator(rules.rules.begin()),
+                    std::make_move_iterator(rules.rules.end()));
 }
 
 }  // namespace
 
 void OpVerify(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
               RuleSet* out) {
-  const size_t chunks = OperatorChunks(*ctx, qualified.size());
-  if (chunks <= 1) {
-    VerifyRange(ctx, qualified, out, &ctx->rule_stats, &ctx->record_checks);
-    return;
-  }
-  std::vector<VerifyShard> shards(chunks);
-  ParallelChunks(ctx->pool, qualified.size(), chunks,
-                 [&](size_t chunk, size_t begin, size_t end) {
-                   VerifyShard& shard = shards[chunk];
-                   VerifyRange(ctx, qualified.subspan(begin, end - begin),
-                               &shard.rules, &shard.rule_stats,
-                               &shard.record_checks);
-                 });
-  MergeShards(ctx, std::move(shards), out);
+  AppendRules(
+      ForEachCandidate(
+          ctx, qualified,
+          [ctx](std::span<const QualifiedItemset> range, Shard* shard) {
+            for (const QualifiedItemset& q : range) {
+              ThrowIfCancelled(ctx->cancel);
+              shard->record_checks += VerifyItemset(
+                  *ctx, q.mip_id, MemoOf(*ctx, q.mip_id).get(), shard);
+            }
+          })
+          .rules,
+      out);
 }
 
+// ELIMINATE's count settles each candidate's qualification; a qualifier
+// then takes VERIFY's step, whose full-count pass the count has already
+// charged. So the price is ELIMINATE's, plus VERIFY's beyond that pass,
+// whichever candidates qualify. The memo counts a hit when it saves a
+// pass: a disqualifying full count, or a qualifier's subset table.
 void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
                        RuleSet* out) {
-  const size_t chunks = OperatorChunks(*ctx, candidates.size());
-  if (chunks <= 1) {
-    SupportedVerifyRange(ctx, candidates, out, &ctx->rule_stats,
-                         &ctx->record_checks);
-    return;
-  }
-  std::vector<VerifyShard> shards(chunks);
-  ParallelChunks(ctx->pool, candidates.size(), chunks,
-                 [&](size_t chunk, size_t begin, size_t end) {
-                   VerifyShard& shard = shards[chunk];
-                   SupportedVerifyRange(
-                       ctx, candidates.subspan(begin, end - begin),
-                       &shard.rules, &shard.rule_stats, &shard.record_checks);
-                 });
-  MergeShards(ctx, std::move(shards), out);
+  AppendRules(
+      ForEachCandidate(
+          ctx, candidates,
+          [ctx](std::span<const uint32_t> range, Shard* shard) {
+            Bitmap scratch;
+            for (uint32_t id : range) {
+              ThrowIfCancelled(ctx->cancel);
+              if (!ctx->MipConstraintAllowed(id)) continue;
+              const auto memo = MemoOf(*ctx, id);
+              const uint32_t count = CandidateCount(
+                  *ctx, id, memo.get(), &scratch, &shard->record_checks);
+              if (count < ctx->local_min_count) {
+                if (memo != nullptr) ctx->memo_txn->NoteServed();
+                continue;
+              }
+              shard->record_checks +=
+                  VerifyItemset(*ctx, id, memo.get(), shard) -
+                  ctx->subset.tids.size();
+            }
+          })
+          .rules,
+      out);
 }
 
 namespace {
@@ -503,13 +396,10 @@ std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
 
 std::vector<QualifiedItemset> OpArmMine(PlanContext* ctx) {
   if (ctx->subset.tids.empty()) return {};
-  const bool memo = MemoActive(*ctx);
-  if (memo) {
-    auto hit = ctx->cache->ArmMemoLookup(ctx->memo_txn->box_key(),
-                                         ctx->memo_txn->constraint_key(),
-                                         ctx->local_min_count);
-    if (hit != nullptr) {
-      ctx->cache->NoteMemoServed();
+  CountMemoTxn* memo = ctx->memo_txn;
+  if (memo != nullptr) {
+    if (auto hit = memo->LookupArm(ctx->local_min_count); hit != nullptr) {
+      memo->NoteServed();
       // The replay charges the cold pass's only record-level price: the
       // CONTAIN seeding scan over the focal subset.
       if (ctx->item_constrained &&
@@ -517,23 +407,12 @@ std::vector<QualifiedItemset> OpArmMine(PlanContext* ctx) {
         ctx->record_checks += ctx->subset.tids.size();
       }
       ctx->local_cfis = hit->local_cfis;
-      std::vector<QualifiedItemset> qualified;
-      qualified.reserve(hit->qualified.size());
-      for (const auto& [id, count] : hit->qualified) {
-        qualified.push_back({id, count});
-      }
-      return qualified;
+      return hit->qualified;
     }
   }
   std::vector<QualifiedItemset> qualified = ArmMineCold(ctx);
-  if (memo) {
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;
-    pairs.reserve(qualified.size());
-    for (const QualifiedItemset& q : qualified) {
-      pairs.emplace_back(q.mip_id, q.local_count);
-    }
-    ctx->memo_txn->RecordArmMine(ctx->local_min_count, ctx->local_cfis,
-                                 std::move(pairs));
+  if (memo != nullptr) {
+    memo->RecordArmMine(ctx->local_min_count, ctx->local_cfis, qualified);
   }
   return qualified;
 }

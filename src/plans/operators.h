@@ -12,7 +12,6 @@
 
 namespace colarm {
 
-class QueryCache;   // core/query_cache.h
 class CountMemoTxn;  // core/query_cache.h
 
 /// Output of the SEARCH / SUPPORTED-SEARCH operators: MIP ids whose
@@ -57,12 +56,12 @@ struct PlanContext {
   /// over `subset.tids`. Routes never change a count or an effort counter.
   Bitmap dq_bitmap;
 
-  /// Session cache wiring (both null when caching is off). When both are
+  /// The query's count-memo transaction (null when caching is off). When
   /// set, ELIMINATE / VERIFY / SUPPORTED-VERIFY serve per-(box, itemset)
-  /// counts from the committed memo — charging the cold semantic record-
-  /// check price so effort counters stay byte-identical — and record their
-  /// cold-computed counts into the transaction for later queries.
-  QueryCache* cache = nullptr;
+  /// counts and ARM its mining result from the committed memo — charging
+  /// the cold semantic record-check price so effort counters stay
+  /// byte-identical — and record their cold-computed counts into it for
+  /// later queries.
   CountMemoTxn* memo_txn = nullptr;
 
   /// Cooperative cancellation: the per-candidate operator loops poll it
@@ -93,16 +92,12 @@ struct PlanContext {
   RuleGenStats rule_stats;
   uint64_t local_cfis = 0;  // ARM plan only
 
-  /// Materializes DQ (one row scan) and derives the absolute local
-  /// support threshold.
+  /// Takes over the query's focal subset, selected by the caller (a cold
+  /// FocalSubset::Materialize, a session-cache lease, or a batch-shared
+  /// materialization, which also charge SELECT), and derives the absolute
+  /// local support threshold. `subset.box` must equal the query's box.
   PlanContext(const MipIndex& index, const LocalizedQuery& query,
-              const RuleGenOptions& rulegen, ThreadPool* pool = nullptr);
-
-  /// Reuses an already-materialized focal subset (multi-query execution:
-  /// queries sharing a RANGE share one SELECT pass; the session cache).
-  /// `shared.box` must equal the query's box.
-  PlanContext(const MipIndex& index, const LocalizedQuery& query,
-              const RuleGenOptions& rulegen, FocalSubset shared,
+              const RuleGenOptions& rulegen, FocalSubset subset,
               ThreadPool* pool = nullptr);
 
   /// Builds `dq_bitmap` from the tid list (one pass) iff DQ is dense.
@@ -129,12 +124,13 @@ struct PlanContext {
   /// ANTECEDENT-ATTRIBUTES items (pinned to the antecedent side) plus the
   /// query's measure floors. Default-empty when the query is unconstrained.
   RuleGenFilter FilterForItemset(const Itemset& items) const;
-
- private:
-  /// Shared tail of both constructors: derives the constraint state above
-  /// (requires `subset` to be materialized first).
-  void InitConstraints();
 };
+
+/// SELECT: materializes the query's focal subset with one scan of the
+/// relation, charging its membership tests to `record_checks` when given.
+/// The subset a PlanContext takes over when no cache tier serves it.
+FocalSubset OpSelect(const MipIndex& index, const LocalizedQuery& query,
+                     uint64_t* record_checks = nullptr);
 
 /// SEARCH: R-tree range search with the focal box (coarse filter).
 CandidateSet OpSearch(PlanContext* ctx);

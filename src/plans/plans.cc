@@ -70,22 +70,27 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
 
   Timer total_timer;
   Timer stage;
-  PlanContext ctx =
-      subset.has_value()
-          ? PlanContext(index, query, exec.rulegen, std::move(*subset),
-                        exec.pool)
-          : PlanContext(index, query, exec.rulegen, exec.pool);
+  uint64_t select_checks = 0;
+  if (!subset.has_value()) subset = OpSelect(index, query, &select_checks);
+  PlanContext ctx(index, query, exec.rulegen, std::move(*subset), exec.pool);
+  ctx.record_checks = select_checks;
   // Plans that count records in DQ get its bitmap when DQ is dense; ARM
   // mines its own vertical view of DQ and verifies by row probes.
   if (kind != PlanKind::kARM && !ctx.constraints_precluded) {
     ctx.BuildDqBitmap();
   }
-  ctx.cache = exec.cache;
   ctx.memo_txn = exec.memo_txn;
   ctx.cancel = exec.cancel;
   stats.select_ms = stage.ElapsedMillis();
   stats.subset_size = ctx.subset.size();
   stats.local_min_count = ctx.local_min_count;
+
+  // The plan kind picks each stage's operators: plain or supported SEARCH;
+  // ELIMINATE, contained-then-ELIMINATE plus UNION, or SUPPORTED-VERIFY
+  // fused into the VERIFY stage; or, for ARM, MINE in place of both.
+  const bool supported = kind == PlanKind::kSSEV ||
+                         kind == PlanKind::kSSVS || kind == PlanKind::kSSEUV;
+  const bool fused = kind == PlanKind::kSVS || kind == PlanKind::kSSVS;
 
   // Cooperative cancellation: the driver polls once after SELECT, so a
   // request cancelled while queued or selecting skips SEARCH and mining;
@@ -99,106 +104,43 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   // CONTAIN item outside the vocabulary or the focal box) short-circuit
   // the whole pipeline: the answer is empty before any search or scan.
   if (ctx.subset.size() > 0 && !ctx.constraints_precluded) {
-    switch (kind) {
-      case PlanKind::kSEV: {
-        stage.Restart();
-        CandidateSet cands = OpSearch(&ctx);
-        stats.search_ms = stage.ElapsedMillis();
-        stats.candidates_search = cands.total();
-        stats.candidates_contained = cands.contained.size();
+    CandidateSet cands;
+    std::vector<QualifiedItemset> qualified;
+    if (kind == PlanKind::kARM) {
+      stage.Restart();
+      qualified = OpArmMine(&ctx);
+      stats.mine_ms = stage.ElapsedMillis();
+      stats.candidates_qualified = qualified.size();
+      stats.local_cfis = ctx.local_cfis;
+    } else {
+      stage.Restart();
+      cands = supported ? OpSupportedSearch(&ctx) : OpSearch(&ctx);
+      stats.search_ms = stage.ElapsedMillis();
+      stats.candidates_search = cands.total();
+      stats.candidates_contained = cands.contained.size();
 
+      if (!fused) {
         stage.Restart();
-        std::vector<uint32_t> all = AllCandidates(cands);
-        std::vector<QualifiedItemset> qualified = OpEliminate(&ctx, all);
+        if (kind == PlanKind::kSSEUV) {
+          // Contained MIPs skip the record-level support scan (Lemma 4.5);
+          // only partially overlapped ones pass through ELIMINATE.
+          qualified = OpUnion(QualifyContained(&ctx, cands.contained),
+                              OpEliminate(&ctx, cands.overlapped));
+        } else {
+          qualified = OpEliminate(&ctx, AllCandidates(cands));
+        }
         stats.eliminate_ms = stage.ElapsedMillis();
         stats.candidates_qualified = qualified.size();
-
-        stage.Restart();
-        OpVerify(&ctx, qualified, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
-      }
-      case PlanKind::kSVS: {
-        stage.Restart();
-        CandidateSet cands = OpSearch(&ctx);
-        stats.search_ms = stage.ElapsedMillis();
-        stats.candidates_search = cands.total();
-        stats.candidates_contained = cands.contained.size();
-
-        stage.Restart();
-        std::vector<uint32_t> all = AllCandidates(cands);
-        OpSupportedVerify(&ctx, all, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
-      }
-      case PlanKind::kSSEV: {
-        stage.Restart();
-        CandidateSet cands = OpSupportedSearch(&ctx);
-        stats.search_ms = stage.ElapsedMillis();
-        stats.candidates_search = cands.total();
-        stats.candidates_contained = cands.contained.size();
-
-        stage.Restart();
-        std::vector<uint32_t> all = AllCandidates(cands);
-        std::vector<QualifiedItemset> qualified = OpEliminate(&ctx, all);
-        stats.eliminate_ms = stage.ElapsedMillis();
-        stats.candidates_qualified = qualified.size();
-
-        stage.Restart();
-        OpVerify(&ctx, qualified, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
-      }
-      case PlanKind::kSSVS: {
-        stage.Restart();
-        CandidateSet cands = OpSupportedSearch(&ctx);
-        stats.search_ms = stage.ElapsedMillis();
-        stats.candidates_search = cands.total();
-        stats.candidates_contained = cands.contained.size();
-
-        stage.Restart();
-        std::vector<uint32_t> all = AllCandidates(cands);
-        OpSupportedVerify(&ctx, all, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
-      }
-      case PlanKind::kSSEUV: {
-        stage.Restart();
-        CandidateSet cands = OpSupportedSearch(&ctx);
-        stats.search_ms = stage.ElapsedMillis();
-        stats.candidates_search = cands.total();
-        stats.candidates_contained = cands.contained.size();
-
-        // Contained MIPs skip the record-level support scan (Lemma 4.5);
-        // only partially overlapped ones pass through ELIMINATE.
-        stage.Restart();
-        std::vector<QualifiedItemset> from_contained =
-            QualifyContained(&ctx, cands.contained);
-        std::vector<QualifiedItemset> from_overlap =
-            OpEliminate(&ctx, cands.overlapped);
-        std::vector<QualifiedItemset> qualified =
-            OpUnion(std::move(from_contained), std::move(from_overlap));
-        stats.eliminate_ms = stage.ElapsedMillis();
-        stats.candidates_qualified = qualified.size();
-
-        stage.Restart();
-        OpVerify(&ctx, qualified, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
-      }
-      case PlanKind::kARM: {
-        stage.Restart();
-        std::vector<QualifiedItemset> qualified = OpArmMine(&ctx);
-        stats.mine_ms = stage.ElapsedMillis();
-        stats.candidates_qualified = qualified.size();
-        stats.local_cfis = ctx.local_cfis;
-
-        stage.Restart();
-        OpVerify(&ctx, qualified, &result.rules);
-        stats.verify_ms = stage.ElapsedMillis();
-        break;
       }
     }
+
+    stage.Restart();
+    if (fused) {
+      OpSupportedVerify(&ctx, AllCandidates(cands), &result.rules);
+    } else {
+      OpVerify(&ctx, qualified, &result.rules);
+    }
+    stats.verify_ms = stage.ElapsedMillis();
   }
   } catch (const CancelledException&) {
     return Status::DeadlineExceeded(

@@ -71,12 +71,10 @@ struct PlanExecOptions {
   /// sequential path. Parallel execution is byte-identical to sequential
   /// (rules, canonical order, and every effort counter).
   ThreadPool* pool = nullptr;
-  /// Session cache (core/query_cache.h) whose committed count memo the
-  /// operators read.
-  QueryCache* cache = nullptr;
-  /// Count-memo transaction for this query; reads come from the cache's
-  /// committed state, writes buffer here until the owner commits them at a
-  /// deterministic point. Both must be set for the memo tier to engage.
+  /// The query's count-memo transaction (core/query_cache.h), the
+  /// operators' one handle on the session cache's memo: reads come from
+  /// the cache's committed state, writes buffer here until the owner
+  /// commits them at a deterministic point. Null = no memo.
   CountMemoTxn* memo_txn = nullptr;
   /// Cooperative cancellation (per-request deadlines, server shutdown).
   /// The record-level operators poll it at candidate granularity and the
@@ -89,8 +87,9 @@ struct PlanExecOptions {
 /// (the plan-equivalence invariant); they differ only in cost profile.
 /// `subset`, when set, is the query's focal subset, already selected by
 /// the caller (the engine's SELECT: a session-cache lease or a batch-shared
-/// materialization); the plan takes it over and skips its own SELECT pass,
-/// and the caller charges that pass's time and record checks.
+/// materialization); the plan takes it over, and the caller charges that
+/// pass's time and record checks. Unset, the plan materializes it and
+/// charges SELECT itself.
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
                                const PlanExecOptions& exec,

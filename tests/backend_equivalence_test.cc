@@ -150,7 +150,8 @@ TEST_F(RouteTest, BarSelectsTheRoute) {
   EXPECT_EQ(SubsetSize(Query(3)), kBar + 1);
   EXPECT_EQ(SubsetSize(Query(4)), 400u);
   for (ValueId hi = 0; hi <= 4; ++hi) {
-    PlanContext ctx(*index_, Query(hi), WideRuleGen());
+    const LocalizedQuery query = Query(hi);
+    PlanContext ctx(*index_, query, WideRuleGen(), OpSelect(*index_, query));
     ctx.BuildDqBitmap();
     EXPECT_EQ(ctx.dq() != nullptr, hi >= 2) << "box [0, " << hi << "]";
   }

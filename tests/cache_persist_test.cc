@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 
+#include "mining/local_counter.h"
 #include "test_util.h"
 
 namespace colarm {
@@ -62,20 +63,39 @@ QueryCacheOptions Enabled() {
   return options;
 }
 
+Rect InnerBox(const Env& env) { return env.Box({{0, 0, 1}, {2, 0, 1}}); }
+
+/// The subset counter of MIP `mip_id` over the inner box: the genuine
+/// counts a memo of that box holds, which the loader checks.
+uint32_t InnerFullCount(const Env& env, uint32_t mip_id) {
+  const FocalSubset subset = FocalSubset::Materialize(*env.data, InnerBox(env));
+  return LocalSubsetCounter(*env.data, env.index->mip(mip_id).items,
+                            subset.tids)
+      .CountFull();
+}
+
+std::vector<uint32_t> InnerTable(const Env& env, uint32_t mip_id) {
+  const FocalSubset subset = FocalSubset::Materialize(*env.data, InnerBox(env));
+  const LocalSubsetCounter counter(*env.data, env.index->mip(mip_id).items,
+                                   subset.tids);
+  return {counter.subset_table().begin(), counter.subset_table().end()};
+}
+
 /// Populates `cache` with a mix of state the format must carry: a cold
 /// entry, a containment-derived entry (giving the source a derivation and
 /// 2Q promotion), an exact hit (per-entry hit count), and a committed
 /// count memo holding both a full-count and a table record.
 void Populate(const Env& env, QueryCache* cache) {
+  ASSERT_GT(env.index->num_mips(), 5u);
   uint64_t ignored = 0;
   Rect outer = env.Box({{0, 0, 2}});
-  Rect inner = env.Box({{0, 0, 1}, {2, 0, 1}});
+  Rect inner = InnerBox(env);
   cache->Acquire(outer, &ignored);
   cache->Acquire(inner, &ignored);
   cache->Acquire(inner, &ignored);  // exact hit
   auto txn = cache->BeginTxn(inner);
-  txn->RecordFull(2, 9);
-  txn->RecordTable(5, 17, std::vector<uint32_t>{40, 30, 21, 17});
+  txn->RecordFull(2, InnerFullCount(env, 2));
+  txn->RecordTable(5, InnerFullCount(env, 5), InnerTable(env, 5));
   cache->Commit(txn.get());
 }
 
@@ -117,12 +137,12 @@ TEST(CachePersistTest, RoundTripPreservesEntries) {
   // The warm cache serves the persisted boxes as exact hits and replays
   // the memo without recounting.
   EXPECT_EQ(reloaded.Probe(env.Box({{0, 0, 2}})).tier, CacheTier::kExact);
-  Rect inner = env.Box({{0, 0, 1}, {2, 0, 1}});
+  Rect inner = InnerBox(env);
   EXPECT_EQ(reloaded.Probe(inner).tier, CacheTier::kExact);
   auto memo = reloaded.MemoLookup(CanonicalBoxKey(inner), "", 5);
   ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->full_count, 17u);
-  EXPECT_EQ(memo->superset_counts, (std::vector<uint32_t>{40, 30, 21, 17}));
+  EXPECT_EQ(memo->full_count, InnerFullCount(env, 5));
+  EXPECT_EQ(memo->superset_counts, InnerTable(env, 5));
   std::remove(path.c_str());
 }
 
@@ -299,6 +319,138 @@ TEST(CachePersistTest, LoadReplacesExistingResidency) {
   EXPECT_EQ(target.Probe(stale).tier, CacheTier::kNone);
   EXPECT_EQ(target.telemetry().entries, source.telemetry().entries);
   EXPECT_EQ(target.telemetry().bytes, source.telemetry().bytes);
+  std::remove(path.c_str());
+}
+
+// One entry on `box` whose count memo for `mip_id` holds `table`, saved
+// the way a running cache would save it (valid checksums throughout).
+Status SaveWithMemoTable(const Env& env, const Rect& box, uint32_t mip_id,
+                         uint32_t full_count, std::vector<uint32_t> table,
+                         const std::string& path) {
+  CacheEntrySnapshot snap;
+  snap.box = box;
+  snap.subset = std::make_shared<const FocalSubset>(
+      FocalSubset::Materialize(*env.data, box));
+  snap.memos.emplace_back(
+      std::make_pair(std::string(), mip_id),
+      std::make_shared<const CountMemoEntry>(
+          CountMemoEntry{full_count, std::move(table)}));
+  QueryCache cache(*env.index, Enabled());
+  cache.Restore({snap});
+  return SaveQueryCache(cache, *env.index, path);
+}
+
+// Memo replay reads a table by mask over the MIP's items, so a table of
+// the wrong length (a heap over-read at replay) or whose ends disagree
+// with the subset and the full count must not load.
+TEST(CachePersistTest, MalformedMemoTableIsRejected) {
+  Env env = Env::Make(33);
+  uint32_t mip_id = 0;
+  while (mip_id < env.index->num_mips() &&
+         env.index->mip(mip_id).items.size() != 3) {
+    ++mip_id;
+  }
+  ASSERT_LT(mip_id, env.index->num_mips()) << "no 3-item MIP";
+  const Rect box = env.Box({{0, 0, 1}});
+  const FocalSubset subset = FocalSubset::Materialize(*env.data, box);
+  const LocalSubsetCounter counter(*env.data, env.index->mip(mip_id).items,
+                                   subset.tids);
+  const std::vector<uint32_t> good(counter.subset_table().begin(),
+                                   counter.subset_table().end());
+  ASSERT_EQ(good.size(), 8u);
+  const uint32_t full = counter.CountFull();
+  const std::string path = TempPath("cache_bad_table.ccache");
+
+  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, full, good, path).ok());
+  QueryCache accepted(*env.index, Enabled());
+  EXPECT_TRUE(LoadQueryCache(*env.index, path, &accepted).ok());
+
+  std::vector<uint32_t> wrong_subset = good;
+  ++wrong_subset.front();
+  std::vector<uint32_t> wrong_full = good;
+  ++wrong_full.back();
+  const std::vector<std::vector<uint32_t>> bad = {
+      {subset.size()}, {good.begin(), good.begin() + 4}, wrong_subset,
+      wrong_full};
+  for (const std::vector<uint32_t>& table : bad) {
+    ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, full, table, path).ok());
+    QueryCache fresh(*env.index, Enabled());
+    Status loaded = LoadQueryCache(*env.index, path, &fresh);
+    EXPECT_EQ(loaded.code(), StatusCode::kParseError)
+        << table.size() << "-entry table: " << loaded.ToString();
+    EXPECT_NE(loaded.ToString().find("corrupt cache file"), std::string::npos)
+        << loaded.ToString();
+    EXPECT_EQ(fresh.telemetry().entries, 0u);
+  }
+  std::remove(path.c_str());
+}
+
+// Restoring two snapshots of one box keeps one entry and accounts for one.
+TEST(CachePersistTest, RestoreOfARepeatedBoxKeepsExactAccounting) {
+  Env env = Env::Make(34);
+  CacheEntrySnapshot snap;
+  snap.box = env.Box({{0, 0, 1}});
+  snap.subset = std::make_shared<const FocalSubset>(
+      FocalSubset::Materialize(*env.data, snap.box));
+  QueryCache single(*env.index, Enabled());
+  single.Restore({snap});
+  QueryCache doubled(*env.index, Enabled());
+  doubled.Restore({snap, snap});
+  EXPECT_EQ(doubled.Snapshot().size(), 1u);
+  EXPECT_EQ(doubled.telemetry().entries, doubled.Snapshot().size());
+  EXPECT_EQ(doubled.telemetry().bytes, single.telemetry().bytes);
+}
+
+uint64_t FnvOf(std::string_view bytes) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  return hash;
+}
+
+// A file naming one box twice would make Restore keep one entry of two,
+// so the loader rejects it as corrupt. The file is a valid two-entry save
+// whose second box is rewritten to the first, with both checksums redone.
+TEST(CachePersistTest, RepeatedBoxIsRejected) {
+  Env env = Env::Make(35);
+  const uint32_t dims = env.data->num_attributes();
+  QueryCache cache(*env.index, Enabled());
+  uint64_t ignored = 0;
+  cache.Acquire(env.Box({{0, 0, 1}}), &ignored);
+  cache.Acquire(env.Box({{0, 2, 3}}), &ignored);
+  const std::string path = TempPath("cache_repeated_box.ccache");
+  ASSERT_TRUE(SaveQueryCache(cache, *env.index, path).ok());
+  std::string file = Slurp(path);
+
+  // Section layout: segment flag (1), hits (8), derivations (8), the box
+  // (4 per dimension), then the tid, memo and ARM counts (4 each), padding
+  // to 64, the tids, and the section checksum (8). No memos here.
+  const size_t box_offset = 17;
+  auto section_end = [&](size_t start) {
+    uint32_t tids = 0;
+    std::memcpy(&tids, &file[start + box_offset + 4 * dims], sizeof(tids));
+    size_t offset = start + box_offset + 4 * dims + 12;
+    offset = (offset + 63) / 64 * 64;
+    return offset + tids * sizeof(Tid);
+  };
+  const size_t first = 24;
+  const size_t second = section_end(first) + 8;
+  const size_t second_end = section_end(second);
+  std::memcpy(&file[second + box_offset], &file[first + box_offset], 4 * dims);
+  const uint64_t section_hash =
+      FnvOf(std::string_view(file).substr(second, second_end - second));
+  std::memcpy(&file[second_end], &section_hash, sizeof(section_hash));
+  ASSERT_EQ(file.size(), second_end + 16);
+  const uint64_t file_hash =
+      FnvOf(std::string_view(file).substr(0, second_end + 8));
+  std::memcpy(&file[second_end + 8], &file_hash, sizeof(file_hash));
+  Spit(path, file);
+
+  QueryCache fresh(*env.index, Enabled());
+  Status loaded = LoadQueryCache(*env.index, path, &fresh);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.ToString().find("repeated box"), std::string::npos)
+      << loaded.ToString();
+  EXPECT_EQ(fresh.telemetry().entries, 0u);
   std::remove(path.c_str());
 }
 

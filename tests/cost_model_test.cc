@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "core/optimizer.h"
 #include "cost/cost_model.h"
 #include "data/histogram.h"
 #include "test_util.h"
@@ -172,6 +173,55 @@ TEST(CostModelTest, EstimatesDependOnConstants) {
             dense_base);
   EXPECT_EQ(pricey_probes.Estimate(PlanKind::kSEV, dense).eliminate,
             dense_base);
+}
+
+// SUPPORTED-VERIFY runs ELIMINATE's count per candidate and VERIFY's step
+// per qualifier, so S-VS and SS-VS price exactly as S-E-V and SS-E-V, and
+// the tie keeps the unfused plan. Swept over thresholds, constrained and
+// unconstrained queries, on both sides of the density bar.
+TEST(CostModelTest, SupportedVerifyPricesAsEliminateThenVerify) {
+  Fixture fx = Fixture::Make(12);
+  const Schema& schema = fx.data->schema();
+  const Optimizer optimizer(*fx.model);
+  size_t dense_queries = 0;
+  size_t sparse_queries = 0;
+  for (const std::vector<RangeSelection>& ranges :
+       {std::vector<RangeSelection>{{0, 1, 1}, {1, 1, 1}, {2, 1, 1}},
+        std::vector<RangeSelection>{{0, 0, 1}},
+        std::vector<RangeSelection>{}}) {
+    for (bool constrained : {false, true}) {
+      for (double minsupp : {0.2, 0.4, 0.7, 0.95}) {
+        LocalizedQuery query = Query(minsupp, ranges);
+        if (constrained) {
+          query.item_attrs = {1, 2, 3, 4};
+          query.constraints.must_contain = {schema.ItemOf(3, 0)};
+          query.constraints.min_lift = 1.1;
+          query.constraints.min_antecedent_supp = 0.3;
+        }
+        const auto size =
+            static_cast<uint64_t>(fx.cardinality->SubsetSize(query));
+        ++(IsDense(size, fx.data->num_records()) ? dense_queries
+                                                 : sparse_queries);
+        const std::string context =
+            query.ToString(schema) + (constrained ? " constrained" : "");
+        for (auto [unfused, fused] :
+             {std::pair{PlanKind::kSEV, PlanKind::kSVS},
+              std::pair{PlanKind::kSSEV, PlanKind::kSSVS}}) {
+          const PlanCostEstimate e = fx.model->Estimate(unfused, query);
+          const PlanCostEstimate f = fx.model->Estimate(fused, query);
+          EXPECT_EQ(f.total, e.total) << context;
+          EXPECT_EQ(f.eliminate, 0.0) << context;
+          EXPECT_EQ(f.verify, e.eliminate + e.verify) << context;
+          EXPECT_EQ(f.search, e.search) << context;
+        }
+        const PlanKind chosen = optimizer.Choose(query).chosen;
+        EXPECT_NE(chosen, PlanKind::kSVS) << context;
+        EXPECT_NE(chosen, PlanKind::kSSVS) << context;
+      }
+    }
+  }
+  EXPECT_GT(dense_queries, 0u);
+  EXPECT_GT(sparse_queries, 0u);
 }
 
 TEST(CalibrationTest, ProducesPositiveConstants) {

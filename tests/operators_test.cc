@@ -38,7 +38,8 @@ LocalizedQuery MakeQuery() {
 TEST(OperatorsTest, SearchFindsAllOverlappingMips) {
   Fixture fx = Fixture::Make(1, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
 
   CandidateSet cands = OpSearch(&ctx);
   std::set<uint32_t> actual(cands.contained.begin(), cands.contained.end());
@@ -55,7 +56,8 @@ TEST(OperatorsTest, SearchFindsAllOverlappingMips) {
 TEST(OperatorsTest, SearchSplitsContainmentCorrectly) {
   Fixture fx = Fixture::Make(2, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
   for (uint32_t id : cands.contained) {
     EXPECT_TRUE(ctx.subset.box.Contains(fx.index.mip(id).bbox));
@@ -70,7 +72,8 @@ TEST(OperatorsTest, SupportedSearchIsSubsetOfSearch) {
   Fixture fx = Fixture::Make(3, 0.15);
   LocalizedQuery query = MakeQuery();
   query.minsupp = 0.8;
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   CandidateSet plain = OpSearch(&ctx);
   CandidateSet supported = OpSupportedSearch(&ctx);
 
@@ -96,7 +99,8 @@ TEST(OperatorsTest, SupportedSearchIsSubsetOfSearch) {
 TEST(OperatorsTest, EliminateComputesExactLocalCounts) {
   Fixture fx = Fixture::Make(4, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
   std::vector<uint32_t> all = cands.contained;
   all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
@@ -117,7 +121,8 @@ TEST(OperatorsTest, EliminateHonorsItemAttrFilter) {
   Fixture fx = Fixture::Make(5, 0.2);
   LocalizedQuery query = MakeQuery();
   query.item_attrs = {1, 2};
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
   std::vector<uint32_t> all = cands.contained;
   all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
@@ -134,7 +139,8 @@ TEST(OperatorsTest, EliminateHonorsItemAttrFilter) {
 TEST(OperatorsTest, QualifyContainedUsesGlobalCounts) {
   Fixture fx = Fixture::Make(6, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   CandidateSet cands = OpSupportedSearch(&ctx);
   auto qualified = QualifyContained(&ctx, cands.contained);
   for (const QualifiedItemset& q : qualified) {
@@ -168,7 +174,8 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
   Fixture fx = Fixture::Make(7, 0.2);
   LocalizedQuery query = MakeQuery();
   for (bool dense : {false, true}) {
-    PlanContext ctx1(fx.index, query, RuleGenOptions{});
+    PlanContext ctx1(fx.index, query, RuleGenOptions{},
+                     OpSelect(fx.index, query));
     if (dense) ctx1.BuildDqBitmap();
     CandidateSet cands1 = OpSearch(&ctx1);
     std::vector<uint32_t> all1 = cands1.contained;
@@ -178,7 +185,8 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
     const std::vector<QualifiedItemset> qualified = OpEliminate(&ctx1, all1);
     OpVerify(&ctx1, qualified, &via_ev);
 
-    PlanContext ctx2(fx.index, query, RuleGenOptions{});
+    PlanContext ctx2(fx.index, query, RuleGenOptions{},
+                     OpSelect(fx.index, query));
     if (dense) ctx2.BuildDqBitmap();
     ASSERT_EQ(ctx2.dq() != nullptr, dense);
     CandidateSet cands2 = OpSearch(&ctx2);
@@ -199,13 +207,15 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
 TEST(OperatorsTest, ArmMineMatchesEliminateQualification) {
   Fixture fx = Fixture::Make(8, 0.2);
   LocalizedQuery query = MakeQuery();
-  PlanContext ctx1(fx.index, query, RuleGenOptions{});
+  PlanContext ctx1(fx.index, query, RuleGenOptions{},
+                   OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx1);
   std::vector<uint32_t> all = cands.contained;
   all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
   auto via_eliminate = OpEliminate(&ctx1, all);
 
-  PlanContext ctx2(fx.index, query, RuleGenOptions{});
+  PlanContext ctx2(fx.index, query, RuleGenOptions{},
+                   OpSelect(fx.index, query));
   auto via_arm = OpArmMine(&ctx2);
   EXPECT_GT(ctx2.local_cfis, 0u);
 
@@ -220,7 +230,8 @@ TEST(OperatorsTest, ArmHonorsItemAttrFilter) {
   Fixture fx = Fixture::Make(11, 0.2);
   LocalizedQuery query = MakeQuery();
   query.item_attrs = {1, 3};
-  PlanContext ctx(fx.index, query, RuleGenOptions{});
+  PlanContext ctx(fx.index, query, RuleGenOptions{},
+                  OpSelect(fx.index, query));
   auto qualified = OpArmMine(&ctx);
   EXPECT_FALSE(qualified.empty());
   const Schema& schema = fx.index.dataset().schema();
@@ -241,7 +252,8 @@ TEST(OperatorsTest, EmptySubsetShortCircuits) {
   query.minconf = 0.5;
   // Choose an impossible conjunction by scanning for an absent pair.
   query.ranges = {{0, 3, 3}, {1, 3, 3}, {2, 3, 3}, {3, 3, 3}};
-  PlanContext ctx(*index, query, RuleGenOptions{});
+  PlanContext ctx(*index, query, RuleGenOptions{},
+                  OpSelect(*index, query));
   if (ctx.subset.size() == 0) {
     auto arm = OpArmMine(&ctx);
     EXPECT_TRUE(arm.empty());

@@ -194,7 +194,8 @@ TEST(QueryCacheTest, MemoCommitAndReplay) {
 TEST(QueryCacheTest, MemoCounterReplaysTableExactly) {
   auto memo = std::make_shared<const CountMemoEntry>(
       CountMemoEntry{40, {50, 45, 43, 40}});
-  MemoSubsetCounter counter({4, 9}, memo, 60);
+  const std::vector<Tid> tids(60);
+  LocalSubsetCounter counter({4, 9}, tids, memo->superset_counts);
   EXPECT_EQ(counter.CountFull(), 40u);
   EXPECT_EQ(counter.base_size(), 60u);
   EXPECT_EQ(counter.record_checks(), 60u);
