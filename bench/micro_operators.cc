@@ -1,6 +1,9 @@
 // Micro-benchmarks of the online plan operators (the ablation behind the
 // plan cost model): SEARCH vs SUPPORTED-SEARCH, ELIMINATE, the fused
-// SUPPORTED-VERIFY, and full plan executions on one mid-size scenario.
+// SUPPORTED-VERIFY, and full plan executions on one mid-size scenario;
+// ELIMINATE also on a cold-mine-shaped box of the full PUMSB analog. The
+// operator rows build the focal subset's bitmap the way the plan driver
+// does, so they time the record-level route execution takes.
 #include <benchmark/benchmark.h>
 
 #include "core/engine.h"
@@ -15,15 +18,19 @@ struct Env {
   std::unique_ptr<Engine> engine;
   LocalizedQuery query;
 
+  static Env* Make(const SyntheticConfig& config, double primary) {
+    auto* e = new Env();
+    e->data = std::make_unique<Dataset>(GenerateSynthetic(config).value());
+    EngineOptions options;
+    options.index.primary_support = primary;
+    options.calibrate = false;
+    e->engine = std::move(Engine::Build(*e->data, options).value());
+    return e;
+  }
+
   static const Env& Get() {
     static Env* env = [] {
-      auto* e = new Env();
-      SyntheticConfig config = ChessLikeConfig(0.5);
-      e->data = std::make_unique<Dataset>(GenerateSynthetic(config).value());
-      EngineOptions options;
-      options.index.primary_support = 0.6;
-      options.calibrate = false;
-      e->engine = std::move(Engine::Build(*e->data, options).value());
+      Env* e = Make(ChessLikeConfig(0.5), 0.6);
       e->query.ranges = {{0, 10, 39}};  // 30% of the region domain
       e->query.minsupp = 0.8;
       e->query.minconf = 0.85;
@@ -31,7 +38,34 @@ struct Env {
     }();
     return *env;
   }
+
+  // The server benchmark's cold-mine shape: 15 region values of the full
+  // PUMSB analog at minsupp 90%, which every MIP's box overlaps.
+  static const Env& ColdMine() {
+    static Env* env = [] {
+      Env* e = Make(PumsbLikeConfig(1.0), 0.8);
+      e->query.ranges = {{0, 30, 44}};
+      e->query.minsupp = 0.9;
+      e->query.minconf = 0.85;
+      return e;
+    }();
+    return *env;
+  }
+
+  // A plan context past SELECT, with DQ's bitmap when DQ is dense.
+  PlanContext Context() const {
+    PlanContext ctx(engine->index(), query, RuleGenOptions{},
+                    OpSelect(engine->index(), query));
+    ctx.BuildDqBitmap();
+    return ctx;
+  }
 };
+
+std::vector<uint32_t> AllCandidates(const CandidateSet& cands) {
+  std::vector<uint32_t> all = cands.contained;
+  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
+  return all;
+}
 
 void BM_Search(benchmark::State& state) {
   const Env& env = Env::Get();
@@ -55,26 +89,22 @@ void BM_SupportedSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportedSearch);
 
+// Arg 0: the chess scenario; arg 1: the cold-mine box on PUMSB.
 void BM_Eliminate(benchmark::State& state) {
-  const Env& env = Env::Get();
-  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
-                  OpSelect(env.engine->index(), env.query));
-  CandidateSet cands = OpSearch(&ctx);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
+  const Env& env = state.range(0) == 0 ? Env::Get() : Env::ColdMine();
+  state.SetLabel(state.range(0) == 0 ? "chess" : "pumsb-cold-mine");
+  PlanContext ctx = env.Context();
+  const std::vector<uint32_t> all = AllCandidates(OpSearch(&ctx));
   for (auto _ : state) {
     benchmark::DoNotOptimize(OpEliminate(&ctx, all).size());
   }
 }
-BENCHMARK(BM_Eliminate);
+BENCHMARK(BM_Eliminate)->Arg(0)->Arg(1);
 
 void BM_SupportedVerify(benchmark::State& state) {
   const Env& env = Env::Get();
-  PlanContext ctx(env.engine->index(), env.query, RuleGenOptions{},
-                  OpSelect(env.engine->index(), env.query));
-  CandidateSet cands = OpSupportedSearch(&ctx);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
+  PlanContext ctx = env.Context();
+  const std::vector<uint32_t> all = AllCandidates(OpSupportedSearch(&ctx));
   for (auto _ : state) {
     RuleSet rules;
     OpSupportedVerify(&ctx, all, &rules);

@@ -49,7 +49,7 @@ void BM_RTreeSearchPacked(benchmark::State& state) {
   Rect query = MakeQuery(4, 20, 60);
   for (auto _ : state) {
     size_t hits = 0;
-    tree.Search(query, [&hits](const RTreeEntry&, bool) { ++hits; });
+    tree.Search(query, [&hits](uint32_t, uint32_t, bool) { ++hits; });
     benchmark::DoNotOptimize(hits);
   }
 }
@@ -63,7 +63,7 @@ void BM_RTreeSupportedSearch(benchmark::State& state) {
   for (auto _ : state) {
     size_t hits = 0;
     tree.SearchSupported(query, min_count,
-                         [&hits](const RTreeEntry&, bool) { ++hits; });
+                         [&hits](uint32_t, uint32_t, bool) { ++hits; });
     benchmark::DoNotOptimize(hits);
   }
 }

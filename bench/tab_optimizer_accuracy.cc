@@ -16,6 +16,7 @@
 #include <iterator>
 #include <vector>
 
+#include "bitmap/bitmap.h"
 #include "common/cpu_features.h"
 #include "harness.h"
 
@@ -28,51 +29,67 @@ struct Tally {
   int exact_hits = 0;
   int near_hits = 0;  // chosen within 25% of measured best
   double total_regret = 0.0;
+
+  void Add(const ScenarioResult& r) {
+    const double regret =
+        r.measured_best_ms <= 0.0
+            ? 0.0
+            : (r.optimizer_pick_ms - r.measured_best_ms) / r.measured_best_ms;
+    ++scenarios;
+    total_regret += regret;
+    if (r.optimizer_pick == r.measured_best) ++exact_hits;
+    if (regret <= 0.25) ++near_hits;
+  }
+
+  void Add(const Tally& other) {
+    scenarios += other.scenarios;
+    exact_hits += other.exact_hits;
+    near_hits += other.near_hits;
+    total_regret += other.total_regret;
+  }
+
+  void Print(const char* label) const {
+    if (scenarios == 0) return;
+    std::printf("%-14s exact=%2d/%2d (%.0f%%)  within-25%%=%2d/%2d (%.0f%%)  "
+                "avg extra cost on all=%.1f%%\n",
+                label, exact_hits, scenarios, 100.0 * exact_hits / scenarios,
+                near_hits, scenarios, 100.0 * near_hits / scenarios,
+                100.0 * total_regret / scenarios);
+  }
 };
 
+// Also tallied by the record-level route the plans take: a DQ fraction
+// below the density bar (1% of D) runs the row-probe and tid-list routes,
+// the larger ones the bitmap routes.
 void RunAtLevel(const BenchDataset* datasets, size_t num_datasets) {
   const double minconfs[] = {0.85, 0.90, 0.95};
 
   Tally overall;
+  Tally dense;
+  Tally sparse;
   for (size_t d = 0; d < num_datasets; ++d) {
     const BenchDataset& dataset = datasets[d];
     auto engine = BuildEngine(dataset);
+    const uint32_t records = dataset.data->num_records();
     Tally tally;
     for (double dq : kDqFractions) {
+      const bool dq_dense =
+          IsDense(static_cast<uint64_t>(dq * records), records);
       for (double minsupp : dataset.minsupps) {
         for (double minconf : minconfs) {
           ScenarioResult r =
               RunScenario(*engine, dq, minsupp, minconf, /*placements=*/1);
-          ++tally.scenarios;
-          double regret =
-              r.measured_best_ms <= 0.0
-                  ? 0.0
-                  : (r.optimizer_pick_ms - r.measured_best_ms) /
-                        r.measured_best_ms;
-          tally.total_regret += regret;
-          if (r.optimizer_pick == r.measured_best) ++tally.exact_hits;
-          if (regret <= 0.25) ++tally.near_hits;
+          tally.Add(r);
+          (dq_dense ? dense : sparse).Add(r);
         }
       }
     }
-    std::printf("%-14s exact=%2d/%2d (%.0f%%)  within-25%%=%2d/%2d (%.0f%%)  "
-                "avg extra cost on all=%.1f%%\n",
-                dataset.name.c_str(), tally.exact_hits, tally.scenarios,
-                100.0 * tally.exact_hits / tally.scenarios, tally.near_hits,
-                tally.scenarios, 100.0 * tally.near_hits / tally.scenarios,
-                100.0 * tally.total_regret / tally.scenarios);
-    overall.scenarios += tally.scenarios;
-    overall.exact_hits += tally.exact_hits;
-    overall.near_hits += tally.near_hits;
-    overall.total_regret += tally.total_regret;
+    tally.Print(dataset.name.c_str());
+    overall.Add(tally);
   }
-  std::printf("%-14s exact=%2d/%2d (%.0f%%)  within-25%%=%2d/%2d (%.0f%%)  "
-              "avg extra cost on all=%.1f%%\n",
-              "overall", overall.exact_hits, overall.scenarios,
-              100.0 * overall.exact_hits / overall.scenarios,
-              overall.near_hits, overall.scenarios,
-              100.0 * overall.near_hits / overall.scenarios,
-              100.0 * overall.total_regret / overall.scenarios);
+  overall.Print("overall");
+  dense.Print("dense DQ");
+  sparse.Print("sparse DQ");
 }
 
 void Run() {

@@ -70,8 +70,8 @@ class Bitmap {
   static uint64_t AndCountRange(const Bitmap& a, const Bitmap& b,
                                 uint32_t word_begin, uint32_t word_end);
 
-  /// popcount(a & b & c) — the fused kernel ELIMINATE's incremental
-  /// candidate loop uses to skip one materialization.
+  /// popcount(a & b & c) — the fused kernel a two-item local count uses to
+  /// skip one materialization.
   static uint64_t And3Count(const Bitmap& a, const Bitmap& b,
                             const Bitmap& c);
 

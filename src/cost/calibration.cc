@@ -8,7 +8,7 @@
 #include "common/timer.h"
 #include "mining/itemset.h"
 #include "mining/tidset.h"
-#include "rtree/rect.h"
+#include "rtree/bulk_load.h"
 
 namespace colarm {
 
@@ -52,9 +52,9 @@ CostConstants Calibrate(const Dataset& dataset) {
     strided.push_back((i * 2 + i % 3) % m);
   }
   if (strided.empty()) strided.push_back(0);
-  // Early exit means a typical candidate costs ~2 item probes per record
-  // (the cost model's kAvgEliminateChecks); normalize accordingly so the
-  // constant stays "ns per item probe".
+  // The two-item check exits early or probes both items; normalize by two
+  // so the constant stays "ns per item probe" (one per parent record of an
+  // ELIMINATE walk node, one per item per record of VERIFY's row probe).
   Itemset probe_items = {schema.ItemOf(n / 2, 0), schema.ItemOf(n - 1, 0)};
   constants.record_item_check_ns = std::max(
       0.2, MeasureNs(strided.size() * 2, 16, [&]() -> uint64_t {
@@ -66,18 +66,19 @@ CostConstants Calibrate(const Dataset& dataset) {
       }));
   constants.select_record_ns = constants.record_item_check_ns * 1.5;
 
-  // Box-vs-box intersection tests at the schema's dimensionality.
-  Rect full = Rect::FullDomain(schema);
-  Rect half = full;
-  for (uint32_t d = 0; d < n; ++d) {
-    half.SetInterval(d, 0, static_cast<ValueId>(full.hi(d) / 2));
-  }
+  // SEARCH's flat-bounds box tests at the schema's dimensionality: a full-
+  // domain query over a packed tree of full-domain boxes checks and
+  // reports every slot.
+  const Rect full = Rect::FullDomain(schema);
+  std::vector<RTreeEntry> entries;
+  for (uint32_t id = 0; id < 256; ++id) entries.push_back({full, id, 1});
+  const RTree tree = BulkLoadPacked(n, std::move(entries));
+  RTree::SearchStats search_stats;
+  tree.Search(full, [](uint32_t, uint32_t, bool) {}, &search_stats);
   constants.rtree_box_check_ns = std::max(
-      1.0, MeasureNs(1024, 64, [&]() -> uint64_t {
+      1.0, MeasureNs(search_stats.boxes_checked, 16, [&]() -> uint64_t {
         uint64_t hits = 0;
-        for (uint32_t i = 0; i < 1024; ++i) {
-          hits += full.Intersects(half) ? 1 : 0;
-        }
+        tree.Search(full, [&hits](uint32_t, uint32_t, bool) { ++hits; });
         return hits;
       }));
 
@@ -94,7 +95,7 @@ CostConstants Calibrate(const Dataset& dataset) {
       }));
 
   // Word-parallel AND+popcount throughput, the unit of every dense-DQ
-  // route (ELIMINATE counts, the VERIFY subset-lattice DFS).
+  // route (ELIMINATE's walk, the VERIFY subset-lattice DFS).
   // Bitmap::AndCount routes through the dispatched SIMD kernel table, so
   // this constant automatically prices the ISA level active at build time
   // (COLARM_SIMD / SetActiveSimdLevel) — a vectorized host calibrates

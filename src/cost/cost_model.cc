@@ -174,24 +174,40 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
                          kind == PlanKind::kSSEUV;
 
   // The record-level terms follow the route the estimated |DQ| selects,
-  // by the density predicate execution uses. Row probes: ELIMINATE's
-  // containment scan exits on the first mismatching item, so it averages
-  // ~2 probes per record; VERIFY's subset-mask pass tests every item of
-  // the itemset on every record. Dense DQ (bitmap built, never for ARM):
-  // an AND-chain of avg_len item bitmaps plus the popcount against DQ per
-  // ELIMINATE candidate, and one AND per subset of the itemset (the
-  // lattice DFS, ~2^len = rules_per + 2 nodes) per VERIFY itemset —
-  // floored at the row probe, which the counter falls back to when the
-  // lattice is the costlier route.
-  constexpr double kAvgEliminateChecks = 2.0;
+  // by the density predicate execution uses (a bitmap DQ is built for the
+  // index plans, never for ARM).
+  //
+  // ELIMINATE walks the closed IT-tree. Under uniform overlap a prefix's
+  // local count tracks its global one, so the walk enters the children of
+  // the prefixes whose global count clears the query's global-equivalent
+  // threshold (the stored prefix-support histogram), and each entered node
+  // intersects its parent's records: on a dense DQ an AND plus a popcount
+  // over the relation's words, on a sparse one a column probe per record
+  // of the parent, a |DQ|/|D| share of its global count. The walk skips
+  // paths without a candidate, so it scales with the candidates' share of
+  // the MIPs.
+  //
+  // VERIFY: the row probe's subset-mask pass tests every item of the
+  // itemset on every record; on a dense DQ the lattice DFS runs one AND
+  // per subset of the itemset (~2^len = rules_per + 2 nodes), floored at
+  // the row probe, which the counter falls back to when the lattice is
+  // the costlier route.
+  constexpr double kWalkWordPasses = 2.0;
   const bool dense =
       kind != PlanKind::kARM &&
       IsDense(static_cast<uint64_t>(subset), stats_->num_records);
   const double words =
       std::ceil(m / static_cast<double>(Bitmap::kBitsPerWord));
-  const double eliminate_per_cand =
-      dense ? (avg_len + 1.0) * words * constants_.bitmap_word_ns
-            : subset * kAvgEliminateChecks * constants_.record_item_check_ns;
+  const IndexStats::WalkSize walk =
+      stats_->WalkAtLeast(MinCount(query.minsupp, stats_->num_records));
+  const double full_walk =
+      dense ? walk.nodes * kWalkWordPasses * words * constants_.bitmap_word_ns
+            : walk.parent_records * (subset / m) *
+                  constants_.record_item_check_ns;
+  auto walk_cost = [&](double walked) {
+    const double mips = std::max(1.0, static_cast<double>(stats_->num_mips));
+    return std::min(1.0, walked / mips) * full_walk;
+  };
   const double probe_verify_scan =
       subset * avg_len * constants_.record_item_check_ns;
   const double verify_scan_per_itemset =
@@ -214,11 +230,11 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
     case PlanKind::kSSVS: {
       est.search = ExpectedNodeAccesses(extQ, supported ? ss_pass : 1.0) *
                    constants_.rtree_box_check_ns * stats_->rtree_fanout;
-      est.eliminate = candidates * attr_frac * eliminate_per_cand;
+      est.eliminate = walk_cost(candidates * attr_frac);
       est.verify = est.est_qualified * verify_per_itemset;
       if (kind == PlanKind::kSVS || kind == PlanKind::kSSVS) {
-        // SUPPORTED-VERIFY runs ELIMINATE's count per candidate and
-        // VERIFY's step per qualifier, fused into one stage: the same work,
+        // SUPPORTED-VERIFY runs ELIMINATE's walk and VERIFY's step per
+        // qualifier, fused into one stage: the same work,
         // reported where execution times it. The total below adds the two
         // stages first, so the fused plan prices bit for bit like its
         // unfused twin, and the tie keeps the earlier (unfused) plan.
@@ -231,8 +247,8 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
       est.search = ExpectedNodeAccesses(extQ, ss_pass) *
                    constants_.rtree_box_check_ns * stats_->rtree_fanout;
       const double overlapped = std::max(0.0, candidates - est.est_contained);
-      est.eliminate = overlapped * attr_frac * eliminate_per_cand +
-                      constants_.union_const_ns;
+      est.eliminate =
+          walk_cost(overlapped * attr_frac) + constants_.union_const_ns;
       est.verify = est.est_qualified * verify_per_itemset;
       break;
     }

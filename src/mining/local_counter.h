@@ -23,8 +23,8 @@ uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
 /// Local support of one (sorted) itemset within a focal subset: the
 /// bitmap count when the caller passes a dense DQ's bitmap `dq` (with the
 /// index's item bitmaps `vertical`), row probes over `tids` otherwise.
-/// ELIMINATE's per-candidate count and the subset counter's per-query
-/// count past kMaxMaskItems; the caller charges the pass.
+/// The subset counter's per-query count past kMaxMaskItems; the caller
+/// charges the pass.
 uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
                     const VerticalIndex* vertical, const Bitmap* dq,
                     std::span<const ItemId> itemset, Bitmap* scratch);

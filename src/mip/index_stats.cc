@@ -1,6 +1,7 @@
 #include "mip/index_stats.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/string_util.h"
 #include "mip/mip_index.h"
@@ -13,6 +14,17 @@ double IndexStats::FractionWithCountAtLeast(uint32_t count) const {
       std::lower_bound(sorted_counts.begin(), sorted_counts.end(), count);
   size_t passing = static_cast<size_t>(sorted_counts.end() - it);
   return static_cast<double>(passing) / sorted_counts.size();
+}
+
+IndexStats::WalkSize IndexStats::WalkAtLeast(uint32_t count) const {
+  // Rows with prefix_counts >= count form a prefix of the descending rows.
+  const auto rows = static_cast<size_t>(
+      std::upper_bound(prefix_counts.begin(), prefix_counts.end(), count,
+                       std::greater<>()) -
+      prefix_counts.begin());
+  if (rows == 0) return {};
+  return {static_cast<double>(walk_children[rows - 1]),
+          static_cast<double>(walk_parent_records[rows - 1])};
 }
 
 std::string IndexStats::ToString() const {
@@ -34,6 +46,52 @@ std::string IndexStats::ToString() const {
   }
   return out;
 }
+
+namespace {
+
+// Fills the prefix-support histogram from one unpruned depth-first pass
+// over the IT-tree: each inner node's global count is its parent's records
+// ANDed with its item's bitmap. Leaves have no children, so they need no
+// count.
+void ComputeWalkStats(const MipIndex& index, IndexStats* stats) {
+  const ITTree& tree = index.ittree();
+  const auto nodes = tree.depth_first();
+  if (nodes.empty()) return;
+  const uint32_t m = index.dataset().num_records();
+  std::vector<Bitmap> levels(tree.max_depth() + 1);
+  levels[0] = Bitmap(m);
+  levels[0].Fill();
+  std::vector<std::pair<uint32_t, uint32_t>> rows;  // (count, children)
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    const ITTree::DepthFirstNode& node = nodes[i];
+    if (node.subtree_end == i + 1) continue;
+    uint32_t count = m;
+    if (node.depth > 0) {
+      Bitmap& out = levels[node.depth];
+      if (out.size() == 0) out = Bitmap(m);
+      Bitmap::AndInto(levels[node.depth - 1],
+                      index.vertical().item(node.item), &out);
+      count = static_cast<uint32_t>(out.Count());
+    }
+    uint32_t children = 0;
+    for (uint32_t j = i + 1; j < node.subtree_end; j = nodes[j].subtree_end) {
+      ++children;
+    }
+    rows.emplace_back(count, children);
+  }
+  std::sort(rows.begin(), rows.end(), std::greater<>());
+  uint64_t children = 0;
+  uint64_t parent_records = 0;
+  for (const auto& [count, node_children] : rows) {
+    children += node_children;
+    parent_records += uint64_t{node_children} * count;
+    stats->prefix_counts.push_back(count);
+    stats->walk_children.push_back(children);
+    stats->walk_parent_records.push_back(parent_records);
+  }
+}
+
+}  // namespace
 
 IndexStats ComputeIndexStats(const MipIndex& index) {
   IndexStats stats;
@@ -93,6 +151,7 @@ IndexStats ComputeIndexStats(const MipIndex& index) {
     stats.avg_support_fraction /= index.num_mips();
   }
   std::sort(stats.sorted_counts.begin(), stats.sorted_counts.end());
+  ComputeWalkStats(index, &stats);
   return stats;
 }
 

@@ -45,6 +45,24 @@ struct IndexStats {
   /// Fraction of MIPs whose global count is >= `count`.
   double FractionWithCountAtLeast(uint32_t count) const;
 
+  /// The closed IT-tree's prefix-support histogram, which prices
+  /// ELIMINATE's walk: one row per trie node with children (the root
+  /// included), by descending global prefix count. `prefix_counts[i]` is
+  /// row i's count; `walk_children[i]` and `walk_parent_records[i]` sum,
+  /// over rows 0..i, the node's children and its children x its count.
+  std::vector<uint32_t> prefix_counts;
+  std::vector<uint64_t> walk_children;
+  std::vector<uint64_t> walk_parent_records;
+
+  /// What a walk entering every child of the prefixes with global count
+  /// >= `count` does: `nodes` intersections, testing `parent_records`
+  /// records of the relation in all.
+  struct WalkSize {
+    double nodes = 0.0;
+    double parent_records = 0.0;
+  };
+  WalkSize WalkAtLeast(uint32_t count) const;
+
   std::string ToString() const;
 };
 

@@ -40,33 +40,34 @@ struct PlanContext {
   const LocalizedQuery& query;
   RuleGenOptions rulegen;
 
-  /// Worker pool for the record-level operators (ELIMINATE / VERIFY /
-  /// SUPPORTED-VERIFY partition their candidate lists across it). Null or
-  /// 1-thread pools take the exact sequential code path. Parallel runs
-  /// merge per-chunk buffers and counters in deterministic chunk order, so
-  /// rules, their order before canonicalization, and every effort counter
-  /// are byte-identical to the sequential execution.
+  /// Worker pool for the record-level operators (ELIMINATE's walk splits
+  /// the IT-tree's first-level branches across it, VERIFY its qualified
+  /// list). Null or 1-thread pools take the exact sequential code path.
+  /// Parallel runs merge per-chunk buffers and counters in deterministic
+  /// chunk order, so rules, their order before canonicalization, and every
+  /// effort counter are byte-identical to the sequential execution.
   ThreadPool* pool = nullptr;
 
   /// The focal subset as a bitmap over the relation, built by
   /// BuildDqBitmap() only when DQ is dense (IsDense) and the plan counts
   /// records in it; empty otherwise. Its presence selects the word-
-  /// parallel record-level routes (bitmap ELIMINATE counts, the subset
-  /// counter's lattice DFS); without it every count runs as row probes
-  /// over `subset.tids`. Routes never change a count or an effort counter.
+  /// parallel record-level routes (ELIMINATE's walk keeps one bitmap per
+  /// depth, the subset counter runs its lattice DFS); without it ELIMINATE
+  /// keeps tid lists and VERIFY probes rows of `subset.tids`. Routes never
+  /// change a count or an effort counter.
   Bitmap dq_bitmap;
 
   /// The query's count-memo transaction (null when caching is off). When
-  /// set, ELIMINATE / VERIFY / SUPPORTED-VERIFY serve per-(box, itemset)
-  /// counts and ARM its mining result from the committed memo — charging
-  /// the cold semantic record-check price so effort counters stay
-  /// byte-identical — and record their cold-computed counts into it for
-  /// later queries.
+  /// set, VERIFY serves per-(box, itemset) subset tables and ARM its mining
+  /// result from the committed memo — charging the cold semantic
+  /// record-check price so effort counters stay byte-identical — and both
+  /// record their cold results into it for later queries. ELIMINATE's
+  /// walk costs less than a memo lookup per candidate, so it has no memo.
   CountMemoTxn* memo_txn = nullptr;
 
-  /// Cooperative cancellation: the per-candidate operator loops poll it
-  /// (each candidate costs a focal-subset pass, so the poll is amortized)
-  /// and unwind with CancelledException — inside a ParallelChunks shard the
+  /// Cooperative cancellation: the operator loops poll it (ELIMINATE's walk
+  /// per first-level branch, VERIFY per itemset) and unwind with
+  /// CancelledException — inside a ParallelChunks shard the
   /// region rethrows it to the plan driver. Null = never cancelled.
   const CancelToken* cancel = nullptr;
 
@@ -85,6 +86,9 @@ struct PlanContext {
   Rect search_box;
   bool item_constrained = false;
   bool constraints_precluded = false;
+  /// No item attribute is masked and no item constraint is set, so every
+  /// MIP passes MipConstraintAllowed.
+  bool all_mips_allowed = true;
 
   // Effort counters (accumulated across operators).
   uint64_t record_checks = 0;
@@ -116,8 +120,8 @@ struct PlanContext {
 
   /// MipAttrsAllowed plus the CONTAIN/EXCLUDE item constraints. Exact (not
   /// merely a pruning bound) because a rule's itemset is always the full
-  /// MIP itemset, so ELIMINATE / VERIFY skip disallowed candidates before
-  /// any record scan.
+  /// MIP itemset, so ELIMINATE skips disallowed candidates before any
+  /// record scan.
   bool MipConstraintAllowed(uint32_t mip_id) const;
 
   /// Rule-generation pushdown for one itemset: the positions of
@@ -140,7 +144,11 @@ CandidateSet OpSearch(PlanContext* ctx);
 CandidateSet OpSupportedSearch(PlanContext* ctx);
 
 /// ELIMINATE: record-level local support check (plus item-attribute
-/// filter) over the given candidates.
+/// filter) over the given candidates, as one depth-first walk of the closed
+/// IT-tree that counts each prefix on a path to a candidate once and cuts
+/// subtrees below the local minimum count. Returns the qualifiers in
+/// MIP-id order with their exact local counts; `record_checks` charges the
+/// records intersected along the walk.
 std::vector<QualifiedItemset> OpEliminate(PlanContext* ctx,
                                           std::span<const uint32_t> candidates);
 
@@ -159,8 +167,8 @@ std::vector<QualifiedItemset> OpUnion(std::vector<QualifiedItemset> a,
 void OpVerify(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
               RuleSet* out);
 
-/// SUPPORTED-VERIFY: fused ELIMINATE+VERIFY — one record-level pass per
-/// candidate does both the minsupport check and rule generation.
+/// SUPPORTED-VERIFY: ELIMINATE's walk settles the minsupport check, then
+/// VERIFY generates the qualifiers' rules, as one stage.
 void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
                        RuleSet* out);
 

@@ -19,12 +19,10 @@ class RTreeBuilder {
     std::vector<uint32_t> level;
     for (const auto& [begin, end] :
          ChunkBoundaries(entries.size(), options)) {
-      uint32_t node_id = tree.NewNode(/*leaf=*/true);
+      level.push_back(tree.NewNode(/*leaf=*/true));
       for (size_t i = begin; i < end; ++i) {
-        tree.AddToNode(node_id, entries[i].box, entries[i].id,
-                       entries[i].count);
+        tree.AddSlot(entries[i].box, entries[i].id, entries[i].count);
       }
-      level.push_back(node_id);
     }
 
     // Internal levels until a single root remains.
@@ -32,13 +30,11 @@ class RTreeBuilder {
     while (level.size() > 1) {
       std::vector<uint32_t> parents;
       for (const auto& [begin, end] : ChunkBoundaries(level.size(), options)) {
-        uint32_t node_id = tree.NewNode(/*leaf=*/false);
+        parents.push_back(tree.NewNode(/*leaf=*/false));
         for (size_t i = begin; i < end; ++i) {
-          uint32_t child = level[i];
-          tree.AddToNode(node_id, tree.nodes_[child].mbr, child,
-                         tree.nodes_[child].max_count);
+          tree.AddSlot(tree.NodeMbr(level[i]), level[i],
+                       tree.NodeMaxCount(level[i]));
         }
-        parents.push_back(node_id);
       }
       level = std::move(parents);
       ++height;

@@ -24,6 +24,14 @@ struct RTreeEntry {
 /// Trees are built only by packing (rtree/bulk_load.h: BulkLoadSTR,
 /// BulkLoadPacked), which is how the MIP-index is constructed; a
 /// default-constructed tree is empty.
+///
+/// Layout: every node's children are one contiguous run of *slots*, and
+/// each slot's box lives inline in one flat ValueId array — the slot's
+/// `dims` lower bounds, then its `dims` upper bounds — like the Guttman
+/// exemplars' `I[NUMDIMS*2]`. Beside it, per slot, the child node id
+/// (internal) or entry id (leaf) and the (max) support count. A search
+/// reads the bounds it tests from one array, with no per-box allocation
+/// and no pointer to chase.
 class RTree {
  public:
   struct Options {
@@ -38,11 +46,15 @@ class RTree {
     uint64_t nodes_visited = 0;
     uint64_t boxes_checked = 0;
     uint64_t entries_pruned_by_support = 0;
+
+    friend bool operator==(const SearchStats&, const SearchStats&) = default;
   };
 
-  /// Match callback: entry plus whether its box is fully contained in the
-  /// query box (feeds the contained/overlapped split of SS-E-U-V).
-  using Visitor = std::function<void(const RTreeEntry& entry, bool contained)>;
+  /// Match callback: the entry's id and count, plus whether its box is
+  /// fully contained in the query box (feeds the contained/overlapped
+  /// split of SS-E-U-V).
+  using Visitor =
+      std::function<void(uint32_t id, uint32_t count, bool contained)>;
 
   explicit RTree(uint32_t dims) : RTree(dims, Options()) {}
   RTree(uint32_t dims, Options options);
@@ -63,8 +75,22 @@ class RTree {
                        const Visitor& visitor,
                        SearchStats* stats = nullptr) const;
 
+  /// A node as a read-only view: leaf flag and its run of slots.
+  struct NodeView {
+    bool leaf = true;
+    uint32_t first_slot = 0;
+    uint32_t fanout = 0;
+  };
+  uint32_t root() const { return root_; }
+  NodeView node(uint32_t node_id) const { return nodes_[node_id]; }
+  /// Slot `slot`'s box, child (or entry) id and (max) support count.
+  Rect SlotBox(uint32_t slot) const;
+  uint32_t SlotId(uint32_t slot) const { return slot_ids_[slot]; }
+  uint32_t SlotCount(uint32_t slot) const { return slot_counts_[slot]; }
+
   /// Level-order walk over nodes for statistics collection. `level` counts
-  /// from the root (0) down to the leaves (height-1).
+  /// from the root (0) down to the leaves (height-1); `mbr` covers the
+  /// node's slots.
   using NodeVisitor = std::function<void(uint32_t level, const Rect& mbr,
                                          bool is_leaf, uint32_t fanout)>;
   void ForEachNode(const NodeVisitor& visitor) const;
@@ -76,31 +102,32 @@ class RTree {
  private:
   friend class RTreeBuilder;  // packed construction
 
-  struct Node {
-    bool leaf = true;
-    // Parallel arrays: child boxes plus, per slot, either a child node id
-    // (internal) or an entry id (leaf), and the (max) support count.
-    std::vector<Rect> boxes;
-    std::vector<uint32_t> ids;
-    std::vector<uint32_t> counts;
-    Rect mbr;
-    uint32_t max_count = 0;
+  const ValueId* SlotLo(uint32_t slot) const {
+    return bounds_.data() + size_t{2} * dims_ * slot;
+  }
+  const ValueId* SlotHi(uint32_t slot) const { return SlotLo(slot) + dims_; }
 
-    uint32_t fanout() const { return static_cast<uint32_t>(boxes.size()); }
-  };
-
+  /// Opens an empty node whose slots are appended next.
   uint32_t NewNode(bool leaf);
-  void AddToNode(uint32_t node_id, const Rect& box, uint32_t id,
-                 uint32_t count);
-  void SearchImpl(uint32_t node_id, const Rect& query, uint32_t min_count,
-                  bool use_support, const Visitor& visitor,
-                  SearchStats* stats) const;
+  /// Appends a slot to the most recently opened node.
+  void AddSlot(const Rect& box, uint32_t id, uint32_t count);
+  /// Bounding box and max count over a node's slots.
+  Rect NodeMbr(uint32_t node_id) const;
+  uint32_t NodeMaxCount(uint32_t node_id) const;
+  template <bool kSupported>
+  void SearchImpl(uint32_t node_id, const ValueId* query_lo,
+                  const ValueId* query_hi, uint32_t min_count,
+                  const Visitor& visitor, SearchStats* stats) const;
+  void RunSearch(const Rect& query, bool supported, uint32_t min_count,
+                 const Visitor& visitor, SearchStats* stats) const;
   bool CheckNode(uint32_t node_id, uint32_t depth) const;
-  uint32_t NodeHeight(uint32_t node_id) const;
 
   uint32_t dims_;
   Options options_;
-  std::vector<Node> nodes_;
+  std::vector<NodeView> nodes_;
+  std::vector<ValueId> bounds_;  // [slot] = dims lows, then dims highs
+  std::vector<uint32_t> slot_ids_;
+  std::vector<uint32_t> slot_counts_;
   uint32_t root_ = 0;
   uint32_t size_ = 0;
   uint32_t height_ = 1;

@@ -27,7 +27,7 @@ std::vector<RTreeEntry> RandomEntries(uint64_t seed, uint32_t count,
 
 std::set<uint32_t> Hits(const RTree& tree, const Rect& query) {
   std::set<uint32_t> out;
-  tree.Search(query, [&out](const RTreeEntry& e, bool) { out.insert(e.id); });
+  tree.Search(query, [&out](uint32_t id, uint32_t, bool) { out.insert(id); });
   return out;
 }
 
@@ -111,7 +111,7 @@ TEST(BulkLoadTest, SupportedSearchWorksOnPackedTree) {
   }
   std::set<uint32_t> actual;
   tree.SearchSupported(query, 250,
-                       [&](const RTreeEntry& e, bool) { actual.insert(e.id); });
+                       [&](uint32_t id, uint32_t, bool) { actual.insert(id); });
   EXPECT_EQ(actual, expected);
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/engine.h"
 #include "data/synthetic.h"
@@ -193,6 +195,70 @@ TEST(OptimizerTest, NullHintMatchesNoHint) {
                      with_none.estimates[p].select);
   }
   EXPECT_EQ(with_none.cache.tier, CacheTier::kNone);
+}
+
+// The relation the server benchmark serves: `tiles` copies of the analog's
+// region values side by side, each copy with the analog's localized
+// patterns.
+SyntheticConfig Tiled(SyntheticConfig config, uint32_t tiles) {
+  const std::vector<LocalPattern> tile = std::move(config.local_patterns);
+  config.local_patterns.clear();
+  for (uint32_t t = 0; t < tiles; ++t) {
+    for (LocalPattern pattern : tile) {
+      pattern.region_lo += t * config.region_domain;
+      pattern.region_hi += t * config.region_domain;
+      config.local_patterns.push_back(std::move(pattern));
+    }
+  }
+  config.region_domain *= tiles;
+  return config;
+}
+
+// Estimates only, with the default constants the server runs on
+// (--no-calibrate). On the full PUMSB analog, a cold-mine-shaped query (15
+// region values, minsupp 90%) goes to an index plan: SEARCH and
+// ELIMINATE's pruned walk cost a fraction of re-mining the subset. On the
+// 8-fold tiled chess analog, an explore-shaped query (4 region values and
+// the majority value of a leaning attribute, minsupp 90%) selects a few
+// dozen records, which ARM mines for less than SEARCH alone costs.
+TEST(OptimizerTest, DefaultConstantsPickIndexForColdMineAndArmForExplore) {
+  {
+    auto data = std::make_unique<Dataset>(
+        GenerateSynthetic(PumsbLikeConfig(1.0)).value());
+    auto engine = BuildEngine(*data, 0.80);
+    LocalizedQuery query;
+    query.ranges = {{0, 30, 44}};
+    query.minsupp = 0.90;
+    query.minconf = 0.85;
+    const OptimizerDecision decision = engine->optimizer().Choose(query);
+    EXPECT_NE(decision.chosen, PlanKind::kARM)
+        << decision.chosen_estimate().ToString();
+  }
+  {
+    auto data = std::make_unique<Dataset>(
+        GenerateSynthetic(Tiled(ChessLikeConfig(8.0), 8)).value());
+    auto engine = BuildEngine(*data, 0.60);
+    const Schema& schema = data->schema();
+    std::optional<AttrId> lean;
+    for (AttrId a = 0; a < schema.num_attributes() && !lean; ++a) {
+      if (schema.attribute(a).name.rfind("lean", 0) == 0) lean = a;
+    }
+    ASSERT_TRUE(lean.has_value());
+    const std::vector<std::string>& values = schema.attribute(*lean).values;
+    const auto v0 = static_cast<ValueId>(
+        std::find(values.begin(), values.end(), "v0") - values.begin());
+    ASSERT_LT(v0, values.size());
+    const auto period =
+        static_cast<ValueId>(schema.attribute(0).domain_size() / 8);
+    LocalizedQuery query;
+    const auto lo = static_cast<ValueId>(5 * period + 3);
+    query.ranges = {{0, lo, static_cast<ValueId>(lo + 3)}, {*lean, v0, v0}};
+    query.minsupp = 0.90;
+    query.minconf = 0.85;
+    const OptimizerDecision decision = engine->optimizer().Choose(query);
+    EXPECT_EQ(decision.chosen, PlanKind::kARM)
+        << decision.chosen_estimate().ToString();
+  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
+#include "mip/mip_index.h"
 #include "rtree/bulk_load.h"
+#include "test_util.h"
 
 namespace colarm {
 namespace {
@@ -44,7 +47,7 @@ std::set<uint32_t> BruteForceSearch(const std::vector<RTreeEntry>& entries,
 
 std::set<uint32_t> TreeSearch(const RTree& tree, const Rect& query) {
   std::set<uint32_t> hits;
-  tree.Search(query, [&hits](const RTreeEntry& e, bool) { hits.insert(e.id); });
+  tree.Search(query, [&hits](uint32_t id, uint32_t, bool) { hits.insert(id); });
   return hits;
 }
 
@@ -101,8 +104,8 @@ TEST(RTreeTest, ContainedFlagIsCorrect) {
   query.SetInterval(0, 1, 5);
   query.SetInterval(1, 1, 5);
   std::map<uint32_t, bool> contained;
-  tree.Search(query, [&](const RTreeEntry& e, bool c) {
-    contained[e.id] = c;
+  tree.Search(query, [&](uint32_t id, uint32_t, bool c) {
+    contained[id] = c;
   });
   ASSERT_EQ(contained.size(), 2u);
   EXPECT_TRUE(contained[1]);
@@ -127,7 +130,7 @@ TEST(RTreeTest, SupportedSearchPrunesByCount) {
     std::set<uint32_t> actual;
     RTree::SearchStats stats;
     tree.SearchSupported(query, min_count,
-                         [&](const RTreeEntry& e, bool) { actual.insert(e.id); },
+                         [&](uint32_t id, uint32_t, bool) { actual.insert(id); },
                          &stats);
     EXPECT_EQ(actual, expected);
   }
@@ -140,10 +143,10 @@ TEST(RTreeTest, SupportedSearchVisitsFewerNodes) {
   for (uint32_t d = 0; d < 3; ++d) query.SetInterval(d, 0, 49);
 
   RTree::SearchStats plain;
-  tree.Search(query, [](const RTreeEntry&, bool) {}, &plain);
+  tree.Search(query, [](uint32_t, uint32_t, bool) {}, &plain);
   RTree::SearchStats supported;
   tree.SearchSupported(query, 999,
-                       [](const RTreeEntry&, bool) {}, &supported);
+                       [](uint32_t, uint32_t, bool) {}, &supported);
   EXPECT_GT(supported.entries_pruned_by_support, 0u);
   EXPECT_LE(supported.nodes_visited, plain.nodes_visited);
 }
@@ -161,6 +164,99 @@ TEST(RTreeTest, ForEachNodeLevelsAreConsistent) {
     }
   });
   EXPECT_EQ(max_level + 1, tree.height());
+}
+
+// SEARCH's reference: the same descent over the tree's nodes, testing a
+// Rect copy of each slot's bounds with Rect::Intersects and Rect::Contains
+// instead of the flat-bounds tests.
+void ReferenceDescent(const RTree& tree, uint32_t node_id, const Rect& query,
+                      std::optional<uint32_t> min_count,
+                      std::set<uint32_t>* contained,
+                      std::set<uint32_t>* overlapped,
+                      RTree::SearchStats* stats) {
+  const RTree::NodeView node = tree.node(node_id);
+  ++stats->nodes_visited;
+  for (uint32_t slot = node.first_slot; slot < node.first_slot + node.fanout;
+       ++slot) {
+    ++stats->boxes_checked;
+    if (min_count.has_value() && tree.SlotCount(slot) < *min_count) {
+      ++stats->entries_pruned_by_support;
+      continue;
+    }
+    const Rect box = tree.SlotBox(slot);
+    if (!query.Intersects(box)) continue;
+    if (node.leaf) {
+      (query.Contains(box) ? contained : overlapped)->insert(tree.SlotId(slot));
+    } else {
+      ReferenceDescent(tree, tree.SlotId(slot), query, min_count, contained,
+                       overlapped, stats);
+    }
+  }
+}
+
+// The flat layout against a linear scan over the MIPs' boxes: Search and
+// SearchSupported return the same contained and overlapped ids, and the
+// same SearchStats as the Rect-based descent, on random (and empty) boxes.
+TEST(RTreeTest, FlatSearchMatchesLinearScanOverMipBoxes) {
+  const Dataset data = testing_util::RandomDataset(21, 600, 6, 5);
+  for (bool str : {true, false}) {
+    auto index = MipIndex::Build(
+        data, {.primary_support = 0.04, .use_str_packing = str});
+    ASSERT_TRUE(index.ok());
+    const RTree& tree = index->rtree();
+    ASSERT_GT(tree.height(), 2u);
+    EXPECT_TRUE(tree.CheckInvariants());
+    Rng rng(str ? 22 : 23);
+    size_t contained = 0;
+    size_t overlapped = 0;
+    for (int q = 0; q < 60; ++q) {
+      // Full domain but one or two attributes, so some MIP boxes (pinned
+      // on their items' attributes) fall inside; every 15th box is empty.
+      Rect query = Rect::FullDomain(data.schema());
+      for (uint32_t k = 0; k <= rng.Uniform(2); ++k) {
+        const auto lo = static_cast<ValueId>(rng.Uniform(5));
+        query.SetInterval(static_cast<uint32_t>(rng.Uniform(6)), lo,
+                          static_cast<ValueId>(lo + rng.Uniform(5 - lo)));
+      }
+      if (q % 15 == 0) query.SetInterval(q % 6, 3, 2);
+      for (std::optional<uint32_t> min_count :
+           {std::optional<uint32_t>(),
+            std::optional<uint32_t>(rng.Uniform(120))}) {
+        std::set<uint32_t> want_in, want_out;
+        for (uint32_t id = 0; id < index->num_mips(); ++id) {
+          const Mip& mip = index->mip(id);
+          if (min_count.has_value() && mip.global_count < *min_count) continue;
+          if (!query.Intersects(mip.bbox)) continue;
+          (query.Contains(mip.bbox) ? want_in : want_out).insert(id);
+        }
+        std::set<uint32_t> got_in, got_out;
+        auto visitor = [&](uint32_t id, uint32_t count, bool inside) {
+          EXPECT_EQ(count, index->mip(id).global_count);
+          (inside ? got_in : got_out).insert(id);
+        };
+        RTree::SearchStats got;
+        if (min_count.has_value()) {
+          tree.SearchSupported(query, *min_count, visitor, &got);
+        } else {
+          tree.Search(query, visitor, &got);
+        }
+        EXPECT_EQ(got_in, want_in) << q;
+        EXPECT_EQ(got_out, want_out) << q;
+        contained += got_in.size();
+        overlapped += got_out.size();
+
+        std::set<uint32_t> ref_in, ref_out;
+        RTree::SearchStats want;
+        ReferenceDescent(tree, tree.root(), query, min_count, &ref_in,
+                         &ref_out, &want);
+        EXPECT_EQ(got, want) << q;
+        EXPECT_EQ(ref_in, want_in) << q;
+        EXPECT_EQ(ref_out, want_out) << q;
+      }
+    }
+    EXPECT_GT(contained, 0u);
+    EXPECT_GT(overlapped, 0u);
+  }
 }
 
 // Packing fills every node but the last per level, so a packed tree is as

@@ -66,7 +66,7 @@ TEST_P(RTreeFuzzTest, InterleavedOperationsKeepInvariants) {
       }
       std::set<uint32_t> actual;
       tree.Search(query,
-                  [&actual](const RTreeEntry& e, bool) { actual.insert(e.id); });
+                  [&actual](uint32_t id, uint32_t, bool) { actual.insert(id); });
       ASSERT_EQ(actual, expected) << "at op " << op;
     }
     if (op % 50 == 0) {
