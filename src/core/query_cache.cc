@@ -137,12 +137,6 @@ std::shared_ptr<const ArmMemoEntry> CountMemoTxn::LookupArm(
 
 void CountMemoTxn::NoteServed() const { cache_->NoteMemoServed(); }
 
-void CountMemoTxn::RecordFull(uint32_t mip_id, uint32_t full_count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CountMemoEntry& entry = writes_[mip_id];
-  if (entry.superset_counts.empty()) entry.full_count = full_count;
-}
-
 void CountMemoTxn::RecordTable(uint32_t mip_id, uint32_t full_count,
                                std::span<const uint32_t> superset_counts) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -555,12 +549,9 @@ void QueryCache::Commit(CountMemoTxn* txn) {
                                                     mip_id};
     auto existing = entry.memo.find(memo_key);
     if (existing != entry.memo.end()) {
-      // Only an upgrade from full-count-only to a full table is worth a
-      // republish; counts themselves are deterministic and identical.
-      if (!existing->second->superset_counts.empty() ||
-          write.superset_counts.empty()) {
-        continue;
-      }
+      // Counts are deterministic, so a published table stays; only an
+      // entry without one (read from an older cache file) is replaced.
+      if (!existing->second->superset_counts.empty()) continue;
       const size_t old_bytes =
           MemoBytes(txn->constraint_key_, *existing->second);
       entry.bytes -= old_bytes;

@@ -294,6 +294,13 @@ Result<MipIndex> LoadMipIndex(const Dataset& dataset,
       mip.bbox.SetInterval(d, lo, hi);
     }
     if (!r.ok()) return Status::ParseError("truncated MIP record");
+    // A saved index lists its MIPs in id order, which is strictly
+    // increasing itemset order. The IT-tree's depth-first layout relies on
+    // it (a MIP's id is its position there), and a repeated itemset would
+    // leave one of the two ids out of the trie.
+    if (!mips.empty() && !(mips.back().items < mip.items)) {
+      return Corrupt("MIPs not in strictly increasing itemset order");
+    }
     mips.push_back(std::move(mip));
   }
   // Vertical bitmap section (v3). Shape must match the dataset exactly;

@@ -84,7 +84,7 @@ std::vector<uint32_t> InnerTable(const Env& env, uint32_t mip_id) {
 /// Populates `cache` with a mix of state the format must carry: a cold
 /// entry, a containment-derived entry (giving the source a derivation and
 /// 2Q promotion), an exact hit (per-entry hit count), and a committed
-/// count memo holding both a full-count and a table record.
+/// count memo holding two table records.
 void Populate(const Env& env, QueryCache* cache) {
   ASSERT_GT(env.index->num_mips(), 5u);
   uint64_t ignored = 0;
@@ -94,7 +94,7 @@ void Populate(const Env& env, QueryCache* cache) {
   cache->Acquire(inner, &ignored);
   cache->Acquire(inner, &ignored);  // exact hit
   auto txn = cache->BeginTxn(inner);
-  txn->RecordFull(2, InnerFullCount(env, 2));
+  txn->RecordTable(2, InnerFullCount(env, 2), InnerTable(env, 2));
   txn->RecordTable(5, InnerFullCount(env, 5), InnerTable(env, 5));
   cache->Commit(txn.get());
 }
@@ -382,6 +382,28 @@ TEST(CachePersistTest, MalformedMemoTableIsRejected) {
         << loaded.ToString();
     EXPECT_EQ(fresh.telemetry().entries, 0u);
   }
+  std::remove(path.c_str());
+}
+
+// Older builds also memoized bare full counts (an empty table). Such an
+// entry still loads, is never replayed, and a recorded table replaces it.
+TEST(CachePersistTest, EmptyMemoTableLoadsAndIsReplacedByATable) {
+  Env env = Env::Make(36);
+  const Rect box = InnerBox(env);
+  const std::string path = TempPath("cache_empty_table.ccache");
+  ASSERT_TRUE(
+      SaveWithMemoTable(env, box, 2, InnerFullCount(env, 2), {}, path).ok());
+  QueryCache cache(*env.index, Enabled());
+  ASSERT_TRUE(LoadQueryCache(*env.index, path, &cache).ok());
+  const std::string key = CanonicalBoxKey(box);
+  ASSERT_NE(cache.MemoLookup(key, "", 2), nullptr);
+  EXPECT_TRUE(cache.MemoLookup(key, "", 2)->superset_counts.empty());
+
+  auto txn = cache.BeginTxn(box);
+  txn->RecordTable(2, InnerFullCount(env, 2), InnerTable(env, 2));
+  cache.Commit(txn.get());
+  EXPECT_EQ(cache.MemoLookup(key, "", 2)->superset_counts,
+            InnerTable(env, 2));
   std::remove(path.c_str());
 }
 

@@ -167,28 +167,24 @@ TEST(QueryCacheTest, MemoCommitAndReplay) {
   const std::string key = CanonicalBoxKey(box);
 
   EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
+  const std::vector<uint32_t> table{20, 18, 17, 17};
   auto txn = cache.BeginTxn(box);
-  txn->RecordFull(3, 17);
+  txn->RecordTable(3, 17, table);
   // Nothing visible until commit.
   EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
   cache.Commit(txn.get());
   auto memo = cache.MemoLookup(key, "", 3);
   ASSERT_NE(memo, nullptr);
   EXPECT_EQ(memo->full_count, 17u);
-  EXPECT_TRUE(memo->superset_counts.empty());
+  EXPECT_EQ(memo->superset_counts, table);
 
-  // Upgrade to a table; never downgrade back to full-only.
-  const std::vector<uint32_t> table{20, 18, 17, 17};
-  auto upgrade = cache.BeginTxn(box);
-  upgrade->RecordTable(3, 17, table);
-  cache.Commit(upgrade.get());
-  auto upgraded = cache.MemoLookup(key, "", 3);
-  ASSERT_NE(upgraded, nullptr);
-  EXPECT_EQ(upgraded->superset_counts, table);
-  auto downgrade = cache.BeginTxn(box);
-  downgrade->RecordFull(3, 17);
-  cache.Commit(downgrade.get());
-  EXPECT_FALSE(cache.MemoLookup(key, "", 3)->superset_counts.empty());
+  // A later commit of the same itemset keeps the published entry.
+  const uint64_t bytes = cache.telemetry().bytes;
+  auto again = cache.BeginTxn(box);
+  again->RecordTable(3, 17, table);
+  cache.Commit(again.get());
+  EXPECT_EQ(cache.MemoLookup(key, "", 3), memo);
+  EXPECT_EQ(cache.telemetry().bytes, bytes);
 }
 
 TEST(QueryCacheTest, MemoCounterReplaysTableExactly) {
@@ -214,7 +210,8 @@ TEST(QueryCacheTest, CommitToEvictedBoxIsDropped) {
   uint64_t ignored = 0;
   cache.Acquire(a, &ignored);
   auto txn = cache.BeginTxn(a);
-  txn->RecordFull(1, 5);
+  const std::vector<uint32_t> table{9, 5};
+  txn->RecordTable(1, 5, table);
   // Evict `a` by inserting another box under the one-subset budget.
   cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
   ASSERT_EQ(cache.Probe(a).tier, CacheTier::kNone);

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "mip/serialize.h"
@@ -199,6 +201,75 @@ TEST(SerializeTest, SingleBitFlipsAreAlwaysRejected) {
       EXPECT_FALSE(loaded.ok())
           << "flip of bit " << bit << " in byte " << byte << " loaded";
     }
+  }
+  std::remove(path.c_str());
+}
+
+// The MIP records of a saved index, cut out of its bytes so a test can
+// reorder or repeat them and write a file whose checksum is still valid.
+struct MipRecords {
+  std::string header;                // up to and including num_mips
+  std::vector<std::string> records;  // one per MIP, in file order
+  std::string rest;                  // the vertical section, no checksum
+
+  std::string Join() const {
+    std::string out = header;
+    for (const std::string& record : records) out += record;
+    out += rest;
+    uint64_t hash = 1469598103934665603ULL;
+    for (unsigned char b : out) hash = (hash ^ b) * 1099511628211ULL;
+    out.append(reinterpret_cast<const char*>(&hash), sizeof(hash));
+    return out;
+  }
+};
+
+MipRecords SplitMipRecords(const std::string& file, uint32_t dims) {
+  MipRecords split;
+  split.header = file.substr(0, 45);  // num_mips is at offset 41
+  uint32_t num_mips = 0;
+  std::memcpy(&num_mips, &file[41], sizeof(num_mips));
+  size_t at = 45;
+  for (uint32_t i = 0; i < num_mips; ++i) {
+    uint32_t len = 0;
+    std::memcpy(&len, &file[at], sizeof(len));
+    const size_t size = 4 + 4 * size_t{len} + 4 + 4 * size_t{dims};
+    split.records.push_back(file.substr(at, size));
+    at += size;
+  }
+  split.rest = file.substr(at, file.size() - 8 - at);
+  return split;
+}
+
+// A crafted file whose checksum holds must still fail closed when its MIPs
+// repeat an itemset or leave itemset order: a MIP's id is its position in
+// the IT-tree's depth-first layout, which ELIMINATE's walk indexes by.
+TEST(SerializeTest, RepeatedOrReorderedMipsAreRejected) {
+  auto data = std::make_unique<Dataset>(RandomDataset(14, 80, 4, 3));
+  auto built = MipIndex::Build(*data, {.primary_support = 0.25});
+  ASSERT_TRUE(built.ok());
+  ASSERT_GT(built->num_mips(), 2u);
+  std::string path = TempPath("mip_order.clrm");
+  ASSERT_TRUE(SaveMipIndex(*built, path).ok());
+  const MipRecords saved =
+      SplitMipRecords(Slurp(path), data->num_attributes());
+  ASSERT_EQ(saved.records.size(), built->num_mips());
+
+  // Re-joining the untouched records loads: the rewrite itself is sound.
+  Spit(path, saved.Join());
+  ASSERT_TRUE(LoadMipIndex(*data, path).ok());
+
+  MipRecords repeated = saved;
+  repeated.records[1] = repeated.records[0];
+  MipRecords swapped = saved;
+  std::swap(swapped.records[1], swapped.records[2]);
+  for (const MipRecords* bad : {&repeated, &swapped}) {
+    Spit(path, bad->Join());
+    auto loaded = LoadMipIndex(*data, path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().ToString().find("corrupt index file"),
+              std::string::npos)
+        << loaded.status().ToString();
   }
   std::remove(path.c_str());
 }
