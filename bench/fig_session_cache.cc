@@ -77,9 +77,9 @@ std::vector<Workload> MakeWorkloads(const BenchDataset& dataset) {
     neighbours.queries.push_back(box(lo, 0.15, minsupp, minconf));
   }
 
-  // Union/difference-shaped session: adjacent slabs first, then boxes the
-  // tier-2.5 planner can assemble from them (the union of the slabs, a
-  // trimmed prefix of a wide box) instead of rescanning the relation.
+  // Overlap-shaped session: adjacent slabs first, then their union (no
+  // single resident box contains it, so it is scanned cold) and two boxes
+  // the union then contains (a trimmed prefix and an inner window).
   Workload overlap{"overlap-drill", {}};
   overlap.queries.push_back(box(0.0, 0.25, minsupp, minconf));
   overlap.queries.push_back(box(0.25, 0.25, minsupp, minconf));
@@ -139,7 +139,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
       "\"workload\":\"%s\",\"queries\":%zu,"
       "\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
-      "\"cache\":{\"exact\":%llu,\"containment\":%llu,\"compose\":%llu,"
+      "\"cache\":{\"exact\":%llu,\"containment\":%llu,"
       "\"memo\":%llu,\"misses\":%llu,\"bytes\":%llu}}\n",
       dataset.name.c_str(), dataset.data->num_records(), ScaleFromEnv(),
       warm.pool() != nullptr
@@ -150,7 +150,6 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),
       static_cast<unsigned long long>(t.hits_containment),
-      static_cast<unsigned long long>(t.hits_compose),
       static_cast<unsigned long long>(t.hits_count_memo),
       static_cast<unsigned long long>(t.misses),
       static_cast<unsigned long long>(t.bytes));
@@ -176,7 +175,7 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
       "\"workload\":\"%s\",\"queries\":%zu,"
       "\"cold_ms\":%.3f,\"mmap_warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"mmap_warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
-      "\"cache\":{\"exact\":%llu,\"containment\":%llu,\"compose\":%llu,"
+      "\"cache\":{\"exact\":%llu,\"containment\":%llu,"
       "\"memo\":%llu,\"misses\":%llu,\"admitrej\":%llu,\"bytes\":%llu}}\n",
       dataset.name.c_str(), dataset.data->num_records(), ScaleFromEnv(),
       restored.pool() != nullptr
@@ -187,7 +186,6 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),
       static_cast<unsigned long long>(t.hits_containment),
-      static_cast<unsigned long long>(t.hits_compose),
       static_cast<unsigned long long>(t.hits_count_memo),
       static_cast<unsigned long long>(t.misses),
       static_cast<unsigned long long>(t.admission_rejects),

@@ -52,8 +52,11 @@ std::vector<LocalizedQuery> MakeQueries(const Dataset& data,
                                         double dq_fraction, double minsupp,
                                         double minconf, int placements);
 
-/// Average per-plan execution times for one (DQ fraction, minsupp,
-/// minconf) scenario, plus what the optimizer picked and what actually won.
+/// Per-plan execution times for one (DQ fraction, minsupp, minconf)
+/// scenario, averaged over placements, plus what the optimizer picked and
+/// what actually won. Per placement, every plan first runs once untimed,
+/// then kTimedRounds times in a rotated order, and keeps its fastest run,
+/// so no plan pays for starting cold or always going first.
 struct ScenarioResult {
   double avg_ms[6] = {0, 0, 0, 0, 0, 0};
   PlanKind optimizer_pick = PlanKind::kSEV;

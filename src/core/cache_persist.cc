@@ -198,7 +198,7 @@ Status SaveQueryCache(const QueryCache& cache, const MipIndex& index,
       w.U32(static_cast<uint32_t>(memo_key.first.size()));
       w.Bytes(memo_key.first.data(), memo_key.first.size());
       w.U32(memo_key.second);
-      w.U32(memo->full_count);
+      w.U32(memo->superset_counts.back());  // the full count
       w.U32(static_cast<uint32_t>(memo->superset_counts.size()));
       w.Bytes(memo->superset_counts.data(),
               memo->superset_counts.size() * sizeof(uint32_t));
@@ -325,31 +325,32 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
       if (!r.ok() || mip_id >= index.num_mips()) {
         return Corrupt("memo MIP id out of range");
       }
-      CountMemoEntry memo;
-      memo.full_count = r.U32();
-      if (memo.full_count > tid_count) {
+      const uint32_t full_count = r.U32();
+      if (full_count > tid_count) {
         return Corrupt("memo count exceeds the subset");
       }
       // A table is replayed by mask over the MIP's items, so it must hold
       // exactly one count per subset of them, from the whole subset ([0])
-      // down to the full itemset.
+      // down to the full itemset. Older builds also stored bare full counts
+      // (an empty table), which nothing can replay: those are dropped.
       const uint32_t table_len = r.U32();
       if (!r.ok() || table_len > r.remaining() / sizeof(uint32_t)) {
         return Corrupt("memo table exceeds file size");
       }
+      if (table_len == 0) continue;
       const size_t items = index.mip(mip_id).items.size();
-      if (table_len != 0 && (items > LocalSubsetCounter::kMaxMaskItems ||
-                             table_len != size_t{1} << items)) {
+      if (items > LocalSubsetCounter::kMaxMaskItems ||
+          table_len != size_t{1} << items) {
         return Corrupt("memo table length does not match the itemset");
       }
+      CountMemoEntry memo;
       memo.superset_counts.resize(table_len);
-      if (table_len > 0 &&
-          !r.ReadBytes(memo.superset_counts.data(),
+      if (!r.ReadBytes(memo.superset_counts.data(),
                        table_len * sizeof(uint32_t))) {
         return Corrupt("truncated memo table");
       }
-      if (table_len != 0 && (memo.superset_counts.front() != tid_count ||
-                             memo.superset_counts.back() != memo.full_count)) {
+      if (memo.superset_counts.front() != tid_count ||
+          memo.superset_counts.back() != full_count) {
         return Corrupt("memo table disagrees with the subset");
       }
       snap.memos.emplace_back(

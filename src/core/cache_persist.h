@@ -8,7 +8,7 @@
 namespace colarm {
 
 /// Session-cache persistence (format v4) — the warm-restart half of the
-/// POQM story: hot focal subsets and their upgrade-only count memos are
+/// POQM story: hot focal subsets and their count memos are
 /// saved next to the MIP-index cache so a restarted `colarm_server` serves
 /// drill-down traffic from the page cache instead of re-paying relation
 /// scans.

@@ -41,7 +41,6 @@ CacheTelemetry TelemetryDelta(const CacheTelemetry& before,
   CacheTelemetry delta = after;
   delta.hits_exact -= before.hits_exact;
   delta.hits_containment -= before.hits_containment;
-  delta.hits_compose -= before.hits_compose;
   delta.hits_count_memo -= before.hits_count_memo;
   delta.misses -= before.misses;
   delta.evictions -= before.evictions;

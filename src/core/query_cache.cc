@@ -52,15 +52,6 @@ std::vector<AttrId> NarrowedAttrs(const Rect& box, const Rect& outer) {
   return narrowed;
 }
 
-// True iff `a` and `b` carry identical intervals on every axis except `d`.
-bool EqualExceptAxis(const Rect& a, const Rect& b, uint32_t d) {
-  for (uint32_t e = 0; e < a.dims(); ++e) {
-    if (e == d) continue;
-    if (a.lo(e) != b.lo(e) || a.hi(e) != b.hi(e)) return false;
-  }
-  return true;
-}
-
 uint64_t HashKey(const std::string& key) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
   for (unsigned char c : key) {
@@ -68,47 +59,6 @@ uint64_t HashKey(const std::string& key) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-// One slab candidate for the greedy interval cover.
-struct SlabCandidate {
-  int64_t lo = 0;
-  int64_t hi = 0;
-  const std::string* key = nullptr;
-  size_t tids = 0;
-};
-
-// Deterministic greedy cover of [lo, hi] from `slabs` (each already known
-// to lie inside the allowed region): at each sweep position take the
-// reachable slab extending furthest right, key order breaking ties.
-// Returns false when a gap is uncoverable. Overlap between chosen slabs is
-// fine — both union and difference semantics tolerate it.
-bool GreedyCover(int64_t lo, int64_t hi,
-                 const std::vector<SlabCandidate>& slabs,
-                 std::vector<const SlabCandidate*>* chosen) {
-  int64_t cursor = lo;
-  while (cursor <= hi) {
-    const SlabCandidate* best = nullptr;
-    for (const SlabCandidate& slab : slabs) {
-      if (slab.lo > cursor || slab.hi < cursor) continue;
-      if (best == nullptr || slab.hi > best->hi ||
-          (slab.hi == best->hi && *slab.key < *best->key)) {
-        best = &slab;
-      }
-    }
-    if (best == nullptr) return false;
-    chosen->push_back(best);
-    cursor = best->hi + 1;
-  }
-  return true;
-}
-
-Rect IntersectionBox(const Rect& a, const Rect& b) {
-  Rect out = a;
-  for (uint32_t d = 0; d < a.dims(); ++d) {
-    out.SetInterval(d, std::max(a.lo(d), b.lo(d)), std::min(a.hi(d), b.hi(d)));
-  }
-  return out;
 }
 
 }  // namespace
@@ -137,12 +87,11 @@ std::shared_ptr<const ArmMemoEntry> CountMemoTxn::LookupArm(
 
 void CountMemoTxn::NoteServed() const { cache_->NoteMemoServed(); }
 
-void CountMemoTxn::RecordTable(uint32_t mip_id, uint32_t full_count,
+void CountMemoTxn::RecordTable(uint32_t mip_id,
                                std::span<const uint32_t> superset_counts) {
   std::lock_guard<std::mutex> lock(mutex_);
-  CountMemoEntry& entry = writes_[mip_id];
-  entry.full_count = full_count;
-  entry.superset_counts.assign(superset_counts.begin(), superset_counts.end());
+  writes_[mip_id].superset_counts.assign(superset_counts.begin(),
+                                         superset_counts.end());
 }
 
 void CountMemoTxn::RecordArmMine(uint32_t min_count, uint64_t local_cfis,
@@ -177,241 +126,8 @@ uint32_t QueryCache::FrequencySketch::Estimate(uint64_t hash) const {
 QueryCache::QueryCache(const MipIndex& index, QueryCacheOptions options)
     : index_(&index), options_(options) {}
 
-QueryCache::ComposePlan QueryCache::PlanComposeLocked(const Rect& box) const {
-  ComposePlan best;
-  const double cold_cost = static_cast<double>(index_->dataset().num_records());
-
-  // Tier 2: single-source containment filter — the resident containing
-  // entry with the smallest subset (cheapest filter), key order breaking
-  // ties. Stays ungated against the cold scan (pre-2.5 behavior).
-  double filter_cost = 0.0;
-  bool has_filter = false;
-  {
-    const Entry* src = nullptr;
-    const std::string* src_key = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (!entry.box.Contains(box)) continue;
-      if (src == nullptr || entry.subset->tids.size() < src->subset->tids.size()) {
-        src = &entry;
-        src_key = &key;
-      }
-    }
-    if (src != nullptr) {
-      const std::vector<AttrId> narrowed = NarrowedAttrs(box, src->box);
-      has_filter = true;
-      filter_cost = static_cast<double>(src->subset->tids.size()) *
-                    static_cast<double>(narrowed.size() + 1);
-      best.shape = ComposePlan::Shape::kFilter;
-      best.sources = {*src_key};
-      best.residual_outer = src->box;
-      best.delta_attrs = static_cast<uint32_t>(narrowed.size());
-      best.summed_runs = static_cast<double>(src->subset->tids.size());
-      best.cost = filter_cost;
-    }
-  }
-
-  // Multi-source shapes enter only when strictly cheaper than both the
-  // filter and the cold scan; ties keep the earlier (simpler) route. The
-  // enumeration order (union by axis, difference by axis and outer key,
-  // intersection by key-ordered pair) plus strict `<` makes the choice
-  // deterministic.
-  ComposePlan multi;
-  double multi_cost = cold_cost;
-  if (has_filter) multi_cost = std::min(multi_cost, filter_cost);
-  auto consider = [&](ComposePlan&& plan) {
-    if (plan.cost < multi_cost) {
-      multi_cost = plan.cost;
-      multi = std::move(plan);
-    }
-  };
-
-  for (uint32_t d = 0; d < box.dims(); ++d) {
-    // Axis union: resident slabs equal to `box` on every other axis whose
-    // d-intervals lie inside and together cover box's d-interval — the
-    // union of their tid lists is exactly T_box.
-    std::vector<SlabCandidate> inside;
-    for (const auto& [key, entry] : entries_) {
-      if (!EqualExceptAxis(entry.box, box, d)) continue;
-      if (entry.box.lo(d) >= box.lo(d) && entry.box.hi(d) <= box.hi(d)) {
-        inside.push_back({entry.box.lo(d), entry.box.hi(d), &key,
-                          entry.subset->tids.size()});
-      }
-    }
-    if (!inside.empty()) {
-      std::vector<const SlabCandidate*> chosen;
-      if (GreedyCover(box.lo(d), box.hi(d), inside, &chosen)) {
-        ComposePlan plan;
-        plan.shape = ComposePlan::Shape::kUnion;
-        double runs = 0.0;
-        for (const SlabCandidate* slab : chosen) {
-          plan.sources.push_back(*slab->key);
-          runs += static_cast<double>(slab->tids);
-        }
-        plan.summed_runs = runs;
-        plan.cost = runs;
-        consider(std::move(plan));
-      }
-    }
-
-    // Axis difference: an outer entry equal on the other axes whose
-    // d-interval strictly contains box's, minus resident slabs exactly
-    // tiling the two complement side intervals — T_outer stripped of every
-    // record outside box's d-interval, i.e. exactly T_box.
-    for (const auto& [outer_key, outer] : entries_) {
-      if (!EqualExceptAxis(outer.box, box, d)) continue;
-      if (outer.box.lo(d) > box.lo(d) || outer.box.hi(d) < box.hi(d)) continue;
-      if (outer.box.lo(d) == box.lo(d) && outer.box.hi(d) == box.hi(d)) {
-        continue;  // exact on this axis too: that is a tier-1 entry
-      }
-      std::vector<SlabCandidate> complement;
-      for (const auto& [key, entry] : entries_) {
-        if (!EqualExceptAxis(entry.box, box, d)) continue;
-        const int64_t lo = entry.box.lo(d);
-        const int64_t hi = entry.box.hi(d);
-        const bool left = lo >= outer.box.lo(d) &&
-                          hi < static_cast<int64_t>(box.lo(d));
-        const bool right = lo > static_cast<int64_t>(box.hi(d)) &&
-                           hi <= outer.box.hi(d);
-        if (left || right) {
-          complement.push_back({lo, hi, &key, entry.subset->tids.size()});
-        }
-      }
-      std::vector<const SlabCandidate*> chosen;
-      bool covered = true;
-      if (outer.box.lo(d) < box.lo(d)) {
-        covered = GreedyCover(outer.box.lo(d),
-                              static_cast<int64_t>(box.lo(d)) - 1, complement,
-                              &chosen);
-      }
-      if (covered && outer.box.hi(d) > box.hi(d)) {
-        covered = GreedyCover(static_cast<int64_t>(box.hi(d)) + 1,
-                              outer.box.hi(d), complement, &chosen);
-      }
-      if (!covered) continue;
-      ComposePlan plan;
-      plan.shape = ComposePlan::Shape::kDifference;
-      plan.sources.push_back(outer_key);
-      double runs = static_cast<double>(outer.subset->tids.size());
-      for (const SlabCandidate* slab : chosen) {
-        plan.sources.push_back(*slab->key);
-        runs += static_cast<double>(slab->tids);
-      }
-      plan.summed_runs = runs;
-      plan.cost = runs;
-      consider(std::move(plan));
-    }
-  }
-
-  // Pair intersection: two containing entries whose intersection box
-  // narrows more axes than either alone — AND the tid lists, then re-test
-  // only the attributes still wider than box. A sorted-merge alternative
-  // to the per-record single-source filter.
-  {
-    std::vector<const std::string*> containing;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.box.Contains(box)) containing.push_back(&key);
-    }
-    for (size_t i = 0; i + 1 < containing.size(); ++i) {
-      for (size_t j = i + 1; j < containing.size(); ++j) {
-        const Entry& a = entries_.at(*containing[i]);
-        const Entry& b = entries_.at(*containing[j]);
-        const Rect meet = IntersectionBox(a.box, b.box);
-        const size_t residual = NarrowedAttrs(box, meet).size();
-        const double runs =
-            static_cast<double>(a.subset->tids.size()) +
-            static_cast<double>(b.subset->tids.size()) +
-            static_cast<double>(
-                std::min(a.subset->tids.size(), b.subset->tids.size())) *
-                static_cast<double>(residual + 1);
-        ComposePlan plan;
-        plan.shape = ComposePlan::Shape::kIntersect;
-        plan.sources = {*containing[i], *containing[j]};
-        plan.residual_outer = meet;
-        plan.delta_attrs = static_cast<uint32_t>(residual);
-        plan.summed_runs = runs;
-        plan.cost = runs;
-        consider(std::move(plan));
-      }
-    }
-  }
-
-  if (multi.shape != ComposePlan::Shape::kNone) return multi;
-  return best;  // the filter, or an empty kNone plan
-}
-
-std::vector<Tid> QueryCache::ExecuteComposeLocked(const ComposePlan& plan,
-                                                  const Rect& box) const {
-  const Dataset& dataset = index_->dataset();
-  auto tids_of = [&](const std::string& key) -> const std::vector<Tid>& {
-    return entries_.at(key).subset->tids;
-  };
-
-  switch (plan.shape) {
-    case ComposePlan::Shape::kUnion: {
-      std::vector<Tid> out = tids_of(plan.sources.front());
-      std::vector<Tid> merged;
-      for (size_t i = 1; i < plan.sources.size(); ++i) {
-        const std::vector<Tid>& next = tids_of(plan.sources[i]);
-        merged.clear();
-        merged.reserve(out.size() + next.size());
-        std::set_union(out.begin(), out.end(), next.begin(), next.end(),
-                       std::back_inserter(merged));
-        out.swap(merged);
-      }
-      return out;
-    }
-    case ComposePlan::Shape::kDifference: {
-      std::vector<Tid> strip;
-      std::vector<Tid> merged;
-      for (size_t i = 1; i < plan.sources.size(); ++i) {
-        const std::vector<Tid>& next = tids_of(plan.sources[i]);
-        merged.clear();
-        merged.reserve(strip.size() + next.size());
-        std::set_union(strip.begin(), strip.end(), next.begin(), next.end(),
-                       std::back_inserter(merged));
-        strip.swap(merged);
-      }
-      const std::vector<Tid>& outer = tids_of(plan.sources.front());
-      std::vector<Tid> out;
-      out.reserve(outer.size());
-      std::set_difference(outer.begin(), outer.end(), strip.begin(),
-                          strip.end(), std::back_inserter(out));
-      return out;
-    }
-    case ComposePlan::Shape::kIntersect: {
-      const std::vector<Tid>& a = tids_of(plan.sources[0]);
-      const std::vector<Tid>& b = tids_of(plan.sources[1]);
-      std::vector<Tid> meet;
-      meet.reserve(std::min(a.size(), b.size()));
-      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                            std::back_inserter(meet));
-      if (plan.delta_attrs == 0) return meet;
-      const std::vector<AttrId> narrowed =
-          NarrowedAttrs(box, plan.residual_outer);
-      std::vector<Tid> out;
-      out.reserve(meet.size());
-      for (Tid t : meet) {
-        bool inside = true;
-        for (AttrId attr : narrowed) {
-          ValueId v = dataset.Value(t, attr);
-          if (v < box.lo(attr) || v > box.hi(attr)) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) out.push_back(t);
-      }
-      return out;
-    }
-    case ComposePlan::Shape::kNone:
-    case ComposePlan::Shape::kFilter:
-      break;  // not a multi-source composition
-  }
-  return {};
-}
-
 CacheHint QueryCache::HintLocked(const std::string& key, const Rect& box,
-                                 ComposePlan* plan) const {
+                                 const std::string** source) const {
   CacheHint hint;
   auto exact = entries_.find(key);
   if (exact != entries_.end()) {
@@ -419,25 +135,29 @@ CacheHint QueryCache::HintLocked(const std::string& key, const Rect& box,
     hint.cached_size = static_cast<double>(exact->second.subset->tids.size());
     return hint;
   }
-  *plan = PlanComposeLocked(box);
-  if (plan->shape == ComposePlan::Shape::kFilter) {
+  const Entry* src = nullptr;
+  for (const auto& [entry_key, entry] : entries_) {
+    if (!entry.box.Contains(box)) continue;
+    if (src == nullptr ||
+        entry.subset->tids.size() < src->subset->tids.size()) {
+      src = &entry;
+      *source = &entry_key;
+    }
+  }
+  if (src != nullptr) {
     hint.tier = CacheTier::kContainment;
-    hint.cached_size = plan->summed_runs;
-    hint.delta_attrs = plan->delta_attrs;
-  } else if (plan->shape != ComposePlan::Shape::kNone) {
-    hint.tier = CacheTier::kCompose;
-    hint.cached_size = plan->summed_runs;
-    hint.delta_attrs = plan->delta_attrs;
-    hint.compose_sources = static_cast<uint32_t>(plan->sources.size());
+    hint.cached_size = static_cast<double>(src->subset->tids.size());
+    hint.delta_attrs =
+        static_cast<uint32_t>(NarrowedAttrs(box, src->box).size());
   }
   return hint;
 }
 
 CacheHint QueryCache::Probe(const Rect& box) const {
   const std::string key = CanonicalBoxKey(box);
-  ComposePlan plan;
+  const std::string* source = nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
-  return HintLocked(key, box, &plan);
+  return HintLocked(key, box, &source);
 }
 
 QueryCache::Lease QueryCache::Acquire(const Rect& box,
@@ -453,10 +173,10 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
 
   Lease lease;
   std::string key = CanonicalBoxKey(box);
-  ComposePlan plan;
+  const std::string* source = nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
   sketch_.Record(HashKey(key));
-  lease.hint = HintLocked(key, box, &plan);
+  lease.hint = HintLocked(key, box, &source);
 
   switch (lease.hint.tier) {
     case CacheTier::kExact: {
@@ -469,7 +189,8 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
     }
     case CacheTier::kContainment: {
       ++counters_.hits_containment;
-      const FocalSubset& src = *entries_.at(plan.sources.front()).subset;
+      Entry& entry = entries_.at(*source);
+      const FocalSubset& src = *entry.subset;
       const std::vector<AttrId> narrowed = NarrowedAttrs(box, src.box);
       lease.subset.box = box;
       // Re-test only the narrowed attributes over the cached tid list.
@@ -485,17 +206,10 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
         }
         if (inside) lease.subset.tids.push_back(t);
       }
-      NoteDerivationSourceLocked(plan.sources.front());
+      ++entry.derivations;
+      PromoteLocked(&entry);
       break;
     }
-    case CacheTier::kCompose:
-      ++counters_.hits_compose;
-      lease.subset.box = box;
-      lease.subset.tids = ExecuteComposeLocked(plan, box);
-      for (const std::string& source : plan.sources) {
-        NoteDerivationSourceLocked(source);
-      }
-      break;
     case CacheTier::kNone:
       ++counters_.misses;
       lease.subset = FocalSubset::Materialize(dataset, box);
@@ -547,17 +261,8 @@ void QueryCache::Commit(CountMemoTxn* txn) {
   for (auto& [mip_id, write] : txn->writes_) {
     const std::pair<std::string, uint32_t> memo_key{txn->constraint_key_,
                                                     mip_id};
-    auto existing = entry.memo.find(memo_key);
-    if (existing != entry.memo.end()) {
-      // Counts are deterministic, so a published table stays; only an
-      // entry without one (read from an older cache file) is replaced.
-      if (!existing->second->superset_counts.empty()) continue;
-      const size_t old_bytes =
-          MemoBytes(txn->constraint_key_, *existing->second);
-      entry.bytes -= old_bytes;
-      counters_.bytes -= old_bytes;
-      entry.memo.erase(existing);
-    }
+    // Counts are deterministic, so a published table stays.
+    if (entry.memo.count(memo_key) > 0) continue;
     auto published = std::make_shared<const CountMemoEntry>(std::move(write));
     const size_t new_bytes = MemoBytes(txn->constraint_key_, *published);
     entry.memo.emplace(memo_key, std::move(published));
@@ -655,13 +360,6 @@ void QueryCache::Restore(std::vector<CacheEntrySnapshot> entries) {
     }
   }
   EvictOverBudgetLocked(nullptr);
-}
-
-void QueryCache::NoteDerivationSourceLocked(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  ++it->second.derivations;
-  PromoteLocked(&it->second);
 }
 
 void QueryCache::PromoteLocked(Entry* entry) {

@@ -36,7 +36,9 @@ struct QueryCacheOptions {
 struct CacheTelemetry {
   uint64_t hits_exact = 0;
   uint64_t hits_containment = 0;
-  uint64_t hits_compose = 0;  // tier 2.5: assembled from overlapping entries
+  /// Always 0. It counted the retired overlap-composition tier; it stays
+  /// because STATS has a fixed wire layout and the benchmark reads it.
+  uint64_t hits_compose = 0;
   uint64_t hits_count_memo = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
@@ -45,15 +47,13 @@ struct CacheTelemetry {
   uint64_t entries = 0;
 };
 
-/// One memoized itemset count for a (box, MIP) pair. `superset_counts` is
-/// the producing counter's 2^L superset-sum table ([mask] = number of
-/// subset records carrying every item of the mask), written by a
-/// mask-route VERIFY (itemsets up to kMaxMaskItems). It is empty only in
-/// entries read from a cache file that also stored bare full counts;
-/// nothing replays those. Immutable once published — readers hold it by
-/// shared_ptr so eviction never invalidates an in-flight query.
+/// One memoized itemset count for a (box, MIP) pair: the producing
+/// counter's 2^L superset-sum table ([mask] = number of subset records
+/// carrying every item of the mask; the last entry is the full count),
+/// written by a mask-route VERIFY (itemsets up to kMaxMaskItems).
+/// Immutable once published — readers hold it by shared_ptr so eviction
+/// never invalidates an in-flight query.
 struct CountMemoEntry {
-  uint32_t full_count = 0;
   std::vector<uint32_t> superset_counts;
 };
 
@@ -101,8 +101,7 @@ class CountMemoTxn {
   void NoteServed() const;
 
   /// Records the complete subset-count table (mask-route VERIFY).
-  void RecordTable(uint32_t mip_id, uint32_t full_count,
-                   std::span<const uint32_t> superset_counts);
+  void RecordTable(uint32_t mip_id, std::span<const uint32_t> superset_counts);
 
   /// Records one ARM mining run's complete qualified set at its local
   /// minimum count (first write wins; results are deterministic).
@@ -142,24 +141,20 @@ struct CacheEntrySnapshot {
 
 /// The session-scoped semantic cache (owned by the Engine, or by a server
 /// tenant and passed in through a SessionContext): a byte-budgeted store of materialized focal subsets
-/// keyed by canonical box, with four reuse tiers —
+/// keyed by canonical box, with three reuse tiers —
 ///
-///   1.   exact: a query's box is resident → copy its tid list, no scan;
-///   2.   containment: a resident box *contains* the query's box → derive
-///        DQ by re-testing the cached tids on the narrowed attributes only
-///        — exact by the focal-box containment invariant;
-///   2.5. compose: the box is assembled from *overlapping* resident boxes
-///        via union / difference / intersection of their tid lists (slab
-///        geometry keeps every shape provably exact; see PlanComposeLocked)
-///        whenever a deterministic size-based cost gate prices the combine
-///        below both the best containment filter and the cold scan;
-///   3.   count memo: per-(box, MIP) subset-count tables recorded by
-///        VERIFY, replayed by later queries on the same box with
-///        different thresholds (exact by threshold monotonicity) — plus
-///        per-(box, constraints, min count) ARM mining results, so a
-///        repeated ARM-plan query skips the from-scratch CHARM pass
-///        entirely (exact: the qualified set is a pure function of that
-///        triple).
+///   1. exact: a query's box is resident → copy its tid list, no scan;
+///   2. containment: a resident box *contains* the query's box → derive
+///      DQ by re-testing the smallest such entry's tids on the narrowed
+///      attributes only — exact by the focal-box containment invariant;
+///   3. count memo: per-(box, MIP) subset-count tables recorded by
+///      VERIFY, replayed by later queries on the same box with different
+///      thresholds (exact by threshold monotonicity) — plus per-(box,
+///      constraints, min count) ARM mining results, so a repeated
+///      ARM-plan query skips the from-scratch CHARM pass entirely (exact:
+///      the qualified set is a pure function of that triple).
+///
+/// Any other box is materialized cold.
 ///
 /// Every tier is byte-identical to cold execution in rules and effort
 /// counters: warm paths charge the cold semantic record-check price.
@@ -184,8 +179,8 @@ class QueryCache {
   QueryCache(const MipIndex& index, QueryCacheOptions options);
 
   /// Read-only probe for the optimizer: which tier would serve `box` right
-  /// now (running the same composition planner Acquire runs). Touches
-  /// neither recency, sketch, nor telemetry.
+  /// now (making the same pick Acquire makes). Touches neither recency,
+  /// sketch, nor telemetry.
   CacheHint Probe(const Rect& box) const;
 
   /// The focal subset handed to one plan execution, plus how it was served:
@@ -196,13 +191,12 @@ class QueryCache {
   };
 
   /// Serves the focal subset for `box` from the best tier — exact copy,
-  /// containment derivation, tier-2.5 composition, or cold
-  /// materialization — inserting the resulting subset and updating
-  /// recency/segments, telemetry, and evictions. `record_checks` is
-  /// charged exactly the cold price (the relation size, iff the box
-  /// constrains anything) regardless of tier, so plan statistics stay
-  /// byte-identical to cold execution. Call from sequential points only
-  /// (see class comment).
+  /// containment derivation, or cold materialization — inserting the
+  /// resulting subset and updating recency/segments, telemetry, and
+  /// evictions. `record_checks` is charged exactly the cold price (the
+  /// relation size, iff the box constrains anything) regardless of tier,
+  /// so plan statistics stay byte-identical to cold execution. Call from
+  /// sequential points only (see class comment).
   Lease Acquire(const Rect& box, uint64_t* record_checks);
 
   /// Tier-3 read: the committed memo for (box, constraints, MIP), null on
@@ -269,7 +263,7 @@ class QueryCache {
     uint64_t last_used = 0;
     bool is_protected = false;  // 2Q segment
     uint64_t hits = 0;          // exact hits served from this entry
-    uint64_t derivations = 0;   // times used as a tier-2/2.5 source
+    uint64_t derivations = 0;   // times used as a containment source
   };
 
   /// TinyLFU frequency sketch: 4-row count-min over box-key hashes with
@@ -288,46 +282,16 @@ class QueryCache {
     uint32_t recordings = 0;
   };
 
-  /// A composition route for a non-resident box, chosen by the planner.
-  struct ComposePlan {
-    enum class Shape { kNone, kFilter, kUnion, kDifference, kIntersect };
-    Shape shape = Shape::kNone;
-    /// Entry keys, shape-specific order: kFilter/{src}; kUnion/{slabs};
-    /// kDifference/{outer, slabs...}; kIntersect/{a, b}.
-    std::vector<std::string> sources;
-    /// Outer box of the residual filter (kFilter: the source's box;
-    /// kIntersect: a.box ∩ b.box).
-    Rect residual_outer;
-    uint32_t delta_attrs = 0;  // attrs the residual filter re-tests
-    double summed_runs = 0.0;  // tid-run length the merge walks
-    double cost = 0.0;         // size-proxy cost (see PlanComposeLocked)
-  };
-
-  /// The tier-2/2.5 planner: enumerates the exact reuse shapes available
-  /// for `box` (single-source containment filter; per-axis slab union;
-  /// outer-minus-slabs difference; contained-pair intersection) and picks
-  /// deterministically by an integer size-proxy cost. A multi-source shape
-  /// is admitted only when strictly cheaper than both the best containment
-  /// filter and the cold scan; containment itself stays ungated, matching
-  /// the pre-2.5 behavior. Caller holds mutex_.
-  ComposePlan PlanComposeLocked(const Rect& box) const;
-
   /// The tier that serves `box` (canonical key `key`) right now; for the
-  /// containment and compose tiers `plan` receives the route. Shared by
-  /// Probe and Acquire, so an acquisition's hint is what a probe just
-  /// before it returns. Caller holds mutex_.
+  /// containment tier `source` receives the key of the smallest resident
+  /// entry containing `box` (key order breaking ties). Shared by Probe and
+  /// Acquire, so an acquisition's hint is what a probe just before it
+  /// returns. Caller holds mutex_.
   CacheHint HintLocked(const std::string& key, const Rect& box,
-                       ComposePlan* plan) const;
+                       const std::string** source) const;
 
-  /// Materializes the planned composition by merges of sorted tid runs
-  /// plus a residual re-test of the narrowed attributes: the exact sorted
-  /// T_box. Caller holds mutex_.
-  std::vector<Tid> ExecuteComposeLocked(const ComposePlan& plan,
-                                        const Rect& box) const;
-
-  /// Bumps per-entry derivation accounting and promotes `key` into the
-  /// protected segment. Caller holds mutex_.
-  void NoteDerivationSourceLocked(const std::string& key);
+  /// Bumps `entry`'s recency and moves it into the protected segment.
+  /// Caller holds mutex_.
   void PromoteLocked(Entry* entry);
   size_t ProtectedBytesLocked() const;
 

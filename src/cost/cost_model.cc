@@ -16,8 +16,6 @@ const char* CacheTierName(CacheTier tier) {
       return "exact";
     case CacheTier::kContainment:
       return "containment";
-    case CacheTier::kCompose:
-      return "compose";
   }
   return "?";
 }
@@ -160,8 +158,7 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
   // SELECT runs one route: a row scan of the relation when cold, or, on a
   // session-cache hint, what the cache actually does — copying the cached
   // tid list on an exact hit, re-testing each cached record on a
-  // containment hit, walking the summed sorted runs of a tier-2.5
-  // composition (hint->cached_size covers all three). The term is
+  // containment hit (hint->cached_size covers both). The term is
   // plan-uniform, so its accuracy never sways plan choice — only the
   // absolute estimate.
   if (hint != nullptr && hint->tier != CacheTier::kNone) {

@@ -16,7 +16,6 @@ enum class CacheTier {
   kNone,         // cold: full relation scan
   kExact,        // a cached subset with the identical box
   kContainment,  // a cached subset whose box contains the query's
-  kCompose,      // tier 2.5: assembled from several overlapping entries
 };
 
 const char* CacheTierName(CacheTier tier);
@@ -27,14 +26,12 @@ const char* CacheTierName(CacheTier tier);
 /// relation. Recorded in the decision as the cache-provenance field.
 struct CacheHint {
   CacheTier tier = CacheTier::kNone;
-  /// |cached subset| the derive step touches (exact: the subset itself;
-  /// compose: the summed tid-run length the combine walks).
+  /// |cached subset| the serving step touches (exact: the subset itself;
+  /// containment: the containing entry it filters).
   double cached_size = 0.0;
-  /// Attributes whose interval actually narrowed (containment and
-  /// compose) — the ones the derive step re-tests per cached record.
+  /// Attributes whose interval actually narrowed (containment only) —
+  /// the ones the derive step re-tests per cached record.
   uint32_t delta_attrs = 0;
-  /// Resident entries a tier-2.5 composition combines (compose only).
-  uint32_t compose_sources = 0;
 };
 
 /// Constant-time cost estimate of one plan for one query, in pseudo-

@@ -335,7 +335,7 @@ std::vector<uint32_t> BranchRuns(std::span<const ITTree::DepthFirstNode> nodes,
 uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id,
                        const CountMemoEntry* memo, Shard* shard) {
   const Itemset& items = ctx.index.mip(mip_id).items;
-  const bool replay = memo != nullptr && !memo->superset_counts.empty();
+  const bool replay = memo != nullptr;
   if (replay) ctx.memo_txn->NoteServed();
   const LocalSubsetCounter counter =
       replay ? LocalSubsetCounter(items, ctx.subset.tids,
@@ -346,8 +346,7 @@ uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id,
                           ctx.FilterForItemset(items), &shard->rules,
                           &shard->rule_stats);
   if (!replay && ctx.memo_txn != nullptr && counter.has_subset_table()) {
-    ctx.memo_txn->RecordTable(mip_id, counter.CountFull(),
-                              counter.subset_table());
+    ctx.memo_txn->RecordTable(mip_id, counter.subset_table());
   }
   return counter.record_checks();
 }

@@ -159,9 +159,7 @@ TEST(BatchTest, CancelledQueryFailsAloneWithoutCacheLookup) {
   // Three lookups for four executed-or-failed first copies: the cancelled
   // query looked nothing up.
   EXPECT_EQ(batch.cache.misses, 3u);
-  EXPECT_EQ(batch.cache.hits_exact + batch.cache.hits_containment +
-                batch.cache.hits_compose,
-            0u);
+  EXPECT_EQ(batch.cache.hits_exact + batch.cache.hits_containment, 0u);
   EXPECT_EQ(batch.cache.entries, 3u);
 }
 

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <string_view>
 
 #include "mining/local_counter.h"
 #include "test_util.h"
@@ -65,15 +67,8 @@ QueryCacheOptions Enabled() {
 
 Rect InnerBox(const Env& env) { return env.Box({{0, 0, 1}, {2, 0, 1}}); }
 
-/// The subset counter of MIP `mip_id` over the inner box: the genuine
+/// The subset table of MIP `mip_id` over the inner box: the genuine
 /// counts a memo of that box holds, which the loader checks.
-uint32_t InnerFullCount(const Env& env, uint32_t mip_id) {
-  const FocalSubset subset = FocalSubset::Materialize(*env.data, InnerBox(env));
-  return LocalSubsetCounter(*env.data, env.index->mip(mip_id).items,
-                            subset.tids)
-      .CountFull();
-}
-
 std::vector<uint32_t> InnerTable(const Env& env, uint32_t mip_id) {
   const FocalSubset subset = FocalSubset::Materialize(*env.data, InnerBox(env));
   const LocalSubsetCounter counter(*env.data, env.index->mip(mip_id).items,
@@ -94,9 +89,53 @@ void Populate(const Env& env, QueryCache* cache) {
   cache->Acquire(inner, &ignored);
   cache->Acquire(inner, &ignored);  // exact hit
   auto txn = cache->BeginTxn(inner);
-  txn->RecordTable(2, InnerFullCount(env, 2), InnerTable(env, 2));
-  txn->RecordTable(5, InnerFullCount(env, 5), InnerTable(env, 5));
+  txn->RecordTable(2, InnerTable(env, 2));
+  txn->RecordTable(5, InnerTable(env, 5));
   cache->Commit(txn.get());
+}
+
+// Section layout: segment flag (1), hits (8), derivations (8), the box
+// (4 per dimension), then the tid, memo and ARM counts (4 each), padding
+// to a 64-byte file offset, the tids, the memo records (key length, key,
+// MIP id, full count, table length, table), the ARM records, and the
+// section checksum (8). The file checksum (8) follows the last section.
+constexpr size_t kFirstSection = 24;
+constexpr size_t kBoxOffset = 17;
+
+/// Offset just past the tids of the section starting at `start`.
+size_t TidsEnd(const std::string& file, size_t start, uint32_t dims) {
+  uint32_t tids = 0;
+  std::memcpy(&tids, &file[start + kBoxOffset + 4 * dims], sizeof(tids));
+  const size_t payload = (start + kBoxOffset + 4 * dims + 12 + 63) / 64 * 64;
+  return payload + tids * sizeof(Tid);
+}
+
+uint64_t FnvOf(std::string_view bytes) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  return hash;
+}
+
+/// Redoes the checksums of the file's last section, which starts at
+/// `start`, and of the whole file.
+void RehashLastSection(std::string* file, size_t start) {
+  const size_t end = file->size() - 16;
+  const uint64_t section_hash =
+      FnvOf(std::string_view(*file).substr(start, end - start));
+  std::memcpy(&(*file)[end], &section_hash, sizeof(section_hash));
+  const uint64_t file_hash = FnvOf(std::string_view(*file).substr(0, end + 8));
+  std::memcpy(&(*file)[end + 8], &file_hash, sizeof(file_hash));
+}
+
+/// Rewrites the first memo record of the one-entry cache file at `path`
+/// through `edit`, which gets the file and the record's offset, and
+/// redoes both checksums.
+void EditFirstMemo(const std::string& path, uint32_t dims,
+                   const std::function<void(std::string*, size_t)>& edit) {
+  std::string file = Slurp(path);
+  edit(&file, TidsEnd(file, kFirstSection, dims));
+  RehashLastSection(&file, kFirstSection);
+  Spit(path, file);
 }
 
 TEST(CachePersistTest, RoundTripPreservesEntries) {
@@ -123,8 +162,6 @@ TEST(CachePersistTest, RoundTripPreservesEntries) {
     ASSERT_EQ(after[i].memos.size(), before[i].memos.size()) << "entry " << i;
     for (size_t m = 0; m < before[i].memos.size(); ++m) {
       EXPECT_EQ(after[i].memos[m].first, before[i].memos[m].first);
-      EXPECT_EQ(after[i].memos[m].second->full_count,
-                before[i].memos[m].second->full_count);
       EXPECT_EQ(after[i].memos[m].second->superset_counts,
                 before[i].memos[m].second->superset_counts);
     }
@@ -141,7 +178,6 @@ TEST(CachePersistTest, RoundTripPreservesEntries) {
   EXPECT_EQ(reloaded.Probe(inner).tier, CacheTier::kExact);
   auto memo = reloaded.MemoLookup(CanonicalBoxKey(inner), "", 5);
   ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->full_count, InnerFullCount(env, 5));
   EXPECT_EQ(memo->superset_counts, InnerTable(env, 5));
   std::remove(path.c_str());
 }
@@ -325,7 +361,7 @@ TEST(CachePersistTest, LoadReplacesExistingResidency) {
 // One entry on `box` whose count memo for `mip_id` holds `table`, saved
 // the way a running cache would save it (valid checksums throughout).
 Status SaveWithMemoTable(const Env& env, const Rect& box, uint32_t mip_id,
-                         uint32_t full_count, std::vector<uint32_t> table,
+                         std::vector<uint32_t> table,
                          const std::string& path) {
   CacheEntrySnapshot snap;
   snap.box = box;
@@ -334,7 +370,7 @@ Status SaveWithMemoTable(const Env& env, const Rect& box, uint32_t mip_id,
   snap.memos.emplace_back(
       std::make_pair(std::string(), mip_id),
       std::make_shared<const CountMemoEntry>(
-          CountMemoEntry{full_count, std::move(table)}));
+          CountMemoEntry{std::move(table)}));
   QueryCache cache(*env.index, Enabled());
   cache.Restore({snap});
   return SaveQueryCache(cache, *env.index, path);
@@ -342,7 +378,7 @@ Status SaveWithMemoTable(const Env& env, const Rect& box, uint32_t mip_id,
 
 // Memo replay reads a table by mask over the MIP's items, so a table of
 // the wrong length (a heap over-read at replay) or whose ends disagree
-// with the subset and the full count must not load.
+// with the subset and the stored full count must not load.
 TEST(CachePersistTest, MalformedMemoTableIsRejected) {
   Env env = Env::Make(33);
   uint32_t mip_id = 0;
@@ -358,50 +394,80 @@ TEST(CachePersistTest, MalformedMemoTableIsRejected) {
   const std::vector<uint32_t> good(counter.subset_table().begin(),
                                    counter.subset_table().end());
   ASSERT_EQ(good.size(), 8u);
-  const uint32_t full = counter.CountFull();
   const std::string path = TempPath("cache_bad_table.ccache");
 
-  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, full, good, path).ok());
+  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, good, path).ok());
   QueryCache accepted(*env.index, Enabled());
   EXPECT_TRUE(LoadQueryCache(*env.index, path, &accepted).ok());
 
-  std::vector<uint32_t> wrong_subset = good;
-  ++wrong_subset.front();
-  std::vector<uint32_t> wrong_full = good;
-  ++wrong_full.back();
-  const std::vector<std::vector<uint32_t>> bad = {
-      {subset.size()}, {good.begin(), good.begin() + 4}, wrong_subset,
-      wrong_full};
-  for (const std::vector<uint32_t>& table : bad) {
-    ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, full, table, path).ok());
+  auto expect_rejected = [&](const std::string& what) {
     QueryCache fresh(*env.index, Enabled());
     Status loaded = LoadQueryCache(*env.index, path, &fresh);
     EXPECT_EQ(loaded.code(), StatusCode::kParseError)
-        << table.size() << "-entry table: " << loaded.ToString();
+        << what << ": " << loaded.ToString();
     EXPECT_NE(loaded.ToString().find("corrupt cache file"), std::string::npos)
         << loaded.ToString();
     EXPECT_EQ(fresh.telemetry().entries, 0u);
+  };
+  std::vector<uint32_t> wrong_subset = good;
+  ++wrong_subset.front();
+  const std::vector<std::vector<uint32_t>> bad = {
+      {subset.size()}, {good.begin(), good.begin() + 4}, wrong_subset};
+  for (const std::vector<uint32_t>& table : bad) {
+    ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, table, path).ok());
+    expect_rejected(std::to_string(table.size()) + "-entry table");
   }
+  // The writer stores the table's last entry as the full count; a file
+  // whose stored count disagrees with it is corrupt too.
+  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, good, path).ok());
+  EditFirstMemo(path, env.data->num_attributes(),
+                [](std::string* file, size_t memo) {
+                  uint32_t count = 0;
+                  std::memcpy(&count, &(*file)[memo + 8], sizeof(count));
+                  --count;
+                  std::memcpy(&(*file)[memo + 8], &count, sizeof(count));
+                });
+  expect_rejected("stored full count one below the table's");
   std::remove(path.c_str());
 }
 
-// Older builds also memoized bare full counts (an empty table). Such an
-// entry still loads, is never replayed, and a recorded table replaces it.
-TEST(CachePersistTest, EmptyMemoTableLoadsAndIsReplacedByATable) {
+// Older builds also memoized bare full counts (an empty table), which
+// nothing can replay. The loader validates such a record and drops it, so
+// it takes no cache bytes, and a later recorded table publishes as usual.
+TEST(CachePersistTest, EmptyMemoTableIsDroppedOnLoad) {
   Env env = Env::Make(36);
   const Rect box = InnerBox(env);
   const std::string path = TempPath("cache_empty_table.ccache");
-  ASSERT_TRUE(
-      SaveWithMemoTable(env, box, 2, InnerFullCount(env, 2), {}, path).ok());
+  ASSERT_TRUE(SaveWithMemoTable(env, box, 2, InnerTable(env, 2), path).ok());
+  EditFirstMemo(path, env.data->num_attributes(),
+                [](std::string* file, size_t memo) {
+                  uint32_t len = 0;
+                  std::memcpy(&len, &(*file)[memo + 12], sizeof(len));
+                  file->erase(memo + 16, len * sizeof(uint32_t));
+                  len = 0;
+                  std::memcpy(&(*file)[memo + 12], &len, sizeof(len));
+                });
   QueryCache cache(*env.index, Enabled());
   ASSERT_TRUE(LoadQueryCache(*env.index, path, &cache).ok());
   const std::string key = CanonicalBoxKey(box);
-  ASSERT_NE(cache.MemoLookup(key, "", 2), nullptr);
-  EXPECT_TRUE(cache.MemoLookup(key, "", 2)->superset_counts.empty());
+  EXPECT_EQ(cache.MemoLookup(key, "", 2), nullptr);
+  ASSERT_EQ(cache.Snapshot().size(), 1u);
+  EXPECT_TRUE(cache.Snapshot()[0].memos.empty());
+
+  // Byte accounting equals that of the same entry saved without a memo.
+  CacheEntrySnapshot bare;
+  bare.box = box;
+  bare.subset = std::make_shared<const FocalSubset>(
+      FocalSubset::Materialize(*env.data, box));
+  QueryCache plain(*env.index, Enabled());
+  plain.Restore({bare});
+  EXPECT_EQ(cache.telemetry().bytes, plain.telemetry().bytes);
+  EXPECT_EQ(cache.telemetry().entries, 1u);
 
   auto txn = cache.BeginTxn(box);
-  txn->RecordTable(2, InnerFullCount(env, 2), InnerTable(env, 2));
+  txn->RecordTable(2, InnerTable(env, 2));
   cache.Commit(txn.get());
+  ASSERT_NE(cache.MemoLookup(key, "", 2), nullptr);
   EXPECT_EQ(cache.MemoLookup(key, "", 2)->superset_counts,
             InnerTable(env, 2));
   std::remove(path.c_str());
@@ -423,12 +489,6 @@ TEST(CachePersistTest, RestoreOfARepeatedBoxKeepsExactAccounting) {
   EXPECT_EQ(doubled.telemetry().bytes, single.telemetry().bytes);
 }
 
-uint64_t FnvOf(std::string_view bytes) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (unsigned char b : bytes) hash = (hash ^ b) * 1099511628211ULL;
-  return hash;
-}
-
 // A file naming one box twice would make Restore keep one entry of two,
 // so the loader rejects it as corrupt. The file is a valid two-entry save
 // whose second box is rewritten to the first, with both checksums redone.
@@ -443,28 +503,12 @@ TEST(CachePersistTest, RepeatedBoxIsRejected) {
   ASSERT_TRUE(SaveQueryCache(cache, *env.index, path).ok());
   std::string file = Slurp(path);
 
-  // Section layout: segment flag (1), hits (8), derivations (8), the box
-  // (4 per dimension), then the tid, memo and ARM counts (4 each), padding
-  // to 64, the tids, and the section checksum (8). No memos here.
-  const size_t box_offset = 17;
-  auto section_end = [&](size_t start) {
-    uint32_t tids = 0;
-    std::memcpy(&tids, &file[start + box_offset + 4 * dims], sizeof(tids));
-    size_t offset = start + box_offset + 4 * dims + 12;
-    offset = (offset + 63) / 64 * 64;
-    return offset + tids * sizeof(Tid);
-  };
-  const size_t first = 24;
-  const size_t second = section_end(first) + 8;
-  const size_t second_end = section_end(second);
-  std::memcpy(&file[second + box_offset], &file[first + box_offset], 4 * dims);
-  const uint64_t section_hash =
-      FnvOf(std::string_view(file).substr(second, second_end - second));
-  std::memcpy(&file[second_end], &section_hash, sizeof(section_hash));
-  ASSERT_EQ(file.size(), second_end + 16);
-  const uint64_t file_hash =
-      FnvOf(std::string_view(file).substr(0, second_end + 8));
-  std::memcpy(&file[second_end + 8], &file_hash, sizeof(file_hash));
+  // No memos here, so each section ends with its tids.
+  const size_t second = TidsEnd(file, kFirstSection, dims) + 8;
+  ASSERT_EQ(file.size(), TidsEnd(file, second, dims) + 16);
+  std::memcpy(&file[second + kBoxOffset], &file[kFirstSection + kBoxOffset],
+              4 * dims);
+  RehashLastSection(&file, second);
   Spit(path, file);
 
   QueryCache fresh(*env.index, Enabled());

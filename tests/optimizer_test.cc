@@ -141,19 +141,6 @@ TEST(OptimizerTest, CacheHintNeverChangesChosenPlan) {
     EXPECT_EQ(derived.chosen, cold.chosen) << "query " << q;
     EXPECT_EQ(derived.cache.tier, CacheTier::kContainment);
 
-    // Tier 2.5: a multi-source composition reprices SELECT by the summed
-    // run length plus the residual filter — still plan-uniform, so the
-    // choice cannot move.
-    CacheHint compose;
-    compose.tier = CacheTier::kCompose;
-    compose.cached_size = cold.estimates[0].est_subset_size * 2.5;
-    compose.delta_attrs = 1;
-    compose.compose_sources = 3;
-    OptimizerDecision composed = engine->optimizer().Choose(query, &compose);
-    EXPECT_EQ(composed.chosen, cold.chosen) << "query " << q;
-    EXPECT_EQ(composed.cache.tier, CacheTier::kCompose);
-    EXPECT_EQ(composed.cache.compose_sources, 3u);
-
     for (size_t p = 0; p < cold.estimates.size(); ++p) {
       // A small cached subset beats the relation scan in the estimate...
       EXPECT_LE(warm.estimates[p].select, cold.estimates[p].select)
@@ -164,13 +151,13 @@ TEST(OptimizerTest, CacheHintNeverChangesChosenPlan) {
                        cold.estimates[p].eliminate);
       EXPECT_DOUBLE_EQ(warm.estimates[p].verify, cold.estimates[p].verify);
       EXPECT_DOUBLE_EQ(warm.estimates[p].mine, cold.estimates[p].mine);
-      EXPECT_DOUBLE_EQ(composed.estimates[p].search,
+      EXPECT_DOUBLE_EQ(derived.estimates[p].search,
                        cold.estimates[p].search);
-      EXPECT_DOUBLE_EQ(composed.estimates[p].eliminate,
+      EXPECT_DOUBLE_EQ(derived.estimates[p].eliminate,
                        cold.estimates[p].eliminate);
-      EXPECT_DOUBLE_EQ(composed.estimates[p].verify,
+      EXPECT_DOUBLE_EQ(derived.estimates[p].verify,
                        cold.estimates[p].verify);
-      EXPECT_DOUBLE_EQ(composed.estimates[p].mine, cold.estimates[p].mine);
+      EXPECT_DOUBLE_EQ(derived.estimates[p].mine, cold.estimates[p].mine);
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 
 #include "common/thread_pool.h"
@@ -134,28 +133,73 @@ TEST(QueryCacheTest, LruEvictionUnderTightBudget) {
   EXPECT_EQ(cache.Probe(a).tier, CacheTier::kNone);
 }
 
+// A miss, a containment hit, a second containment hit from the same wide
+// entry (the narrow slab cannot serve it), a disjoint miss, and an exact
+// hit. Every served subset equals the cold materialization, and state and
+// bytes are a pure function of the acquisition sequence.
 TEST(QueryCacheTest, DeterministicStateAcrossInstances) {
   Env env = Env::Make(6);
-  auto run = [&](QueryCache* cache) {
-    uint64_t ignored = 0;
-    for (const auto& ranges :
-         {std::vector<RangeSelection>{{0, 0, 2}},
-          std::vector<RangeSelection>{{0, 0, 1}},
-          std::vector<RangeSelection>{{1, 0, 1}},
-          std::vector<RangeSelection>{{0, 0, 2}}}) {
-      cache->Acquire(env.Box(ranges), &ignored);
-    }
-    return cache->telemetry();
+  struct Outcome {
+    std::vector<std::vector<Tid>> tids;
+    CacheTelemetry telemetry;
   };
-  QueryCache first(*env.index, Enabled());
-  QueryCache second(*env.index, Enabled());
-  CacheTelemetry one = run(&first);
-  CacheTelemetry two = run(&second);
-  EXPECT_EQ(one.hits_exact, two.hits_exact);
-  EXPECT_EQ(one.hits_containment, two.hits_containment);
-  EXPECT_EQ(one.misses, two.misses);
-  EXPECT_EQ(one.bytes, two.bytes);
-  EXPECT_EQ(one.entries, two.entries);
+  const std::vector<std::vector<RangeSelection>> sequence = {
+      {{0, 0, 2}}, {{0, 2, 2}}, {{0, 0, 1}}, {{1, 0, 1}}, {{0, 0, 2}}};
+  auto run = [&]() {
+    QueryCache cache(*env.index, Enabled());
+    uint64_t ignored = 0;
+    Outcome out;
+    for (const auto& ranges : sequence) {
+      out.tids.push_back(cache.Acquire(env.Box(ranges), &ignored).subset.tids);
+    }
+    out.telemetry = cache.telemetry();
+    return out;
+  };
+  const Outcome base = run();
+  EXPECT_EQ(base.telemetry.misses, 2u);
+  EXPECT_EQ(base.telemetry.hits_containment, 2u);
+  EXPECT_EQ(base.telemetry.hits_exact, 1u);
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    EXPECT_EQ(base.tids[i],
+              FocalSubset::Materialize(*env.data, env.Box(sequence[i])).tids);
+  }
+  const Outcome again = run();
+  EXPECT_EQ(again.tids, base.tids);
+  EXPECT_EQ(again.telemetry.hits_exact, base.telemetry.hits_exact);
+  EXPECT_EQ(again.telemetry.hits_containment, base.telemetry.hits_containment);
+  EXPECT_EQ(again.telemetry.misses, base.telemetry.misses);
+  EXPECT_EQ(again.telemetry.evictions, base.telemetry.evictions);
+  EXPECT_EQ(again.telemetry.admission_rejects,
+            base.telemetry.admission_rejects);
+  EXPECT_EQ(again.telemetry.bytes, base.telemetry.bytes);
+  EXPECT_EQ(again.telemetry.entries, base.telemetry.entries);
+}
+
+// Two resident slabs that tile a box without either containing it: the
+// box is a plain miss, the probe and the acquisition agree, and the cold
+// scan serves the exact subset.
+TEST(QueryCacheTest, AdjacentSlabUnionIsAMiss) {
+  Env env = Env::Make(11);
+  QueryCache cache(*env.index, Enabled());
+  uint64_t ignored = 0;
+  cache.Acquire(env.Box({{0, 0, 1}}), &ignored);
+  cache.Acquire(env.Box({{0, 2, 2}}), &ignored);
+
+  Rect q = env.Box({{0, 0, 2}});
+  FocalSubset expected = FocalSubset::Materialize(*env.data, q);
+  ASSERT_LT(expected.tids.size(), env.data->num_records());
+  CacheHint hint = cache.Probe(q);
+  EXPECT_EQ(hint.tier, CacheTier::kNone);
+  EXPECT_EQ(hint.cached_size, 0.0);
+
+  uint64_t checks = 0;
+  auto lease = cache.Acquire(q, &checks);
+  EXPECT_EQ(lease.hint.tier, hint.tier);
+  EXPECT_EQ(checks, env.data->num_records());
+  EXPECT_EQ(lease.subset.tids, expected.tids);
+  EXPECT_EQ(cache.telemetry().misses, 3u);
+  EXPECT_EQ(cache.telemetry().hits_containment, 0u);
+  EXPECT_EQ(cache.Probe(q).tier, CacheTier::kExact);
 }
 
 TEST(QueryCacheTest, MemoCommitAndReplay) {
@@ -169,19 +213,18 @@ TEST(QueryCacheTest, MemoCommitAndReplay) {
   EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
   const std::vector<uint32_t> table{20, 18, 17, 17};
   auto txn = cache.BeginTxn(box);
-  txn->RecordTable(3, 17, table);
+  txn->RecordTable(3, table);
   // Nothing visible until commit.
   EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
   cache.Commit(txn.get());
   auto memo = cache.MemoLookup(key, "", 3);
   ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->full_count, 17u);
   EXPECT_EQ(memo->superset_counts, table);
 
   // A later commit of the same itemset keeps the published entry.
   const uint64_t bytes = cache.telemetry().bytes;
   auto again = cache.BeginTxn(box);
-  again->RecordTable(3, 17, table);
+  again->RecordTable(3, table);
   cache.Commit(again.get());
   EXPECT_EQ(cache.MemoLookup(key, "", 3), memo);
   EXPECT_EQ(cache.telemetry().bytes, bytes);
@@ -189,7 +232,7 @@ TEST(QueryCacheTest, MemoCommitAndReplay) {
 
 TEST(QueryCacheTest, MemoCounterReplaysTableExactly) {
   auto memo = std::make_shared<const CountMemoEntry>(
-      CountMemoEntry{40, {50, 45, 43, 40}});
+      CountMemoEntry{{50, 45, 43, 40}});
   const std::vector<Tid> tids(60);
   LocalSubsetCounter counter({4, 9}, tids, memo->superset_counts);
   EXPECT_EQ(counter.CountFull(), 40u);
@@ -211,7 +254,7 @@ TEST(QueryCacheTest, CommitToEvictedBoxIsDropped) {
   cache.Acquire(a, &ignored);
   auto txn = cache.BeginTxn(a);
   const std::vector<uint32_t> table{9, 5};
-  txn->RecordTable(1, 5, table);
+  txn->RecordTable(1, table);
   // Evict `a` by inserting another box under the one-subset budget.
   cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
   ASSERT_EQ(cache.Probe(a).tier, CacheTier::kNone);
@@ -230,242 +273,6 @@ TEST(QueryCacheTest, ClearDropsResidencyButKeepsTotals) {
   EXPECT_EQ(t.bytes, 0u);
   EXPECT_EQ(t.entries, 0u);
   EXPECT_EQ(t.misses, 1u);
-}
-
-// ---------------------------------------------------------------------
-// Tier 2.5: cost-gated composition from overlapping resident boxes.
-// ---------------------------------------------------------------------
-
-/// Fully deterministic relation where each cell is a pure function of
-/// (record, attribute) — lets the tests below pick subset sizes that make
-/// the compose cost gate provably fire (or provably refuse).
-Dataset CraftedDataset(uint32_t records, uint32_t n_attrs, uint32_t domain,
-                       const std::function<ValueId(uint32_t, AttrId)>& value) {
-  std::vector<Attribute> attrs;
-  for (uint32_t a = 0; a < n_attrs; ++a) {
-    Attribute attr;
-    attr.name = "a" + std::to_string(a);
-    for (uint32_t v = 0; v < domain; ++v) {
-      attr.values.push_back("v" + std::to_string(v));
-    }
-    attrs.push_back(std::move(attr));
-  }
-  Dataset dataset{Schema(std::move(attrs))};
-  std::vector<ValueId> record(n_attrs);
-  for (uint32_t r = 0; r < records; ++r) {
-    for (uint32_t a = 0; a < n_attrs; ++a) record[a] = value(r, a);
-    Status st = dataset.AddRecord(record);
-    if (!st.ok()) std::abort();
-  }
-  return dataset;
-}
-
-struct CraftedEnv {
-  std::unique_ptr<Dataset> data;
-  std::unique_ptr<MipIndex> index;
-
-  static CraftedEnv Make(Dataset dataset) {
-    CraftedEnv env;
-    env.data = std::make_unique<Dataset>(std::move(dataset));
-    auto built = MipIndex::Build(*env.data, {.primary_support = 0.2});
-    EXPECT_TRUE(built.ok());
-    env.index = std::make_unique<MipIndex>(std::move(built.value()));
-    return env;
-  }
-
-  Rect Box(std::vector<RangeSelection> ranges) const {
-    LocalizedQuery query;
-    query.ranges = std::move(ranges);
-    return query.ToRect(data->schema());
-  }
-};
-
-/// 250 records, 5 attributes, domain 4. Attribute 0 splits 60 / 40 / 150
-/// across [0,1] / {2} / {3}, so with W=[0,2] (100 tids) and S=[2,2] (40
-/// tids) resident, Q=[0,1] prices difference at 100+40=140 — strictly
-/// under both the containment filter (100x2=200) and the cold scan (250).
-/// Attribute 1 never takes value 3, so [0,2] on that axis is a constrained
-/// box covering all 250 records: any slab union prices exactly at the cold
-/// scan and the strict `<` gate must refuse it.
-Dataset DifferenceDataset() {
-  return CraftedDataset(250, 5, 4, [](uint32_t rec, AttrId attr) -> ValueId {
-    if (attr == 0) {
-      if (rec < 60) return static_cast<ValueId>(rec % 2);
-      return rec < 100 ? 2 : 3;
-    }
-    if (attr == 1) return static_cast<ValueId>(rec % 3);
-    return static_cast<ValueId>(rec % 2);
-  });
-}
-
-/// 250 records, 5 attributes, domain 4, built so that for A = attrs 0-2 in
-/// [0,1] (31 tids) and B = attrs 3-4 in [0,1] (28 tids), the query box
-/// Q = A's box meet B's box holds exactly 20 records. Intersecting prices
-/// at 31+28+min(31,28)x1 = 87, strictly under every single-source filter
-/// (filtering A re-tests 2 attrs: 31x3=93; the planner's pick is the
-/// smallest containing subset, B, at 28x4=112) and the cold scan (250).
-Dataset IntersectDataset() {
-  return CraftedDataset(250, 5, 4, [](uint32_t rec, AttrId attr) -> ValueId {
-    if (rec < 20) return static_cast<ValueId>(rec % 2);   // in A, B, and Q
-    if (rec < 31) return attr < 3 ? static_cast<ValueId>(rec % 2) : 3;  // A only
-    if (rec < 39) return attr < 3 ? 3 : static_cast<ValueId>(rec % 2);  // B only
-    return static_cast<ValueId>(2 + rec % 2);             // outside both
-  });
-}
-
-TEST(QueryCacheComposeTest, UnionAssemblesAdjacentSlabs) {
-  Env env = Env::Make(11);
-  QueryCache cache(*env.index, Enabled());
-  uint64_t ignored = 0;
-  cache.Acquire(env.Box({{0, 0, 1}}), &ignored);
-  cache.Acquire(env.Box({{0, 2, 2}}), &ignored);
-
-  Rect q = env.Box({{0, 0, 2}});
-  FocalSubset expected = FocalSubset::Materialize(*env.data, q);
-  // The union prices below the cold scan only because records fall outside
-  // [0,2] on attribute 0; the skewed generator makes that certain here.
-  ASSERT_LT(expected.tids.size(), env.data->num_records());
-
-  CacheHint hint = cache.Probe(q);
-  ASSERT_EQ(hint.tier, CacheTier::kCompose);
-  EXPECT_EQ(hint.compose_sources, 2u);
-  // Disjoint slabs tiling q: the summed runs are exactly |T_q|.
-  EXPECT_EQ(hint.cached_size, static_cast<double>(expected.tids.size()));
-
-  uint64_t checks = 0;
-  auto lease = cache.Acquire(q, &checks);
-  // The acquisition reports the hint the probe just before it planned.
-  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
-  EXPECT_EQ(lease.hint.compose_sources, hint.compose_sources);
-  EXPECT_EQ(lease.hint.cached_size, hint.cached_size);
-  EXPECT_EQ(lease.hint.delta_attrs, hint.delta_attrs);
-  EXPECT_EQ(checks, env.data->num_records());  // warm charges the cold price
-  EXPECT_EQ(lease.subset.tids, expected.tids);
-  EXPECT_EQ(cache.telemetry().hits_compose, 1u);
-  // The composed subset is itself resident now.
-  EXPECT_EQ(cache.Probe(q).tier, CacheTier::kExact);
-}
-
-TEST(QueryCacheComposeTest, DifferenceSubtractsComplementSlab) {
-  CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
-  QueryCache cache(*env.index, Enabled());
-  uint64_t ignored = 0;
-  // Slab first, outer second, so neither acquisition derives from the
-  // other and both land as independent cold entries.
-  cache.Acquire(env.Box({{0, 2, 2}}), &ignored);
-  cache.Acquire(env.Box({{0, 0, 2}}), &ignored);
-  ASSERT_EQ(cache.telemetry().misses, 2u);
-
-  Rect q = env.Box({{0, 0, 1}});
-  CacheHint hint = cache.Probe(q);
-  ASSERT_EQ(hint.tier, CacheTier::kCompose);
-  EXPECT_EQ(hint.compose_sources, 2u);   // outer + one complement slab
-  EXPECT_EQ(hint.cached_size, 140.0);    // |T_W| + |T_S| = 100 + 40
-
-  auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
-  FocalSubset expected = FocalSubset::Materialize(*env.data, q);
-  ASSERT_EQ(expected.tids.size(), 60u);
-  EXPECT_EQ(lease.subset.tids, expected.tids);
-  EXPECT_EQ(cache.telemetry().hits_compose, 1u);
-
-  // Both sources earned derivation credit (and with it, 2Q promotion).
-  uint64_t derivations = 0;
-  for (const auto& entry : cache.Snapshot()) derivations += entry.derivations;
-  EXPECT_EQ(derivations, 2u);
-}
-
-TEST(QueryCacheComposeTest, IntersectionMeetsAtTheQueryBox) {
-  CraftedEnv env = CraftedEnv::Make(IntersectDataset());
-  QueryCache cache(*env.index, Enabled());
-  uint64_t ignored = 0;
-  auto a =
-      cache.Acquire(env.Box({{0, 0, 1}, {1, 0, 1}, {2, 0, 1}}), &ignored);
-  auto b = cache.Acquire(env.Box({{3, 0, 1}, {4, 0, 1}}), &ignored);
-  ASSERT_EQ(a.subset.tids.size(), 31u);
-  ASSERT_EQ(b.subset.tids.size(), 28u);
-  ASSERT_EQ(cache.telemetry().misses, 2u);
-
-  // Q is exactly the meet of the two resident boxes: zero residual attrs,
-  // so the AND of the tid lists needs no re-testing at all.
-  Rect q = env.Box({{0, 0, 1}, {1, 0, 1}, {2, 0, 1}, {3, 0, 1}, {4, 0, 1}});
-  CacheHint hint = cache.Probe(q);
-  ASSERT_EQ(hint.tier, CacheTier::kCompose);
-  EXPECT_EQ(hint.compose_sources, 2u);
-  EXPECT_EQ(hint.delta_attrs, 0u);
-  EXPECT_EQ(hint.cached_size, 87.0);  // 31 + 28 + min(31,28) * (0+1)
-
-  auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.hint.tier, CacheTier::kCompose);
-  FocalSubset expected = FocalSubset::Materialize(*env.data, q);
-  ASSERT_EQ(expected.tids.size(), 20u);
-  EXPECT_EQ(lease.subset.tids, expected.tids);
-  EXPECT_EQ(cache.telemetry().hits_compose, 1u);
-}
-
-TEST(QueryCacheComposeTest, CostGateRefusesBreakEvenUnion) {
-  CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
-  QueryCache cache(*env.index, Enabled());
-  uint64_t ignored = 0;
-  cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
-  cache.Acquire(env.Box({{1, 2, 2}}), &ignored);
-
-  // Attribute 1 never takes value 3, so [0,2] is a constrained box that
-  // still covers every record: the resident slabs tile it geometrically,
-  // but their summed runs equal the cold scan and the gate demands
-  // strictly cheaper. The probe must fall through to a plain miss.
-  Rect q = env.Box({{1, 0, 2}});
-  ASSERT_EQ(FocalSubset::Materialize(*env.data, q).tids.size(),
-            env.data->num_records());
-  EXPECT_EQ(cache.Probe(q).tier, CacheTier::kNone);
-
-  auto lease = cache.Acquire(q, &ignored);
-  EXPECT_EQ(lease.hint.tier, CacheTier::kNone);
-  EXPECT_EQ(cache.telemetry().hits_compose, 0u);
-  EXPECT_EQ(cache.telemetry().misses, 3u);
-}
-
-TEST(QueryCacheComposeTest, DeterministicAcrossInstances) {
-  CraftedEnv env = CraftedEnv::Make(DifferenceDataset());
-  struct Outcome {
-    std::vector<std::vector<Tid>> tids;
-    CacheTelemetry telemetry;
-  };
-  // Exercises miss, containment (S from W), difference compose, and an
-  // exact hit. Every served subset equals the cold materialization, and
-  // state and bytes are a pure function of the acquisition sequence.
-  const std::vector<std::vector<RangeSelection>> sequence = {
-      {{0, 0, 2}}, {{0, 2, 2}}, {{0, 0, 1}}, {{0, 0, 2}}};
-  auto run = [&]() {
-    QueryCache cache(*env.index, Enabled());
-    uint64_t ignored = 0;
-    Outcome out;
-    for (const auto& ranges : sequence) {
-      out.tids.push_back(cache.Acquire(env.Box(ranges), &ignored).subset.tids);
-    }
-    out.telemetry = cache.telemetry();
-    return out;
-  };
-  const Outcome base = run();
-  EXPECT_EQ(base.telemetry.misses, 1u);
-  EXPECT_EQ(base.telemetry.hits_containment, 1u);
-  EXPECT_EQ(base.telemetry.hits_compose, 1u);
-  EXPECT_EQ(base.telemetry.hits_exact, 1u);
-  for (size_t i = 0; i < sequence.size(); ++i) {
-    EXPECT_EQ(base.tids[i],
-              FocalSubset::Materialize(*env.data, env.Box(sequence[i])).tids);
-  }
-  const Outcome again = run();
-  EXPECT_EQ(again.tids, base.tids);
-  EXPECT_EQ(again.telemetry.hits_exact, base.telemetry.hits_exact);
-  EXPECT_EQ(again.telemetry.hits_containment, base.telemetry.hits_containment);
-  EXPECT_EQ(again.telemetry.hits_compose, base.telemetry.hits_compose);
-  EXPECT_EQ(again.telemetry.misses, base.telemetry.misses);
-  EXPECT_EQ(again.telemetry.evictions, base.telemetry.evictions);
-  EXPECT_EQ(again.telemetry.admission_rejects,
-            base.telemetry.admission_rejects);
-  EXPECT_EQ(again.telemetry.bytes, base.telemetry.bytes);
-  EXPECT_EQ(again.telemetry.entries, base.telemetry.entries);
 }
 
 // ---------------------------------------------------------------------

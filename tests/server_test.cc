@@ -256,8 +256,9 @@ TEST_F(ServerTest, StatsReportPerTenantCacheTelemetry) {
   std::string stats = client.ReadResponse();
   EXPECT_NE(stats.find("cache exact 1 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" misses 1 "), std::string::npos) << stats;
-  // The tier-2.5 and admission counters are part of the wire format even
-  // when zero, so dashboards can rely on the fields being present.
+  // The admission counter and the retired compose tier's always-zero
+  // counter are part of the wire format, so dashboards can rely on the
+  // fields being present.
   EXPECT_NE(stats.find(" compose 0 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" admitrej 0 "), std::string::npos) << stats;
   EXPECT_EQ(stats.find("cache disabled"), std::string::npos) << stats;

@@ -256,10 +256,11 @@ TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
   EXPECT_GT(t.hits_exact, 0u);
 }
 
-// Tier 2.5 end to end: an overlap-shaped session — adjacent slices later
-// recombined (union), a wide region plus a slab later trimmed
-// (difference) — answers byte-identically to a cold cache-less engine,
-// and the optimizer's plan choice is untouched by composition repricing.
+// An overlap-shaped session — adjacent slices later recombined, a wide
+// region plus a slab later trimmed — answers byte-identically to a cold
+// cache-less engine, and the optimizer's plan choice is untouched by the
+// cache's SELECT repricing. A box that no single resident box contains is
+// scanned cold.
 TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
   const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(56, 260, 5, 4));
@@ -287,11 +288,10 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
   const std::vector<LocalizedQuery> queries = {
       make({{0, 0, 1}}, 0.35),          // left slice
       make({{0, 2, 2}}, 0.4),           // right slice
-      make({{0, 0, 2}}, 0.3),           // their union: tier-2.5 kUnion
+      make({{0, 0, 2}}, 0.3),           // their union: a miss
       make({{1, 0, 2}}, 0.3),           // wide region
       make({{1, 2, 2}}, 0.4),           // slab carved out of it
-      make({{1, 0, 1}}, 0.35),          // wide minus slab: difference or
-                                        // filter, whichever prices lower
+      make({{1, 0, 1}}, 0.35),          // wide minus slab: containment
       make({{0, 0, 2}}, 0.45),          // union box again: exact + memo
   };
 
@@ -310,11 +310,13 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
       EXPECT_EQ(cold->decision.chosen, warm->decision.chosen) << context;
     }
   }
-  // The union query genuinely composed (the slices tile its box and the
-  // dataset has records outside it, so the gate prices the combine under
-  // the cold scan).
+  // Pass one: four misses, the slab and the trimmed box by containment,
+  // the repeated union box exactly; pass two: every box exactly.
   CacheTelemetry t = (*warm_engine)->cache()->telemetry();
-  EXPECT_GT(t.hits_compose, 0u);
+  EXPECT_EQ(t.misses, 4u);
+  EXPECT_EQ(t.hits_containment, 2u);
+  EXPECT_EQ(t.hits_exact, 8u);
+  EXPECT_EQ(t.hits_compose, 0u);
 }
 
 // Persisted warm start end to end: populate a cache, save it (format v4),
