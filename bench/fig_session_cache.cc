@@ -8,19 +8,21 @@
 //                     query every SELECT is a containment derivation over
 //                     the previous subset instead of a relation scan
 //   threshold-sweep   one box at several (minsupp, minconf) settings — the
-//                     subset is an exact hit and ELIMINATE/VERIFY counts
-//                     replay from the count memo
+//                     subset is an exact hit; SEARCH, ELIMINATE and VERIFY
+//                     run cold at each setting
 //   neighbouring-box  sliding windows inside one seeded wide box — every
 //                     window derives by containment from the seed
 //
-// Results are identical by construction (the equivalence tests enforce it);
-// this figure measures the wall-clock side and appends one JSON line per
+// The cache serves focal subsets only, so the saving is SELECT's scan and
+// a hot pass does the same record-level work as a warm one. Results are
+// identical by construction (the equivalence tests enforce it); this
+// figure measures the wall-clock side and appends one JSON line per
 // workload to the bench sink.
 //
 // At full scale (COLARM_BENCH_SCALE >= 1) a second section repeats the
 // exercise on the PUMSB analog with a persisted restart in the middle:
-// cold, then a fresh process-equivalent engine warm-started from the v4
-// cache file (mmap-warm), then fully hot. Those rows land in the sink as
+// cold, then a fresh process-equivalent engine warm-started from the
+// persisted cache file (mmap-warm), then fully hot. Those rows land in the sink as
 // "figure":"cache_scale".
 #include <algorithm>
 #include <cerrno>
@@ -140,7 +142,7 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
       "\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
       "\"cache\":{\"exact\":%llu,\"containment\":%llu,"
-      "\"memo\":%llu,\"misses\":%llu,\"bytes\":%llu}}\n",
+      "\"misses\":%llu,\"bytes\":%llu}}\n",
       dataset.name.c_str(), dataset.data->num_records(), ScaleFromEnv(),
       warm.pool() != nullptr
           ? static_cast<unsigned>(warm.pool()->parallelism())
@@ -150,7 +152,6 @@ void AppendJson(const BenchDataset& dataset, const Engine& warm,
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),
       static_cast<unsigned long long>(t.hits_containment),
-      static_cast<unsigned long long>(t.hits_count_memo),
       static_cast<unsigned long long>(t.misses),
       static_cast<unsigned long long>(t.bytes));
   std::fclose(out);
@@ -176,7 +177,7 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
       "\"cold_ms\":%.3f,\"mmap_warm_ms\":%.3f,\"hot_ms\":%.3f,"
       "\"mmap_warm_speedup\":%.2f,\"hot_speedup\":%.2f,"
       "\"cache\":{\"exact\":%llu,\"containment\":%llu,"
-      "\"memo\":%llu,\"misses\":%llu,\"admitrej\":%llu,\"bytes\":%llu}}\n",
+      "\"misses\":%llu,\"admitrej\":%llu,\"bytes\":%llu}}\n",
       dataset.name.c_str(), dataset.data->num_records(), ScaleFromEnv(),
       restored.pool() != nullptr
           ? static_cast<unsigned>(restored.pool()->parallelism())
@@ -186,14 +187,13 @@ void AppendScaleJson(const BenchDataset& dataset, const Engine& restored,
       cold_ms / std::max(hot_ms, 1e-9),
       static_cast<unsigned long long>(t.hits_exact),
       static_cast<unsigned long long>(t.hits_containment),
-      static_cast<unsigned long long>(t.hits_count_memo),
       static_cast<unsigned long long>(t.misses),
       static_cast<unsigned long long>(t.admission_rejects),
       static_cast<unsigned long long>(t.bytes));
   std::fclose(out);
 }
 
-// PUMSB-scale warm-restart figure: a session populates the cache, the v4
+// PUMSB-scale warm-restart figure: a session populates the cache, the cache
 // file is persisted, and a fresh engine (the "restarted process") loads it
 // before replaying the session. Three timings per workload: a cache-less
 // engine (cold), the restored engine's first replay (mmap-warm), and its

@@ -1,11 +1,10 @@
 // Threshold explorer: the interactive "try 80/90... now 75/85..." loop on
 // one focal subset. Every (minsupp, minconf) cell is an ordinary
 // Engine::Execute call with the session cache on: the first query on the
-// box materializes the focal subset and records per-itemset subset counts
-// in the count memo; every later cell reuses the cached subset and replays
-// the memoized counts instead of rescanning records. Prints the rule-count
-// map an exploration UI would render, the cache's work, and one cell's
-// rules.
+// box scans the relation to materialize the focal subset; every later cell
+// reuses the cached subset instead of rescanning, then counts its own
+// qualifying itemsets within it. Prints the rule-count map an exploration
+// UI would render, the cache's work, and one cell's rules.
 //
 //   $ ./threshold_explorer
 #include <cstdio>
@@ -59,11 +58,10 @@ int main() {
   const size_t cells = supps.size() * confs.size();
   const CacheTelemetry cache = (*engine)->cache()->telemetry();
   std::printf("\n%zu cells in %.1f ms (first, cold: %.1f ms). Session cache: "
-              "%llu exact subset hits, %llu miss, %llu count-memo hits.\n",
+              "%llu exact subset hits, %llu miss.\n",
               cells, sweep_timer.ElapsedMillis(), first_ms,
               static_cast<unsigned long long>(cache.hits_exact),
-              static_cast<unsigned long long>(cache.misses),
-              static_cast<unsigned long long>(cache.hits_count_memo));
+              static_cast<unsigned long long>(cache.misses));
 
   // Drill into a cell of interest.
   std::printf("\nDrilling into (minsupp 80%%, minconf 95%%):\n");

@@ -11,7 +11,6 @@
 #include <span>
 
 #include "common/string_util.h"
-#include "mining/local_counter.h"
 #include "mip/serialize.h"
 
 namespace colarm {
@@ -19,7 +18,9 @@ namespace colarm {
 namespace {
 
 constexpr uint32_t kMagic = 0x434c524d;  // "CLRM", same family as the index
-constexpr uint32_t kVersion = 4;  // v1-3 are MIP-index formats; never reused
+// v1-3 are MIP-index formats, never reused; v4 also carried count and ARM
+// memos.
+constexpr uint32_t kVersion = 5;
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 constexpr size_t kPayloadAlign = 64;
@@ -56,8 +57,9 @@ class BufWriter {
 
  private:
   void Raw(const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    buf_.insert(buf_.end(), bytes, bytes + size);
+    const size_t at = buf_.size();
+    buf_.resize(at + size);
+    if (size > 0) std::memcpy(buf_.data() + at, data, size);
   }
   std::vector<unsigned char> buf_;
 };
@@ -189,31 +191,9 @@ Status SaveQueryCache(const QueryCache& cache, const MipIndex& index,
       w.U16(entry.box.hi(d));
     }
     w.U32(static_cast<uint32_t>(entry.subset->tids.size()));
-    w.U32(static_cast<uint32_t>(entry.memos.size()));
-    w.U32(static_cast<uint32_t>(entry.arm_memos.size()));
     w.AlignPayload();
     w.Bytes(entry.subset->tids.data(),
             entry.subset->tids.size() * sizeof(Tid));
-    for (const auto& [memo_key, memo] : entry.memos) {
-      w.U32(static_cast<uint32_t>(memo_key.first.size()));
-      w.Bytes(memo_key.first.data(), memo_key.first.size());
-      w.U32(memo_key.second);
-      w.U32(memo->superset_counts.back());  // the full count
-      w.U32(static_cast<uint32_t>(memo->superset_counts.size()));
-      w.Bytes(memo->superset_counts.data(),
-              memo->superset_counts.size() * sizeof(uint32_t));
-    }
-    for (const auto& [arm_key, memo] : entry.arm_memos) {
-      w.U32(static_cast<uint32_t>(arm_key.first.size()));
-      w.Bytes(arm_key.first.data(), arm_key.first.size());
-      w.U32(arm_key.second);  // local minimum count
-      w.U64(memo->local_cfis);
-      w.U32(static_cast<uint32_t>(memo->qualified.size()));
-      for (const QualifiedItemset& q : memo->qualified) {
-        w.U32(q.mip_id);
-        w.U32(q.local_count);
-      }
-    }
     w.U64(Fnv(w.Slice(section_start)));
   }
   w.U64(Fnv(w.All()));
@@ -257,7 +237,7 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
   // Bound the entry count by what the file could possibly hold before
   // reserving anything: each section takes at least its fixed fields plus
   // the section checksum.
-  const uint64_t min_entry_bytes = 29 + 4ull * dims + 8;
+  const uint64_t min_entry_bytes = 21 + 4ull * dims + 8;
   if (entry_count > r.remaining() / min_entry_bytes) {
     return Corrupt("entry count exceeds file size");
   }
@@ -288,8 +268,6 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
     }
     snap.box = box;
     const uint32_t tid_count = r.U32();
-    const uint32_t memo_count = r.U32();
-    const uint32_t arm_count = r.U32();
     if (!r.ok()) return Corrupt("truncated section");
     if (tid_count > dataset.num_records()) {
       return Corrupt("tid count exceeds the relation");
@@ -312,89 +290,6 @@ Status LoadQueryCache(const MipIndex& index, const std::string& path,
       }
     }
     snap.subset = std::make_shared<const FocalSubset>(std::move(subset));
-    for (uint32_t m = 0; m < memo_count; ++m) {
-      const uint32_t key_len = r.U32();
-      if (!r.ok() || key_len > r.remaining()) {
-        return Corrupt("memo key exceeds file size");
-      }
-      std::string constraint_key(key_len, '\0');
-      if (key_len > 0 && !r.ReadBytes(constraint_key.data(), key_len)) {
-        return Corrupt("truncated memo key");
-      }
-      const uint32_t mip_id = r.U32();
-      if (!r.ok() || mip_id >= index.num_mips()) {
-        return Corrupt("memo MIP id out of range");
-      }
-      const uint32_t full_count = r.U32();
-      if (full_count > tid_count) {
-        return Corrupt("memo count exceeds the subset");
-      }
-      // A table is replayed by mask over the MIP's items, so it must hold
-      // exactly one count per subset of them, from the whole subset ([0])
-      // down to the full itemset. Older builds also stored bare full counts
-      // (an empty table), which nothing can replay: those are dropped.
-      const uint32_t table_len = r.U32();
-      if (!r.ok() || table_len > r.remaining() / sizeof(uint32_t)) {
-        return Corrupt("memo table exceeds file size");
-      }
-      if (table_len == 0) continue;
-      const size_t items = index.mip(mip_id).items.size();
-      if (items > LocalSubsetCounter::kMaxMaskItems ||
-          table_len != size_t{1} << items) {
-        return Corrupt("memo table length does not match the itemset");
-      }
-      CountMemoEntry memo;
-      memo.superset_counts.resize(table_len);
-      if (!r.ReadBytes(memo.superset_counts.data(),
-                       table_len * sizeof(uint32_t))) {
-        return Corrupt("truncated memo table");
-      }
-      if (memo.superset_counts.front() != tid_count ||
-          memo.superset_counts.back() != full_count) {
-        return Corrupt("memo table disagrees with the subset");
-      }
-      snap.memos.emplace_back(
-          std::make_pair(std::move(constraint_key), mip_id),
-          std::make_shared<const CountMemoEntry>(std::move(memo)));
-    }
-    for (uint32_t m = 0; m < arm_count; ++m) {
-      const uint32_t key_len = r.U32();
-      if (!r.ok() || key_len > r.remaining()) {
-        return Corrupt("ARM memo key exceeds file size");
-      }
-      std::string constraint_key(key_len, '\0');
-      if (key_len > 0 && !r.ReadBytes(constraint_key.data(), key_len)) {
-        return Corrupt("truncated ARM memo key");
-      }
-      const uint32_t min_count = r.U32();
-      if (!r.ok() || min_count > dataset.num_records()) {
-        return Corrupt("ARM memo minimum count exceeds the relation");
-      }
-      ArmMemoEntry memo;
-      memo.local_cfis = r.U64();
-      const uint32_t pair_count = r.U32();
-      if (!r.ok() || pair_count > r.remaining() / (2 * sizeof(uint32_t))) {
-        return Corrupt("ARM memo qualified set exceeds file size");
-      }
-      memo.qualified.reserve(pair_count);
-      for (uint32_t p = 0; p < pair_count; ++p) {
-        const uint32_t mip_id = r.U32();
-        const uint32_t count = r.U32();
-        if (!r.ok() || mip_id >= index.num_mips()) {
-          return Corrupt("ARM memo MIP id out of range");
-        }
-        if (count > tid_count) {
-          return Corrupt("ARM memo count exceeds the subset");
-        }
-        if (p > 0 && mip_id <= memo.qualified.back().mip_id) {
-          return Corrupt("ARM memo qualified set is not strictly increasing");
-        }
-        memo.qualified.push_back({mip_id, count});
-      }
-      snap.arm_memos.emplace_back(
-          std::make_pair(std::move(constraint_key), min_count),
-          std::make_shared<const ArmMemoEntry>(std::move(memo)));
-    }
     const uint64_t section_hash = Fnv(r.Window(section_start, r.offset()));
     if (r.U64() != section_hash || !r.ok()) {
       return Corrupt("section checksum mismatch");

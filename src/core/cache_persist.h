@@ -7,20 +7,21 @@
 
 namespace colarm {
 
-/// Session-cache persistence (format v4) — the warm-restart half of the
-/// POQM story: hot focal subsets and their count memos are
-/// saved next to the MIP-index cache so a restarted `colarm_server` serves
-/// drill-down traffic from the page cache instead of re-paying relation
-/// scans.
+/// Session-cache persistence (format v5) — the warm-restart half of the
+/// POQM story: hot focal subsets are saved next to the MIP-index cache so
+/// a restarted `colarm_server` serves drill-down traffic from the page
+/// cache instead of re-paying relation scans.
 ///
-/// Layout: a header (magic "CLRM", version 4, the owning engine's
-/// IndexFingerprint, entry count), then one self-checksummed section per
-/// entry — segment/accounting metadata, the box bounds, a tid payload
+/// Layout: a header (magic "CLRM", version 5, the owning engine's
+/// IndexFingerprint, dimensionality, entry count), then one
+/// self-checksummed section per entry — the segment flag, the hit and
+/// derivation counters, the box bounds, the tid count, and a tid payload
 /// padded to a 64-byte file offset (so an mmap'ed load hands the engine
-/// cache-line-aligned runs straight from the page cache), and the entry's
-/// memo records — and a trailing whole-file FNV-1a checksum that must sit
-/// exactly at EOF. Versioning is disjoint from the MIP-index format (v3),
-/// so the two files can never be confused for one another.
+/// cache-line-aligned runs straight from the page cache) — and a trailing
+/// whole-file FNV-1a checksum that must sit exactly at EOF. Versioning is
+/// disjoint from the MIP-index format (v3), so the two files can never be
+/// confused for one another. v4 files, which also carried count and ARM
+/// memos, are refused like any other version.
 ///
 /// The load path follows the serialize v3 hardening discipline: every
 /// field is validated against the index before any allocation or use,

@@ -41,7 +41,6 @@ CacheTelemetry TelemetryDelta(const CacheTelemetry& before,
   CacheTelemetry delta = after;
   delta.hits_exact -= before.hits_exact;
   delta.hits_containment -= before.hits_containment;
-  delta.hits_count_memo -= before.hits_count_memo;
   delta.misses -= before.misses;
   delta.evictions -= before.evictions;
   delta.admission_rejects -= before.admission_rejects;
@@ -164,7 +163,6 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     uint64_t select_checks = 0;
     double select_ms = 0.0;
     OptimizerDecision decision;
-    std::unique_ptr<CountMemoTxn> txn;
   };
   std::vector<Slot> slots(n);
   std::vector<size_t> live;
@@ -187,7 +185,6 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
       slot.select_ms = timer.ElapsedMillis();
       slot.subset = std::move(lease.subset);
       slot.decision = optimizer_->Choose(queries[i], &lease.hint);
-      slot.txn = cache->BeginTxn(box, queries[i].constraints.CacheKey());
     } else {
       auto [it, inserted] =
           box_of.try_emplace(CanonicalBoxKey(box), rects.size());
@@ -226,9 +223,7 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
 
   // Execution: the live queries run concurrently (coarse units, claimed
   // dynamically), each also passing the pool down so a lone heavy query
-  // still parallelizes its record-level operators. Memo reads see the
-  // committed state from before the batch, so no result depends on the
-  // interleaving.
+  // still parallelizes its record-level operators.
   std::vector<QueryResult> results(n);
   ParallelFor(pool_.get(), live.size(), [&](size_t u) {
     const size_t i = live[u];
@@ -237,7 +232,6 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     PlanExecOptions exec;
     exec.rulegen = options_.rulegen;
     exec.pool = pool_.get();
-    exec.memo_txn = slot.txn.get();
     exec.cancel = cancels[i];
     Result<PlanResult> plan =
         ExecutePlan(kind, *index_, queries[i], exec,
@@ -258,12 +252,7 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     result.decision = std::move(slot.decision);
   });
 
-  // The successful queries' memos commit in input order — the other half
-  // of the determinism contract.
   if (cache != nullptr) {
-    for (size_t i : live) {
-      if (status[i].ok()) cache->Commit(slots[i].txn.get());
-    }
     batch.cache = TelemetryDelta(before, cache->telemetry());
   }
 

@@ -34,9 +34,9 @@ struct EngineOptions {
   /// changes wall time.
   unsigned num_threads = 0;
   /// Session cache (core/query_cache.h): focal-subset reuse across
-  /// queries and batches plus the per-(box, itemset) count memo. Off by
-  /// default (a zero byte budget means no cache) — the default options
-  /// preserve cache-less behaviour exactly. With a budget, warm execution
+  /// queries and batches. Off by default (a zero byte budget means no
+  /// cache) — the default options preserve cache-less behaviour exactly.
+  /// With a budget, warm execution
   /// stays byte-identical to cold in rules, effort counters, and plan
   /// choice; only wall time and the decision's cache-provenance field
   /// change.
@@ -132,16 +132,14 @@ class Engine {
   /// runs one sequence, in input order: acquire its focal subset (with a
   /// cache, one QueryCache::Acquire per executed query; without, each
   /// distinct box is materialized once, concurrently), choose its plan
-  /// with the acquisition's cache hint, begin its memo transaction, and
-  /// execute it on the engine's pool concurrently with the others. The
-  /// successful queries' memos commit afterwards in input order. A query
-  /// identical to an earlier one under the same cancel token shares that
-  /// query's outcome.
+  /// with the acquisition's cache hint, and execute it on the engine's
+  /// pool concurrently with the others. A query identical to an earlier
+  /// one under the same cancel token shares that query's outcome.
   ///
   /// Every result equals the query's standalone Execute in rules, plan and
   /// every effort counter, for any thread count. Cache state transitions
-  /// are sequential, so they are deterministic too; memo reads see the
-  /// cache as it was before the batch.
+  /// are sequential, so they are deterministic too, and execution reads no
+  /// cache state.
   ///
   /// `cache` overrides the engine's cache as SessionContext::cache does
   /// (null keeps the engine's). `cancels` is empty (nothing is cancelled)

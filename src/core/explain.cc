@@ -100,13 +100,12 @@ std::string FormatQueryResult(const Schema& schema,
     out += "  constraints: " + clauses + "\n";
   }
   const CacheTelemetry& c = result.cache;
-  if (c.hits_exact + c.hits_containment + c.hits_count_memo + c.misses > 0) {
+  if (c.hits_exact + c.hits_containment + c.misses > 0) {
     out += StrFormat(
-        "  session cache: exact=%llu containment=%llu memo=%llu "
-        "misses=%llu resident=%llu bytes / %llu entries\n",
+        "  session cache: exact=%llu containment=%llu misses=%llu "
+        "resident=%llu bytes / %llu entries\n",
         static_cast<unsigned long long>(c.hits_exact),
         static_cast<unsigned long long>(c.hits_containment),
-        static_cast<unsigned long long>(c.hits_count_memo),
         static_cast<unsigned long long>(c.misses),
         static_cast<unsigned long long>(c.bytes),
         static_cast<unsigned long long>(c.entries));

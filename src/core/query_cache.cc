@@ -7,27 +7,14 @@ namespace colarm {
 
 namespace {
 
-// Fixed per-structure overheads folded into the byte accounting: map node,
-// key, bookkeeping. Exactness does not matter — determinism across
-// thread counts does, and both terms depend only on logical content.
+// Fixed per-entry overhead folded into the byte accounting: map node, key,
+// bookkeeping. Exactness does not matter — determinism across thread
+// counts does, and it depends only on logical content.
 constexpr size_t kEntryOverhead = 64;
-constexpr size_t kMemoOverhead = 48;
 
 size_t SubsetBytes(const FocalSubset& subset) {
   return kEntryOverhead + subset.box.dims() * 2 * sizeof(ValueId) +
          subset.tids.size() * sizeof(Tid);
-}
-
-size_t MemoBytes(const std::string& constraint_key,
-                 const CountMemoEntry& memo) {
-  return kMemoOverhead + constraint_key.size() +
-         memo.superset_counts.size() * sizeof(uint32_t);
-}
-
-size_t ArmMemoBytes(const std::string& constraint_key,
-                    const ArmMemoEntry& memo) {
-  return kMemoOverhead + constraint_key.size() +
-         memo.qualified.size() * sizeof(QualifiedItemset);
 }
 
 // Same condition FocalSubset::Materialize scans (and prices) under.
@@ -73,32 +60,6 @@ std::string CanonicalBoxKey(const Rect& box) {
     key.append(reinterpret_cast<const char*>(&hi), sizeof(ValueId));
   }
   return key;
-}
-
-std::shared_ptr<const CountMemoEntry> CountMemoTxn::Lookup(
-    uint32_t mip_id) const {
-  return cache_->MemoLookup(box_key_, constraint_key_, mip_id);
-}
-
-std::shared_ptr<const ArmMemoEntry> CountMemoTxn::LookupArm(
-    uint32_t min_count) const {
-  return cache_->ArmMemoLookup(box_key_, constraint_key_, min_count);
-}
-
-void CountMemoTxn::NoteServed() const { cache_->NoteMemoServed(); }
-
-void CountMemoTxn::RecordTable(uint32_t mip_id,
-                               std::span<const uint32_t> superset_counts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  writes_[mip_id].superset_counts.assign(superset_counts.begin(),
-                                         superset_counts.end());
-}
-
-void CountMemoTxn::RecordArmMine(uint32_t min_count, uint64_t local_cfis,
-                                 std::vector<QualifiedItemset> qualified) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  arm_writes_.emplace(min_count,
-                      ArmMemoEntry{local_cfis, std::move(qualified)});
 }
 
 void QueryCache::FrequencySketch::Record(uint64_t hash) {
@@ -220,73 +181,6 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
   return lease;
 }
 
-std::shared_ptr<const CountMemoEntry> QueryCache::MemoLookup(
-    const std::string& box_key, const std::string& constraint_key,
-    uint32_t mip_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto entry = entries_.find(box_key);
-  if (entry == entries_.end()) return nullptr;
-  auto memo = entry->second.memo.find({constraint_key, mip_id});
-  return memo != entry->second.memo.end() ? memo->second : nullptr;
-}
-
-std::shared_ptr<const ArmMemoEntry> QueryCache::ArmMemoLookup(
-    const std::string& box_key, const std::string& constraint_key,
-    uint32_t min_count) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto entry = entries_.find(box_key);
-  if (entry == entries_.end()) return nullptr;
-  auto memo = entry->second.arm_memo.find({constraint_key, min_count});
-  return memo != entry->second.arm_memo.end() ? memo->second : nullptr;
-}
-
-void QueryCache::NoteMemoServed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.hits_count_memo;
-}
-
-std::unique_ptr<CountMemoTxn> QueryCache::BeginTxn(const Rect& box,
-                                                   std::string constraint_key) {
-  return std::make_unique<CountMemoTxn>(this, CanonicalBoxKey(box),
-                                        std::move(constraint_key));
-}
-
-void QueryCache::Commit(CountMemoTxn* txn) {
-  if (txn == nullptr) return;
-  std::lock_guard<std::mutex> txn_lock(txn->mutex_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(txn->box_key_);
-  if (it == entries_.end()) return;  // box evicted mid-flight: drop writes
-  Entry& entry = it->second;
-  for (auto& [mip_id, write] : txn->writes_) {
-    const std::pair<std::string, uint32_t> memo_key{txn->constraint_key_,
-                                                    mip_id};
-    // Counts are deterministic, so a published table stays.
-    if (entry.memo.count(memo_key) > 0) continue;
-    auto published = std::make_shared<const CountMemoEntry>(std::move(write));
-    const size_t new_bytes = MemoBytes(txn->constraint_key_, *published);
-    entry.memo.emplace(memo_key, std::move(published));
-    entry.bytes += new_bytes;
-    counters_.bytes += new_bytes;
-  }
-  for (auto& [min_count, write] : txn->arm_writes_) {
-    const std::pair<std::string, uint32_t> arm_key{txn->constraint_key_,
-                                                   min_count};
-    // First publication wins: ARM results are deterministic per triple, so
-    // a second run can only produce the identical record.
-    if (entry.arm_memo.count(arm_key) > 0) continue;
-    auto published = std::make_shared<const ArmMemoEntry>(std::move(write));
-    const size_t new_bytes = ArmMemoBytes(txn->constraint_key_, *published);
-    entry.arm_memo.emplace(arm_key, std::move(published));
-    entry.bytes += new_bytes;
-    counters_.bytes += new_bytes;
-  }
-  txn->writes_.clear();
-  txn->arm_writes_.clear();
-  entry.last_used = ++clock_;
-  EvictOverBudgetLocked(nullptr);
-}
-
 CacheTelemetry QueryCache::telemetry() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
@@ -317,8 +211,6 @@ std::vector<CacheEntrySnapshot> QueryCache::Snapshot() const {
     snap.is_protected = entry->is_protected;
     snap.hits = entry->hits;
     snap.derivations = entry->derivations;
-    snap.memos.assign(entry->memo.begin(), entry->memo.end());
-    snap.arm_memos.assign(entry->arm_memo.begin(), entry->arm_memo.end());
     out.push_back(std::move(snap));
   }
   return out;
@@ -338,14 +230,6 @@ void QueryCache::Restore(std::vector<CacheEntrySnapshot> entries) {
     entry.hits = snap.hits;
     entry.derivations = snap.derivations;
     entry.bytes = SubsetBytes(*entry.subset);
-    for (auto& [memo_key, memo] : snap.memos) {
-      entry.bytes += MemoBytes(memo_key.first, *memo);
-      entry.memo.emplace(memo_key, std::move(memo));
-    }
-    for (auto& [arm_key, memo] : snap.arm_memos) {
-      entry.bytes += ArmMemoBytes(arm_key.first, *memo);
-      entry.arm_memo.emplace(arm_key, std::move(memo));
-    }
     entry.last_used = ++clock_;
     counters_.bytes += entry.bytes;
     ++counters_.entries;

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "cost/cost_model.h"
 #include "mip/mip_index.h"
 #include "plans/focal_subset.h"
-#include "plans/operators.h"
 
 namespace colarm {
 
@@ -23,9 +21,9 @@ namespace colarm {
 std::string CanonicalBoxKey(const Rect& box);
 
 struct QueryCacheOptions {
-  /// Resident-byte budget for cached subsets plus their count memos;
-  /// eviction keeps the total under it. 0 means no cache: the engine and
-  /// the server's tenants build none.
+  /// Resident-byte budget for cached subsets (their tid lists plus a fixed
+  /// per-entry overhead); eviction keeps the total under it. 0 means no
+  /// cache: the engine and the server's tenants build none.
   size_t byte_budget = size_t{64} << 20;
 };
 
@@ -39,6 +37,8 @@ struct CacheTelemetry {
   /// Always 0. It counted the retired overlap-composition tier; it stays
   /// because STATS has a fixed wire layout and the benchmark reads it.
   uint64_t hits_compose = 0;
+  /// Always 0. It counted the retired count and ARM memos; it stays for
+  /// the same reasons as hits_compose.
   uint64_t hits_count_memo = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
@@ -47,82 +47,7 @@ struct CacheTelemetry {
   uint64_t entries = 0;
 };
 
-/// One memoized itemset count for a (box, MIP) pair: the producing
-/// counter's 2^L superset-sum table ([mask] = number of subset records
-/// carrying every item of the mask; the last entry is the full count),
-/// written by a mask-route VERIFY (itemsets up to kMaxMaskItems).
-/// Immutable once published — readers hold it by shared_ptr so eviction
-/// never invalidates an in-flight query.
-struct CountMemoEntry {
-  std::vector<uint32_t> superset_counts;
-};
-
-/// One memoized ARM mining result for a (box, constraints, local minimum
-/// count) triple: the qualified itemsets the miner produced, sorted by MIP
-/// id, plus the local-CFI tally the run charged. Replaying it skips the
-/// from-scratch CHARM pass outright while keeping rules and effort counters
-/// byte-identical — the qualified set is a pure function of the triple.
-/// Immutable once published.
-struct ArmMemoEntry {
-  uint64_t local_cfis = 0;
-  std::vector<QualifiedItemset> qualified;
-};
-
-class QueryCache;
-
-/// The count memo as one query execution sees it, and the operators' only
-/// handle on it: reads come from the cache's committed state, hit notes
-/// land in its telemetry at once (failed queries' hits included), and
-/// writes buffer here until the engine commits them at a deterministic
-/// point — the end of its batch, in input order — so cache state
-/// transitions never depend on thread timing. Writes are thread-safe:
-/// parallel shards record concurrently, but always to distinct MIPs, so
-/// content is deterministic.
-class CountMemoTxn {
- public:
-  CountMemoTxn(QueryCache* cache, std::string box_key,
-               std::string constraint_key = {})
-      : cache_(cache),
-        box_key_(std::move(box_key)),
-        constraint_key_(std::move(constraint_key)) {}
-
-  const std::string& box_key() const { return box_key_; }
-  const std::string& constraint_key() const { return constraint_key_; }
-
-  /// The committed memo for one MIP of this box and constraint key; null
-  /// on a miss. Serving from it is noted with NoteServed().
-  std::shared_ptr<const CountMemoEntry> Lookup(uint32_t mip_id) const;
-
-  /// The committed ARM mining result at `min_count`; null on a miss.
-  std::shared_ptr<const ArmMemoEntry> LookupArm(uint32_t min_count) const;
-
-  /// Telemetry: one itemset's subset table (or one ARM mining run) was
-  /// served from the memo instead of a record-level pass.
-  void NoteServed() const;
-
-  /// Records the complete subset-count table (mask-route VERIFY).
-  void RecordTable(uint32_t mip_id, std::span<const uint32_t> superset_counts);
-
-  /// Records one ARM mining run's complete qualified set at its local
-  /// minimum count (first write wins; results are deterministic).
-  void RecordArmMine(uint32_t min_count, uint64_t local_cfis,
-                     std::vector<QualifiedItemset> qualified);
-
- private:
-  friend class QueryCache;
-
-  QueryCache* cache_;
-  std::string box_key_;
-  /// RuleConstraints::CacheKey() of the owning query ("" = unconstrained).
-  /// Memo facts land under (constraint_key, mip_id), so queries with
-  /// different constraints never serve each other's entries.
-  std::string constraint_key_;
-  std::mutex mutex_;
-  std::map<uint32_t, CountMemoEntry> writes_;
-  std::map<uint32_t, ArmMemoEntry> arm_writes_;  // keyed by min_count
-};
-
-/// One resident entry's externally visible state — the unit the v4
+/// One resident entry's externally visible state — the unit the
 /// persistence layer (core/cache_persist.h) saves and restores. Snapshots
 /// come out oldest-recency first so restoring replays the same order.
 struct CacheEntrySnapshot {
@@ -131,32 +56,22 @@ struct CacheEntrySnapshot {
   bool is_protected = false;  // 2Q segment (probation vs protected)
   uint64_t hits = 0;
   uint64_t derivations = 0;
-  std::vector<std::pair<std::pair<std::string, uint32_t>,
-                        std::shared_ptr<const CountMemoEntry>>>
-      memos;
-  std::vector<std::pair<std::pair<std::string, uint32_t>,
-                        std::shared_ptr<const ArmMemoEntry>>>
-      arm_memos;  // keyed (constraint key, local minimum count)
 };
 
 /// The session-scoped semantic cache (owned by the Engine, or by a server
-/// tenant and passed in through a SessionContext): a byte-budgeted store of materialized focal subsets
-/// keyed by canonical box, with three reuse tiers —
+/// tenant and passed in through a SessionContext): a byte-budgeted store
+/// of materialized focal subsets keyed by canonical box, with two reuse
+/// tiers —
 ///
 ///   1. exact: a query's box is resident → copy its tid list, no scan;
 ///   2. containment: a resident box *contains* the query's box → derive
 ///      DQ by re-testing the smallest such entry's tids on the narrowed
-///      attributes only — exact by the focal-box containment invariant;
-///   3. count memo: per-(box, MIP) subset-count tables recorded by
-///      VERIFY, replayed by later queries on the same box with different
-///      thresholds (exact by threshold monotonicity) — plus per-(box,
-///      constraints, min count) ARM mining results, so a repeated
-///      ARM-plan query skips the from-scratch CHARM pass entirely (exact:
-///      the qualified set is a pure function of that triple).
+///      attributes only — exact by the focal-box containment invariant.
 ///
-/// Any other box is materialized cold.
+/// Any other box is materialized cold. The cache only serves SELECT:
+/// every plan's record-level work after it runs cold.
 ///
-/// Every tier is byte-identical to cold execution in rules and effort
+/// Both tiers are byte-identical to cold execution in rules and effort
 /// counters: warm paths charge the cold semantic record-check price.
 /// Entries store tid lists only, so byte accounting, eviction order, and
 /// telemetry depend on the logical content alone.
@@ -172,8 +87,8 @@ struct CacheEntrySnapshot {
 /// the acquisition sequence.
 ///
 /// Thread safety: all methods are safe to call concurrently; determinism
-/// of state transitions is the *callers'* contract (acquisitions and
-/// commits happen at sequential points — see CountMemoTxn).
+/// of state transitions is the *callers'* contract (acquisitions happen at
+/// sequential points — see Engine::ExecuteBatch).
 class QueryCache {
  public:
   QueryCache(const MipIndex& index, QueryCacheOptions options);
@@ -199,31 +114,6 @@ class QueryCache {
   /// sequential points only (see class comment).
   Lease Acquire(const Rect& box, uint64_t* record_checks);
 
-  /// Tier-3 read: the committed memo for (box, constraints, MIP), null on
-  /// a miss. Does not count telemetry — a query's CountMemoTxn notes the
-  /// hits it actually serves.
-  std::shared_ptr<const CountMemoEntry> MemoLookup(
-      const std::string& box_key, const std::string& constraint_key,
-      uint32_t mip_id) const;
-
-  /// Tier-3 read for the ARM plan: the committed mining result for (box,
-  /// constraints, local minimum count), null on a miss. Exact-triple match
-  /// only — `local_cfis` is threshold-specific, so serving a different
-  /// count would desynchronize warm effort counters from cold.
-  std::shared_ptr<const ArmMemoEntry> ArmMemoLookup(
-      const std::string& box_key, const std::string& constraint_key,
-      uint32_t min_count) const;
-
-  /// Starts the memo transaction of one query on `box` under its
-  /// constraint key (no cache state is touched until Commit).
-  std::unique_ptr<CountMemoTxn> BeginTxn(const Rect& box,
-                                         std::string constraint_key = {});
-
-  /// Merges a transaction's writes into the box's entry (dropped silently
-  /// when the box has been evicted), bumps its recency, and evicts over
-  /// budget. Call from sequential points only.
-  void Commit(CountMemoTxn* txn);
-
   CacheTelemetry telemetry() const;
   const QueryCacheOptions& options() const { return options_; }
 
@@ -231,7 +121,7 @@ class QueryCache {
   void Clear();
 
   /// Resident entries, oldest recency first — the persistence layer's
-  /// read side. Subsets/memos are shared, not copied.
+  /// read side. Subsets are shared, not copied.
   std::vector<CacheEntrySnapshot> Snapshot() const;
 
   /// Replaces residency with `entries` (recency assigned in order, oldest
@@ -242,23 +132,9 @@ class QueryCache {
   void Restore(std::vector<CacheEntrySnapshot> entries);
 
  private:
-  friend class CountMemoTxn;
-
-  /// Telemetry: one subset table or ARM run was served from the memo.
-  void NoteMemoServed();
-
   struct Entry {
     Rect box;
     std::shared_ptr<const FocalSubset> subset;
-    /// Keyed by (constraint key, MIP id): constrained and unconstrained
-    /// queries on the same box keep disjoint memo namespaces.
-    std::map<std::pair<std::string, uint32_t>,
-             std::shared_ptr<const CountMemoEntry>>
-        memo;
-    /// Keyed by (constraint key, local minimum count).
-    std::map<std::pair<std::string, uint32_t>,
-             std::shared_ptr<const ArmMemoEntry>>
-        arm_memo;
     size_t bytes = 0;
     uint64_t last_used = 0;
     bool is_protected = false;  // 2Q segment

@@ -1,7 +1,6 @@
 #include "mining/local_counter.h"
 
 #include <array>
-#include <cassert>
 #include <utility>
 
 namespace colarm {
@@ -63,19 +62,8 @@ LocalSubsetCounter::LocalSubsetCounter(const Dataset& dataset, Itemset itemset,
   } else {
     RowProbe();
   }
-  table_ = superset_counts_;
   record_checks_ += tids_.size();
-  full_count_ = table_.back();
-}
-
-LocalSubsetCounter::LocalSubsetCounter(Itemset itemset,
-                                       std::span<const Tid> tids,
-                                       std::span<const uint32_t> recorded)
-    : itemset_(std::move(itemset)), tids_(tids), table_(recorded) {
-  assert(itemset_.size() <= kMaxMaskItems &&
-         table_.size() == size_t{1} << itemset_.size());
-  record_checks_ = tids_.size();
-  full_count_ = table_.back();
+  full_count_ = superset_counts_.back();
 }
 
 void LocalSubsetCounter::RowProbe() {
@@ -149,10 +137,10 @@ uint32_t LocalSubsetCounter::MaskOf(std::span<const ItemId> subset) const {
 }
 
 uint32_t LocalSubsetCounter::CountOf(std::span<const ItemId> subset) const {
-  if (!table_.empty()) {
+  if (!superset_counts_.empty()) {
     uint32_t mask = MaskOf(subset);
     if (mask == UINT32_MAX) return 0;
-    return table_[mask];
+    return superset_counts_[mask];
   }
   return Count(subset);
 }

@@ -45,15 +45,11 @@ uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
 ///                a dense DQ's bitmap and the lattice moves fewer words than
 ///                the probe touches cells.
 ///
-/// A third constructor takes over a table recorded by an earlier counter
-/// (the session cache's count memo) instead of filling one.
-///
 /// Longer itemsets count per query: word-parallel against a given DQ
 /// bitmap, otherwise by scanning the tid list. The route never shows:
 /// counts are identical, and `record_checks` charges one semantic pass over
 /// the focal subset per full count (plus one per long-itemset CountOf), so
-/// plans report byte-identical statistics whichever route ran — a replayed
-/// table included.
+/// plans report byte-identical statistics whichever route ran.
 class LocalSubsetCounter {
  public:
   static constexpr size_t kMaxMaskItems = 20;
@@ -70,17 +66,6 @@ class LocalSubsetCounter {
                      const VerticalIndex* vertical = nullptr,
                      const Bitmap* dq = nullptr);
 
-  /// Replays `recorded`, the subset_table() an earlier counter built for
-  /// the same itemset over the same focal subset (2^|itemset| entries,
-  /// |itemset| <= kMaxMaskItems). Spanned like `tids`: the caller keeps the
-  /// table alive. Charges the one pass the recording counter charged.
-  LocalSubsetCounter(Itemset itemset, std::span<const Tid> tids,
-                     std::span<const uint32_t> recorded);
-
-  /// The table may live in the counter itself; copies would alias it.
-  LocalSubsetCounter(const LocalSubsetCounter&) = delete;
-  LocalSubsetCounter& operator=(const LocalSubsetCounter&) = delete;
-
   /// Local support count of a subset of the constructor itemset. `subset`
   /// must be sorted and a subset of `itemset()`; unknown items count as
   /// never-present (returns 0).
@@ -96,12 +81,6 @@ class LocalSubsetCounter {
   /// plan cost statistics).
   uint64_t record_checks() const { return record_checks_; }
 
-  /// True iff subset_table() holds all 2^L subset counts (the session
-  /// cache's count-memo payload), i.e. the itemset has at most
-  /// kMaxMaskItems items.
-  bool has_subset_table() const { return !table_.empty(); }
-  std::span<const uint32_t> subset_table() const { return table_; }
-
  private:
   uint32_t MaskOf(std::span<const ItemId> subset) const;
   void RowProbe();
@@ -109,13 +88,12 @@ class LocalSubsetCounter {
   /// Direct count of one itemset over the focal subset (long itemsets).
   uint32_t Count(std::span<const ItemId> items) const;
 
-  const Dataset* dataset_ = nullptr;  // null for a replayed table
+  const Dataset* dataset_ = nullptr;
   const VerticalIndex* vertical_ = nullptr;
   const Bitmap* dq_ = nullptr;
   Itemset itemset_;
   std::span<const Tid> tids_;
   std::vector<uint32_t> superset_counts_;  // [mask] = |records ⊇ mask|
-  std::span<const uint32_t> table_;  // superset_counts_ or a recorded table
   uint32_t full_count_ = 0;
   mutable uint64_t record_checks_ = 0;
 };

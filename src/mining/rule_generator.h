@@ -54,8 +54,8 @@ struct RuleGenFilter {
 /// Emits into `out` every rule X => Y with X ∪ Y = counter.itemset(),
 /// X, Y non-empty, and local confidence >= minconf. The itemset itself is
 /// assumed to already satisfy the local minsupport check (the ELIMINATE /
-/// SUPPORTED-VERIFY operators guarantee that). Cold and memo-replayed
-/// counters hold identical counts, so the emitted rules are byte-identical.
+/// SUPPORTED-VERIFY operators guarantee that). Every counter route holds
+/// identical counts, so the emitted rules are byte-identical.
 void GenerateRulesForItemset(const LocalSubsetCounter& counter, double minconf,
                              const RuleGenOptions& options,
                              const RuleGenFilter& filter, RuleSet* out,

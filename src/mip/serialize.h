@@ -29,7 +29,7 @@ Result<MipIndex> LoadMipIndex(const Dataset& dataset, const std::string& path);
 uint64_t DatasetFingerprint(const Dataset& dataset);
 
 /// Fingerprint of a *built* index: the dataset fingerprint mixed with the
-/// build options and the full MIP content. The v4 session-cache
+/// build options and the full MIP content. The session-cache
 /// persistence (core/cache_persist.h) embeds it so a saved cache can only
 /// ever warm an engine holding the identical index.
 uint64_t IndexFingerprint(const MipIndex& index);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/query_cache.h"
 #include "mining/local_counter.h"
 
 namespace colarm {
@@ -177,12 +176,6 @@ Shard ForEachCandidate(PlanContext* ctx,
   return std::move(all);
 }
 
-// The committed memo for one candidate, null on a miss or without a memo.
-std::shared_ptr<const CountMemoEntry> MemoOf(const PlanContext& ctx,
-                                             uint32_t mip_id) {
-  return ctx.memo_txn != nullptr ? ctx.memo_txn->Lookup(mip_id) : nullptr;
-}
-
 // The first set bit of `marks` at or after `from`; marks.size() if none.
 uint32_t NextMark(const Bitmap& marks, uint32_t from) {
   const uint64_t* words = marks.words();
@@ -327,27 +320,17 @@ std::vector<uint32_t> BranchRuns(std::span<const ITTree::DepthFirstNode> nodes,
   return cuts;
 }
 
-// VERIFY's per-itemset step: rule generation over the memo's subset table
-// when `memo` holds one, otherwise over a cold counter (the lattice DFS on
-// a dense DQ's bitmap, row probes otherwise) whose subset table, when it
-// keeps one, goes to the memo.
+// VERIFY's per-itemset step: rule generation over a subset counter (the
+// lattice DFS on a dense DQ's bitmap, row probes otherwise).
 // Returns the counter's record checks for the caller to charge.
-uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id,
-                       const CountMemoEntry* memo, Shard* shard) {
+uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id, Shard* shard) {
   const Itemset& items = ctx.index.mip(mip_id).items;
-  const bool replay = memo != nullptr;
-  if (replay) ctx.memo_txn->NoteServed();
-  const LocalSubsetCounter counter =
-      replay ? LocalSubsetCounter(items, ctx.subset.tids,
-                                  memo->superset_counts)
-             : LocalSubsetCounter(ctx.index.dataset(), items, ctx.subset.tids,
-                                  &ctx.index.vertical(), ctx.dq());
+  const LocalSubsetCounter counter(ctx.index.dataset(), items,
+                                   ctx.subset.tids, &ctx.index.vertical(),
+                                   ctx.dq());
   GenerateRulesForItemset(counter, ctx.query.minconf, ctx.rulegen,
                           ctx.FilterForItemset(items), &shard->rules,
                           &shard->rule_stats);
-  if (!replay && ctx.memo_txn != nullptr && counter.has_subset_table()) {
-    ctx.memo_txn->RecordTable(mip_id, counter.subset_table());
-  }
   return counter.record_checks();
 }
 
@@ -444,8 +427,7 @@ void OpVerify(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
           [ctx](std::span<const QualifiedItemset> range, Shard* shard) {
             for (const QualifiedItemset& q : range) {
               ThrowIfCancelled(ctx->cancel);
-              shard->record_checks += VerifyItemset(
-                  *ctx, q.mip_id, MemoOf(*ctx, q.mip_id).get(), shard);
+              shard->record_checks += VerifyItemset(*ctx, q.mip_id, shard);
             }
           })
           .rules,
@@ -460,12 +442,9 @@ void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
   OpVerify(ctx, OpEliminate(ctx, candidates), out);
 }
 
-namespace {
-
-// The cold mining pass behind OpArmMine; its (deterministic) qualified set
-// and local-CFI tally are what the ARM memo records and replays.
-std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
+std::vector<QualifiedItemset> OpArmMine(PlanContext* ctx) {
   std::vector<QualifiedItemset> qualified;
+  if (ctx->subset.tids.empty()) return qualified;
 
   // CONTAIN seeding: qualifying itemsets are supersets of must_contain, so
   // their supports within DQ equal their supports within the records of DQ
@@ -521,31 +500,6 @@ std::vector<QualifiedItemset> ArmMineCold(PlanContext* ctx) {
     // Local support of a stored CFI = support of its local closure.
     uint32_t count = local_tree.MaxSupersetCount(ctx->index.mip(id).items);
     qualified.push_back({id, count});
-  }
-  return qualified;
-}
-
-}  // namespace
-
-std::vector<QualifiedItemset> OpArmMine(PlanContext* ctx) {
-  if (ctx->subset.tids.empty()) return {};
-  CountMemoTxn* memo = ctx->memo_txn;
-  if (memo != nullptr) {
-    if (auto hit = memo->LookupArm(ctx->local_min_count); hit != nullptr) {
-      memo->NoteServed();
-      // The replay charges the cold pass's only record-level price: the
-      // CONTAIN seeding scan over the focal subset.
-      if (ctx->item_constrained &&
-          !ctx->query.constraints.must_contain.empty()) {
-        ctx->record_checks += ctx->subset.tids.size();
-      }
-      ctx->local_cfis = hit->local_cfis;
-      return hit->qualified;
-    }
-  }
-  std::vector<QualifiedItemset> qualified = ArmMineCold(ctx);
-  if (memo != nullptr) {
-    memo->RecordArmMine(ctx->local_min_count, ctx->local_cfis, qualified);
   }
   return qualified;
 }

@@ -12,8 +12,6 @@
 
 namespace colarm {
 
-class CountMemoTxn;  // core/query_cache.h
-
 /// Output of the SEARCH / SUPPORTED-SEARCH operators: MIP ids whose
 /// bounding boxes intersect the focal box, split by full containment
 /// (Lemma 4.5) vs. partial overlap. Plans that do not exploit the split
@@ -56,14 +54,6 @@ struct PlanContext {
   /// keeps tid lists and VERIFY probes rows of `subset.tids`. Routes never
   /// change a count or an effort counter.
   Bitmap dq_bitmap;
-
-  /// The query's count-memo transaction (null when caching is off). When
-  /// set, VERIFY serves per-(box, itemset) subset tables and ARM its mining
-  /// result from the committed memo — charging the cold semantic
-  /// record-check price so effort counters stay byte-identical — and both
-  /// record their cold results into it for later queries. ELIMINATE's
-  /// walk costs less than a memo lookup per candidate, so it has no memo.
-  CountMemoTxn* memo_txn = nullptr;
 
   /// Cooperative cancellation: the operator loops poll it (ELIMINATE's walk
   /// per first-level branch, VERIFY per itemset) and unwind with

@@ -79,7 +79,6 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   if (kind != PlanKind::kARM && !ctx.constraints_precluded) {
     ctx.BuildDqBitmap();
   }
-  ctx.memo_txn = exec.memo_txn;
   ctx.cancel = exec.cancel;
   stats.select_ms = stage.ElapsedMillis();
   stats.subset_size = ctx.subset.size();

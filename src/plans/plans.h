@@ -71,11 +71,6 @@ struct PlanExecOptions {
   /// sequential path. Parallel execution is byte-identical to sequential
   /// (rules, canonical order, and every effort counter).
   ThreadPool* pool = nullptr;
-  /// The query's count-memo transaction (core/query_cache.h), the
-  /// operators' one handle on the session cache's memo: reads come from
-  /// the cache's committed state, writes buffer here until the owner
-  /// commits them at a deterministic point. Null = no memo.
-  CountMemoTxn* memo_txn = nullptr;
   /// Cooperative cancellation (per-request deadlines, server shutdown).
   /// The record-level operators poll it at candidate granularity and the
   /// plan driver once after SELECT; when it fires, ExecutePlan returns

@@ -140,10 +140,10 @@ class Service {
   /// Telemetry hook for admission rejections (counts into STATS).
   void NoteBusy(Tenant* tenant);
 
-  /// Saves every tenant's cache into options().cache_dir (v4 format, one
-  /// file per tenant). Best-effort: returns how many tenants persisted
-  /// cleanly; no-op returning 0 when cache_dir is empty. Call at drain,
-  /// after the event loops stop.
+  /// Saves every tenant's cache into options().cache_dir (the
+  /// core/cache_persist.h format, one file per tenant). Best-effort:
+  /// returns how many tenants persisted cleanly; no-op returning 0 when
+  /// cache_dir is empty. Call at drain, after the event loops stop.
   size_t PersistCaches() const;
 
  private:

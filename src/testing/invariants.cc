@@ -502,7 +502,7 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
   if (options.check_session_cache && !valid.empty()) check_session_cache();
 
   // Cache-persistence round-trip: run the sequence warm, save the session
-  // cache to the v4 file, load it into a FRESH engine, and replay. The
+  // cache to a file, load it into a FRESH engine, and replay. The
   // persisted-warm pass must answer every query byte-identically to a
   // cache-less engine — rules, effort counters, and plan choice — i.e. a
   // restart with a warm file is semantically invisible.

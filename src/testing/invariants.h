@@ -46,7 +46,7 @@ struct CheckOptions {
   /// against the constrained baseline.
   bool check_constraints = true;
   /// Cache-persistence round-trip: run the sequence warm, save the session
-  /// cache (v4 file), load it into a fresh engine, and replay — the
+  /// cache to a file, load it into a fresh engine, and replay — the
   /// persisted-warm pass must answer every query byte-identically (rules,
   /// effort counters, plan choice) to a cache-less engine.
   bool check_cache_persistence = true;

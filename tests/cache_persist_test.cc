@@ -1,4 +1,4 @@
-// Persistence-format v4 hardening tests for the session cache, mirroring
+// Persistence-format hardening tests for the session cache, mirroring
 // the serialize v3 discipline: a full-state round trip, truncation at
 // every offset, a single-bit-flip sweep over the whole file, bounded
 // counts, version/fingerprint rejection, and clean cold fallback on every
@@ -10,11 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string_view>
 
-#include "mining/local_counter.h"
 #include "test_util.h"
 
 namespace colarm {
@@ -65,40 +63,21 @@ QueryCacheOptions Enabled() {
   return options;
 }
 
-Rect InnerBox(const Env& env) { return env.Box({{0, 0, 1}, {2, 0, 1}}); }
-
-/// The subset table of MIP `mip_id` over the inner box: the genuine
-/// counts a memo of that box holds, which the loader checks.
-std::vector<uint32_t> InnerTable(const Env& env, uint32_t mip_id) {
-  const FocalSubset subset = FocalSubset::Materialize(*env.data, InnerBox(env));
-  const LocalSubsetCounter counter(*env.data, env.index->mip(mip_id).items,
-                                   subset.tids);
-  return {counter.subset_table().begin(), counter.subset_table().end()};
-}
-
 /// Populates `cache` with a mix of state the format must carry: a cold
 /// entry, a containment-derived entry (giving the source a derivation and
-/// 2Q promotion), an exact hit (per-entry hit count), and a committed
-/// count memo holding two table records.
+/// 2Q promotion), and an exact hit (per-entry hit count).
 void Populate(const Env& env, QueryCache* cache) {
-  ASSERT_GT(env.index->num_mips(), 5u);
   uint64_t ignored = 0;
-  Rect outer = env.Box({{0, 0, 2}});
-  Rect inner = InnerBox(env);
-  cache->Acquire(outer, &ignored);
+  Rect inner = env.Box({{0, 0, 1}, {2, 0, 1}});
+  cache->Acquire(env.Box({{0, 0, 2}}), &ignored);
   cache->Acquire(inner, &ignored);
   cache->Acquire(inner, &ignored);  // exact hit
-  auto txn = cache->BeginTxn(inner);
-  txn->RecordTable(2, InnerTable(env, 2));
-  txn->RecordTable(5, InnerTable(env, 5));
-  cache->Commit(txn.get());
 }
 
 // Section layout: segment flag (1), hits (8), derivations (8), the box
-// (4 per dimension), then the tid, memo and ARM counts (4 each), padding
-// to a 64-byte file offset, the tids, the memo records (key length, key,
-// MIP id, full count, table length, table), the ARM records, and the
-// section checksum (8). The file checksum (8) follows the last section.
+// (4 per dimension), the tid count (4), padding to a 64-byte file offset,
+// the tids, and the section checksum (8). The file checksum (8) follows
+// the last section.
 constexpr size_t kFirstSection = 24;
 constexpr size_t kBoxOffset = 17;
 
@@ -106,7 +85,7 @@ constexpr size_t kBoxOffset = 17;
 size_t TidsEnd(const std::string& file, size_t start, uint32_t dims) {
   uint32_t tids = 0;
   std::memcpy(&tids, &file[start + kBoxOffset + 4 * dims], sizeof(tids));
-  const size_t payload = (start + kBoxOffset + 4 * dims + 12 + 63) / 64 * 64;
+  const size_t payload = (start + kBoxOffset + 4 * dims + 4 + 63) / 64 * 64;
   return payload + tids * sizeof(Tid);
 }
 
@@ -125,17 +104,6 @@ void RehashLastSection(std::string* file, size_t start) {
   std::memcpy(&(*file)[end], &section_hash, sizeof(section_hash));
   const uint64_t file_hash = FnvOf(std::string_view(*file).substr(0, end + 8));
   std::memcpy(&(*file)[end + 8], &file_hash, sizeof(file_hash));
-}
-
-/// Rewrites the first memo record of the one-entry cache file at `path`
-/// through `edit`, which gets the file and the record's offset, and
-/// redoes both checksums.
-void EditFirstMemo(const std::string& path, uint32_t dims,
-                   const std::function<void(std::string*, size_t)>& edit) {
-  std::string file = Slurp(path);
-  edit(&file, TidsEnd(file, kFirstSection, dims));
-  RehashLastSection(&file, kFirstSection);
-  Spit(path, file);
 }
 
 TEST(CachePersistTest, RoundTripPreservesEntries) {
@@ -159,26 +127,16 @@ TEST(CachePersistTest, RoundTripPreservesEntries) {
     EXPECT_EQ(after[i].is_protected, before[i].is_protected) << "entry " << i;
     EXPECT_EQ(after[i].hits, before[i].hits) << "entry " << i;
     EXPECT_EQ(after[i].derivations, before[i].derivations) << "entry " << i;
-    ASSERT_EQ(after[i].memos.size(), before[i].memos.size()) << "entry " << i;
-    for (size_t m = 0; m < before[i].memos.size(); ++m) {
-      EXPECT_EQ(after[i].memos[m].first, before[i].memos[m].first);
-      EXPECT_EQ(after[i].memos[m].second->superset_counts,
-                before[i].memos[m].second->superset_counts);
-    }
   }
   // Byte accounting is recomputed, not trusted from the file, and must
   // land on the identical resident footprint.
   EXPECT_EQ(reloaded.telemetry().bytes, cache.telemetry().bytes);
   EXPECT_EQ(reloaded.telemetry().entries, cache.telemetry().entries);
 
-  // The warm cache serves the persisted boxes as exact hits and replays
-  // the memo without recounting.
+  // The warm cache serves the persisted boxes as exact hits.
   EXPECT_EQ(reloaded.Probe(env.Box({{0, 0, 2}})).tier, CacheTier::kExact);
-  Rect inner = InnerBox(env);
-  EXPECT_EQ(reloaded.Probe(inner).tier, CacheTier::kExact);
-  auto memo = reloaded.MemoLookup(CanonicalBoxKey(inner), "", 5);
-  ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->superset_counts, InnerTable(env, 5));
+  EXPECT_EQ(reloaded.Probe(env.Box({{0, 0, 1}, {2, 0, 1}})).tier,
+            CacheTier::kExact);
   std::remove(path.c_str());
 }
 
@@ -277,22 +235,39 @@ TEST(CachePersistTest, WrongMagicIsNotACacheFile) {
   std::remove(path.c_str());
 }
 
+// Versions 1-3 are MIP-index formats; version 4 files also carried count
+// and ARM memo records, a layout this build no longer reads. The loader
+// refuses each at the version field and leaves the target cache as it
+// was, so the caller carries on cold (a server tenant starts with an
+// empty cache, as on any load failure).
 TEST(CachePersistTest, WrongVersionIsRejected) {
   Env env = Env::Make(28, 40, 3, 3);
   QueryCache cache(*env.index, Enabled());
   Populate(env, &cache);
   const std::string path = TempPath("cache_version.ccache");
   ASSERT_TRUE(SaveQueryCache(cache, *env.index, path).ok());
-  std::string full = Slurp(path);
-  const uint32_t old_version = 3;  // the version field sits after the magic
-  std::memcpy(&full[4], &old_version, sizeof(old_version));
-  Spit(path, full);
-  QueryCache fresh(*env.index, Enabled());
-  Status loaded = LoadQueryCache(*env.index, path, &fresh);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.ToString().find("unsupported cache version"),
-            std::string::npos)
-      << loaded.ToString();
+  const std::string saved = Slurp(path);
+  for (const uint32_t old_version : {3u, 4u}) {
+    std::string full = saved;
+    // The version field sits after the magic.
+    std::memcpy(&full[4], &old_version, sizeof(old_version));
+    Spit(path, full);
+    QueryCache target(*env.index, Enabled());
+    uint64_t ignored = 0;
+    const Rect resident = env.Box({{1, 0, 1}});
+    target.Acquire(resident, &ignored);
+    const CacheTelemetry before = target.telemetry();
+    Status loaded = LoadQueryCache(*env.index, path, &target);
+    ASSERT_FALSE(loaded.ok()) << "version " << old_version;
+    EXPECT_EQ(loaded.code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.ToString().find("unsupported cache version " +
+                                     std::to_string(old_version)),
+              std::string::npos)
+        << loaded.ToString();
+    EXPECT_EQ(target.telemetry().entries, before.entries);
+    EXPECT_EQ(target.telemetry().bytes, before.bytes);
+    EXPECT_EQ(target.Probe(resident).tier, CacheTier::kExact);
+  }
   std::remove(path.c_str());
 }
 
@@ -358,121 +333,6 @@ TEST(CachePersistTest, LoadReplacesExistingResidency) {
   std::remove(path.c_str());
 }
 
-// One entry on `box` whose count memo for `mip_id` holds `table`, saved
-// the way a running cache would save it (valid checksums throughout).
-Status SaveWithMemoTable(const Env& env, const Rect& box, uint32_t mip_id,
-                         std::vector<uint32_t> table,
-                         const std::string& path) {
-  CacheEntrySnapshot snap;
-  snap.box = box;
-  snap.subset = std::make_shared<const FocalSubset>(
-      FocalSubset::Materialize(*env.data, box));
-  snap.memos.emplace_back(
-      std::make_pair(std::string(), mip_id),
-      std::make_shared<const CountMemoEntry>(
-          CountMemoEntry{std::move(table)}));
-  QueryCache cache(*env.index, Enabled());
-  cache.Restore({snap});
-  return SaveQueryCache(cache, *env.index, path);
-}
-
-// Memo replay reads a table by mask over the MIP's items, so a table of
-// the wrong length (a heap over-read at replay) or whose ends disagree
-// with the subset and the stored full count must not load.
-TEST(CachePersistTest, MalformedMemoTableIsRejected) {
-  Env env = Env::Make(33);
-  uint32_t mip_id = 0;
-  while (mip_id < env.index->num_mips() &&
-         env.index->mip(mip_id).items.size() != 3) {
-    ++mip_id;
-  }
-  ASSERT_LT(mip_id, env.index->num_mips()) << "no 3-item MIP";
-  const Rect box = env.Box({{0, 0, 1}});
-  const FocalSubset subset = FocalSubset::Materialize(*env.data, box);
-  const LocalSubsetCounter counter(*env.data, env.index->mip(mip_id).items,
-                                   subset.tids);
-  const std::vector<uint32_t> good(counter.subset_table().begin(),
-                                   counter.subset_table().end());
-  ASSERT_EQ(good.size(), 8u);
-  const std::string path = TempPath("cache_bad_table.ccache");
-
-  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, good, path).ok());
-  QueryCache accepted(*env.index, Enabled());
-  EXPECT_TRUE(LoadQueryCache(*env.index, path, &accepted).ok());
-
-  auto expect_rejected = [&](const std::string& what) {
-    QueryCache fresh(*env.index, Enabled());
-    Status loaded = LoadQueryCache(*env.index, path, &fresh);
-    EXPECT_EQ(loaded.code(), StatusCode::kParseError)
-        << what << ": " << loaded.ToString();
-    EXPECT_NE(loaded.ToString().find("corrupt cache file"), std::string::npos)
-        << loaded.ToString();
-    EXPECT_EQ(fresh.telemetry().entries, 0u);
-  };
-  std::vector<uint32_t> wrong_subset = good;
-  ++wrong_subset.front();
-  const std::vector<std::vector<uint32_t>> bad = {
-      {subset.size()}, {good.begin(), good.begin() + 4}, wrong_subset};
-  for (const std::vector<uint32_t>& table : bad) {
-    ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, table, path).ok());
-    expect_rejected(std::to_string(table.size()) + "-entry table");
-  }
-  // The writer stores the table's last entry as the full count; a file
-  // whose stored count disagrees with it is corrupt too.
-  ASSERT_TRUE(SaveWithMemoTable(env, box, mip_id, good, path).ok());
-  EditFirstMemo(path, env.data->num_attributes(),
-                [](std::string* file, size_t memo) {
-                  uint32_t count = 0;
-                  std::memcpy(&count, &(*file)[memo + 8], sizeof(count));
-                  --count;
-                  std::memcpy(&(*file)[memo + 8], &count, sizeof(count));
-                });
-  expect_rejected("stored full count one below the table's");
-  std::remove(path.c_str());
-}
-
-// Older builds also memoized bare full counts (an empty table), which
-// nothing can replay. The loader validates such a record and drops it, so
-// it takes no cache bytes, and a later recorded table publishes as usual.
-TEST(CachePersistTest, EmptyMemoTableIsDroppedOnLoad) {
-  Env env = Env::Make(36);
-  const Rect box = InnerBox(env);
-  const std::string path = TempPath("cache_empty_table.ccache");
-  ASSERT_TRUE(SaveWithMemoTable(env, box, 2, InnerTable(env, 2), path).ok());
-  EditFirstMemo(path, env.data->num_attributes(),
-                [](std::string* file, size_t memo) {
-                  uint32_t len = 0;
-                  std::memcpy(&len, &(*file)[memo + 12], sizeof(len));
-                  file->erase(memo + 16, len * sizeof(uint32_t));
-                  len = 0;
-                  std::memcpy(&(*file)[memo + 12], &len, sizeof(len));
-                });
-  QueryCache cache(*env.index, Enabled());
-  ASSERT_TRUE(LoadQueryCache(*env.index, path, &cache).ok());
-  const std::string key = CanonicalBoxKey(box);
-  EXPECT_EQ(cache.MemoLookup(key, "", 2), nullptr);
-  ASSERT_EQ(cache.Snapshot().size(), 1u);
-  EXPECT_TRUE(cache.Snapshot()[0].memos.empty());
-
-  // Byte accounting equals that of the same entry saved without a memo.
-  CacheEntrySnapshot bare;
-  bare.box = box;
-  bare.subset = std::make_shared<const FocalSubset>(
-      FocalSubset::Materialize(*env.data, box));
-  QueryCache plain(*env.index, Enabled());
-  plain.Restore({bare});
-  EXPECT_EQ(cache.telemetry().bytes, plain.telemetry().bytes);
-  EXPECT_EQ(cache.telemetry().entries, 1u);
-
-  auto txn = cache.BeginTxn(box);
-  txn->RecordTable(2, InnerTable(env, 2));
-  cache.Commit(txn.get());
-  ASSERT_NE(cache.MemoLookup(key, "", 2), nullptr);
-  EXPECT_EQ(cache.MemoLookup(key, "", 2)->superset_counts,
-            InnerTable(env, 2));
-  std::remove(path.c_str());
-}
-
 // Restoring two snapshots of one box keeps one entry and accounts for one.
 TEST(CachePersistTest, RestoreOfARepeatedBoxKeepsExactAccounting) {
   Env env = Env::Make(34);
@@ -503,7 +363,7 @@ TEST(CachePersistTest, RepeatedBoxIsRejected) {
   ASSERT_TRUE(SaveQueryCache(cache, *env.index, path).ok());
   std::string file = Slurp(path);
 
-  // No memos here, so each section ends with its tids.
+  // Each section ends with its tids.
   const size_t second = TidsEnd(file, kFirstSection, dims) + 8;
   ASSERT_EQ(file.size(), TidsEnd(file, second, dims) + 16);
   std::memcpy(&file[second + kBoxOffset], &file[kFirstSection + kBoxOffset],

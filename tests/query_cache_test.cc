@@ -202,67 +202,6 @@ TEST(QueryCacheTest, AdjacentSlabUnionIsAMiss) {
   EXPECT_EQ(cache.Probe(q).tier, CacheTier::kExact);
 }
 
-TEST(QueryCacheTest, MemoCommitAndReplay) {
-  Env env = Env::Make(7);
-  QueryCache cache(*env.index, Enabled());
-  Rect box = env.Box({{0, 0, 1}});
-  uint64_t ignored = 0;
-  cache.Acquire(box, &ignored);
-  const std::string key = CanonicalBoxKey(box);
-
-  EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
-  const std::vector<uint32_t> table{20, 18, 17, 17};
-  auto txn = cache.BeginTxn(box);
-  txn->RecordTable(3, table);
-  // Nothing visible until commit.
-  EXPECT_EQ(cache.MemoLookup(key, "", 3), nullptr);
-  cache.Commit(txn.get());
-  auto memo = cache.MemoLookup(key, "", 3);
-  ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->superset_counts, table);
-
-  // A later commit of the same itemset keeps the published entry.
-  const uint64_t bytes = cache.telemetry().bytes;
-  auto again = cache.BeginTxn(box);
-  again->RecordTable(3, table);
-  cache.Commit(again.get());
-  EXPECT_EQ(cache.MemoLookup(key, "", 3), memo);
-  EXPECT_EQ(cache.telemetry().bytes, bytes);
-}
-
-TEST(QueryCacheTest, MemoCounterReplaysTableExactly) {
-  auto memo = std::make_shared<const CountMemoEntry>(
-      CountMemoEntry{{50, 45, 43, 40}});
-  const std::vector<Tid> tids(60);
-  LocalSubsetCounter counter({4, 9}, tids, memo->superset_counts);
-  EXPECT_EQ(counter.CountFull(), 40u);
-  EXPECT_EQ(counter.base_size(), 60u);
-  EXPECT_EQ(counter.record_checks(), 60u);
-  EXPECT_EQ(counter.CountOf(std::vector<ItemId>{}), 50u);
-  EXPECT_EQ(counter.CountOf(std::vector<ItemId>{4}), 45u);
-  EXPECT_EQ(counter.CountOf(std::vector<ItemId>{9}), 43u);
-  EXPECT_EQ(counter.CountOf(std::vector<ItemId>{4, 9}), 40u);
-  // Items outside the base itemset can never be subsets: count 0.
-  EXPECT_EQ(counter.CountOf(std::vector<ItemId>{7}), 0u);
-}
-
-TEST(QueryCacheTest, CommitToEvictedBoxIsDropped) {
-  Env env = Env::Make(8);
-  QueryCache cache(*env.index, Enabled(1500));
-  Rect a = env.Box({{0, 0, 1}});
-  uint64_t ignored = 0;
-  cache.Acquire(a, &ignored);
-  auto txn = cache.BeginTxn(a);
-  const std::vector<uint32_t> table{9, 5};
-  txn->RecordTable(1, table);
-  // Evict `a` by inserting another box under the one-subset budget.
-  cache.Acquire(env.Box({{1, 0, 1}}), &ignored);
-  ASSERT_EQ(cache.Probe(a).tier, CacheTier::kNone);
-  cache.Commit(txn.get());  // must not resurrect the entry
-  EXPECT_EQ(cache.MemoLookup(CanonicalBoxKey(a), "", 1), nullptr);
-  EXPECT_EQ(cache.Probe(a).tier, CacheTier::kNone);
-}
-
 TEST(QueryCacheTest, ClearDropsResidencyButKeepsTotals) {
   Env env = Env::Make(9);
   QueryCache cache(*env.index, Enabled());

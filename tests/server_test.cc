@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,10 +257,10 @@ TEST_F(ServerTest, StatsReportPerTenantCacheTelemetry) {
   std::string stats = client.ReadResponse();
   EXPECT_NE(stats.find("cache exact 1 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" misses 1 "), std::string::npos) << stats;
-  // The admission counter and the retired compose tier's always-zero
-  // counter are part of the wire format, so dashboards can rely on the
-  // fields being present.
-  EXPECT_NE(stats.find(" compose 0 "), std::string::npos) << stats;
+  // The admission counter and the always-zero counters of the retired
+  // compose tier and memos are part of the wire format, so dashboards can
+  // rely on the fields being present.
+  EXPECT_NE(stats.find(" compose 0 memo 0 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" admitrej 0 "), std::string::npos) << stats;
   EXPECT_EQ(stats.find("cache disabled"), std::string::npos) << stats;
 }
@@ -717,6 +718,60 @@ TEST_F(ServerTest, IdenticalMineKeepsItsOwnDeadline) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(RulesOf(responses[1]),
             RulesOf(OkResponse(RenderMineResult(data_->schema(), *direct))));
+}
+
+TEST_F(ServerTest, PipelinedGroupStatsEqualOneAtATime) {
+  // One tenant's threshold sweep over a region window, with a narrowed
+  // window every fourth request and an exact repeat, run through
+  // ExecuteMineGroup in groups of 1, 4 and 16 on fresh services. How a
+  // strand groups a pipelined burst must change neither a response nor
+  // the tenant's STATS payload.
+  BuildEngine(GenerateSynthetic(ChessLikeConfig(0.25)).value(),
+              /*primary_support=*/0.6, /*threads=*/2);
+  const double supps[] = {0.75, 0.8, 0.85, 0.9};
+  std::vector<Service::MineRequest> sweep(16);
+  for (size_t k = 0; k < sweep.size(); ++k) {
+    LocalizedQuery& query = sweep[k].query;
+    const bool narrowed = k % 4 == 3;
+    query.ranges = {
+        {0, static_cast<ValueId>(narrowed ? 11 + k / 4 : 10), 49}};
+    query.minsupp = supps[k % 4];
+    query.minconf = k < 8 ? 0.8 : 0.9;
+  }
+
+  std::vector<std::vector<std::string>> responses;
+  std::vector<std::string> stats;
+  for (size_t group_size : {1u, 4u, 16u}) {
+    Service service(*engine_, ServiceOptions{});
+    std::shared_ptr<Tenant> tenant = service.GetTenant("sweep");
+    std::vector<std::string> answered;
+    for (size_t first = 0; first < sweep.size(); first += group_size) {
+      const std::vector<std::string> group = service.ExecuteMineGroup(
+          tenant.get(),
+          std::span<const Service::MineRequest>(sweep).subspan(first,
+                                                               group_size),
+          nullptr);
+      answered.insert(answered.end(), group.begin(), group.end());
+    }
+    ASSERT_EQ(answered.size(), sweep.size());
+    for (const std::string& response : answered) {
+      ASSERT_EQ(response.rfind("OK ", 0), 0u) << response;
+    }
+    responses.push_back(std::move(answered));
+    stats.push_back(service.RenderStats(tenant.get()));
+  }
+  EXPECT_NE(stats[0].find("mines 16 errors 0 "), std::string::npos)
+      << stats[0];
+  EXPECT_NE(stats[0].find("cache exact 11 containment 4 "),
+            std::string::npos)
+      << stats[0];
+  for (size_t g = 1; g < responses.size(); ++g) {
+    for (size_t k = 0; k < sweep.size(); ++k) {
+      EXPECT_EQ(responses[g][k], responses[0][k])
+          << "group run " << g << " request " << k;
+    }
+    EXPECT_EQ(stats[g], stats[0]) << "group run " << g;
+  }
 }
 
 TEST_F(ServerTest, HalfCloseStillAnswersThenCloses) {

@@ -51,7 +51,7 @@ void ExpectSameRules(const RuleSet& cold, const RuleSet& warm,
 }
 
 // An exploration session covering every reuse tier: a base region, a
-// threshold sweep over it (count-memo hits), a drill-down contained in it
+// threshold sweep over it (exact hits), a drill-down contained in it
 // (containment derivation), an exact repeat (exact hit), a disjoint
 // region, and a vocabulary-restricted refinement.
 std::vector<LocalizedQuery> SessionQueries() {
@@ -143,7 +143,7 @@ TEST_P(SessionCacheEquivalenceTest, WarmMatchesColdByteForByte) {
   // then, so all second-pass acquisitions were exact hits.
   CacheTelemetry t = (*warm_engine)->cache()->telemetry();
   EXPECT_GT(t.hits_exact, 0u);
-  EXPECT_GT(t.hits_count_memo, 0u);
+  EXPECT_EQ(t.hits_count_memo, 0u);
 }
 
 TEST_P(SessionCacheEquivalenceTest, ForcedPlansMatchColdAcrossAllSix) {
@@ -212,8 +212,8 @@ TEST_P(SessionCacheEquivalenceTest, ConstrainedSessionMatchesCold) {
 
   // One box explored under shifting constraint sets — the interactive
   // loop's canonical shape — plus an unconstrained baseline of the same
-  // box so every cache tier (exact, containment, memo) gets exercised
-  // across the constraint-key boundary.
+  // box so both cache tiers (exact, containment) get exercised across the
+  // constraint-key boundary.
   LocalizedQuery base;
   base.ranges = {{0, 0, 2}};
   base.minsupp = 0.3;
@@ -292,7 +292,7 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
       make({{1, 0, 2}}, 0.3),           // wide region
       make({{1, 2, 2}}, 0.4),           // slab carved out of it
       make({{1, 0, 1}}, 0.35),          // wide minus slab: containment
-      make({{0, 0, 2}}, 0.45),          // union box again: exact + memo
+      make({{0, 0, 2}}, 0.45),          // union box again: exact
   };
 
   for (int pass = 0; pass < 2; ++pass) {
@@ -319,7 +319,7 @@ TEST_P(SessionCacheEquivalenceTest, OverlapSessionMatchesCold) {
   EXPECT_EQ(t.hits_compose, 0u);
 }
 
-// Persisted warm start end to end: populate a cache, save it (format v4),
+// Persisted warm start end to end: populate a cache, save it,
 // load it into a *fresh* engine, and replay — every answer byte-identical
 // to a cold cache-less engine, with the restored residency serving exact
 // hits from the first query on.
@@ -373,122 +373,7 @@ TEST_P(SessionCacheEquivalenceTest, PersistedWarmMatchesCold) {
   // The restored residency served the replay warm, not cold.
   CacheTelemetry t = (*restarted)->cache()->telemetry();
   EXPECT_GT(t.hits_exact, 0u);
-  EXPECT_GT(t.hits_count_memo, 0u);
   std::remove(path.c_str());
-}
-
-// ARM mining memo: a repeated ARM-plan execution replays its qualified
-// set from the tier-3 memo instead of re-running CHARM — with
-// byte-identical rules and effort counters — both in-session and across a
-// v4 save/load restart.
-TEST_P(SessionCacheEquivalenceTest, ArmMineMemoReplayMatchesCold) {
-  const unsigned num_threads = GetParam();
-  auto data = std::make_unique<Dataset>(RandomDataset(58, 240, 5, 4));
-  const std::string path = ::testing::TempDir() + "/arm_memo_" +
-                           std::to_string(num_threads) + ".ccache";
-
-  EngineOptions cold_options;
-  cold_options.index.primary_support = 0.2;
-  cold_options.calibrate = false;
-  cold_options.num_threads = 1;
-  auto cold_engine = Engine::Build(*data, cold_options);
-  ASSERT_TRUE(cold_engine.ok());
-
-  EngineOptions warm_options = cold_options;
-  warm_options.num_threads = num_threads;
-  warm_options.cache = QueryCacheOptions{};
-  auto warm_engine = Engine::Build(*data, warm_options);
-  ASSERT_TRUE(warm_engine.ok());
-
-  LocalizedQuery query;
-  query.ranges = {{0, 0, 2}};
-  query.minsupp = 0.35;
-  query.minconf = 0.6;
-
-  auto cold = (*cold_engine)->ExecuteWithPlan(query, PlanKind::kARM);
-  ASSERT_TRUE(cold.ok());
-  auto first = (*warm_engine)->ExecuteWithPlan(query, PlanKind::kARM);
-  ASSERT_TRUE(first.ok());
-  const uint64_t memo_before =
-      (*warm_engine)->cache()->telemetry().hits_count_memo;
-  auto replay = (*warm_engine)->ExecuteWithPlan(query, PlanKind::kARM);
-  ASSERT_TRUE(replay.ok());
-  std::string context =
-      "threads=" + std::to_string(num_threads);
-  // The second run served the mining result from the memo...
-  EXPECT_GT((*warm_engine)->cache()->telemetry().hits_count_memo,
-            memo_before)
-      << context;
-  // ...and stayed byte-identical to cold execution.
-  ExpectSameRules(cold->rules, replay->rules, context);
-  ExpectSameEffort(cold->stats, replay->stats, context);
-
-  // The ARM memo survives persistence: a restarted engine replays the
-  // mining result on its *first* execution of the query.
-  ASSERT_TRUE(SaveQueryCache(*(*warm_engine)->cache(),
-                             (*warm_engine)->index(), path)
-                  .ok());
-  auto restarted = Engine::Build(*data, warm_options);
-  ASSERT_TRUE(restarted.ok());
-  ASSERT_TRUE(
-      LoadQueryCache((*restarted)->index(), path, (*restarted)->cache())
-          .ok());
-  auto warm_restart = (*restarted)->ExecuteWithPlan(query, PlanKind::kARM);
-  ASSERT_TRUE(warm_restart.ok());
-  EXPECT_GT((*restarted)->cache()->telemetry().hits_count_memo, 0u)
-      << context;
-  ExpectSameRules(cold->rules, warm_restart->rules, context);
-  ExpectSameEffort(cold->stats, warm_restart->stats, context);
-  std::remove(path.c_str());
-}
-
-// Count-memo isolation: memo entries are namespaced by the constraint
-// cache key, so a query must never consume memos written under a
-// different constraint set for the same box — and must hit its own.
-TEST(SessionCacheEquivalenceTest, MemoEntriesNeverLeakAcrossConstraintKeys) {
-  auto data = std::make_unique<Dataset>(RandomDataset(55, 240, 5, 4));
-  const Schema& schema = data->schema();
-
-  EngineOptions options;
-  options.index.primary_support = 0.2;
-  options.calibrate = false;
-  options.num_threads = 1;
-  options.cache = QueryCacheOptions{};
-  auto engine = Engine::Build(*data, options);
-  ASSERT_TRUE(engine.ok());
-  QueryCache* cache = (*engine)->cache();
-  ASSERT_NE(cache, nullptr);
-
-  LocalizedQuery plain;
-  plain.ranges = {{0, 0, 2}};
-  plain.minsupp = 0.3;
-  plain.minconf = 0.5;
-  LocalizedQuery constrained = plain;
-  constrained.constraints.must_contain = {schema.ItemOf(1, 0)};
-  LocalizedQuery other = plain;
-  other.constraints.must_exclude = {schema.ItemOf(2, 1)};
-
-  // Populate memos under the unconstrained ("") key.
-  ASSERT_TRUE((*engine)->Execute(plain).ok());
-  const uint64_t after_plain = cache->telemetry().hits_count_memo;
-
-  // Same box, different constraint keys: neither run may consume the
-  // unconstrained memos (or each other's).
-  ASSERT_TRUE((*engine)->Execute(constrained).ok());
-  EXPECT_EQ(cache->telemetry().hits_count_memo, after_plain)
-      << "constrained query consumed unconstrained count memos";
-  ASSERT_TRUE((*engine)->Execute(other).ok());
-  EXPECT_EQ(cache->telemetry().hits_count_memo, after_plain)
-      << "EXCLUDE query consumed a foreign constraint key's memos";
-
-  // Replaying each query hits its OWN namespace.
-  ASSERT_TRUE((*engine)->Execute(plain).ok());
-  const uint64_t plain_hot = cache->telemetry().hits_count_memo;
-  EXPECT_GT(plain_hot, after_plain);
-  ASSERT_TRUE((*engine)->Execute(constrained).ok());
-  const uint64_t constrained_hot = cache->telemetry().hits_count_memo;
-  EXPECT_GT(constrained_hot, plain_hot)
-      << "constrained replay missed its own memo namespace";
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SessionCacheEquivalenceTest,

@@ -18,8 +18,8 @@
 //   explain 'REPORT ...;'   show per-plan cost estimates, do not execute
 //   session                 interactive session: read one query per line
 //                           from stdin and execute them against a shared
-//                           session cache (focal-subset + count-memo reuse
-//                           across queries); prints per-query cache
+//                           session cache (focal-subset reuse across
+//                           queries); prints per-query cache
 //                           telemetry and a final session summary
 //
 // Flags:
@@ -301,7 +301,7 @@ int Main(int argc, char** argv) {
   }
   if (options.command == "session") {
     // REPL over a cache-enabled engine: one statement per line, shared
-    // focal-subset and count-memo reuse across the whole session.
+    // focal-subset reuse across the whole session.
     std::fprintf(stderr,
                  "session mode (cache budget %zu MiB); one query per line, "
                  "EOF ends the session\n",
@@ -335,11 +335,10 @@ int Main(int argc, char** argv) {
       CacheTelemetry t = (*engine)->cache()->telemetry();
       std::printf(
           "session summary: %zu quer(ies); cache exact=%llu "
-          "containment=%llu memo=%llu misses=%llu evictions=%llu "
+          "containment=%llu misses=%llu evictions=%llu "
           "resident=%llu bytes / %llu entries\n",
           executed, static_cast<unsigned long long>(t.hits_exact),
           static_cast<unsigned long long>(t.hits_containment),
-          static_cast<unsigned long long>(t.hits_count_memo),
           static_cast<unsigned long long>(t.misses),
           static_cast<unsigned long long>(t.evictions),
           static_cast<unsigned long long>(t.bytes),
