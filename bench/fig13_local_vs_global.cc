@@ -24,9 +24,7 @@ Split CountSplit(const Engine& engine, const LocalizedQuery& query) {
                   OpSelect(engine.index(), query));
   if (ctx.subset.size() == 0) return split;
   CandidateSet cands = OpSupportedSearch(&ctx);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-  auto qualified = OpEliminate(&ctx, all);
+  auto qualified = OpEliminate(&ctx, cands.All());
   const uint32_t m = engine.index().dataset().num_records();
   const uint32_t global_min = MinCount(query.minsupp, m);
   for (const QualifiedItemset& q : qualified) {

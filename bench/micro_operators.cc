@@ -61,12 +61,6 @@ struct Env {
   }
 };
 
-std::vector<uint32_t> AllCandidates(const CandidateSet& cands) {
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-  return all;
-}
-
 void BM_Search(benchmark::State& state) {
   const Env& env = Env::Get();
   for (auto _ : state) {
@@ -94,7 +88,7 @@ void BM_Eliminate(benchmark::State& state) {
   const Env& env = state.range(0) == 0 ? Env::Get() : Env::ColdMine();
   state.SetLabel(state.range(0) == 0 ? "chess" : "pumsb-cold-mine");
   PlanContext ctx = env.Context();
-  const std::vector<uint32_t> all = AllCandidates(OpSearch(&ctx));
+  const Bitmap all = OpSearch(&ctx).All();
   for (auto _ : state) {
     benchmark::DoNotOptimize(OpEliminate(&ctx, all).size());
   }
@@ -104,7 +98,7 @@ BENCHMARK(BM_Eliminate)->Arg(0)->Arg(1);
 void BM_SupportedVerify(benchmark::State& state) {
   const Env& env = Env::Get();
   PlanContext ctx = env.Context();
-  const std::vector<uint32_t> all = AllCandidates(OpSupportedSearch(&ctx));
+  const Bitmap all = OpSupportedSearch(&ctx).All();
   for (auto _ : state) {
     RuleSet rules;
     OpSupportedVerify(&ctx, all, &rules);

@@ -1,6 +1,7 @@
 // Micro-benchmarks for the R-tree substrate: STR bulk loading, range
-// search on the packed tree, and the supported filter's pruning effect
-// (the ablation behind the SS-* plans).
+// search on the packed tree, the supported filter's pruning effect (the
+// ablation behind the SS-* plans), and SEARCH on the drill-down shape of a
+// MIP-index, where the query narrows one dimension of forty.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -48,9 +49,9 @@ void BM_RTreeSearchPacked(benchmark::State& state) {
   RTree tree = BulkLoadSTR(4, entries);
   Rect query = MakeQuery(4, 20, 60);
   for (auto _ : state) {
-    size_t hits = 0;
-    tree.Search(query, [&hits](uint32_t, uint32_t, bool) { ++hits; });
-    benchmark::DoNotOptimize(hits);
+    Bitmap hits(tree.size());
+    tree.Search(query, &hits, &hits);
+    benchmark::DoNotOptimize(hits.words());
   }
 }
 BENCHMARK(BM_RTreeSearchPacked);
@@ -61,13 +62,43 @@ void BM_RTreeSupportedSearch(benchmark::State& state) {
   Rect query = MakeQuery(4, 20, 60);
   const auto min_count = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    size_t hits = 0;
-    tree.SearchSupported(query, min_count,
-                         [&hits](uint32_t, uint32_t, bool) { ++hits; });
-    benchmark::DoNotOptimize(hits);
+    Bitmap hits(tree.size());
+    tree.SearchSupported(query, min_count, &hits, &hits);
+    benchmark::DoNotOptimize(hits.words());
   }
 }
 BENCHMARK(BM_RTreeSupportedSearch)->Arg(0)->Arg(5000)->Arg(9500);
+
+// The cold-mine shape: a packed 40-dimension tree of 13k boxes that all
+// span the region axis (the last dimension, 30 values), and a query that
+// narrows that axis only. The search tests one active dimension per node;
+// every box overlaps and none lies inside, so it visits every node.
+void BM_RTreeSearchNarrowed(benchmark::State& state) {
+  constexpr uint32_t kDims = 40;
+  constexpr uint32_t kAxis = kDims - 1;
+  Rng rng(7);
+  std::vector<RTreeEntry> entries;
+  for (uint32_t i = 0; i < 13000; ++i) {
+    Rect box = Rect::MakeEmpty(kDims);
+    for (uint32_t d = 0; d < kAxis; ++d) {
+      const auto lo = static_cast<ValueId>(rng.Uniform(4));
+      box.SetInterval(d, lo, static_cast<ValueId>(lo + rng.Uniform(4 - lo)));
+    }
+    box.SetInterval(kAxis, 0, 29);
+    entries.push_back({box, i, static_cast<uint32_t>(rng.Uniform(10000))});
+  }
+  RTree tree = BulkLoadPacked(kDims, std::move(entries));
+  Rect query = MakeQuery(kDims, 0, 3);
+  query.SetInterval(kAxis, 10, 19);
+  for (auto _ : state) {
+    Bitmap contained(tree.size());
+    Bitmap overlapped(tree.size());
+    tree.Search(query, &contained, &overlapped);
+    benchmark::DoNotOptimize(overlapped.words());
+  }
+  state.SetItemsProcessed(state.iterations() * tree.size());
+}
+BENCHMARK(BM_RTreeSearchNarrowed);
 
 }  // namespace
 }  // namespace colarm

@@ -91,14 +91,7 @@ uint64_t Bitmap::SumOfBits() const {
 }
 
 void Bitmap::AppendTids(std::vector<Tid>* out) const {
-  for (uint32_t w = 0; w < num_words(); ++w) {
-    uint64_t word = words_[w];
-    const Tid base = static_cast<Tid>(w) * kBitsPerWord;
-    while (word != 0) {
-      out->push_back(base + static_cast<Tid>(std::countr_zero(word)));
-      word &= word - 1;
-    }
-  }
+  ForEachSet([out](Tid t) { out->push_back(t); });
 }
 
 std::vector<Tid> Bitmap::ToTids() const {

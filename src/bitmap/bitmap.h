@@ -78,6 +78,17 @@ class Bitmap {
   /// Sum of the set-bit positions (the tidset hash CHARM buckets by).
   uint64_t SumOfBits() const;
 
+  /// Calls `fn(t)` for every set bit t, in increasing order.
+  template <typename Fn>
+  void ForEachSet(Fn&& fn) const {
+    for (uint32_t w = 0; w < num_words(); ++w) {
+      const Tid base = static_cast<Tid>(w) * kBitsPerWord;
+      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        fn(base + static_cast<Tid>(std::countr_zero(word)));
+      }
+    }
+  }
+
   /// Appends the set bits, in increasing order, as tids.
   void AppendTids(std::vector<Tid>* out) const;
   std::vector<Tid> ToTids() const;

@@ -17,28 +17,6 @@ size_t SubsetBytes(const FocalSubset& subset) {
          subset.tids.size() * sizeof(Tid);
 }
 
-// Same condition FocalSubset::Materialize scans (and prices) under.
-bool BoxIsConstrained(const Schema& schema, const Rect& box) {
-  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-    if (box.lo(a) != 0 || box.hi(a) != schema.attribute(a).domain_size() - 1) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Attributes whose interval in `box` is strictly narrower than in `outer`
-// (the only ones a containment filter has to re-test).
-std::vector<AttrId> NarrowedAttrs(const Rect& box, const Rect& outer) {
-  std::vector<AttrId> narrowed;
-  for (uint32_t d = 0; d < box.dims(); ++d) {
-    if (box.lo(d) != outer.lo(d) || box.hi(d) != outer.hi(d)) {
-      narrowed.push_back(static_cast<AttrId>(d));
-    }
-  }
-  return narrowed;
-}
-
 uint64_t HashKey(const std::string& key) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
   for (unsigned char c : key) {
@@ -109,7 +87,7 @@ CacheHint QueryCache::HintLocked(const std::string& key, const Rect& box,
     hint.tier = CacheTier::kContainment;
     hint.cached_size = static_cast<double>(src->subset->tids.size());
     hint.delta_attrs =
-        static_cast<uint32_t>(NarrowedAttrs(box, src->box).size());
+        static_cast<uint32_t>(NarrowedDims(box, src->box).size());
   }
   return hint;
 }
@@ -127,8 +105,10 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
   const Schema& schema = dataset.schema();
 
   // The cold semantic price, regardless of which tier actually serves the
-  // subset, so warm effort counters stay byte-identical to cold ones.
-  if (record_checks != nullptr && BoxIsConstrained(schema, box)) {
+  // subset, so warm effort counters stay byte-identical to cold ones: the
+  // one scan FocalSubset::Materialize makes when the box narrows the domain.
+  if (record_checks != nullptr &&
+      !NarrowedDims(box, Rect::FullDomain(schema)).empty()) {
     *record_checks += dataset.num_records();
   }
 
@@ -152,7 +132,7 @@ QueryCache::Lease QueryCache::Acquire(const Rect& box,
       ++counters_.hits_containment;
       Entry& entry = entries_.at(*source);
       const FocalSubset& src = *entry.subset;
-      const std::vector<AttrId> narrowed = NarrowedAttrs(box, src.box);
+      const std::vector<uint32_t> narrowed = NarrowedDims(box, src.box);
       lease.subset.box = box;
       // Re-test only the narrowed attributes over the cached tid list.
       lease.subset.tids.reserve(src.tids.size());

@@ -49,9 +49,7 @@ std::vector<RegionSuggestion> ParameterRecommender::Suggest(
       // threshold; every higher threshold is then evaluated from the same
       // counts for free.
       CandidateSet cands = OpSupportedSearch(&ctx);
-      std::vector<uint32_t> all = cands.contained;
-      all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-      std::vector<QualifiedItemset> counted = OpEliminate(&ctx, all);
+      std::vector<QualifiedItemset> counted = OpEliminate(&ctx, cands.All());
 
       RegionSuggestion best;
       for (double minsupp : options.minsupp_grid) {

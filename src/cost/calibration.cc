@@ -66,20 +66,24 @@ CostConstants Calibrate(const Dataset& dataset) {
       }));
   constants.select_record_ns = constants.record_item_check_ns * 1.5;
 
-  // SEARCH's flat-bounds box tests at the schema's dimensionality: a full-
-  // domain query over a packed tree of full-domain boxes checks and
-  // reports every slot.
-  const Rect full = Rect::FullDomain(schema);
+  // SEARCH's box tests at the schema's dimensionality, on the drill-down
+  // shape of a real query: boxes spanning the full domain but two values
+  // of the first attribute, and a query narrowed to one of them, so the
+  // search tests one active dimension and reports every slot.
+  Rect box = Rect::FullDomain(schema);
+  box.SetInterval(0, 0, 1);
+  Rect query = Rect::FullDomain(schema);
+  query.SetInterval(0, 0, 0);
   std::vector<RTreeEntry> entries;
-  for (uint32_t id = 0; id < 256; ++id) entries.push_back({full, id, 1});
+  for (uint32_t id = 0; id < 256; ++id) entries.push_back({box, id, 1});
   const RTree tree = BulkLoadPacked(n, std::move(entries));
+  Bitmap hits(256);
   RTree::SearchStats search_stats;
-  tree.Search(full, [](uint32_t, uint32_t, bool) {}, &search_stats);
+  tree.Search(query, &hits, &hits, &search_stats);
   constants.rtree_box_check_ns = std::max(
       1.0, MeasureNs(search_stats.boxes_checked, 16, [&]() -> uint64_t {
-        uint64_t hits = 0;
-        tree.Search(full, [&hits](uint32_t, uint32_t, bool) { ++hits; });
-        return hits;
+        tree.Search(query, &hits, &hits);
+        return hits.Count();
       }));
 
   // Tidset intersection throughput stands in for CHARM's per-cell work.

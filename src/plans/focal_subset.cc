@@ -8,13 +8,8 @@ FocalSubset FocalSubset::Materialize(const Dataset& dataset, const Rect& box,
   subset.box = box;
 
   // Only attributes with a real restriction need record-level tests.
-  std::vector<AttrId> constrained;
-  for (AttrId a = 0; a < dataset.num_attributes(); ++a) {
-    if (box.lo(a) != 0 ||
-        box.hi(a) != dataset.schema().attribute(a).domain_size() - 1) {
-      constrained.push_back(a);
-    }
-  }
+  const std::vector<uint32_t> constrained =
+      NarrowedDims(box, Rect::FullDomain(dataset.schema()));
   if (constrained.empty()) {
     subset.tids.resize(dataset.num_records());
     for (Tid t = 0; t < dataset.num_records(); ++t) subset.tids[t] = t;

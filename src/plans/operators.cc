@@ -84,26 +84,19 @@ RuleGenFilter PlanContext::FilterForItemset(const Itemset& items) const {
 namespace {
 
 CandidateSet RunSearch(PlanContext* ctx, bool supported) {
-  // Matches land in two bitmaps over the MIP ids, read back in id order:
-  // a deterministic candidate order whatever the tree layout, without a
-  // sort.
-  Bitmap contained(ctx->index.num_mips());
-  Bitmap overlapped(ctx->index.num_mips());
-  auto visitor = [&](uint32_t id, uint32_t /*count*/, bool inside) {
-    (inside ? contained : overlapped).Set(id);
-  };
+  CandidateSet out = {Bitmap(ctx->index.num_mips()),
+                      Bitmap(ctx->index.num_mips())};
   // The CONTAIN-narrowed search box: contained-vs-overlapped stays sound
   // because containment in the narrowed box implies containment in the
   // focal box (Lemma 4.5 still applies).
   if (supported) {
     ctx->index.rtree().SearchSupported(ctx->search_box, ctx->local_min_count,
-                                       visitor, &ctx->rtree_stats);
+                                       &out.contained, &out.overlapped,
+                                       &ctx->rtree_stats);
   } else {
-    ctx->index.rtree().Search(ctx->search_box, visitor, &ctx->rtree_stats);
+    ctx->index.rtree().Search(ctx->search_box, &out.contained,
+                              &out.overlapped, &ctx->rtree_stats);
   }
-  CandidateSet out;
-  contained.AppendTids(&out.contained);
-  overlapped.AppendTids(&out.overlapped);
   return out;
 }
 
@@ -336,22 +329,22 @@ uint64_t VerifyItemset(const PlanContext& ctx, uint32_t mip_id, Shard* shard) {
 
 }  // namespace
 
-// Marks the constraint-allowed candidates by MIP id and walks the IT-tree's
+// Keeps the constraint-allowed candidates' marks and walks the IT-tree's
 // first-level subtrees, on a parallel pool as a few runs per worker with
 // one shard each, appended in run order. The index's IT-tree lists its
 // MIPs depth-first in id order, so qualifiers come out in MIP-id order,
 // and the shards' counters sum to the sequential walk's.
-std::vector<QualifiedItemset> OpEliminate(
-    PlanContext* ctx, std::span<const uint32_t> candidates) {
+std::vector<QualifiedItemset> OpEliminate(PlanContext* ctx, Bitmap marks) {
+  if (ctx->subset.size() == 0) return {};
   const ITTree& tree = ctx->index.ittree();
-  Bitmap marks(tree.size());
-  bool any = false;
-  for (uint32_t id : candidates) {
-    if (!ctx->MipConstraintAllowed(id)) continue;
-    marks.Set(id);
-    any = true;
+  if (!ctx->all_mips_allowed) {
+    Bitmap allowed(marks.size());
+    marks.ForEachSet([&](uint32_t id) {
+      if (ctx->MipConstraintAllowed(id)) allowed.Set(id);
+    });
+    marks = std::move(allowed);
   }
-  if (!any || ctx->subset.size() == 0) return {};
+  if (marks.Count() == 0) return {};
   const auto nodes = tree.depth_first();
   std::vector<QualifiedItemset> qualified;
   const uint32_t root_entry = nodes[0].entry;
@@ -377,11 +370,11 @@ std::vector<QualifiedItemset> OpEliminate(
   return qualified;
 }
 
-std::vector<QualifiedItemset> QualifyContained(
-    PlanContext* ctx, std::span<const uint32_t> contained) {
+std::vector<QualifiedItemset> QualifyContained(PlanContext* ctx,
+                                               const Bitmap& contained) {
   std::vector<QualifiedItemset> qualified;
-  for (uint32_t id : contained) {
-    if (!ctx->MipConstraintAllowed(id)) continue;
+  contained.ForEachSet([&](uint32_t id) {
+    if (!ctx->MipConstraintAllowed(id)) return;
     const uint32_t count = ctx->index.mip(id).global_count;
     // Lemma 4.5: containment makes the local count equal the global one.
     // SUPPORTED-SEARCH already pruned counts below the threshold, but a
@@ -389,7 +382,7 @@ std::vector<QualifiedItemset> QualifyContained(
     if (count >= ctx->local_min_count) {
       qualified.push_back({id, count});
     }
-  }
+  });
   return qualified;
 }
 
@@ -437,9 +430,8 @@ void OpVerify(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
 // The walk settles each candidate's qualification; a qualifier then takes
 // VERIFY's step. So the price is ELIMINATE's plus VERIFY's, whichever
 // candidates qualify.
-void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
-                       RuleSet* out) {
-  OpVerify(ctx, OpEliminate(ctx, candidates), out);
+void OpSupportedVerify(PlanContext* ctx, Bitmap candidates, RuleSet* out) {
+  OpVerify(ctx, OpEliminate(ctx, std::move(candidates)), out);
 }
 
 std::vector<QualifiedItemset> OpArmMine(PlanContext* ctx) {

@@ -12,15 +12,22 @@
 
 namespace colarm {
 
-/// Output of the SEARCH / SUPPORTED-SEARCH operators: MIP ids whose
-/// bounding boxes intersect the focal box, split by full containment
-/// (Lemma 4.5) vs. partial overlap. Plans that do not exploit the split
-/// simply process the concatenation.
+/// Output of the SEARCH / SUPPORTED-SEARCH operators: the MIPs whose
+/// bounding boxes intersect the focal box, as two bitmaps over the MIP
+/// ids, split by full containment (Lemma 4.5) vs. partial overlap. Plans
+/// that do not exploit the split process their union. Read in id order,
+/// the candidates come out in MIP-id order whatever the tree layout.
 struct CandidateSet {
-  std::vector<uint32_t> contained;
-  std::vector<uint32_t> overlapped;
+  Bitmap contained;
+  Bitmap overlapped;
 
-  size_t total() const { return contained.size() + overlapped.size(); }
+  uint64_t total() const { return contained.Count() + overlapped.Count(); }
+  /// Every candidate, contained or overlapped.
+  Bitmap All() const {
+    Bitmap all = overlapped;
+    all.OrWith(contained);
+    return all;
+  }
 };
 
 /// A candidate itemset that passed the local minsupport check, with its
@@ -134,18 +141,19 @@ CandidateSet OpSearch(PlanContext* ctx);
 CandidateSet OpSupportedSearch(PlanContext* ctx);
 
 /// ELIMINATE: record-level local support check (plus item-attribute
-/// filter) over the given candidates, as one depth-first walk of the closed
-/// IT-tree that counts each prefix on a path to a candidate once and cuts
-/// subtrees below the local minimum count. Returns the qualifiers in
-/// MIP-id order with their exact local counts; `record_checks` charges the
-/// records intersected along the walk.
-std::vector<QualifiedItemset> OpEliminate(PlanContext* ctx,
-                                          std::span<const uint32_t> candidates);
+/// filter) over the candidates set in `marks` (a bitmap over the MIP
+/// ids), as one depth-first walk of the closed IT-tree that counts
+/// each prefix on a path to a candidate once and cuts subtrees below the
+/// local minimum count. Returns the qualifiers in MIP-id order with their
+/// exact local counts; `record_checks` charges the records intersected
+/// along the walk.
+std::vector<QualifiedItemset> OpEliminate(PlanContext* ctx, Bitmap marks);
 
-/// Lemma 4.5 shortcut used by SS-E-U-V: contained MIPs qualify with
-/// local count == global count, no record scan (item filter still applies).
-std::vector<QualifiedItemset> QualifyContained(
-    PlanContext* ctx, std::span<const uint32_t> contained);
+/// Lemma 4.5 shortcut used by SS-E-U-V: contained MIPs (a bitmap over the
+/// MIP ids) qualify with local count == global count, no record scan (item
+/// filter still applies).
+std::vector<QualifiedItemset> QualifyContained(PlanContext* ctx,
+                                               const Bitmap& contained);
 
 /// UNION: merges mutually exclusive qualified lists (constant-time per
 /// element, no dedup needed).
@@ -159,8 +167,7 @@ void OpVerify(PlanContext* ctx, std::span<const QualifiedItemset> qualified,
 
 /// SUPPORTED-VERIFY: ELIMINATE's walk settles the minsupport check, then
 /// VERIFY generates the qualifiers' rules, as one stage.
-void OpSupportedVerify(PlanContext* ctx, std::span<const uint32_t> candidates,
-                       RuleSet* out);
+void OpSupportedVerify(PlanContext* ctx, Bitmap candidates, RuleSet* out);
 
 /// ARM: the traditional baseline — mines the focal subset from scratch
 /// with CHARM, intersects the local CFIs with the prestored family (the

@@ -39,17 +39,6 @@ std::string PlanStats::ToString() const {
       static_cast<unsigned long long>(rules_emitted));
 }
 
-namespace {
-
-// Concatenation used by plans that ignore the contained/overlapped split.
-std::vector<uint32_t> AllCandidates(const CandidateSet& set) {
-  std::vector<uint32_t> all = set.contained;
-  all.insert(all.end(), set.overlapped.begin(), set.overlapped.end());
-  return all;
-}
-
-}  // namespace
-
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
                                const RuleGenOptions& rulegen) {
@@ -116,7 +105,7 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
       cands = supported ? OpSupportedSearch(&ctx) : OpSearch(&ctx);
       stats.search_ms = stage.ElapsedMillis();
       stats.candidates_search = cands.total();
-      stats.candidates_contained = cands.contained.size();
+      stats.candidates_contained = cands.contained.Count();
 
       if (!fused) {
         stage.Restart();
@@ -124,9 +113,9 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
           // Contained MIPs skip the record-level support scan (Lemma 4.5);
           // only partially overlapped ones pass through ELIMINATE.
           qualified = OpUnion(QualifyContained(&ctx, cands.contained),
-                              OpEliminate(&ctx, cands.overlapped));
+                              OpEliminate(&ctx, std::move(cands.overlapped)));
         } else {
-          qualified = OpEliminate(&ctx, AllCandidates(cands));
+          qualified = OpEliminate(&ctx, cands.All());
         }
         stats.eliminate_ms = stage.ElapsedMillis();
         stats.candidates_qualified = qualified.size();
@@ -135,7 +124,7 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
 
     stage.Restart();
     if (fused) {
-      OpSupportedVerify(&ctx, AllCandidates(cands), &result.rules);
+      OpSupportedVerify(&ctx, cands.All(), &result.rules);
     } else {
       OpVerify(&ctx, qualified, &result.rules);
     }

@@ -19,28 +19,30 @@ class RTreeBuilder {
     std::vector<uint32_t> level;
     for (const auto& [begin, end] :
          ChunkBoundaries(entries.size(), options)) {
-      level.push_back(tree.NewNode(/*leaf=*/true));
-      for (size_t i = begin; i < end; ++i) {
-        tree.AddSlot(entries[i].box, entries[i].id, entries[i].count);
-      }
+      level.push_back(tree.AddNode(
+          /*leaf=*/true,
+          std::span<const RTreeEntry>(entries).subspan(begin, end - begin)));
     }
 
     // Internal levels until a single root remains.
     uint32_t height = 1;
+    std::vector<RTreeEntry> children;
     while (level.size() > 1) {
       std::vector<uint32_t> parents;
       for (const auto& [begin, end] : ChunkBoundaries(level.size(), options)) {
-        parents.push_back(tree.NewNode(/*leaf=*/false));
+        children.clear();
         for (size_t i = begin; i < end; ++i) {
-          tree.AddSlot(tree.NodeMbr(level[i]), level[i],
-                       tree.NodeMaxCount(level[i]));
+          children.push_back({tree.NodeMbr(level[i]), level[i],
+                              tree.NodeMaxCount(level[i])});
         }
+        parents.push_back(tree.AddNode(/*leaf=*/false, children));
       }
       level = std::move(parents);
       ++height;
     }
 
     tree.root_ = level[0];
+    tree.mbr_ = tree.NodeMbr(tree.root_);
     tree.height_ = height;
     tree.size_ = static_cast<uint32_t>(entries.size());
     return tree;

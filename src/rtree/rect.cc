@@ -113,6 +113,16 @@ double Rect::NormalizedExtent(uint32_t d, uint32_t domain_size) const {
   return static_cast<double>(Extent(d)) / domain_size;
 }
 
+std::vector<uint32_t> NarrowedDims(const Rect& box, const Rect& outer) {
+  std::vector<uint32_t> narrowed;
+  for (uint32_t d = 0; d < box.dims(); ++d) {
+    if (box.lo(d) > outer.lo(d) || box.hi(d) < outer.hi(d)) {
+      narrowed.push_back(d);
+    }
+  }
+  return narrowed;
+}
+
 std::string Rect::ToString() const {
   std::string out = "[";
   for (uint32_t d = 0; d < dims(); ++d) {

@@ -1,43 +1,95 @@
 #include "rtree/rtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <numeric>
 
 namespace colarm {
+
+namespace {
+
+// Slots per test group: a node's slots are padded to a multiple of it, and
+// one dimension's bounds of a group are one run of 16 ValueIds.
+constexpr uint32_t kLanes = 16;
+constexpr uint16_t kPass = 0xFFFF;
+
+// Bit s is set iff lane s passed (is kPass): an OR of each lane masked to
+// its own bit, which vectorizes.
+uint32_t LaneMask(const uint16_t* lanes) {
+  uint16_t mask = 0;
+  for (uint32_t s = 0; s < kLanes; ++s) {
+    mask |= lanes[s] & static_cast<uint16_t>(1u << s);
+  }
+  return mask;
+}
+
+}  // namespace
+
+// The query's bounds per dimension, the dimensions a search tests, and the
+// bitmaps the leaves report to.
+struct RTree::Probe {
+  std::vector<ValueId> lo;
+  std::vector<ValueId> hi;
+  std::vector<uint32_t> active;
+  uint32_t min_count = 0;
+  Bitmap* contained = nullptr;
+  Bitmap* overlapped = nullptr;
+};
 
 RTree::RTree(uint32_t dims, Options options) : dims_(dims), options_(options) {
   assert(options_.min_entries >= 1);
   assert(options_.min_entries <= options_.max_entries / 2);
-  root_ = NewNode(/*leaf=*/true);
+  root_ = AddNode(/*leaf=*/true, {});
 }
 
-uint32_t RTree::NewNode(bool leaf) {
+uint32_t RTree::Lanes(const NodeView& node) {
+  return (node.fanout + kLanes - 1) / kLanes * kLanes;
+}
+
+uint32_t RTree::AddNode(bool leaf, std::span<const RTreeEntry> slots) {
   const auto id = static_cast<uint32_t>(nodes_.size());
-  nodes_.push_back({leaf, static_cast<uint32_t>(slot_ids_.size()), 0});
+  const NodeView node = {leaf, static_cast<uint32_t>(slot_ids_.size()),
+                         static_cast<uint32_t>(slots.size())};
+  nodes_.push_back(node);
+  const uint32_t lanes = Lanes(node);
+  slot_ids_.resize(slot_ids_.size() + lanes, 0);
+  slot_counts_.resize(slot_counts_.size() + lanes, 0);
+  slot_live_.resize(slot_live_.size() + lanes, 0);
+  bounds_.resize(bounds_.size() + size_t{2} * dims_ * lanes, 0);
+  ValueId* lows = bounds_.data() + size_t{2} * dims_ * node.first_slot;
+  ValueId* highs = lows + size_t{dims_} * lanes;
+  for (uint32_t i = 0; i < node.fanout; ++i) {
+    const RTreeEntry& slot = slots[i];
+    bool live = true;
+    for (uint32_t d = 0; d < dims_; ++d) {
+      lows[d * lanes + i] = slot.box.lo(d);
+      highs[d * lanes + i] = slot.box.hi(d);
+      live = live && slot.box.lo(d) <= slot.box.hi(d);
+    }
+    slot_ids_[node.first_slot + i] = slot.id;
+    slot_counts_[node.first_slot + i] = slot.count;
+    slot_live_[node.first_slot + i] = live ? kPass : 0;
+  }
   return id;
 }
 
-void RTree::AddSlot(const Rect& box, uint32_t id, uint32_t count) {
-  for (uint32_t d = 0; d < dims_; ++d) bounds_.push_back(box.lo(d));
-  for (uint32_t d = 0; d < dims_; ++d) bounds_.push_back(box.hi(d));
-  slot_ids_.push_back(id);
-  slot_counts_.push_back(count);
-  ++nodes_.back().fanout;
-}
-
-Rect RTree::SlotBox(uint32_t slot) const {
+Rect RTree::SlotBox(uint32_t node_id, uint32_t i) const {
+  const NodeView& node = nodes_[node_id];
+  const uint32_t lanes = Lanes(node);
+  const ValueId* lows = NodeBounds(node);
+  const ValueId* highs = lows + size_t{dims_} * lanes;
   Rect box = Rect::MakeEmpty(dims_);
   for (uint32_t d = 0; d < dims_; ++d) {
-    box.SetInterval(d, SlotLo(slot)[d], SlotHi(slot)[d]);
+    box.SetInterval(d, lows[d * lanes + i], highs[d * lanes + i]);
   }
   return box;
 }
 
 Rect RTree::NodeMbr(uint32_t node_id) const {
-  const NodeView& node = nodes_[node_id];
   Rect mbr = Rect::MakeEmpty(dims_);
-  for (uint32_t i = 0; i < node.fanout; ++i) {
-    mbr.ExpandToInclude(SlotBox(node.first_slot + i));
+  for (uint32_t i = 0; i < nodes_[node_id].fanout; ++i) {
+    mbr.ExpandToInclude(SlotBox(node_id, i));
   }
   return mbr;
 }
@@ -51,99 +103,108 @@ uint32_t RTree::NodeMaxCount(uint32_t node_id) const {
   return max_count;
 }
 
-namespace {
-
-// Box intersection over flat bounds: in every dimension the overlap
-// min(hi) - max(lo) is non-negative. The same test rejects a slot box that
-// is empty in some dimension (lo > hi); the query's emptiness is settled
-// once, before the descent. The differences are OR-ed into one sign bit
-// with no branch, eight dimensions at a time and then the rest: the
-// blocks' constant trip count lets GCC's -O2 cost model, which leaves
-// loops of run-time length scalar, run them in vector lanes.
-bool Overlaps(const ValueId* lo, const ValueId* hi, const ValueId* query_lo,
-              const ValueId* query_hi, uint32_t dims) {
-  int32_t overlap = 0;
-  uint32_t d = 0;
-  for (; d + 8 <= dims; d += 8) {
-    for (uint32_t k = d; k < d + 8; ++k) {
-      overlap |= int32_t{std::min(hi[k], query_hi[k])} -
-                 int32_t{std::max(lo[k], query_lo[k])};
-    }
-  }
-  for (; d < dims; ++d) {
-    overlap |= int32_t{std::min(hi[d], query_hi[d])} -
-               int32_t{std::max(lo[d], query_lo[d])};
-  }
-  return overlap >= 0;
-}
-
-// The query box contains the slot box (called only on overlapping slots,
-// which are non-empty): both margins are non-negative in every dimension.
-// Blocked like Overlaps.
-bool Within(const ValueId* lo, const ValueId* hi, const ValueId* query_lo,
-            const ValueId* query_hi, uint32_t dims) {
-  int32_t margin = 0;
-  uint32_t d = 0;
-  for (; d + 8 <= dims; d += 8) {
-    for (uint32_t k = d; k < d + 8; ++k) {
-      margin |= (int32_t{lo[k]} - int32_t{query_lo[k]}) |
-                (int32_t{query_hi[k]} - int32_t{hi[k]});
-    }
-  }
-  for (; d < dims; ++d) {
-    margin |= (int32_t{lo[d]} - int32_t{query_lo[d]}) |
-              (int32_t{query_hi[d]} - int32_t{hi[d]});
-  }
-  return margin >= 0;
-}
-
-}  // namespace
-
+// Tests a node 16 slots at a time, one lane per slot: a lane starts as the
+// slot's live flag and is AND-ed with the support test, then, for each
+// active dimension, with the overlap test over that dimension's run of
+// bounds (min(hi) >= max(lo), which also fails an empty interval on either
+// side). The lanes' constant count lets the compiler run each run's test
+// in vector registers. A leaf's hits then take the containment test over
+// the same dimensions and set their ids' bits; an internal node's hits are
+// entered in slot order.
 template <bool kSupported>
-void RTree::SearchImpl(uint32_t node_id, const ValueId* query_lo,
-                       const ValueId* query_hi, uint32_t min_count,
-                       const Visitor& visitor, SearchStats* stats) const {
+void RTree::SearchImpl(uint32_t node_id, const Probe& probe,
+                       SearchStats* stats) const {
   const NodeView& node = nodes_[node_id];
   ++stats->nodes_visited;
   stats->boxes_checked += node.fanout;
-  const uint32_t end = node.first_slot + node.fanout;
-  for (uint32_t slot = node.first_slot; slot < end; ++slot) {
-    if (kSupported && slot_counts_[slot] < min_count) {
-      ++stats->entries_pruned_by_support;
-      continue;
+  const uint32_t lanes = Lanes(node);
+  const ValueId* lows = NodeBounds(node);
+  const ValueId* highs = lows + size_t{dims_} * lanes;
+  for (uint32_t group = 0; group < lanes; group += kLanes) {
+    const uint32_t first = node.first_slot + group;
+    uint16_t pass[kLanes];
+    std::copy_n(slot_live_.data() + first, kLanes, pass);
+    if constexpr (kSupported) {
+      const uint32_t* counts = slot_counts_.data() + first;
+      const uint32_t real = std::min(kLanes, node.fanout - group);
+      uint32_t kept = 0;
+      for (uint32_t s = 0; s < kLanes; ++s) {
+        const bool supported = counts[s] >= probe.min_count;
+        pass[s] &= supported ? kPass : 0;
+        kept += supported & (s < real);
+      }
+      stats->entries_pruned_by_support += real - kept;
+      if (kept == 0) continue;
     }
-    if (!Overlaps(SlotLo(slot), SlotHi(slot), query_lo, query_hi, dims_)) {
-      continue;
+    for (uint32_t d : probe.active) {
+      const ValueId* lo = lows + d * lanes + group;
+      const ValueId* hi = highs + d * lanes + group;
+      const ValueId query_lo = probe.lo[d];
+      const ValueId query_hi = probe.hi[d];
+      for (uint32_t s = 0; s < kLanes; ++s) {
+        pass[s] &= std::min(hi[s], query_hi) >= std::max(lo[s], query_lo)
+                       ? kPass
+                       : 0;
+      }
     }
+    uint32_t hits = LaneMask(pass);
+    if (hits == 0) continue;
     if (node.leaf) {
-      visitor(slot_ids_[slot], slot_counts_[slot],
-              Within(SlotLo(slot), SlotHi(slot), query_lo, query_hi, dims_));
+      uint16_t inside[kLanes];
+      std::fill_n(inside, kLanes, kPass);
+      for (uint32_t d : probe.active) {
+        const ValueId* lo = lows + d * lanes + group;
+        const ValueId* hi = highs + d * lanes + group;
+        const ValueId query_lo = probe.lo[d];
+        const ValueId query_hi = probe.hi[d];
+        for (uint32_t s = 0; s < kLanes; ++s) {
+          inside[s] &= (lo[s] >= query_lo) & (hi[s] <= query_hi) ? kPass : 0;
+        }
+      }
+      const uint32_t within = LaneMask(inside);
+      for (; hits != 0; hits &= hits - 1) {
+        const int s = std::countr_zero(hits);
+        Bitmap* out = (within >> s) & 1u ? probe.contained : probe.overlapped;
+        out->Set(slot_ids_[first + s]);
+      }
     } else {
-      SearchImpl<kSupported>(slot_ids_[slot], query_lo, query_hi, min_count,
-                             visitor, stats);
+      for (; hits != 0; hits &= hits - 1) {
+        SearchImpl<kSupported>(slot_ids_[first + std::countr_zero(hits)],
+                               probe, stats);
+      }
     }
   }
 }
 
 void RTree::RunSearch(const Rect& query, bool supported, uint32_t min_count,
-                      const Visitor& visitor, SearchStats* stats) const {
+                      Bitmap* contained, Bitmap* overlapped,
+                      SearchStats* stats) const {
+  Probe probe;
+  probe.min_count = min_count;
+  probe.contained = contained;
+  probe.overlapped = overlapped;
   // An empty query intersects nothing: the root's slots are still checked
   // (and support-pruned) and nothing below it is entered. Its bounds are
-  // laid out as one all-empty interval per dimension, which every slot
-  // fails.
-  std::vector<ValueId> flat(size_t{2} * dims_);
+  // laid out as one all-empty interval per dimension, every dimension is
+  // active, and every slot fails.
   const bool empty = query.empty();
+  probe.lo.resize(dims_);
+  probe.hi.resize(dims_);
   for (uint32_t d = 0; d < dims_; ++d) {
-    flat[d] = empty ? 1 : query.lo(d);
-    flat[dims_ + d] = empty ? 0 : query.hi(d);
+    probe.lo[d] = empty ? 1 : query.lo(d);
+    probe.hi[d] = empty ? 0 : query.hi(d);
+  }
+  if (empty || size_ == 0) {
+    probe.active.resize(dims_);
+    std::iota(probe.active.begin(), probe.active.end(), 0u);
+  } else {
+    probe.active = NarrowedDims(query, mbr_);
   }
   SearchStats local;
   if (supported) {
-    SearchImpl<true>(root_, flat.data(), flat.data() + dims_, min_count,
-                     visitor, &local);
+    SearchImpl<true>(root_, probe, &local);
   } else {
-    SearchImpl<false>(root_, flat.data(), flat.data() + dims_, 0, visitor,
-                      &local);
+    SearchImpl<false>(root_, probe, &local);
   }
   if (stats != nullptr) {
     stats->nodes_visited += local.nodes_visited;
@@ -152,15 +213,16 @@ void RTree::RunSearch(const Rect& query, bool supported, uint32_t min_count,
   }
 }
 
-void RTree::Search(const Rect& query, const Visitor& visitor,
+void RTree::Search(const Rect& query, Bitmap* contained, Bitmap* overlapped,
                    SearchStats* stats) const {
-  RunSearch(query, /*supported=*/false, 0, visitor, stats);
+  RunSearch(query, /*supported=*/false, 0, contained, overlapped, stats);
 }
 
 void RTree::SearchSupported(const Rect& query, uint32_t min_count,
-                            const Visitor& visitor,
+                            Bitmap* contained, Bitmap* overlapped,
                             SearchStats* stats) const {
-  RunSearch(query, /*supported=*/true, min_count, visitor, stats);
+  RunSearch(query, /*supported=*/true, min_count, contained, overlapped,
+            stats);
 }
 
 void RTree::ForEachNode(const NodeVisitor& visitor) const {
@@ -190,7 +252,7 @@ bool RTree::CheckNode(uint32_t node_id, uint32_t depth) const {
     for (uint32_t i = 0; i < node.fanout; ++i) {
       const uint32_t slot = node.first_slot + i;
       const uint32_t child = slot_ids_[slot];
-      if (SlotBox(slot) != NodeMbr(child)) return false;
+      if (SlotBox(node_id, i) != NodeMbr(child)) return false;
       if (slot_counts_[slot] != NodeMaxCount(child)) return false;
       if (!CheckNode(child, depth + 1)) return false;
     }

@@ -2,8 +2,10 @@
 #define COLARM_RTREE_RTREE_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "bitmap/bitmap.h"
 #include "rtree/rect.h"
 
 namespace colarm {
@@ -25,13 +27,14 @@ struct RTreeEntry {
 /// BulkLoadPacked), which is how the MIP-index is constructed; a
 /// default-constructed tree is empty.
 ///
-/// Layout: every node's children are one contiguous run of *slots*, and
-/// each slot's box lives inline in one flat ValueId array — the slot's
-/// `dims` lower bounds, then its `dims` upper bounds — like the Guttman
-/// exemplars' `I[NUMDIMS*2]`. Beside it, per slot, the child node id
-/// (internal) or entry id (leaf) and the (max) support count. A search
-/// reads the bounds it tests from one array, with no per-box allocation
-/// and no pointer to chase.
+/// Layout: every node's children are one contiguous run of *slots*, padded
+/// to a multiple of 16 (the default fanout M), and the node's slot boxes
+/// live in one dimension-major block of ValueIds: for each dimension the
+/// slots' lower bounds, then for each dimension their upper bounds. One
+/// dimension of a node is then one contiguous run of 16 bounds, which a
+/// search tests across the slots at once. Beside the blocks, per slot, the
+/// child node id (internal) or entry id (leaf), the (max) support count and
+/// whether the box is non-empty (padding slots count as empty).
 class RTree {
  public:
   struct Options {
@@ -50,12 +53,6 @@ class RTree {
     friend bool operator==(const SearchStats&, const SearchStats&) = default;
   };
 
-  /// Match callback: the entry's id and count, plus whether its box is
-  /// fully contained in the query box (feeds the contained/overlapped
-  /// split of SS-E-U-V).
-  using Visitor =
-      std::function<void(uint32_t id, uint32_t count, bool contained)>;
-
   explicit RTree(uint32_t dims) : RTree(dims, Options()) {}
   RTree(uint32_t dims, Options options);
 
@@ -65,17 +62,27 @@ class RTree {
   uint32_t height() const { return height_; }
   const Options& options() const { return options_; }
 
-  /// Reports every entry whose box intersects `query`.
-  void Search(const Rect& query, const Visitor& visitor,
+  /// Reports every entry whose box intersects `query` by setting its id's
+  /// bit: in `contained` when the box lies within the query box (feeds the
+  /// contained/overlapped split of SS-E-U-V), in `overlapped` otherwise.
+  /// Both bitmaps must cover every entry id; they may be the same bitmap.
+  ///
+  /// Only the query's *active dimensions* are tested: those on which it
+  /// does not cover the root's MBR (NarrowedDims). On every other
+  /// dimension each slot box lies within the query, so the test cannot
+  /// fail there. An empty query or an empty tree keeps every dimension
+  /// active. An entry box that is empty in some dimension never matches.
+  void Search(const Rect& query, Bitmap* contained, Bitmap* overlapped,
               SearchStats* stats = nullptr) const;
 
   /// Supported R-tree filter: like Search but skips subtrees/entries whose
   /// (max) support count is below `min_count` (Lemma 4.4 upper bound).
   void SearchSupported(const Rect& query, uint32_t min_count,
-                       const Visitor& visitor,
+                       Bitmap* contained, Bitmap* overlapped,
                        SearchStats* stats = nullptr) const;
 
-  /// A node as a read-only view: leaf flag and its run of slots.
+  /// A node as a read-only view: leaf flag and its run of slots (the
+  /// first `fanout` of a run padded to a multiple of 16).
   struct NodeView {
     bool leaf = true;
     uint32_t first_slot = 0;
@@ -83,8 +90,9 @@ class RTree {
   };
   uint32_t root() const { return root_; }
   NodeView node(uint32_t node_id) const { return nodes_[node_id]; }
-  /// Slot `slot`'s box, child (or entry) id and (max) support count.
-  Rect SlotBox(uint32_t slot) const;
+  /// The box of a node's `i`-th slot.
+  Rect SlotBox(uint32_t node_id, uint32_t i) const;
+  /// Slot `slot`'s child (or entry) id and (max) support count.
   uint32_t SlotId(uint32_t slot) const { return slot_ids_[slot]; }
   uint32_t SlotCount(uint32_t slot) const { return slot_counts_[slot]; }
 
@@ -102,32 +110,37 @@ class RTree {
  private:
   friend class RTreeBuilder;  // packed construction
 
-  const ValueId* SlotLo(uint32_t slot) const {
-    return bounds_.data() + size_t{2} * dims_ * slot;
-  }
-  const ValueId* SlotHi(uint32_t slot) const { return SlotLo(slot) + dims_; }
+  struct Probe;  // one search's query bounds, active dimensions, outputs
 
-  /// Opens an empty node whose slots are appended next.
-  uint32_t NewNode(bool leaf);
-  /// Appends a slot to the most recently opened node.
-  void AddSlot(const Rect& box, uint32_t id, uint32_t count);
+  /// A node's padded slot count and its block of bounds: lows of
+  /// dimension d at [d * lanes, (d + 1) * lanes), highs after all lows.
+  static uint32_t Lanes(const NodeView& node);
+  const ValueId* NodeBounds(const NodeView& node) const {
+    return bounds_.data() + size_t{2} * dims_ * node.first_slot;
+  }
+
+  /// Appends a node holding `slots` (box, child or entry id, count) and
+  /// returns its id.
+  uint32_t AddNode(bool leaf, std::span<const RTreeEntry> slots);
   /// Bounding box and max count over a node's slots.
   Rect NodeMbr(uint32_t node_id) const;
   uint32_t NodeMaxCount(uint32_t node_id) const;
   template <bool kSupported>
-  void SearchImpl(uint32_t node_id, const ValueId* query_lo,
-                  const ValueId* query_hi, uint32_t min_count,
-                  const Visitor& visitor, SearchStats* stats) const;
+  void SearchImpl(uint32_t node_id, const Probe& probe,
+                  SearchStats* stats) const;
   void RunSearch(const Rect& query, bool supported, uint32_t min_count,
-                 const Visitor& visitor, SearchStats* stats) const;
+                 Bitmap* contained, Bitmap* overlapped,
+                 SearchStats* stats) const;
   bool CheckNode(uint32_t node_id, uint32_t depth) const;
 
   uint32_t dims_;
   Options options_;
   std::vector<NodeView> nodes_;
-  std::vector<ValueId> bounds_;  // [slot] = dims lows, then dims highs
+  std::vector<ValueId> bounds_;  // per node, dimension-major (NodeBounds)
   std::vector<uint32_t> slot_ids_;
   std::vector<uint32_t> slot_counts_;
+  std::vector<uint16_t> slot_live_;  // 0xFFFF: a non-empty box, else 0
+  Rect mbr_;                         // the root's MBR
   uint32_t root_ = 0;
   uint32_t size_ = 0;
   uint32_t height_ = 1;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -25,9 +26,17 @@ std::vector<RTreeEntry> RandomEntries(uint64_t seed, uint32_t count,
   return entries;
 }
 
-std::set<uint32_t> Hits(const RTree& tree, const Rect& query) {
+// Search, or SearchSupported when `min_count` is given, as an id set.
+std::set<uint32_t> Hits(const RTree& tree, const Rect& query,
+                        std::optional<uint32_t> min_count = std::nullopt) {
+  Bitmap hits(tree.size());
+  if (min_count.has_value()) {
+    tree.SearchSupported(query, *min_count, &hits, &hits);
+  } else {
+    tree.Search(query, &hits, &hits);
+  }
   std::set<uint32_t> out;
-  tree.Search(query, [&out](uint32_t id, uint32_t, bool) { out.insert(id); });
+  hits.ForEachSet([&out](uint32_t id) { out.insert(id); });
   return out;
 }
 
@@ -109,10 +118,7 @@ TEST(BulkLoadTest, SupportedSearchWorksOnPackedTree) {
   for (const RTreeEntry& e : entries) {
     if (e.count >= 250) expected.insert(e.id);
   }
-  std::set<uint32_t> actual;
-  tree.SearchSupported(query, 250,
-                       [&](uint32_t id, uint32_t, bool) { actual.insert(id); });
-  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(Hits(tree, query, 250), expected);
 }
 
 TEST(BulkLoadTest, HighDimensionalBuild) {

@@ -47,15 +47,13 @@ std::vector<std::pair<std::string, std::vector<uint32_t>>> CandidateLists(
   PlanContext ctx(index, query, RuleGenOptions{}, OpSelect(index, query));
   const CandidateSet search = OpSearch(&ctx);
   const CandidateSet supported = OpSupportedSearch(&ctx);
-  std::vector<uint32_t> all = search.contained;
-  all.insert(all.end(), search.overlapped.begin(), search.overlapped.end());
   std::vector<uint32_t> sampled;
   Rng rng(seed);
   for (uint32_t id = index.num_mips(); id-- > 0;) {
     if (rng.Uniform(3) == 0) sampled.push_back(id);
   }
-  return {{"search", all},
-          {"overlapped", supported.overlapped},
+  return {{"search", search.All().ToTids()},
+          {"overlapped", supported.overlapped.ToTids()},
           {"empty", {}},
           {"sampled", sampled}};
 }
@@ -77,8 +75,8 @@ void ExpectWalkMatchesOracle(const MipIndex& index,
         const std::string where = context + " " + name + " threads=" +
                                   std::to_string(threads) +
                                   (ctx.dq() != nullptr ? " bitmap" : " tids");
-        const std::vector<QualifiedItemset> got =
-            OpEliminate(&ctx, candidates);
+        const std::vector<QualifiedItemset> got = OpEliminate(
+            &ctx, Bitmap::FromTids(candidates, index.num_mips()));
         if (!want.has_value()) want = OracleQualified(ctx, candidates);
         ASSERT_EQ(got.size(), want->size()) << where;
         for (size_t i = 0; i < got.size(); ++i) {

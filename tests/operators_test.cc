@@ -42,8 +42,8 @@ TEST(OperatorsTest, SearchFindsAllOverlappingMips) {
                   OpSelect(fx.index, query));
 
   CandidateSet cands = OpSearch(&ctx);
-  std::set<uint32_t> actual(cands.contained.begin(), cands.contained.end());
-  actual.insert(cands.overlapped.begin(), cands.overlapped.end());
+  const std::vector<uint32_t> all = cands.All().ToTids();
+  std::set<uint32_t> actual(all.begin(), all.end());
 
   std::set<uint32_t> expected;
   for (uint32_t id = 0; id < fx.index.num_mips(); ++id) {
@@ -59,10 +59,10 @@ TEST(OperatorsTest, SearchSplitsContainmentCorrectly) {
   PlanContext ctx(fx.index, query, RuleGenOptions{},
                   OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
-  for (uint32_t id : cands.contained) {
+  for (uint32_t id : cands.contained.ToTids()) {
     EXPECT_TRUE(ctx.subset.box.Contains(fx.index.mip(id).bbox));
   }
-  for (uint32_t id : cands.overlapped) {
+  for (uint32_t id : cands.overlapped.ToTids()) {
     EXPECT_FALSE(ctx.subset.box.Contains(fx.index.mip(id).bbox));
     EXPECT_TRUE(ctx.subset.box.Intersects(fx.index.mip(id).bbox));
   }
@@ -77,11 +77,10 @@ TEST(OperatorsTest, SupportedSearchIsSubsetOfSearch) {
   CandidateSet plain = OpSearch(&ctx);
   CandidateSet supported = OpSupportedSearch(&ctx);
 
-  std::set<uint32_t> plain_set(plain.contained.begin(), plain.contained.end());
-  plain_set.insert(plain.overlapped.begin(), plain.overlapped.end());
-  std::set<uint32_t> supp_set(supported.contained.begin(),
-                              supported.contained.end());
-  supp_set.insert(supported.overlapped.begin(), supported.overlapped.end());
+  const std::vector<uint32_t> plain_ids = plain.All().ToTids();
+  const std::vector<uint32_t> supp_ids = supported.All().ToTids();
+  std::set<uint32_t> plain_set(plain_ids.begin(), plain_ids.end());
+  std::set<uint32_t> supp_set(supp_ids.begin(), supp_ids.end());
 
   EXPECT_LE(supp_set.size(), plain_set.size());
   for (uint32_t id : supp_set) {
@@ -102,9 +101,7 @@ TEST(OperatorsTest, EliminateComputesExactLocalCounts) {
   PlanContext ctx(fx.index, query, RuleGenOptions{},
                   OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-  auto qualified = OpEliminate(&ctx, all);
+  auto qualified = OpEliminate(&ctx, cands.All());
   for (const QualifiedItemset& q : qualified) {
     uint32_t expected = 0;
     for (Tid t : ctx.subset.tids) {
@@ -124,9 +121,7 @@ TEST(OperatorsTest, EliminateHonorsItemAttrFilter) {
   PlanContext ctx(fx.index, query, RuleGenOptions{},
                   OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-  auto qualified = OpEliminate(&ctx, all);
+  auto qualified = OpEliminate(&ctx, cands.All());
   const Schema& schema = fx.index.dataset().schema();
   for (const QualifiedItemset& q : qualified) {
     for (ItemId item : fx.index.mip(q.mip_id).items) {
@@ -177,11 +172,9 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
                      OpSelect(fx.index, query));
     if (dense) ctx1.BuildDqBitmap();
     CandidateSet cands1 = OpSearch(&ctx1);
-    std::vector<uint32_t> all1 = cands1.contained;
-    all1.insert(all1.end(), cands1.overlapped.begin(),
-                cands1.overlapped.end());
     RuleSet via_ev;
-    const std::vector<QualifiedItemset> qualified = OpEliminate(&ctx1, all1);
+    const std::vector<QualifiedItemset> qualified =
+        OpEliminate(&ctx1, cands1.All());
     OpVerify(&ctx1, qualified, &via_ev);
 
     PlanContext ctx2(fx.index, query, RuleGenOptions{},
@@ -189,14 +182,11 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
     if (dense) ctx2.BuildDqBitmap();
     ASSERT_EQ(ctx2.dq() != nullptr, dense);
     CandidateSet cands2 = OpSearch(&ctx2);
-    std::vector<uint32_t> all2 = cands2.contained;
-    all2.insert(all2.end(), cands2.overlapped.begin(),
-                cands2.overlapped.end());
     RuleSet via_vs;
-    OpSupportedVerify(&ctx2, all2, &via_vs);
+    OpSupportedVerify(&ctx2, cands2.All(), &via_vs);
 
     EXPECT_TRUE(via_ev.SameAs(via_vs)) << dense;
-    ASSERT_GT(all2.size(), qualified.size()) << "no candidate disqualified";
+    ASSERT_GT(cands2.total(), qualified.size()) << "no candidate disqualified";
     EXPECT_EQ(ctx1.record_checks, ctx2.record_checks) << dense;
   }
 }
@@ -207,9 +197,7 @@ TEST(OperatorsTest, ArmMineMatchesEliminateQualification) {
   PlanContext ctx1(fx.index, query, RuleGenOptions{},
                    OpSelect(fx.index, query));
   CandidateSet cands = OpSearch(&ctx1);
-  std::vector<uint32_t> all = cands.contained;
-  all.insert(all.end(), cands.overlapped.begin(), cands.overlapped.end());
-  auto via_eliminate = OpEliminate(&ctx1, all);
+  auto via_eliminate = OpEliminate(&ctx1, cands.All());
 
   PlanContext ctx2(fx.index, query, RuleGenOptions{},
                    OpSelect(fx.index, query));

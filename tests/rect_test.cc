@@ -94,6 +94,18 @@ TEST(RectTest, LogVolume) {
   EXPECT_TRUE(std::isinf(Rect::MakeEmpty(2).LogVolume()));
 }
 
+// The dimensions on which a box fails to cover another: narrowed on either
+// side counts, equal or reaching past does not.
+TEST(RectTest, NarrowedDims) {
+  const Rect outer = Box2(2, 8, 2, 8);
+  EXPECT_TRUE(NarrowedDims(outer, outer).empty());
+  EXPECT_TRUE(NarrowedDims(Box2(0, 9, 2, 8), outer).empty());
+  EXPECT_EQ(NarrowedDims(Box2(3, 8, 2, 8), outer), std::vector<uint32_t>{0});
+  EXPECT_EQ(NarrowedDims(Box2(0, 9, 2, 7), outer), std::vector<uint32_t>{1});
+  EXPECT_EQ(NarrowedDims(Box2(0, 5, 5, 5), outer),
+            (std::vector<uint32_t>{0, 1}));
+}
+
 TEST(RectTest, ToString) {
   EXPECT_EQ(Box2(1, 2, 3, 4).ToString(), "[1..2 x 3..4]");
 }

@@ -64,9 +64,10 @@ TEST_P(RTreeFuzzTest, InterleavedOperationsKeepInvariants) {
       for (const RTreeEntry& e : shadow) {
         if (query.Intersects(e.box)) expected.insert(e.id);
       }
+      Bitmap hits(next_id);
+      tree.Search(query, &hits, &hits);
       std::set<uint32_t> actual;
-      tree.Search(query,
-                  [&actual](uint32_t id, uint32_t, bool) { actual.insert(id); });
+      hits.ForEachSet([&actual](uint32_t id) { actual.insert(id); });
       ASSERT_EQ(actual, expected) << "at op " << op;
     }
     if (op % 50 == 0) {
