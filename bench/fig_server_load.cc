@@ -2,9 +2,8 @@
 //
 // One in-process Server over the chess analog; N ∈ {1, 8, 32} concurrent
 // loopback clients, each HELLOing as its own tenant and running the
-// drill-down workload (progressively narrower focal boxes, so after the
-// first query every SELECT is a containment derivation in that tenant's
-// session cache) in strict request-response style. Each client count runs
+// drill-down workload (progressively narrower focal boxes) in strict
+// request-response style. Each client count runs
 // as many whole drill-down rounds as it takes to time at least 1000
 // requests, so even the 1-client p99 has ten samples beyond it.
 //

@@ -56,7 +56,7 @@ struct Env {
   PlanContext Context() const {
     PlanContext ctx(engine->index(), query, RuleGenOptions{},
                     OpSelect(engine->index(), query));
-    ctx.BuildDqBitmap();
+    ctx.AdoptDqBitmap();
     return ctx;
   }
 };

@@ -12,7 +12,7 @@
 #include "core/recommender.h"
 #include "data/synthetic.h"
 #include "mining/measures.h"
-#include "plans/focal_subset.h"
+#include "plans/operators.h"
 
 using namespace colarm;
 
@@ -61,8 +61,7 @@ int main() {
   std::printf("\nRunning suggestion #1...\n");
   auto result = (*engine)->Execute(top.query);
   if (!result.ok()) return 1;
-  FocalSubset subset = FocalSubset::Materialize(
-      *data, top.query.ToRect(schema));
+  const FocalSubset subset = OpSelect((*engine)->index(), top.query);
   size_t shown = 0;
   for (const Rule& rule : result->rules.rules) {
     if (++shown > 5) break;

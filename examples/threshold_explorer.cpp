@@ -1,10 +1,9 @@
 // Threshold explorer: the interactive "try 80/90... now 75/85..." loop on
 // one focal subset. Every (minsupp, minconf) cell is an ordinary
-// Engine::Execute call with the session cache on: the first query on the
-// box scans the relation to materialize the focal subset; every later cell
-// reuses the cached subset instead of rescanning, then counts its own
-// qualifying itemsets within it. Prints the rule-count map an exploration
-// UI would render, the cache's work, and one cell's rules.
+// Engine::Execute call: each selects the focal subset from the vertical
+// index (a few bitmap ORs), then counts its own qualifying itemsets within
+// it. Prints the rule-count map an exploration UI would render, the
+// sweep's time, and one cell's rules.
 //
 //   $ ./threshold_explorer
 #include <cstdio>
@@ -22,7 +21,6 @@ int main() {
   if (!data.ok()) return 1;
   EngineOptions options;
   options.index.primary_support = 0.6;
-  options.cache = QueryCacheOptions{};  // the default budget
   auto engine = Engine::Build(*data, options);
   if (!engine.ok()) return 1;
 
@@ -56,12 +54,8 @@ int main() {
     std::printf("\n");
   }
   const size_t cells = supps.size() * confs.size();
-  const CacheTelemetry cache = (*engine)->cache()->telemetry();
-  std::printf("\n%zu cells in %.1f ms (first, cold: %.1f ms). Session cache: "
-              "%llu exact subset hits, %llu miss.\n",
-              cells, sweep_timer.ElapsedMillis(), first_ms,
-              static_cast<unsigned long long>(cache.hits_exact),
-              static_cast<unsigned long long>(cache.misses));
+  std::printf("\n%zu cells in %.1f ms (first: %.1f ms).\n", cells,
+              sweep_timer.ElapsedMillis(), first_ms);
 
   // Drill into a cell of interest.
   std::printf("\nDrilling into (minsupp 80%%, minconf 95%%):\n");

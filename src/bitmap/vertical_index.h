@@ -10,9 +10,10 @@
 namespace colarm {
 
 /// The vertical bitmap representation of a dataset: one dense Bitmap per
-/// (attribute, value) item, bit t set iff record t carries the item. The
-/// dense-DQ record-level routes run on it: every support count becomes
-/// popcount(item-AND ∩ DQ) instead of a row scan.
+/// (attribute, value) item, bit t set iff record t carries the item.
+/// SELECT ORs and ANDs its bitmaps into DQ, and the dense-DQ record-level
+/// routes run on it: every support count becomes popcount(item-AND ∩ DQ)
+/// instead of a row scan.
 ///
 /// Built once per MipIndex (parallel over attributes on the engine pool)
 /// and persisted in the index cache (format v3). Memory is

@@ -34,17 +34,19 @@ std::string QueryKey(const LocalizedQuery& query) {
   return key;
 }
 
-// Counters as the change from `before` to `after`; bytes and entries as the
-// resident state `after`.
-CacheTelemetry TelemetryDelta(const CacheTelemetry& before,
-                              const CacheTelemetry& after) {
-  CacheTelemetry delta = after;
-  delta.hits_exact -= before.hits_exact;
-  delta.hits_containment -= before.hits_containment;
-  delta.misses -= before.misses;
-  delta.evictions -= before.evictions;
-  delta.admission_rejects -= before.admission_rejects;
-  return delta;
+// Canonical byte key of a focal box: per-attribute [lo, hi] intervals in
+// attribute order, so range order and redundant full-domain selections in
+// the query cannot keep two queries from sharing one SELECT.
+std::string CanonicalBoxKey(const Rect& box) {
+  std::string key;
+  key.reserve(box.dims() * 2 * sizeof(ValueId));
+  for (uint32_t d = 0; d < box.dims(); ++d) {
+    ValueId lo = box.lo(d);
+    ValueId hi = box.hi(d);
+    key.append(reinterpret_cast<const char*>(&lo), sizeof(ValueId));
+    key.append(reinterpret_cast<const char*>(&hi), sizeof(ValueId));
+  }
+  return key;
 }
 
 // Loads the cached index when compatible with the requested options;
@@ -91,20 +93,15 @@ Result<std::unique_ptr<Engine>> Engine::Build(const Dataset& dataset,
       dataset.schema(), engine->index_->histograms(), dataset.num_records());
   engine->optimizer_ = std::make_unique<Optimizer>(
       CostModel(engine->index_->stats(), *engine->cardinality_, constants));
-  if (options.cache.byte_budget > 0) {
-    engine->cache_ =
-        std::make_unique<QueryCache>(*engine->index_, options.cache);
-  }
   return engine;
 }
 
 BatchResult Engine::ExecuteBatch(std::span<const LocalizedQuery> queries,
-                                 QueryCache* cache,
                                  std::span<const CancelToken* const> cancels)
     const {
   if (cancels.empty()) {
     const std::vector<const CancelToken*> none(queries.size(), nullptr);
-    return Run(queries, cache, none, std::nullopt);
+    return Run(queries, none, std::nullopt);
   }
   if (cancels.size() != queries.size()) {
     BatchResult batch;
@@ -116,19 +113,15 @@ BatchResult Engine::ExecuteBatch(std::span<const LocalizedQuery> queries,
                                 std::to_string(queries.size()) + " queries"));
     return batch;
   }
-  return Run(queries, cache, cancels, std::nullopt);
+  return Run(queries, cancels, std::nullopt);
 }
 
 BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
-                        QueryCache* cache,
                         std::span<const CancelToken* const> cancels,
                         std::optional<PlanKind> forced) const {
   const size_t n = queries.size();
   const Dataset& dataset = index_->dataset();
   const Schema& schema = dataset.schema();
-  // A caller may bring its own cache (per-tenant serving); otherwise the
-  // engine-owned one (possibly null = caching off) applies.
-  if (cache == nullptr) cache = cache_.get();
 
   // Validate, and map every query to the first identical one under the
   // same cancel token (`rep`); only those first copies execute. Keying on
@@ -153,71 +146,57 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     unique.push_back(i);
   }
 
-  // SELECT and planning, sequential and in input order, so cache state
-  // transitions (recency, insertions, telemetry) are the same for every
-  // thread count. A query whose token has already fired fails here, before
-  // it touches the cache.
+  // Planning, in input order, and the distinct boxes to select. A query
+  // whose token has already fired fails here, before its SELECT.
   struct Slot {
     FocalSubset subset;
-    const FocalSubset* shared = nullptr;  // cache-less box with 2+ users
+    const FocalSubset* shared = nullptr;  // a box with 2+ users
     uint64_t select_checks = 0;
     double select_ms = 0.0;
     OptimizerDecision decision;
   };
   std::vector<Slot> slots(n);
   std::vector<size_t> live;
-  std::map<std::string, size_t> box_of;  // cache-less: distinct boxes
+  std::map<std::string, size_t> box_of;
   std::vector<Rect> rects;
   std::vector<size_t> box_index(n, 0);
-  const CacheTelemetry before =
-      cache != nullptr ? cache->telemetry() : CacheTelemetry{};
   for (size_t i : unique) {
     if (cancels[i] != nullptr && cancels[i]->Cancelled()) {
       status[i] = Status::DeadlineExceeded("deadline expired before execution");
       continue;
     }
     live.push_back(i);
-    Slot& slot = slots[i];
     Rect box = queries[i].ToRect(schema);
-    if (cache != nullptr) {
-      Timer timer;
-      QueryCache::Lease lease = cache->Acquire(box, &slot.select_checks);
-      slot.select_ms = timer.ElapsedMillis();
-      slot.subset = std::move(lease.subset);
-      slot.decision = optimizer_->Choose(queries[i], &lease.hint);
-    } else {
-      auto [it, inserted] =
-          box_of.try_emplace(CanonicalBoxKey(box), rects.size());
-      if (inserted) rects.push_back(std::move(box));
-      box_index[i] = it->second;
-      slot.decision = optimizer_->Choose(queries[i]);
-    }
+    auto [it, inserted] =
+        box_of.try_emplace(CanonicalBoxKey(box), rects.size());
+    if (inserted) rects.push_back(std::move(box));
+    box_index[i] = it->second;
+    slots[i].decision = optimizer_->Choose(queries[i]);
   }
 
-  // Cache-less: each distinct box is materialized once, concurrently (the
-  // scans are independent), and every query selecting it is charged the
-  // full SELECT, as if it had run alone.
+  // Each distinct box is selected once, concurrently (the selections are
+  // independent), and every query selecting it is charged the full SELECT,
+  // as if it had run alone.
   std::vector<FocalSubset> boxes(rects.size());
-  if (cache == nullptr) {
-    std::vector<uint64_t> box_checks(rects.size(), 0);
-    std::vector<double> box_ms(rects.size(), 0.0);
-    std::vector<uint32_t> users(rects.size(), 0);
-    ParallelFor(pool_.get(), rects.size(), [&](size_t b) {
-      Timer timer;
-      boxes[b] = FocalSubset::Materialize(dataset, rects[b], &box_checks[b]);
-      box_ms[b] = timer.ElapsedMillis();
-    });
-    for (size_t i : live) ++users[box_index[i]];
-    batch.subsets_shared = static_cast<uint32_t>(live.size() - rects.size());
-    for (size_t i : live) {
-      const size_t b = box_index[i];
-      slots[i].select_checks = box_checks[b];
-      slots[i].select_ms = box_ms[b];
-      if (users[b] == 1) {
-        slots[i].subset = std::move(boxes[b]);
-      } else {
-        slots[i].shared = &boxes[b];
-      }
+  std::vector<uint64_t> box_checks(rects.size(), 0);
+  std::vector<double> box_ms(rects.size(), 0.0);
+  std::vector<uint32_t> users(rects.size(), 0);
+  ParallelFor(pool_.get(), rects.size(), [&](size_t b) {
+    Timer timer;
+    boxes[b] = FocalSubset::Materialize(dataset, index_->vertical(), rects[b],
+                                        &box_checks[b]);
+    box_ms[b] = timer.ElapsedMillis();
+  });
+  for (size_t i : live) ++users[box_index[i]];
+  batch.subsets_shared = static_cast<uint32_t>(live.size() - rects.size());
+  for (size_t i : live) {
+    const size_t b = box_index[i];
+    slots[i].select_checks = box_checks[b];
+    slots[i].select_ms = box_ms[b];
+    if (users[b] == 1) {
+      slots[i].subset = std::move(boxes[b]);
+    } else {
+      slots[i].shared = &boxes[b];
     }
   }
 
@@ -252,10 +231,6 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
     result.decision = std::move(slot.decision);
   });
 
-  if (cache != nullptr) {
-    batch.cache = TelemetryDelta(before, cache->telemetry());
-  }
-
   batch.results.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t r = rep[i];
@@ -271,41 +246,27 @@ BatchResult Engine::Run(std::span<const LocalizedQuery> queries,
 }
 
 Result<QueryResult> Engine::RunOne(const LocalizedQuery& query,
-                                   const SessionContext& session,
+                                   const CancelToken* cancel,
                                    std::optional<PlanKind> forced) const {
-  BatchResult batch =
-      Run({&query, 1}, session.cache, {&session.cancel, 1}, forced);
-  Result<QueryResult> result = std::move(batch.results.front());
-  if (result.ok()) result->cache = batch.cache;
-  return result;
+  return std::move(Run({&query, 1}, {&cancel, 1}, forced).results.front());
 }
 
 Result<QueryResult> Engine::Execute(const LocalizedQuery& query) const {
-  return RunOne(query, SessionContext{}, std::nullopt);
+  return RunOne(query, nullptr, std::nullopt);
 }
 
 Result<QueryResult> Engine::Execute(const LocalizedQuery& query,
                                     const SessionContext& session) const {
-  return RunOne(query, session, std::nullopt);
+  return RunOne(query, session.cancel, std::nullopt);
 }
 
 Result<QueryResult> Engine::ExecuteWithPlan(const LocalizedQuery& query,
                                             PlanKind kind) const {
-  return RunOne(query, SessionContext{}, kind);
+  return RunOne(query, nullptr, kind);
 }
 
 Result<OptimizerDecision> Engine::Explain(const LocalizedQuery& query) const {
-  return Explain(query, SessionContext{});
-}
-
-Result<OptimizerDecision> Engine::Explain(const LocalizedQuery& query,
-                                          const SessionContext& session) const {
   COLARM_RETURN_IF_ERROR(query.Validate(index_->dataset().schema()));
-  QueryCache* cache = session.cache != nullptr ? session.cache : cache_.get();
-  if (cache != nullptr) {
-    CacheHint hint = cache->Probe(query.ToRect(index_->dataset().schema()));
-    return optimizer_->Choose(query, &hint);
-  }
   return optimizer_->Choose(query);
 }
 

@@ -8,7 +8,6 @@
 
 #include "common/thread_pool.h"
 #include "core/optimizer.h"
-#include "core/query_cache.h"
 #include "mip/mip_index.h"
 #include "plans/plans.h"
 
@@ -33,14 +32,38 @@ struct EngineOptions {
   /// counters are byte-identical across any value — parallelism only
   /// changes wall time.
   unsigned num_threads = 0;
-  /// Session cache (core/query_cache.h): focal-subset reuse across
-  /// queries and batches. Off by default (a zero byte budget means no
-  /// cache) — the default options preserve cache-less behaviour exactly.
-  /// With a budget, warm execution
-  /// stays byte-identical to cold in rules, effort counters, and plan
-  /// choice; only wall time and the decision's cache-provenance field
-  /// change.
-  QueryCacheOptions cache = {.byte_budget = 0};
+};
+
+// The session cache is gone: SELECT from the vertical index costs less
+// than any of its tiers did. The end-to-end benchmark (perfbench/), which
+// changes only on its own, still compiles against the names below, so they
+// stay as inert shells. The benchmark-only change (ROADMAP item 4) removes
+// each of them.
+
+/// Empty. Removed by the benchmark-only change (ROADMAP item 4).
+struct QueryCacheOptions {};
+
+/// Always zero: nothing is cached. It keeps the counters of the STATS
+/// `cache` line, whose wire layout the benchmark compares byte for byte.
+/// Removed by the benchmark-only change (ROADMAP item 4).
+struct CacheTelemetry {
+  uint64_t hits_exact = 0;
+  uint64_t hits_containment = 0;
+  uint64_t hits_compose = 0;
+  uint64_t hits_count_memo = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t admission_rejects = 0;
+  uint64_t bytes = 0;
+  uint64_t entries = 0;
+};
+
+/// Holds nothing; the engine ignores it. Removed by the benchmark-only
+/// change (ROADMAP item 4).
+class QueryCache {
+ public:
+  QueryCache(const MipIndex& /*index*/, QueryCacheOptions /*options*/) {}
+  CacheTelemetry telemetry() const { return {}; }
 };
 
 /// Outcome of one query: the localized rules plus which plan ran, why, and
@@ -51,10 +74,7 @@ struct QueryResult {
   bool chosen_by_optimizer = false;
   PlanStats stats;
   OptimizerDecision decision;
-  /// Session-cache telemetry for this query: hit/miss/eviction counters as
-  /// deltas attributable to the query, bytes/entries as the resident state
-  /// after it. All zero when the cache is disabled, and for queries run in
-  /// a batch of two or more (see BatchResult::cache).
+  /// Always zero. Removed by the benchmark-only change (ROADMAP item 4).
   CacheTelemetry cache;
 };
 
@@ -63,34 +83,24 @@ struct BatchResult {
   /// One entry per input query, in input order: its result, or the status
   /// that failed it alone (invalid query, cancel token fired).
   std::vector<Result<QueryResult>> results;
-  /// Without a cache: focal-subset materializations avoided because an
-  /// earlier executed query of the batch selects the same box. Zero with a
-  /// cache, whose hit counters show that reuse instead.
+  /// Focal-subset materializations avoided because an earlier executed
+  /// query of the batch selects the same box.
   uint32_t subsets_shared = 0;
   /// Queries answered with an identical earlier query's outcome (same
   /// query, same cancel token).
   uint32_t duplicates_reused = 0;
-  /// Session-cache telemetry for the whole batch: hit/miss/eviction
-  /// counters as deltas, bytes/entries as the resident state after it.
-  /// All zero when no cache applies.
-  CacheTelemetry cache;
 };
 
-/// Per-call execution context for multi-tenant serving (src/server): lets
-/// one shared engine run a query against a caller-owned session cache — a
-/// tenant's drill-down sequence hits its own containment tiers without
-/// polluting other tenants' — under a cooperative cancellation token
-/// (per-request deadline, shutdown drain). Default-constructed it is
-/// byte-identical to the plain entry points.
+/// Per-call execution context for multi-tenant serving (src/server): a
+/// cooperative cancellation token (per-request deadline, shutdown drain).
+/// Default-constructed it is byte-identical to the plain entry points.
 struct SessionContext {
-  /// Overrides the engine-owned cache for this call; null keeps the
-  /// engine's (which may itself be null = caching off). The cache must
-  /// have been built over this engine's index.
+  /// Ignored. Removed by the benchmark-only change (ROADMAP item 4).
   QueryCache* cache = nullptr;
   /// When set, the plan executors poll it and the call returns
   /// kDeadlineExceeded instead of a result once it fires. A token that has
-  /// fired before the query's SELECT fails it without touching the cache.
-  /// (ExecuteBatch takes one token per query instead.)
+  /// fired before the query's SELECT fails it. (ExecuteBatch takes one
+  /// token per query instead.)
   const CancelToken* cancel = nullptr;
 };
 
@@ -116,9 +126,8 @@ class Engine {
   /// Executes `query` with the plan the optimizer picks.
   Result<QueryResult> Execute(const LocalizedQuery& query) const;
 
-  /// Executes `query` under a session context: against the context's cache
-  /// (per-tenant sessions) and cancellation token (request deadlines). The
-  /// batch of one.
+  /// Executes `query` under a session context's cancellation token
+  /// (request deadlines). The batch of one.
   Result<QueryResult> Execute(const LocalizedQuery& query,
                               const SessionContext& session) const;
 
@@ -128,35 +137,24 @@ class Engine {
                                       PlanKind kind) const;
 
   /// Multi-query execution — the paper's future-work item (b) and the
-  /// engine's only query pipeline (Execute is a batch of one). Each query
-  /// runs one sequence, in input order: acquire its focal subset (with a
-  /// cache, one QueryCache::Acquire per executed query; without, each
-  /// distinct box is materialized once, concurrently), choose its plan
-  /// with the acquisition's cache hint, and execute it on the engine's
-  /// pool concurrently with the others. A query identical to an earlier
-  /// one under the same cancel token shares that query's outcome.
+  /// engine's only query pipeline (Execute is a batch of one). Each
+  /// distinct focal box is selected once, concurrently; each query's plan
+  /// is chosen, and the queries execute on the engine's pool concurrently
+  /// with each other. A query identical to an earlier one under the same
+  /// cancel token shares that query's outcome.
   ///
   /// Every result equals the query's standalone Execute in rules, plan and
-  /// every effort counter, for any thread count. Cache state transitions
-  /// are sequential, so they are deterministic too, and execution reads no
-  /// cache state.
+  /// every effort counter, for any thread count.
   ///
-  /// `cache` overrides the engine's cache as SessionContext::cache does
-  /// (null keeps the engine's). `cancels` is empty (nothing is cancelled)
-  /// or holds one token per query (null = never cancelled); any other size
-  /// fails every slot with kInvalidArgument. Failures stay in their slot.
+  /// `cancels` is empty (nothing is cancelled) or holds one token per query
+  /// (null = never cancelled); any other size fails every slot with
+  /// kInvalidArgument. Failures stay in their slot.
   BatchResult ExecuteBatch(std::span<const LocalizedQuery> queries,
-                           QueryCache* cache = nullptr,
                            std::span<const CancelToken* const> cancels = {})
       const;
 
   /// Cost estimates for all plans without executing anything.
   Result<OptimizerDecision> Explain(const LocalizedQuery& query) const;
-
-  /// Explain under a session context: the cache hint comes from the
-  /// context's cache, so a tenant sees its own warm-tier repricing.
-  Result<OptimizerDecision> Explain(const LocalizedQuery& query,
-                                    const SessionContext& session) const;
 
   const MipIndex& index() const { return *index_; }
   const Optimizer& optimizer() const { return *optimizer_; }
@@ -165,20 +163,17 @@ class Engine {
   /// The engine's worker pool; null when num_threads resolved to 1.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// The session cache; null when the byte budget is 0 (the default).
-  QueryCache* cache() const { return cache_.get(); }
-
  private:
   Engine() = default;
 
   /// ExecuteBatch with one token per query (`cancels.size()` equals
   /// `queries.size()`), every query on `forced` when it is set.
-  BatchResult Run(std::span<const LocalizedQuery> queries, QueryCache* cache,
+  BatchResult Run(std::span<const LocalizedQuery> queries,
                   std::span<const CancelToken* const> cancels,
                   std::optional<PlanKind> forced) const;
-  /// The batch of one; its result carries the batch's cache telemetry.
+  /// The batch of one.
   Result<QueryResult> RunOne(const LocalizedQuery& query,
-                             const SessionContext& session,
+                             const CancelToken* cancel,
                              std::optional<PlanKind> forced) const;
 
   EngineOptions options_;
@@ -186,7 +181,6 @@ class Engine {
   std::unique_ptr<MipIndex> index_;
   std::unique_ptr<CardinalityEstimator> cardinality_;
   std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<QueryCache> cache_;
 };
 
 }  // namespace colarm

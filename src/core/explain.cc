@@ -20,16 +20,6 @@ std::string FormatDecision(const OptimizerDecision& decision) {
     if (clauses.rfind(" AND ", 0) == 0) clauses.erase(0, 5);
     out += "constraints pushed into plan: " + clauses + "\n";
   }
-  if (decision.cache.tier != CacheTier::kNone) {
-    out += StrFormat(
-        "select served by session cache: %s of a %.0f-record cached subset",
-        CacheTierName(decision.cache.tier), decision.cache.cached_size);
-    if (decision.cache.tier == CacheTier::kContainment) {
-      out += StrFormat(" (%u narrowed attribute(s))",
-                       decision.cache.delta_attrs);
-    }
-    out += "\n";
-  }
   return out;
 }
 
@@ -98,17 +88,6 @@ std::string FormatQueryResult(const Schema& schema,
     std::string clauses = result.decision.constraints;
     if (clauses.rfind(" AND ", 0) == 0) clauses.erase(0, 5);
     out += "  constraints: " + clauses + "\n";
-  }
-  const CacheTelemetry& c = result.cache;
-  if (c.hits_exact + c.hits_containment + c.misses > 0) {
-    out += StrFormat(
-        "  session cache: exact=%llu containment=%llu misses=%llu "
-        "resident=%llu bytes / %llu entries\n",
-        static_cast<unsigned long long>(c.hits_exact),
-        static_cast<unsigned long long>(c.hits_containment),
-        static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.bytes),
-        static_cast<unsigned long long>(c.entries));
   }
   AppendRules(schema, result.rules, 10, &out);
   return out;

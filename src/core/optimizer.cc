@@ -2,15 +2,13 @@
 
 namespace colarm {
 
-OptimizerDecision Optimizer::Choose(const LocalizedQuery& query,
-                                    const CacheHint* hint) const {
+OptimizerDecision Optimizer::Choose(const LocalizedQuery& query) const {
   OptimizerDecision decision;
-  if (hint != nullptr) decision.cache = *hint;
   if (!query.constraints.Empty()) {
     decision.constraints =
         query.constraints.ToString(model_.cardinality().schema());
   }
-  decision.estimates = model_.EstimateAll(query, hint);
+  decision.estimates = model_.EstimateAll(query);
   double best = decision.estimates[0].total;
   decision.chosen = decision.estimates[0].plan;
   for (const PlanCostEstimate& est : decision.estimates) {

@@ -15,11 +15,6 @@ struct OptimizerDecision {
   /// Constraint provenance: the rendered constraint clauses the estimates
   /// priced in (selectivity-aware terms); empty for unconstrained queries.
   std::string constraints;
-  /// Cache provenance: how the session cache will serve the SELECT stage
-  /// (kNone when no cache is configured or nothing reusable is resident).
-  /// Because SELECT is plan-uniform, the hint shifts every estimate's
-  /// select/total by the same amount and never changes `chosen`.
-  CacheHint cache;
 
   const PlanCostEstimate& chosen_estimate() const {
     return estimates[static_cast<size_t>(chosen)];
@@ -33,11 +28,7 @@ class Optimizer {
  public:
   explicit Optimizer(CostModel model) : model_(std::move(model)) {}
 
-  /// `hint` (optional) is the session cache's probe result for the query's
-  /// focal box; it reprices the plan-uniform SELECT term and is recorded in
-  /// the decision, but cannot change which plan is chosen.
-  OptimizerDecision Choose(const LocalizedQuery& query,
-                           const CacheHint* hint = nullptr) const;
+  OptimizerDecision Choose(const LocalizedQuery& query) const;
 
   const CostModel& cost_model() const { return model_; }
 

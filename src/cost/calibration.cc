@@ -64,7 +64,6 @@ CostConstants Calibrate(const Dataset& dataset) {
         }
         return hits;
       }));
-  constants.select_record_ns = constants.record_item_check_ns * 1.5;
 
   // SEARCH's box tests at the schema's dimensionality, on the drill-down
   // shape of a real query: boxes spanning the full domain but two values

@@ -13,7 +13,6 @@ struct CostConstants {
   double rtree_box_check_ns = 25.0;    // one box-vs-box intersection test
   double record_item_check_ns = 2.5;   // one record/item containment probe
   double rule_check_ns = 40.0;         // one antecedent lookup + compare
-  double select_record_ns = 4.0;       // SELECT membership test per record
   double mine_cell_ns = 6.0;           // CHARM work per record-item cell
   double union_const_ns = 500.0;       // the UNION operator's fixed cost
   double bitmap_word_ns = 1.0;         // one 64-bit AND+popcount word op

@@ -8,18 +8,6 @@
 
 namespace colarm {
 
-const char* CacheTierName(CacheTier tier) {
-  switch (tier) {
-    case CacheTier::kNone:
-      return "none";
-    case CacheTier::kExact:
-      return "exact";
-    case CacheTier::kContainment:
-      return "containment";
-  }
-  return "?";
-}
-
 std::string PlanCostEstimate::ToString() const {
   return StrFormat(
       "%-8s est=%.3fms (select=%.3f search=%.3f eliminate=%.3f verify=%.3f "
@@ -93,8 +81,8 @@ double CostModel::RulesPerItemset() const {
   return std::max(0.0, std::pow(2.0, len) - 2.0);
 }
 
-PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
-                                     const CacheHint* hint) const {
+PlanCostEstimate CostModel::Estimate(PlanKind kind,
+                                     const LocalizedQuery& query) const {
   PlanCostEstimate est;
   est.plan = kind;
 
@@ -122,8 +110,8 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
   // ATTRIBUTES halves the viable antecedent/consequent partitions per item
   // expected to be pinned. All no-ops for unconstrained queries.
   const RuleConstraints& cons = query.constraints;
+  const Schema& schema = cardinality_->schema();
   if (!cons.Empty()) {
-    const Schema& schema = cardinality_->schema();
     for (ItemId item : cons.must_contain) {
       const AttrId a = schema.AttrOfItem(item);
       const double domain =
@@ -155,24 +143,28 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
     }
   }
 
-  // SELECT runs one route: a row scan of the relation when cold, or, on a
-  // session-cache hint, what the cache actually does — copying the cached
-  // tid list on an exact hit, re-testing each cached record on a
-  // containment hit (hint->cached_size covers both). The term is
-  // plan-uniform, so its accuracy never sways plan choice — only the
-  // absolute estimate.
-  if (hint != nullptr && hint->tier != CacheTier::kNone) {
-    est.select = hint->cached_size * constants_.select_record_ns;
-  } else {
-    est.select = m * constants_.select_record_ns;
+  const double words =
+      std::ceil(m / static_cast<double>(Bitmap::kBitsPerWord));
+
+  // SELECT ORs the item bitmap of every value in range on each attribute
+  // the box narrows: one pass over the relation's words per value. The
+  // term is plan-uniform, so its accuracy never sways plan choice — only
+  // the absolute estimate.
+  double values_in_range = 0.0;
+  for (const RangeSelection& range : query.ranges) {
+    const uint32_t width = uint32_t{range.hi} - range.lo + 1;
+    if (width < schema.attribute(range.attr).domain_size()) {
+      values_in_range += width;
+    }
   }
+  est.select = values_in_range * words * constants_.bitmap_word_ns;
 
   const bool supported = kind == PlanKind::kSSEV || kind == PlanKind::kSSVS ||
                          kind == PlanKind::kSSEUV;
 
   // The record-level terms follow the route the estimated |DQ| selects,
-  // by the density predicate execution uses (a bitmap DQ is built for the
-  // index plans, never for ARM).
+  // by the density predicate execution uses (the index plans keep SELECT's
+  // bitmap of DQ, ARM never does).
   //
   // ELIMINATE walks the closed IT-tree. Under uniform overlap a prefix's
   // local count tracks its global one, so the walk enters the children of
@@ -193,8 +185,6 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
   const bool dense =
       kind != PlanKind::kARM &&
       IsDense(static_cast<uint64_t>(subset), stats_->num_records);
-  const double words =
-      std::ceil(m / static_cast<double>(Bitmap::kBitsPerWord));
   const IndexStats::WalkSize walk =
       stats_->WalkAtLeast(MinCount(query.minsupp, stats_->num_records));
   const double full_walk =
@@ -272,10 +262,10 @@ PlanCostEstimate CostModel::Estimate(PlanKind kind, const LocalizedQuery& query,
 }
 
 std::array<PlanCostEstimate, 6> CostModel::EstimateAll(
-    const LocalizedQuery& query, const CacheHint* hint) const {
+    const LocalizedQuery& query) const {
   std::array<PlanCostEstimate, 6> all;
   for (size_t i = 0; i < kAllPlans.size(); ++i) {
-    all[i] = Estimate(kAllPlans[i], query, hint);
+    all[i] = Estimate(kAllPlans[i], query);
   }
   return all;
 }

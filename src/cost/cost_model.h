@@ -11,29 +11,6 @@
 
 namespace colarm {
 
-/// How the session cache would serve a query's focal subset.
-enum class CacheTier {
-  kNone,         // cold: full relation scan
-  kExact,        // a cached subset with the identical box
-  kContainment,  // a cached subset whose box contains the query's
-};
-
-const char* CacheTierName(CacheTier tier);
-
-/// What the session cache reports to the optimizer before planning: the
-/// reuse tier the SELECT stage would hit, and the size of the cached
-/// subset a containment hit would filter instead of scanning the
-/// relation. Recorded in the decision as the cache-provenance field.
-struct CacheHint {
-  CacheTier tier = CacheTier::kNone;
-  /// |cached subset| the serving step touches (exact: the subset itself;
-  /// containment: the containing entry it filters).
-  double cached_size = 0.0;
-  /// Attributes whose interval actually narrowed (containment only) —
-  /// the ones the derive step re-tests per cached record.
-  uint32_t delta_attrs = 0;
-};
-
 /// Constant-time cost estimate of one plan for one query, in pseudo-
 /// nanoseconds, with the operator breakdown the paper's Equations 1-6
 /// prescribe.
@@ -69,17 +46,10 @@ class CostModel {
             CostConstants constants)
       : stats_(&stats), cardinality_(&cardinality), constants_(constants) {}
 
-  /// `hint` (when non-null) reprices the SELECT term with what the session
-  /// cache would actually do — an exact-hit copy or a containment delta
-  /// filter instead of the cold relation scan. SELECT is additive and
-  /// plan-uniform across all six plans, so the repricing moves every total
-  /// by the same amount and provably never changes which plan wins; it only
-  /// makes the absolute estimates honest for EXPLAIN and accuracy studies.
-  PlanCostEstimate Estimate(PlanKind kind, const LocalizedQuery& query,
-                            const CacheHint* hint = nullptr) const;
+  PlanCostEstimate Estimate(PlanKind kind, const LocalizedQuery& query) const;
 
   std::array<PlanCostEstimate, 6> EstimateAll(
-      const LocalizedQuery& query, const CacheHint* hint = nullptr) const;
+      const LocalizedQuery& query) const;
 
   const CostConstants& constants() const { return constants_; }
   const CardinalityEstimator& cardinality() const { return *cardinality_; }

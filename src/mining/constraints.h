@@ -54,7 +54,7 @@ struct RuleConstraints {
   Status Validate(const Schema& schema) const;
 
   /// Canonical byte string: equal constraints <=> equal keys, and "" iff
-  /// Empty(). Used by the session cache and batch duplicate detection.
+  /// Empty(). Used by batch duplicate detection.
   std::string CacheKey() const;
 
   /// Query-text clause suffix (" AND CONTAIN {...} ..."); "" iff Empty().

@@ -71,7 +71,8 @@ class MipIndex {
   const DatasetHistograms& histograms() const { return histograms_; }
 
   /// The vertical bitmap form of the dataset, built (or cache-loaded)
-  /// alongside the index; the dense-DQ record-level routes run on it.
+  /// alongside the index; SELECT and the dense-DQ record-level routes run
+  /// on it.
   const VerticalIndex& vertical() const { return vertical_; }
 
   /// Global support count of an arbitrary itemset via the closed-superset

@@ -125,34 +125,6 @@ uint64_t DatasetFingerprint(const Dataset& dataset) {
   return hash;
 }
 
-uint64_t IndexFingerprint(const MipIndex& index) {
-  uint64_t hash = kFnvOffset;
-  auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xff;
-      hash *= kFnvPrime;
-    }
-  };
-  mix(DatasetFingerprint(index.dataset()));
-  mix(static_cast<uint64_t>(index.options().primary_support * 1e9));
-  mix(index.options().rtree.max_entries);
-  mix(index.options().rtree.min_entries);
-  mix(index.options().use_str_packing ? 1 : 0);
-  mix(index.primary_count());
-  mix(index.num_mips());
-  const uint32_t dims = index.dataset().num_attributes();
-  for (uint32_t id = 0; id < index.num_mips(); ++id) {
-    const Mip& mip = index.mip(id);
-    mix(mip.items.size());
-    for (ItemId item : mip.items) mix(item);
-    mix(mip.global_count);
-    for (uint32_t d = 0; d < dims; ++d) {
-      mix((static_cast<uint64_t>(mip.bbox.lo(d)) << 16) ^ mip.bbox.hi(d));
-    }
-  }
-  return hash;
-}
-
 Status SaveMipIndex(const MipIndex& index, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open '" + path + "' for writing");

@@ -28,12 +28,6 @@ Result<MipIndex> LoadMipIndex(const Dataset& dataset, const std::string& path);
 /// + sampled cells). Exposed for tests.
 uint64_t DatasetFingerprint(const Dataset& dataset);
 
-/// Fingerprint of a *built* index: the dataset fingerprint mixed with the
-/// build options and the full MIP content. The session-cache
-/// persistence (core/cache_persist.h) embeds it so a saved cache can only
-/// ever warm an engine holding the identical index.
-uint64_t IndexFingerprint(const MipIndex& index);
-
 }  // namespace colarm
 
 #endif  // COLARM_MIP_SERIALIZE_H_

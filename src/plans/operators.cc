@@ -35,10 +35,10 @@ PlanContext::PlanContext(const MipIndex& index, const LocalizedQuery& query,
   }
 }
 
-void PlanContext::BuildDqBitmap() {
+void PlanContext::AdoptDqBitmap() {
   const uint32_t universe = index.dataset().num_records();
   if (subset.size() == 0 || !IsDense(subset.size(), universe)) return;
-  dq_bitmap = Bitmap::FromTids(subset.tids, universe);
+  dq_bitmap = std::move(subset.bitmap);
 }
 
 bool PlanContext::MipAttrsAllowed(uint32_t mip_id) const {
@@ -104,8 +104,9 @@ CandidateSet RunSearch(PlanContext* ctx, bool supported) {
 
 FocalSubset OpSelect(const MipIndex& index, const LocalizedQuery& query,
                      uint64_t* record_checks) {
-  return FocalSubset::Materialize(
-      index.dataset(), query.ToRect(index.dataset().schema()), record_checks);
+  return FocalSubset::Materialize(index.dataset(), index.vertical(),
+                                  query.ToRect(index.dataset().schema()),
+                                  record_checks);
 }
 
 CandidateSet OpSearch(PlanContext* ctx) {

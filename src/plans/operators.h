@@ -53,8 +53,8 @@ struct PlanContext {
   /// effort counter are byte-identical to the sequential execution.
   ThreadPool* pool = nullptr;
 
-  /// The focal subset as a bitmap over the relation, built by
-  /// BuildDqBitmap() only when DQ is dense (IsDense) and the plan counts
+  /// The focal subset as a bitmap over the relation, SELECT's bitmap kept
+  /// by AdoptDqBitmap() only when DQ is dense (IsDense) and the plan counts
   /// records in it; empty otherwise. Its presence selects the word-
   /// parallel record-level routes (ELIMINATE's walk keeps one bitmap per
   /// depth, the subset counter runs its lattice DFS); without it ELIMINATE
@@ -93,18 +93,18 @@ struct PlanContext {
   RuleGenStats rule_stats;
   uint64_t local_cfis = 0;  // ARM plan only
 
-  /// Takes over the query's focal subset, selected by the caller (a cold
-  /// FocalSubset::Materialize, a session-cache lease, or a batch-shared
-  /// materialization, which also charge SELECT), and derives the absolute
-  /// local support threshold. `subset.box` must equal the query's box.
+  /// Takes over the query's focal subset, selected by the caller (OpSelect
+  /// or a batch-shared materialization, which also charge SELECT), and
+  /// derives the absolute local support threshold. `subset.box` must equal
+  /// the query's box.
   PlanContext(const MipIndex& index, const LocalizedQuery& query,
               const RuleGenOptions& rulegen, FocalSubset subset,
               ThreadPool* pool = nullptr);
 
-  /// Builds `dq_bitmap` from the tid list (one pass) iff DQ is dense.
+  /// Moves SELECT's bitmap into `dq_bitmap` iff DQ is non-empty and dense.
   /// Plans that count records call it once after SELECT; ARM, which mines
   /// its own vertical view, never does.
-  void BuildDqBitmap();
+  void AdoptDqBitmap();
 
   /// The dense-route DQ bitmap, or null when the record-level operators
   /// run as row probes.
@@ -127,9 +127,9 @@ struct PlanContext {
   RuleGenFilter FilterForItemset(const Itemset& items) const;
 };
 
-/// SELECT: materializes the query's focal subset with one scan of the
-/// relation, charging its membership tests to `record_checks` when given.
-/// The subset a PlanContext takes over when no cache tier serves it.
+/// SELECT: materializes the query's focal subset from the index's vertical
+/// bitmaps (FocalSubset::Materialize), charging its cold record-check
+/// price to `record_checks` when given.
 FocalSubset OpSelect(const MipIndex& index, const LocalizedQuery& query,
                      uint64_t* record_checks = nullptr);
 

@@ -66,7 +66,7 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   // Plans that count records in DQ get its bitmap when DQ is dense; ARM
   // mines its own vertical view of DQ and verifies by row probes.
   if (kind != PlanKind::kARM && !ctx.constraints_precluded) {
-    ctx.BuildDqBitmap();
+    ctx.AdoptDqBitmap();
   }
   ctx.cancel = exec.cancel;
   stats.select_ms = stage.ElapsedMillis();

@@ -81,10 +81,9 @@ struct PlanExecOptions {
 /// Executes one plan end to end. All six plans return the same rule set
 /// (the plan-equivalence invariant); they differ only in cost profile.
 /// `subset`, when set, is the query's focal subset, already selected by
-/// the caller (the engine's SELECT: a session-cache lease or a batch-shared
-/// materialization); the plan takes it over, and the caller charges that
-/// pass's time and record checks. Unset, the plan materializes it and
-/// charges SELECT itself.
+/// the caller (the engine's batch-shared SELECT); the plan takes it over,
+/// and the caller charges that pass's time and record checks. Unset, the
+/// plan materializes it and charges SELECT itself.
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
                                const PlanExecOptions& exec,

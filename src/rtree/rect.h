@@ -73,8 +73,7 @@ class Rect {
 /// The dimensions on which `box` does not cover `outer` (its lo lies above
 /// outer's, or its hi below), in increasing order: the only ones on which a
 /// box within `outer` can fall outside `box`. SELECT takes them against
-/// the full domain, the session cache against a cached box that contains
-/// the query's, and SEARCH against the R-tree's root MBR.
+/// the full domain, and SEARCH against the R-tree's root MBR.
 std::vector<uint32_t> NarrowedDims(const Rect& box, const Rect& outer);
 
 }  // namespace colarm

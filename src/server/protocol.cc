@@ -137,9 +137,9 @@ const char* StatusErrCode(const Status& status) {
 
 std::string RenderMineResult(const Schema& schema, const QueryResult& result) {
   std::string out = StrFormat(
-      "plan %s rules %zu subset %u cache %s\n",
+      "plan %s rules %zu subset %u cache none\n",
       PlanKindName(result.plan_used), result.rules.rules.size(),
-      result.stats.subset_size, CacheTierName(result.decision.cache.tier));
+      result.stats.subset_size);
   if (!result.decision.constraints.empty()) {
     std::string clauses = result.decision.constraints;
     if (clauses.rfind(" AND ", 0) == 0) clauses.erase(0, 5);

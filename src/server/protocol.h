@@ -19,7 +19,7 @@ namespace colarm {
 ///   HELLO <tenant>          open / resume the tenant's session
 ///   MINE <query>            run a localized-rule query (paper §2.2 text)
 ///   EXPLAIN <query>         optimizer cost table, nothing executes
-///   STATS                   tenant counters + session-cache telemetry
+///   STATS                   tenant counters + admission state
 ///   QUIT                    close the connection
 ///
 /// Responses are length-delimited so clients can frame them without
@@ -97,9 +97,11 @@ std::string ErrResponse(std::string_view code, std::string_view message);
 /// kDeadlineExceeded → DEADLINE, everything else → EXEC).
 const char* StatusErrCode(const Status& status);
 
-/// Deterministic MINE payload: a one-line plan/cache summary followed by
-/// the full rule listing. Excludes timings so server output is
-/// byte-comparable with a direct-engine replay.
+/// Deterministic MINE payload: a one-line plan summary followed by the full
+/// rule listing. Excludes timings so server output is byte-comparable with
+/// a direct-engine replay. The summary's trailing `cache none` token keeps
+/// the retired session cache's wire layout, which the benchmark compares;
+/// the benchmark-only change (ROADMAP item 4) removes it.
 std::string RenderMineResult(const Schema& schema, const QueryResult& result);
 
 /// Deterministic EXPLAIN payload (the optimizer's per-plan cost table).

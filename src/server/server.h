@@ -52,10 +52,10 @@ struct ServerStats {
 /// admitted under the Service's bounds and queued on its tenant's strand, a
 /// FIFO that at most one dispatcher worker runs at a time. The workers (as
 /// many as the engine pool's parallelism) serve ready tenants round-robin,
-/// so tenants mine concurrently while each tenant's session cache and
-/// counters see its requests one after another, in queue order.
-/// Consecutive MINEs within a worker's turn run as one engine batch against
-/// the tenant's own session cache, each under its own deadline. Responses
+/// so tenants mine concurrently while each tenant's counters see its
+/// requests one after another, in queue order. Consecutive MINEs within a
+/// worker's turn run as one engine batch, each under its own deadline.
+/// Responses
 /// are delivered strictly in per-connection request order; cheap commands
 /// (HELLO, EXPLAIN, STATS, QUIT) run inline on the event loop when the
 /// connection has nothing in flight, and are queued on its tenant's strand

@@ -15,10 +15,8 @@
 namespace colarm {
 
 struct ServiceOptions {
-  /// Session cache built per tenant over the shared engine's index; each
-  /// tenant's drill-down sequence hits its own containment tiers. A zero
-  /// byte_budget gives cache-less tenants.
-  QueryCacheOptions tenant_cache = {.byte_budget = size_t{16} << 20};
+  /// Unused. Removed by the benchmark-only change (ROADMAP item 4).
+  QueryCacheOptions tenant_cache;
   /// Admission control: total MINEs admitted but not yet answered, across
   /// all tenants. Excess requests fast-fail with ERR BUSY.
   uint32_t max_inflight = 64;
@@ -29,11 +27,6 @@ struct ServiceOptions {
   /// Per-request deadline in milliseconds; 0 = none. The clock starts at
   /// admission, so queue wait counts against it.
   double deadline_ms = 0.0;
-  /// Warm-start directory: when non-empty, each tenant's session cache is
-  /// loaded from `<cache_dir>/<tenant>.ccache` at creation (silently cold
-  /// on missing/corrupt/mismatched files) and PersistCaches() writes the
-  /// same files back at drain. Empty = no persistence.
-  std::string cache_dir;
 };
 
 /// Counters one tenant accumulates across its connections. Guarded by the
@@ -48,25 +41,25 @@ struct TenantStats {
 
 /// Deterministic STATS payload for one tenant. Exposed as a free function
 /// so the smoke test can render its expectation from a direct-engine
-/// replay's counters. `telemetry` may be null (cache disabled).
+/// replay's counters. The `cache` line keeps the wire layout of the
+/// retired session cache with every counter 0, and `telemetry` is
+/// ignored. The benchmark renders its expected STATS through this
+/// signature; the benchmark-only change (ROADMAP item 4) drops the
+/// parameter and the line.
 std::string RenderStatsPayload(const std::string& tenant_name,
                                const TenantStats& stats,
                                const CacheTelemetry* telemetry,
                                uint32_t tenant_inflight,
                                uint64_t global_inflight);
 
-/// One tenant: a name, a private session cache over the shared index, and
-/// usage counters. Tenants are created on first HELLO and live for the
-/// server's lifetime; several connections may share one tenant.
+/// One tenant: a name and usage counters. Tenants are created on first
+/// HELLO and live for the server's lifetime; several connections may share
+/// one tenant.
 class Tenant {
  public:
-  Tenant(const Engine& engine, std::string name,
-         const QueryCacheOptions& cache_options);
+  explicit Tenant(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-
-  /// The tenant's session cache; null when disabled by options.
-  QueryCache* cache() const { return cache_.get(); }
 
   uint32_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
@@ -76,7 +69,6 @@ class Tenant {
   friend class Service;
 
   std::string name_;
-  std::unique_ptr<QueryCache> cache_;
   std::atomic<uint32_t> inflight_{0};
 
   mutable std::mutex stats_mutex_;
@@ -85,8 +77,7 @@ class Tenant {
 
 /// The tenant registry plus everything request handling needs besides the
 /// event loop: admission control, batched execution against the shared
-/// engine with per-tenant cache override, and deterministic response
-/// rendering. Thread-safe; the epoll loops call Admit/Release/GetTenant
+/// engine, and deterministic response rendering. Thread-safe; the epoll loops call Admit/Release/GetTenant
 /// (and answer idle connections' EXPLAIN/STATS inline) while the
 /// dispatcher workers call the Execute* methods for several tenants at
 /// once.
@@ -120,12 +111,12 @@ class Service {
   };
 
   /// Executes a group of same-tenant MINEs, of any size, as one
-  /// Engine::ExecuteBatch against the tenant's cache (a lone MINE is a
-  /// batch of one), and renders one full response (OK payload or ERR line)
-  /// per request, in order. Each request runs under its own deadline, so a
-  /// failure stays with its request; one whose deadline passed while it
-  /// was queued answers ERR DEADLINE without touching the cache. `kill` is
-  /// the server's drain kill-switch (may be null).
+  /// Engine::ExecuteBatch (a lone MINE is a batch of one), and renders one
+  /// full response (OK payload or ERR line) per request, in order. Each
+  /// request runs under its own deadline, so a failure stays with its
+  /// request; one whose deadline passed while it was queued answers ERR
+  /// DEADLINE without running. `kill` is the server's drain kill-switch
+  /// (may be null).
   std::vector<std::string> ExecuteMineGroup(Tenant* tenant,
                                             std::span<const MineRequest> group,
                                             const CancelToken* kill);
@@ -133,23 +124,14 @@ class Service {
   /// Executes EXPLAIN (nothing runs; cheap enough for inline handling).
   std::string ExecuteExplain(Tenant* tenant, const LocalizedQuery& query);
 
-  /// Renders the STATS payload: tenant counters + cache telemetry +
-  /// global admission state.
+  /// Renders the STATS payload: tenant counters, the zeroed cache line
+  /// and global admission state.
   std::string RenderStats(Tenant* tenant) const;
 
   /// Telemetry hook for admission rejections (counts into STATS).
   void NoteBusy(Tenant* tenant);
 
-  /// Saves every tenant's cache into options().cache_dir (the
-  /// core/cache_persist.h format, one file per tenant). Best-effort:
-  /// returns how many tenants persisted cleanly; no-op returning 0 when
-  /// cache_dir is empty. Call at drain, after the event loops stop.
-  size_t PersistCaches() const;
-
  private:
-  /// `<cache_dir>/<sanitized tenant name>.ccache`.
-  std::string CachePathFor(const std::string& tenant_name) const;
-
   const Engine* engine_;
   ServiceOptions options_;
 

@@ -9,10 +9,7 @@
 #include <utility>
 
 #include "common/cpu_features.h"
-#include "common/rng.h"
 #include "common/string_util.h"
-#include "core/cache_persist.h"
-#include "core/engine.h"
 #include "mining/constraints.h"
 #include "mip/serialize.h"
 #include "plans/plans.h"
@@ -57,8 +54,7 @@ std::string DiffRuleSets(const Schema& schema, const RuleSet& got,
 
 /// First-difference summary between the deterministic effort counters of
 /// two runs of the same plan (timings are excluded: they are the only
-/// fields allowed to differ between thread counts, SIMD levels, and
-/// cache tiers).
+/// fields allowed to differ between thread counts and SIMD levels).
 std::string DiffEffort(const PlanStats& got, const PlanStats& want) {
   auto diff = [](const char* name, uint64_t g, uint64_t w) {
     return StrFormat("%s: %llu vs %llu expected", name,
@@ -313,7 +309,7 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
     // Differential constraint equivalence: the constrained baseline must
     // equal the post-filtered unconstrained twin. A single S-E-V
     // comparison covers the full matrix because every invariant above
-    // already checks each plan / thread / SIMD / cache variant against
+    // already checks each plan / thread / SIMD variant against
     // this same constrained baseline.
     if (options.check_constraints && !query.constraints.Empty()) {
       LocalizedQuery twin = query;
@@ -412,152 +408,6 @@ std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
         }
       }
     }
-  }
-
-  std::vector<size_t> valid;
-  for (size_t qi = 0; qi < fuzz_case.queries.size(); ++qi) {
-    if (fuzz_case.queries[qi].Validate(schema).ok()) valid.push_back(qi);
-  }
-  EngineOptions cold_options;
-  cold_options.index.primary_support = fuzz_case.primary_support;
-  cold_options.rulegen = rulegen;
-  cold_options.calibrate = false;
-  cold_options.num_threads = 1;
-
-  // A warm engine's answer against the cache-less one: same rules, same
-  // effort counters, same plan decision.
-  auto check_warm = [&](const char* invariant, const char* pass, size_t qi,
-                        const Result<QueryResult>& warm,
-                        const QueryResult& cold) {
-    if (!warm.ok()) {
-      fail(invariant, qi,
-           StrFormat("%s: %s", pass, warm.status().ToString().c_str()));
-      return;
-    }
-    if (!warm->rules.SameAs(cold.rules)) {
-      fail(invariant, qi,
-           StrFormat("%s: %s", pass,
-                     DiffRuleSets(schema, warm->rules, cold.rules).c_str()));
-    }
-    std::string effort = DiffEffort(warm->stats, cold.stats);
-    if (!effort.empty()) {
-      fail(invariant, qi, StrFormat("%s effort: %s", pass, effort.c_str()));
-    }
-    if (warm->plan_used != cold.plan_used ||
-        warm->decision.chosen != cold.decision.chosen) {
-      fail(invariant, qi,
-           StrFormat("%s: plan %s vs cold %s", pass,
-                     PlanKindName(warm->plan_used),
-                     PlanKindName(cold.plan_used)));
-    }
-  };
-
-  // Session-cache equivalence: the whole query sequence replayed through a
-  // cache-enabled engine — first pass (misses + containment derivations),
-  // second pass (fully hot), and a deterministically shuffled order after
-  // clearing the cache — must answer every query byte-identically to a
-  // cache-less engine: same rules, same effort counters, same plan.
-  auto check_session_cache = [&]() {
-    auto cold_engine = Engine::Build(dataset, cold_options);
-    EngineOptions warm_options = cold_options;
-    warm_options.cache = QueryCacheOptions{};  // the default budget
-    if (options.check_threads && !options.thread_counts.empty()) {
-      warm_options.num_threads = options.thread_counts.back();
-    }
-    auto warm_engine = Engine::Build(dataset, warm_options);
-    if (!cold_engine.ok() || !warm_engine.ok()) {
-      fail("session-cache", 0, "engine build failed");
-      return;
-    }
-
-    std::vector<QueryResult> cold_results(fuzz_case.queries.size());
-    for (size_t qi : valid) {
-      auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
-      if (!cold.ok()) {
-        fail("session-cache", qi,
-             "cold: " + cold.status().ToString());
-        return;
-      }
-      cold_results[qi] = std::move(cold.value());
-    }
-
-    auto check_pass = [&](const char* pass, size_t qi) {
-      check_warm("session-cache", pass, qi,
-                 (*warm_engine)->Execute(fuzz_case.queries[qi]),
-                 cold_results[qi]);
-    };
-    for (size_t qi : valid) check_pass("warm", qi);
-    for (size_t qi : valid) check_pass("hot", qi);
-
-    // Shuffled order from a cleared cache: reuse opportunities differ
-    // (drill-downs may now run before their outer box), answers may not.
-    (*warm_engine)->cache()->Clear();
-    std::vector<size_t> shuffled = valid;
-    Rng rng(fuzz_case.seed ^ 0x5e55u);
-    for (size_t i = shuffled.size(); i > 1; --i) {
-      std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
-    }
-    for (size_t qi : shuffled) check_pass("shuffled", qi);
-  };
-  if (options.check_session_cache && !valid.empty()) check_session_cache();
-
-  // Cache-persistence round-trip: run the sequence warm, save the session
-  // cache to a file, load it into a FRESH engine, and replay. The
-  // persisted-warm pass must answer every query byte-identically to a
-  // cache-less engine — rules, effort counters, and plan choice — i.e. a
-  // restart with a warm file is semantically invisible.
-  auto check_cache_persistence = [&]() {
-    auto cold_engine = Engine::Build(dataset, cold_options);
-    EngineOptions warm_options = cold_options;
-    warm_options.cache = QueryCacheOptions{};  // the default budget
-    auto warm_engine = Engine::Build(dataset, warm_options);
-    auto fresh_engine = Engine::Build(dataset, warm_options);
-    if (!cold_engine.ok() || !warm_engine.ok() || !fresh_engine.ok()) {
-      fail("cache-persistence", 0, "engine build failed");
-      return;
-    }
-
-    std::vector<QueryResult> cold_results(fuzz_case.queries.size());
-    for (size_t qi : valid) {
-      auto cold = (*cold_engine)->Execute(fuzz_case.queries[qi]);
-      auto warm = (*warm_engine)->Execute(fuzz_case.queries[qi]);
-      if (!cold.ok() || !warm.ok()) {
-        fail("cache-persistence", qi,
-             "populate: " +
-                 (!cold.ok() ? cold.status() : warm.status()).ToString());
-        return;
-      }
-      cold_results[qi] = std::move(cold.value());
-    }
-
-    const std::filesystem::path cache_dump =
-        std::filesystem::temp_directory_path() /
-        StrFormat("colarm_fuzz_cache_%d_%llu.ccache",
-                  static_cast<int>(getpid()),
-                  static_cast<unsigned long long>(fuzz_case.seed));
-    Status saved = SaveQueryCache(*(*warm_engine)->cache(),
-                                  (*warm_engine)->index(),
-                                  cache_dump.string());
-    if (!saved.ok()) {
-      fail("cache-persistence", 0, "save failed: " + saved.ToString());
-      return;
-    }
-    Status restored =
-        LoadQueryCache((*fresh_engine)->index(), cache_dump.string(),
-                       (*fresh_engine)->cache());
-    std::remove(cache_dump.string().c_str());
-    if (!restored.ok()) {
-      fail("cache-persistence", 0, "load failed: " + restored.ToString());
-      return;
-    }
-    for (size_t qi : valid) {
-      check_warm("cache-persistence", "replay", qi,
-                 (*fresh_engine)->Execute(fuzz_case.queries[qi]),
-                 cold_results[qi]);
-    }
-  };
-  if (options.check_cache_persistence && !valid.empty()) {
-    check_cache_persistence();
   }
 
   // SIMD equivalence: re-run representative plans at every kernel ISA level

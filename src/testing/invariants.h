@@ -29,11 +29,6 @@ struct CheckOptions {
   bool check_serialize = true;
   bool check_monotonic = true;
   bool check_containment = true;
-  /// Replay the case's query sequence through a session-cache-enabled
-  /// engine — cold vs. warm, a second cache-hot pass, and a deterministic
-  /// shuffled order — requiring byte-identical rules, effort counters, and
-  /// plan decisions against a cache-less engine.
-  bool check_session_cache = true;
   /// Re-run representative plans at every SIMD kernel level the host can
   /// execute (AVX2, AVX-512) and require byte-identical rules and effort
   /// counters against the forced-scalar kernels, at 1 and N threads.
@@ -42,14 +37,9 @@ struct CheckOptions {
   /// Differential constraint equivalence: for every constrained query, a
   /// constrained run must equal post-filtering the unconstrained twin's
   /// rules. One S-E-V comparison covers the whole matrix — every other
-  /// invariant already cross-checks each thread / SIMD / cache variant
-  /// against the constrained baseline.
+  /// invariant already cross-checks each thread / SIMD variant against the
+  /// constrained baseline.
   bool check_constraints = true;
-  /// Cache-persistence round-trip: run the sequence warm, save the session
-  /// cache to a file, load it into a fresh engine, and replay — the
-  /// persisted-warm pass must answer every query byte-identically (rules,
-  /// effort counters, plan choice) to a cache-less engine.
-  bool check_cache_persistence = true;
   OracleOptions oracle;
 };
 
@@ -66,19 +56,12 @@ struct CheckOptions {
 ///                       surviving rules keep their exact counts
 ///   containment         shrinking the focal box never increases any
 ///                       absolute count of a rule present in both results
-///   session-cache       replaying the query sequence through the session
-///                       cache (warm, cache-hot, and shuffled-order passes)
-///                       answers every query exactly like a cache-less
-///                       engine
 ///   simd-equivalence    every SIMD level the host supports (scalar, AVX2,
 ///                       AVX-512) yields byte-identical rules and effort
 ///                       counters, at 1 and N threads
 ///   constraint-equivalence  constraints pushed into execution return
 ///                       exactly FilterRules(unconstrained twin) — the
 ///                       post-filter reference semantics
-///   cache-persistence   save -> load -> replay of the session cache
-///                       answers every query exactly like a cache-less
-///                       engine (rules, effort counters, plan choice)
 std::vector<Violation> CheckCase(const FuzzCase& fuzz_case,
                                  const CheckOptions& options = {});
 

@@ -94,9 +94,7 @@ class RouteTest : public ::testing::Test {
   }
 
   uint32_t SubsetSize(const LocalizedQuery& query) const {
-    return FocalSubset::Materialize(*dataset_,
-                                    query.ToRect(dataset_->schema()))
-        .size();
+    return OpSelect(*index_, query).size();
   }
 
   // Every plan at 1, 2 and 8 threads against the oracle; effort counters
@@ -152,7 +150,7 @@ TEST_F(RouteTest, BarSelectsTheRoute) {
   for (ValueId hi = 0; hi <= 4; ++hi) {
     const LocalizedQuery query = Query(hi);
     PlanContext ctx(*index_, query, WideRuleGen(), OpSelect(*index_, query));
-    ctx.BuildDqBitmap();
+    ctx.AdoptDqBitmap();
     EXPECT_EQ(ctx.dq() != nullptr, hi >= 2) << "box [0, " << hi << "]";
   }
 }

@@ -14,16 +14,14 @@ struct Env {
   std::unique_ptr<Dataset> data;
   std::unique_ptr<Engine> engine;
 
-  /// An engine over a seeded random relation; `cached` gives it a session
-  /// cache with the default budget.
-  static Env Make(uint64_t seed, bool cached = false, unsigned threads = 0) {
+  /// An engine over a seeded random relation.
+  static Env Make(uint64_t seed, unsigned threads = 0) {
     Env env;
     env.data = std::make_unique<Dataset>(RandomDataset(seed, 250, 5, 4));
     EngineOptions options;
     options.index.primary_support = 0.2;
     options.calibrate = false;
     options.num_threads = threads;
-    if (cached) options.cache = QueryCacheOptions{};
     env.engine = std::move(Engine::Build(*env.data, options).value());
     return env;
   }
@@ -83,21 +81,6 @@ TEST(BatchTest, SharesSubsetsAcrossQueries) {
   EXPECT_EQ(batch.duplicates_reused, 1u);
 }
 
-TEST(BatchTest, SharesSubsetsThroughTheCacheAndReusesDuplicates) {
-  Env env = Env::Make(2, /*cached=*/true);
-  auto queries = SessionQueries();
-  BatchResult batch = env.engine->ExecuteBatch(queries);
-  // Six queries: one duplicate, so five acquisitions over two distinct
-  // boxes — two cold misses, three exact hits.
-  EXPECT_EQ(batch.duplicates_reused, 1u);
-  EXPECT_EQ(batch.subsets_shared, 0u);
-  EXPECT_EQ(batch.cache.misses, 2u);
-  EXPECT_EQ(batch.cache.hits_exact, 3u);
-  EXPECT_EQ(batch.cache.entries, 2u);
-  ASSERT_TRUE(batch.results[4].ok());
-  EXPECT_TRUE(batch.results[4]->rules.SameAs(batch.results[1]->rules));
-}
-
 TEST(BatchTest, InvalidQueryFailsOnlyItsSlot) {
   Env env = Env::Make(6);
   auto queries = SessionQueries();
@@ -120,8 +103,8 @@ TEST(BatchTest, InvalidQueryFailsOnlyItsSlot) {
   }
 }
 
-TEST(BatchTest, CancelledQueryFailsAloneWithoutCacheLookup) {
-  Env env = Env::Make(12, /*cached=*/true);
+TEST(BatchTest, CancelledQueryFailsAlone) {
+  Env env = Env::Make(12);
   Env reference = Env::Make(12);
   // Three queries on three distinct boxes, then a copy of the second and
   // of the first; the second query's token has already fired.
@@ -141,7 +124,7 @@ TEST(BatchTest, CancelledQueryFailsAloneWithoutCacheLookup) {
   const std::vector<const CancelToken*> cancels = {nullptr, &fired, &open,
                                                    nullptr, nullptr};
 
-  BatchResult batch = env.engine->ExecuteBatch(queries, nullptr, cancels);
+  BatchResult batch = env.engine->ExecuteBatch(queries, cancels);
   ASSERT_EQ(batch.results.size(), queries.size());
   EXPECT_EQ(batch.results[1].status().code(), StatusCode::kDeadlineExceeded);
   // The copy of the cancelled query runs under its own (null) token; the
@@ -156,79 +139,27 @@ TEST(BatchTest, CancelledQueryFailsAloneWithoutCacheLookup) {
     EXPECT_EQ(batch.results[i]->stats.record_checks,
               standalone->stats.record_checks);
   }
-  // Three lookups for four executed-or-failed first copies: the cancelled
-  // query looked nothing up.
-  EXPECT_EQ(batch.cache.misses, 3u);
-  EXPECT_EQ(batch.cache.hits_exact + batch.cache.hits_containment, 0u);
-  EXPECT_EQ(batch.cache.entries, 3u);
 }
 
 TEST(BatchTest, MismatchedCancelTokensFailEverySlot) {
   Env env = Env::Make(13);
   auto queries = SessionQueries();
   const std::vector<const CancelToken*> cancels = {nullptr, nullptr};
-  BatchResult batch = env.engine->ExecuteBatch(queries, nullptr, cancels);
+  BatchResult batch = env.engine->ExecuteBatch(queries, cancels);
   ASSERT_EQ(batch.results.size(), queries.size());
   for (const Result<QueryResult>& result : batch.results) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
-TEST(BatchTest, SessionCacheTelemetryAccumulatesAcrossBatches) {
-  Env env = Env::Make(8, /*cached=*/true);
-  auto queries = SessionQueries();
-
-  BatchResult first = env.engine->ExecuteBatch(queries);
-  // A fresh cache: the batch's distinct boxes are misses.
-  EXPECT_GT(first.cache.misses, 0u);
-  EXPECT_GT(first.cache.bytes, 0u);
-  EXPECT_GT(first.cache.entries, 0u);
-
-  // The same session again: every acquisition is now an exact hit.
-  BatchResult second = env.engine->ExecuteBatch(queries);
-  EXPECT_EQ(second.cache.misses, 0u);
-  EXPECT_GT(second.cache.hits_exact, 0u);
-  EXPECT_EQ(second.cache.hits_count_memo, 0u);
-  ASSERT_EQ(second.results.size(), first.results.size());
-  for (size_t i = 0; i < first.results.size(); ++i) {
-    ASSERT_TRUE(first.results[i].ok());
-    ASSERT_TRUE(second.results[i].ok());
-    EXPECT_TRUE(second.results[i]->rules.SameAs(first.results[i]->rules));
-    EXPECT_EQ(second.results[i]->stats.record_checks,
-              first.results[i]->stats.record_checks);
-  }
-}
-
-TEST(BatchTest, CachedBatchMatchesStandaloneColdExecution) {
-  Env cached = Env::Make(9, /*cached=*/true);
-  Env cold = Env::Make(9);  // same seed, no cache
-  auto queries = SessionQueries();
-  for (int pass = 0; pass < 2; ++pass) {
-    BatchResult batch = cached.engine->ExecuteBatch(queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(batch.results[i].ok());
-      auto standalone = cold.engine->Execute(queries[i]);
-      ASSERT_TRUE(standalone.ok());
-      EXPECT_TRUE(batch.results[i]->rules.SameAs(standalone->rules))
-          << "pass " << pass << " query " << i;
-      EXPECT_EQ(batch.results[i]->plan_used, standalone->plan_used);
-      EXPECT_EQ(batch.results[i]->stats.record_checks,
-                standalone->stats.record_checks)
-          << "pass " << pass << " query " << i;
-    }
-  }
-}
-
-TEST(BatchTest, CacheConcurrencySweepIsDeterministic) {
+TEST(BatchTest, ConcurrencySweepIsDeterministic) {
   // The same two-batch session over fresh engines at 1, 2, and 8 threads
-  // must produce identical results AND identical cache state transitions:
-  // acquisitions happen at sequential points regardless of the execution
-  // parallelism.
+  // must produce identical results.
   auto queries = SessionQueries();
   std::vector<BatchResult> firsts;
   std::vector<BatchResult> seconds;
   for (unsigned threads : {1u, 2u, 8u}) {
-    Env env = Env::Make(10, /*cached=*/true, threads);
+    Env env = Env::Make(10, threads);
     firsts.push_back(env.engine->ExecuteBatch(queries));
     seconds.push_back(env.engine->ExecuteBatch(queries));
   }
@@ -244,12 +175,7 @@ TEST(BatchTest, CacheConcurrencySweepIsDeterministic) {
           << context;
     }
     EXPECT_EQ(a.duplicates_reused, b.duplicates_reused) << context;
-    EXPECT_EQ(a.cache.hits_exact, b.cache.hits_exact) << context;
-    EXPECT_EQ(a.cache.hits_containment, b.cache.hits_containment) << context;
-    EXPECT_EQ(a.cache.misses, b.cache.misses) << context;
-    EXPECT_EQ(a.cache.evictions, b.cache.evictions) << context;
-    EXPECT_EQ(a.cache.bytes, b.cache.bytes) << context;
-    EXPECT_EQ(a.cache.entries, b.cache.entries) << context;
+    EXPECT_EQ(a.subsets_shared, b.subsets_shared) << context;
   };
   for (size_t t = 1; t < firsts.size(); ++t) {
     expect_same(firsts[0], firsts[t], "first batch, sweep " +

@@ -158,7 +158,7 @@ TEST(BitmapCounterTest, LocalCountMatchesRowScan) {
   VerticalIndex vertical = VerticalIndex::Build(dataset, nullptr);
   Rect box = Rect::FullDomain(schema);
   box.SetInterval(0, 0, 1);
-  FocalSubset subset = FocalSubset::Materialize(dataset, box);
+  FocalSubset subset = FocalSubset::Materialize(dataset, vertical, box);
   Bitmap dq = Bitmap::FromTids(subset.tids, dataset.num_records());
   Bitmap scratch(dataset.num_records());
 

@@ -385,7 +385,7 @@ TEST(ConstraintTest, AntecedentSupportFloorValidationAndCacheKey) {
   negative.min_antecedent_supp = -0.1;
   EXPECT_FALSE(negative.Validate(data.schema()).ok());
 
-  // Distinct floors key distinct memo namespaces in the session cache.
+  // Distinct floors key distinct batch duplicates.
   EXPECT_NE(floor.CacheKey(), RuleConstraints{}.CacheKey());
   RuleConstraints other;
   other.min_antecedent_supp = 0.4;

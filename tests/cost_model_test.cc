@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/optimizer.h"
@@ -103,6 +104,24 @@ TEST(CostModelTest, AllPlansGetPositiveFiniteCosts) {
     EXPECT_TRUE(std::isfinite(est.total)) << PlanKindName(est.plan);
     EXPECT_FALSE(est.ToString().empty());
   }
+}
+
+// SELECT ORs one relation-wide bitmap per value in range on each narrowed
+// attribute, whatever the plan: the term is equal across all six plans, so
+// it shifts every total alike and cannot move plan choice.
+TEST(CostModelTest, SelectTermIsPlanUniformBitmapWords) {
+  Fixture fx = Fixture::Make(5);
+  const double words = std::ceil(fx.data->num_records() / 64.0);
+  // Attribute 0 narrowed to 2 values, attribute 1 to 3; attribute 2's range
+  // spans its whole domain and narrows nothing.
+  auto all =
+      fx.model->EstimateAll(Query(0.5, {{0, 0, 1}, {1, 1, 3}, {2, 0, 3}}));
+  for (const PlanCostEstimate& est : all) {
+    EXPECT_EQ(est.select, all[0].select) << PlanKindName(est.plan);
+  }
+  EXPECT_DOUBLE_EQ(all[0].select,
+                   5 * words * CostConstants{}.bitmap_word_ns);
+  EXPECT_EQ(fx.model->Estimate(PlanKind::kSEV, Query(0.5, {})).select, 0.0);
 }
 
 TEST(CostModelTest, SupportedSearchNeverCostsMoreCandidates) {
@@ -231,7 +250,6 @@ TEST(CalibrationTest, ProducesPositiveConstants) {
   EXPECT_GT(constants.rtree_box_check_ns, 0.0);
   EXPECT_GT(constants.mine_cell_ns, 0.0);
   EXPECT_GT(constants.rule_check_ns, 0.0);
-  EXPECT_GT(constants.select_record_ns, 0.0);
 }
 
 TEST(CalibrationTest, DegenerateDatasetFallsBackToDefaults) {

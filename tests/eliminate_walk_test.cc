@@ -71,7 +71,7 @@ void ExpectWalkMatchesOracle(const MipIndex& index,
                         OpSelect(index, query), &pool);
         // Without the bitmap the walk keeps tid lists (the sparse route)
         // whatever DQ's density; with it, bitmaps when DQ is dense.
-        if (dense) ctx.BuildDqBitmap();
+        if (dense) ctx.AdoptDqBitmap();
         const std::string where = context + " " + name + " threads=" +
                                   std::to_string(threads) +
                                   (ctx.dq() != nullptr ? " bitmap" : " tids");

@@ -31,8 +31,7 @@ struct Env {
     auto result = (*engine)->Execute(query);
     EXPECT_TRUE(result.ok());
     env.rules = result->rules;
-    env.subset = FocalSubset::Materialize(
-        *env.data, query.ToRect(env.data->schema()));
+    env.subset = OpSelect((*engine)->index(), query);
     return env;
   }
 };

@@ -111,7 +111,7 @@ TEST(LocalSubsetCounterTest, DenseRoutesMatchRowRoutes) {
   for (uint32_t extent : {0u, 1u, 3u}) {
     Rect box = Rect::FullDomain(schema);
     if (extent > 0) box.SetInterval(0, 0, extent - 1);
-    FocalSubset subset = FocalSubset::Materialize(data, box);
+    FocalSubset subset = FocalSubset::Materialize(data, vertical, box);
     ASSERT_TRUE(IsDense(subset.size(), data.num_records()));
     const Bitmap dq = Bitmap::FromTids(subset.tids, data.num_records());
 
@@ -154,7 +154,7 @@ TEST(LocalSubsetCounterTest, LongItemsetBothRoutes) {
   const VerticalIndex vertical = VerticalIndex::Build(data, nullptr);
   Rect box = Rect::FullDomain(schema);
   box.SetInterval(0, 0, 0);
-  FocalSubset subset = FocalSubset::Materialize(data, box);
+  FocalSubset subset = FocalSubset::Materialize(data, vertical, box);
   ASSERT_TRUE(IsDense(subset.size(), data.num_records()));
   const Bitmap dq = Bitmap::FromTids(subset.tids, data.num_records());
 

@@ -170,7 +170,7 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
   for (bool dense : {false, true}) {
     PlanContext ctx1(fx.index, query, RuleGenOptions{},
                      OpSelect(fx.index, query));
-    if (dense) ctx1.BuildDqBitmap();
+    if (dense) ctx1.AdoptDqBitmap();
     CandidateSet cands1 = OpSearch(&ctx1);
     RuleSet via_ev;
     const std::vector<QualifiedItemset> qualified =
@@ -179,7 +179,7 @@ TEST(OperatorsTest, SupportedVerifyEqualsEliminateThenVerify) {
 
     PlanContext ctx2(fx.index, query, RuleGenOptions{},
                      OpSelect(fx.index, query));
-    if (dense) ctx2.BuildDqBitmap();
+    if (dense) ctx2.AdoptDqBitmap();
     ASSERT_EQ(ctx2.dq() != nullptr, dense);
     CandidateSet cands2 = OpSearch(&ctx2);
     RuleSet via_vs;

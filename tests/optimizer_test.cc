@@ -111,79 +111,6 @@ TEST(OptimizerTest, ArmBecomesAttractiveForTinyIndexes) {
   EXPECT_LT(arm, sev * 1000.0);
 }
 
-// SELECT is plan-uniform and additive, so a cache hint reprices every
-// plan's total by the same amount: the chosen plan never changes, only the
-// SELECT term shrinks and the provenance field records the tier.
-TEST(OptimizerTest, CacheHintNeverChangesChosenPlan) {
-  auto data = std::make_unique<Dataset>(RandomDataset(4, 250, 5, 4));
-  auto engine = BuildEngine(*data, 0.2);
-  for (uint64_t q = 0; q < 6; ++q) {
-    LocalizedQuery query;
-    query.ranges = {{static_cast<AttrId>(q % 5), 0,
-                     static_cast<ValueId>(1 + q % 3)}};
-    query.minsupp = 0.3 + 0.05 * static_cast<double>(q);
-    query.minconf = 0.6;
-    OptimizerDecision cold = engine->optimizer().Choose(query);
-
-    CacheHint exact;
-    exact.tier = CacheTier::kExact;
-    exact.cached_size = cold.estimates[0].est_subset_size;
-    OptimizerDecision warm = engine->optimizer().Choose(query, &exact);
-    EXPECT_EQ(warm.chosen, cold.chosen) << "query " << q;
-    EXPECT_EQ(warm.cache.tier, CacheTier::kExact);
-    EXPECT_EQ(warm.cache.cached_size, exact.cached_size);
-
-    CacheHint contain;
-    contain.tier = CacheTier::kContainment;
-    contain.cached_size = cold.estimates[0].est_subset_size * 2.0;
-    contain.delta_attrs = 1;
-    OptimizerDecision derived = engine->optimizer().Choose(query, &contain);
-    EXPECT_EQ(derived.chosen, cold.chosen) << "query " << q;
-    EXPECT_EQ(derived.cache.tier, CacheTier::kContainment);
-
-    for (size_t p = 0; p < cold.estimates.size(); ++p) {
-      // A small cached subset beats the relation scan in the estimate...
-      EXPECT_LE(warm.estimates[p].select, cold.estimates[p].select)
-          << "query " << q;
-      // ...and the repricing leaves all other terms untouched.
-      EXPECT_DOUBLE_EQ(warm.estimates[p].search, cold.estimates[p].search);
-      EXPECT_DOUBLE_EQ(warm.estimates[p].eliminate,
-                       cold.estimates[p].eliminate);
-      EXPECT_DOUBLE_EQ(warm.estimates[p].verify, cold.estimates[p].verify);
-      EXPECT_DOUBLE_EQ(warm.estimates[p].mine, cold.estimates[p].mine);
-      EXPECT_DOUBLE_EQ(derived.estimates[p].search,
-                       cold.estimates[p].search);
-      EXPECT_DOUBLE_EQ(derived.estimates[p].eliminate,
-                       cold.estimates[p].eliminate);
-      EXPECT_DOUBLE_EQ(derived.estimates[p].verify,
-                       cold.estimates[p].verify);
-      EXPECT_DOUBLE_EQ(derived.estimates[p].mine, cold.estimates[p].mine);
-    }
-  }
-}
-
-TEST(OptimizerTest, NullHintMatchesNoHint) {
-  auto data = std::make_unique<Dataset>(RandomDataset(5, 200, 4, 3));
-  auto engine = BuildEngine(*data, 0.25);
-  LocalizedQuery query;
-  query.ranges = {{0, 0, 1}};
-  query.minsupp = 0.4;
-  query.minconf = 0.7;
-  OptimizerDecision plain = engine->optimizer().Choose(query);
-  OptimizerDecision with_null = engine->optimizer().Choose(query, nullptr);
-  CacheHint none;  // tier kNone behaves exactly like no hint
-  OptimizerDecision with_none = engine->optimizer().Choose(query, &none);
-  EXPECT_EQ(plain.chosen, with_null.chosen);
-  EXPECT_EQ(plain.chosen, with_none.chosen);
-  for (size_t p = 0; p < plain.estimates.size(); ++p) {
-    EXPECT_DOUBLE_EQ(plain.estimates[p].total, with_null.estimates[p].total);
-    EXPECT_DOUBLE_EQ(plain.estimates[p].total, with_none.estimates[p].total);
-    EXPECT_DOUBLE_EQ(plain.estimates[p].select,
-                     with_none.estimates[p].select);
-  }
-  EXPECT_EQ(with_none.cache.tier, CacheTier::kNone);
-}
-
 // The relation the server benchmark serves: `tiles` copies of the analog's
 // region values side by side, each copy with the analog's localized
 // patterns.

@@ -187,10 +187,10 @@ TEST_P(ParallelEquivalenceTest, IndexBuildMatchesSequentialBytes) {
   EXPECT_EQ(seq_bytes, par_bytes);
 }
 
-// A batch on an N-thread engine, with and without a session cache, answers
-// every query exactly as its standalone execution does: the same rules in
-// the same order, the same plan, and the same effort counters (SELECT's
-// record checks included), on both a cold and a warm pass.
+// A batch on an N-thread engine answers every query exactly as its
+// standalone execution does: the same rules in the same order, the same
+// plan, and the same effort counters (SELECT's record checks included), on
+// a first and a second pass.
 TEST_P(ParallelEquivalenceTest, BatchMatchesStandaloneExecution) {
   const unsigned num_threads = GetParam();
   auto data = std::make_unique<Dataset>(RandomDataset(41, 250, 5, 4));
@@ -229,32 +229,26 @@ TEST_P(ParallelEquivalenceTest, BatchMatchesStandaloneExecution) {
     standalone.push_back(std::move(result.value()));
   }
 
-  for (bool cached : {false, true}) {
-    EngineOptions options = reference_options;
-    options.num_threads = num_threads;
-    if (cached) options.cache = QueryCacheOptions{};
-    auto engine = Engine::Build(*data, options);
-    ASSERT_TRUE(engine.ok());
-    for (int pass = 0; pass < 2; ++pass) {
-      BatchResult batch = (*engine)->ExecuteBatch(queries);
-      const std::string context = "cached=" + std::to_string(cached) +
-                                  " pass=" + std::to_string(pass) +
-                                  " threads=" + std::to_string(num_threads);
-      EXPECT_EQ(batch.duplicates_reused, 1u) << context;
-      // Without a cache the five executed queries share two boxes; with
-      // one, each acquires its own and the cache does the sharing.
-      EXPECT_EQ(batch.subsets_shared, cached ? 0u : 3u) << context;
-      ASSERT_EQ(batch.results.size(), queries.size()) << context;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const std::string qcontext = context + " query " + std::to_string(i);
-        ASSERT_TRUE(batch.results[i].ok()) << qcontext;
-        EXPECT_EQ(batch.results[i]->plan_used, standalone[i].plan_used)
-            << qcontext;
-        ExpectSameRules(standalone[i].rules, batch.results[i]->rules,
-                        qcontext);
-        ExpectSameEffort(standalone[i].stats, batch.results[i]->stats,
-                         qcontext);
-      }
+  EngineOptions options = reference_options;
+  options.num_threads = num_threads;
+  auto engine = Engine::Build(*data, options);
+  ASSERT_TRUE(engine.ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    BatchResult batch = (*engine)->ExecuteBatch(queries);
+    const std::string context = "pass=" + std::to_string(pass) +
+                                " threads=" + std::to_string(num_threads);
+    EXPECT_EQ(batch.duplicates_reused, 1u) << context;
+    // The five executed queries share two boxes.
+    EXPECT_EQ(batch.subsets_shared, 3u) << context;
+    ASSERT_EQ(batch.results.size(), queries.size()) << context;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string qcontext = context + " query " + std::to_string(i);
+      ASSERT_TRUE(batch.results[i].ok()) << qcontext;
+      EXPECT_EQ(batch.results[i]->plan_used, standalone[i].plan_used)
+          << qcontext;
+      ExpectSameRules(standalone[i].rules, batch.results[i]->rules, qcontext);
+      ExpectSameEffort(standalone[i].stats, batch.results[i]->stats,
+                       qcontext);
     }
   }
 }

@@ -92,7 +92,7 @@ TEST(SerializeTest, RoundTripPreservesVerticalIndex) {
   // About two thirds of the records: a dense DQ, so every counting plan
   // reads the loaded item bitmaps.
   const uint32_t dq_size =
-      FocalSubset::Materialize(*data, query.ToRect(data->schema())).size();
+      OpSelect(*built, query).size();
   ASSERT_TRUE(IsDense(dq_size, data->num_records()));
   for (PlanKind kind : kAllPlans) {
     auto fresh = ExecutePlan(kind, *built, query);

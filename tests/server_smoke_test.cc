@@ -1,7 +1,7 @@
 // End-to-end smoke of the real colarm_server binary (tier-1 ctest entry
 // `server_smoke`): spawn it on an ephemeral port, drive a scripted
 // multi-tenant session over TCP, and diff every response byte-for-byte
-// against a direct Engine replay with the same per-tenant session caches.
+// against a direct Engine replay.
 // Finishes with a SIGTERM and asserts a clean graceful-drain exit. A
 // second check asserts that every thread of a listening server blocks
 // SIGINT and SIGTERM, so a process-directed signal always reaches the
@@ -179,19 +179,17 @@ class Client {
 
 /// Direct-engine replica of one tenant session: same engine configuration
 /// as the spawned binary (salary dataset, primary 0.27, no calibration),
-/// same cache options, rendered with the same protocol functions.
+/// rendered with the same protocol functions.
 class DirectReplay {
  public:
-  explicit DirectReplay(const Engine& engine)
-      : engine_(&engine),
-        cache_(engine.index(), ServiceOptions{}.tenant_cache) {}
+  explicit DirectReplay(const Engine& engine) : engine_(&engine) {}
 
   std::string Mine(const std::string& text) {
     auto query = ParseQuery(schema(), text);
     if (!query.ok()) {
       return ErrResponse("PARSE", query.status().message());
     }
-    auto result = engine_->Execute(*query, SessionContext{&cache_, nullptr});
+    auto result = engine_->Execute(*query);
     if (!result.ok()) {
       return ErrResponse(StatusErrCode(result.status()),
                          result.status().message());
@@ -204,7 +202,7 @@ class DirectReplay {
     if (!query.ok()) {
       return ErrResponse("PARSE", query.status().message());
     }
-    auto decision = engine_->Explain(*query, SessionContext{&cache_, nullptr});
+    auto decision = engine_->Explain(*query);
     if (!decision.ok()) {
       return ErrResponse(StatusErrCode(decision.status()),
                          decision.status().message());
@@ -217,7 +215,6 @@ class DirectReplay {
     return engine_->index().dataset().schema();
   }
   const Engine* engine_;
-  QueryCache cache_;
 };
 
 /// The SigBlk mask of every thread of `pid`, keyed by thread id.
@@ -288,9 +285,7 @@ TEST(ServerSmokeTest, MultiTenantSessionByteIdenticalThenDrains) {
       "HAVING minsupport = 0.4 AND minconfidence = 0.5;",
   };
 
-  // Two tenants on separate connections, requests interleaved. Each tenant
-  // owns a session cache, so its replay evolves independently of the
-  // other's traffic.
+  // Two tenants on separate connections, requests interleaved.
   Client alice(server.port());
   Client bob(server.port());
   DirectReplay alice_replay(**engine);
@@ -303,7 +298,7 @@ TEST(ServerSmokeTest, MultiTenantSessionByteIdenticalThenDrains) {
     EXPECT_EQ(alice.Request("MINE " + text), alice_replay.Mine(text)) << text;
     EXPECT_EQ(bob.Request("MINE " + text), bob_replay.Mine(text)) << text;
   }
-  // alice repeats her first query: exact cache hit, still byte-identical.
+  // alice repeats her first query: still byte-identical.
   EXPECT_EQ(alice.Request("MINE " + drill[0]), alice_replay.Mine(drill[0]));
   EXPECT_EQ(alice.Request("EXPLAIN " + drill[1]),
             alice_replay.Explain(drill[1]));

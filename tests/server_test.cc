@@ -169,7 +169,7 @@ class Client {
 };
 
 /// The rule listing of a MINE response: everything after the "OK <n>"
-/// header and the plan/cache summary line, which batching may change.
+/// header and the plan summary line.
 std::string RulesOf(const std::string& response) {
   const size_t header_end = response.find('\n');
   return response.substr(response.find('\n', header_end + 1) + 1);
@@ -187,30 +187,26 @@ TEST_F(ServerTest, ResponsesByteIdenticalToDirectEngine) {
   client.Send("HELLO alice\n");
   EXPECT_EQ(client.ReadResponse(), OkResponse("hello alice\n"));
 
-  // Direct replay: same cache options, same query sequence, rendered with
-  // the same protocol functions. The server must not add or perturb a byte.
-  QueryCache replay_cache(engine_->index(),
-                          server->service().options().tenant_cache);
+  // Direct replay: the same query sequence, rendered with the same protocol
+  // functions. The server must not add or perturb a byte.
   for (const char* text : kDrillDown) {
     client.Send(std::string("MINE ") + text + "\n");
     std::string via_server = client.ReadResponse();
 
     auto query = ParseQuery(data_->schema(), text);
     ASSERT_TRUE(query.ok()) << query.status().ToString();
-    auto direct =
-        engine_->Execute(*query, SessionContext{&replay_cache, nullptr});
+    auto direct = engine_->Execute(*query);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     std::string expected =
         OkResponse(RenderMineResult(data_->schema(), direct.value()));
     EXPECT_EQ(via_server, expected) << text;
   }
 
-  // EXPLAIN must match a direct Explain under the same session cache.
+  // EXPLAIN must match a direct Explain.
   client.Send(std::string("EXPLAIN ") + kDrillDown[0] + "\n");
   auto query = ParseQuery(data_->schema(), kDrillDown[0]);
   ASSERT_TRUE(query.ok());
-  auto decision =
-      engine_->Explain(*query, SessionContext{&replay_cache, nullptr});
+  auto decision = engine_->Explain(*query);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(client.ReadResponse(),
             OkResponse(RenderExplain(decision.value())));
@@ -242,78 +238,38 @@ TEST_F(ServerTest, StatsReflectTenantActivity) {
       << stats;
 }
 
-TEST_F(ServerTest, StatsReportPerTenantCacheTelemetry) {
-  ServerOptions options;
-  auto server = StartServer(options);
+// The wire contract the end-to-end benchmark compares byte for byte: a
+// tenant's STATS renders the session cache's retired counters as a zeroed
+// `cache` line (never `cache disabled`), exactly as RenderStatsPayload does
+// with zeroed telemetry, and every MINE header ends in `cache none`.
+TEST_F(ServerTest, StatsAndMineKeepTheZeroedCacheTokens) {
+  auto server = StartServer();
   Client client(server->port());
   client.Send("HELLO carol\n");
   client.ReadResponse();
-  // The same query twice: one cold miss, one exact hit.
-  for (int i = 0; i < 2; ++i) {
-    client.Send(std::string("MINE ") + kDrillDown[0] + "\n");
-    ASSERT_EQ(client.ReadResponse().rfind("OK ", 0), 0u);
+  TenantStats expected;
+  for (const char* text : kDrillDown) {
+    client.Send(std::string("MINE ") + text + "\n");
+    const std::string response = client.ReadResponse();
+    ASSERT_EQ(response.rfind("OK ", 0), 0u) << response;
+    const std::string header =
+        response.substr(0, response.find('\n', response.find('\n') + 1));
+    EXPECT_EQ(header.substr(header.size() - 11), " cache none") << header;
+    auto direct = engine_->Execute(ParseQuery(data_->schema(), text).value());
+    ASSERT_TRUE(direct.ok());
+    expected.mines++;
+    expected.rules += direct->rules.rules.size();
   }
   client.Send("STATS\n");
-  std::string stats = client.ReadResponse();
-  EXPECT_NE(stats.find("cache exact 1 "), std::string::npos) << stats;
-  EXPECT_NE(stats.find(" misses 1 "), std::string::npos) << stats;
-  // The admission counter and the always-zero counters of the retired
-  // compose tier and memos are part of the wire format, so dashboards can
-  // rely on the fields being present.
-  EXPECT_NE(stats.find(" compose 0 memo 0 "), std::string::npos) << stats;
-  EXPECT_NE(stats.find(" admitrej 0 "), std::string::npos) << stats;
+  const std::string stats = client.ReadResponse();
+  const CacheTelemetry zero;
+  const std::string want = RenderStatsPayload("carol", expected, &zero, 0, 0);
+  EXPECT_EQ(StatsBody(stats.substr(stats.find('\n') + 1)), StatsBody(want));
+  EXPECT_NE(stats.find("cache exact 0 containment 0 compose 0 memo 0 "
+                       "misses 0 evictions 0 admitrej 0 bytes 0 entries 0\n"),
+            std::string::npos)
+      << stats;
   EXPECT_EQ(stats.find("cache disabled"), std::string::npos) << stats;
-}
-
-TEST_F(ServerTest, TenantCachePersistsAcrossRestartViaCacheDir) {
-  const std::string cache_dir = ::testing::TempDir();
-  const std::string cache_file = cache_dir + "/dave.ccache";
-  std::remove(cache_file.c_str());
-
-  ServerOptions options;
-  options.service.cache_dir = cache_dir;
-
-  std::string first_response;
-  {
-    auto server = StartServer(options);
-    Client client(server->port());
-    client.Send("HELLO dave\n");
-    client.ReadResponse();
-    client.Send(std::string("MINE ") + kDrillDown[0] + "\n");
-    first_response = client.ReadResponse();
-    ASSERT_EQ(first_response.rfind("OK ", 0), 0u);
-    client.Close();
-    server->Shutdown();
-    // The drain persisted the tenant's session cache (v4 file).
-    EXPECT_EQ(server->service().PersistCaches(), 1u);
-  }
-
-  // A restarted server warm-starts the tenant from the cache dir: the
-  // replayed query returns byte-identical rules — only the provenance
-  // annotation may differ ("cache none" cold, "cache exact" warm) — and
-  // is served as an exact hit with zero misses.
-  auto server = StartServer(options);
-  Client client(server->port());
-  client.Send("HELLO dave\n");
-  client.ReadResponse();
-  client.Send(std::string("MINE ") + kDrillDown[0] + "\n");
-  const std::string warm_response = client.ReadResponse();
-  auto rules_of = [](const std::string& response) {
-    // Skip the framing header and the plan/provenance line.
-    size_t pos = response.find('\n');
-    pos = response.find('\n', pos + 1);
-    return response.substr(pos + 1);
-  };
-  EXPECT_EQ(rules_of(warm_response), rules_of(first_response));
-  EXPECT_NE(warm_response.find("cache exact\n"), std::string::npos)
-      << warm_response;
-  EXPECT_NE(first_response.find("cache none\n"), std::string::npos)
-      << first_response;
-  client.Send("STATS\n");
-  std::string stats = client.ReadResponse();
-  EXPECT_NE(stats.find("cache exact 1 "), std::string::npos) << stats;
-  EXPECT_NE(stats.find(" misses 0 "), std::string::npos) << stats;
-  std::remove(cache_file.c_str());
 }
 
 TEST_F(ServerTest, CommandsBeforeHelloRejectedSessionUsable) {
@@ -446,18 +402,10 @@ TEST_F(ServerTest, ConstrainedMineMatchesEngineAndDiffersFromPlain) {
   ASSERT_EQ(constrained_resp.rfind("OK ", 0), 0u);
   EXPECT_NE(plain_resp, constrained_resp);
 
-  QueryCache replay_cache(engine_->index(),
-                          server->service().options().tenant_cache);
   auto query = ParseQuery(data_->schema(), constrained);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   ASSERT_FALSE(query->constraints.Empty());
-  // Replay the session's query order so cache state matches.
-  auto first = ParseQuery(data_->schema(), plain);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(
-      engine_->Execute(*first, SessionContext{&replay_cache, nullptr}).ok());
-  auto direct =
-      engine_->Execute(*query, SessionContext{&replay_cache, nullptr});
+  auto direct = engine_->Execute(*query);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(constrained_resp,
             OkResponse(RenderMineResult(data_->schema(), direct.value())));
@@ -578,10 +526,8 @@ TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
   constexpr int kClients = 8;
   constexpr int kRounds = 6;
 
-  // Sequential reference: the rule listing per drill-down step. Rules are
-  // cache-independent (the plan-equivalence invariant); the plan/cache
-  // summary line is not compared here because batching and cross-round
-  // cache state legitimately change the tier the optimizer reports.
+  // Sequential reference: the rule listing per drill-down step (the plan
+  // summary line is not compared).
   std::vector<std::string> expected_rules;
   for (const char* text : kDrillDown) {
     auto query = ParseQuery(data_->schema(), text);
@@ -636,7 +582,7 @@ TEST_F(ServerTest, ConcurrentClientsGetWellFormedResponses) {
 TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
   // A pipelined burst from one connection lands on its tenant's strand,
   // and one worker turn runs it as one engine batch; every response must
-  // be byte-identical to sequential execution, cache tier line included.
+  // be byte-identical to sequential execution, plan summary included.
   auto server = StartServer();
   Client client(server->port());
   client.Send("HELLO burst\n");
@@ -647,26 +593,22 @@ TEST_F(ServerTest, BatchedPipelineMatchesSequentialRules) {
   }
   client.Send(burst);
 
-  QueryCache cache(engine_->index(), server->service().options().tenant_cache);
   for (const char* text : kDrillDown) {
     std::string resp = client.ReadResponse();
     ASSERT_EQ(resp.rfind("OK ", 0), 0u) << resp;
     auto query = ParseQuery(data_->schema(), text);
     ASSERT_TRUE(query.ok());
-    auto direct = engine_->Execute(*query, SessionContext{&cache, nullptr});
+    auto direct = engine_->Execute(*query);
     ASSERT_TRUE(direct.ok());
-    // Each request runs under its own deadline token, so even the burst's
-    // duplicate (kDrillDown[2] = [0]) makes its own lookup, as the replay
-    // does.
     EXPECT_EQ(resp,
               OkResponse(RenderMineResult(data_->schema(), direct.value())))
         << text;
   }
 }
 
-TEST_F(ServerTest, ExpiredMineGroupLeavesTenantCacheUntouched) {
+TEST_F(ServerTest, ExpiredMineGroupFailsWithoutRunning) {
   // Three pipelined MINEs whose deadlines passed while they were queued
-  // fail without touching the tenant's cache, as each would alone.
+  // fail without running, as each would alone.
   Service service(*engine_, ServiceOptions{});
   std::shared_ptr<Tenant> tenant = service.GetTenant("late");
   std::vector<Service::MineRequest> group;
@@ -722,7 +664,7 @@ TEST_F(ServerTest, IdenticalMineKeepsItsOwnDeadline) {
 
 TEST_F(ServerTest, PipelinedGroupStatsEqualOneAtATime) {
   // One tenant's threshold sweep over a region window, with a narrowed
-  // window every fourth request and an exact repeat, run through
+  // window every fourth request, run through
   // ExecuteMineGroup in groups of 1, 4 and 16 on fresh services. How a
   // strand groups a pipelined burst must change neither a response nor
   // the tenant's STATS payload.
@@ -761,9 +703,6 @@ TEST_F(ServerTest, PipelinedGroupStatsEqualOneAtATime) {
     stats.push_back(service.RenderStats(tenant.get()));
   }
   EXPECT_NE(stats[0].find("mines 16 errors 0 "), std::string::npos)
-      << stats[0];
-  EXPECT_NE(stats[0].find("cache exact 11 containment 4 "),
-            std::string::npos)
       << stats[0];
   for (size_t g = 1; g < responses.size(); ++g) {
     for (size_t k = 0; k < sweep.size(); ++k) {
@@ -859,11 +798,7 @@ TEST_F(ServerTest, ShutdownWhileMinesInFlightStillStops) {
 // Two connections of one tenant plus three single-connection tenants, all
 // pipelining MINE/EXPLAIN/STATS bursts through four dispatcher workers.
 // Every connection's responses come back in request order, and each
-// tenant's STATS equals a sequential per-tenant replay of its requests
-// against a fresh session cache. Each burst asks for distinct focal boxes,
-// so running a burst as one batch changes no cache counter, and the shared
-// tenant's connections drill into disjoint regions (Seattle and Boston), so
-// no interleaving of the two changes one either.
+// tenant's STATS equals a sequential per-tenant replay of its requests.
 TEST_F(ServerTest, TenantStrandsKeepOrderAndSequentialStats) {
   BuildEngine(MakeSalaryDataset(), kPrimarySupport, /*threads=*/4);
   ServerOptions options;
@@ -911,48 +846,37 @@ TEST_F(ServerTest, TenantStrandsKeepOrderAndSequentialStats) {
 
   // Sequential per-tenant replay. The shared tenant replays its first
   // connection's requests, then its second's.
-  struct Replay {
-    std::unique_ptr<QueryCache> cache;
-    TenantStats stats;
-  };
-  std::map<std::string, Replay> replays;
+  std::map<std::string, TenantStats> replays;
   // Per session, per request: the expected rule listing (MINE), response
   // (EXPLAIN) or STATS body (empty for the shared tenant, whose mid-run
   // counters depend on its other connection's progress).
   std::vector<std::vector<std::string>> expected(sessions.size());
   for (size_t s = 0; s < sessions.size(); ++s) {
     const Session& session = sessions[s];
-    Replay& replay = replays[session.tenant];
-    if (replay.cache == nullptr) {
-      replay.cache = std::make_unique<QueryCache>(
-          engine_->index(), server->service().options().tenant_cache);
-    }
-    const SessionContext context{replay.cache.get(), nullptr};
+    TenantStats& replay = replays[session.tenant];
     const bool shared = session.tenant == "shared";
     for (int round = 0; round < kRounds; ++round) {
       for (const Request& request : burst) {
         if (request.verb == Verb::kStats) {
-          const CacheTelemetry telemetry = replay.cache->telemetry();
           expected[s].push_back(
               shared ? "" : StatsBody(RenderStatsPayload(
-                                session.tenant, replay.stats, &telemetry,
-                                0, 0)));
+                                session.tenant, replay, nullptr, 0, 0)));
           continue;
         }
         auto query =
             ParseQuery(data_->schema(), (*session.queries)[request.query]);
         ASSERT_TRUE(query.ok()) << query.status().ToString();
         if (request.verb == Verb::kExplain) {
-          auto decision = engine_->Explain(*query, context);
+          auto decision = engine_->Explain(*query);
           ASSERT_TRUE(decision.ok());
-          replay.stats.explains++;
+          replay.explains++;
           expected[s].push_back(OkResponse(RenderExplain(*decision)));
           continue;
         }
-        auto result = engine_->Execute(*query, context);
+        auto result = engine_->Execute(*query);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        replay.stats.mines++;
-        replay.stats.rules += result->rules.rules.size();
+        replay.mines++;
+        replay.rules += result->rules.rules.size();
         expected[s].push_back(RulesOf(
             OkResponse(RenderMineResult(data_->schema(), *result))));
       }
@@ -1041,10 +965,8 @@ TEST_F(ServerTest, TenantStrandsKeepOrderAndSequentialStats) {
     Client client(server->port());
     client.Send("HELLO " + tenant + "\nSTATS\n");
     client.ReadResponse();
-    const CacheTelemetry telemetry = replay.cache->telemetry();
     EXPECT_EQ(client.ReadResponse(),
-              OkResponse(RenderStatsPayload(tenant, replay.stats, &telemetry,
-                                            0, 0)))
+              OkResponse(RenderStatsPayload(tenant, replay, nullptr, 0, 0)))
         << tenant;
   }
 }
@@ -1065,8 +987,8 @@ TEST_F(ServerTest, ShutdownDrainsEveryTenantStrand) {
   options.service.max_tenant_inflight = 128;
   auto server = StartServer(options);
 
-  // Distinct region boxes and thresholds, so no MINE is a duplicate or an
-  // exact cache hit of another and each one mines.
+  // Distinct region boxes and thresholds, so no MINE is a duplicate of
+  // another and each one mines.
   const Attribute& region = data_->schema().attribute(0);
   const uint32_t domain = region.domain_size();
   constexpr int kTenants = 4;

@@ -17,10 +17,8 @@
 //   stats                   print index statistics
 //   explain 'REPORT ...;'   show per-plan cost estimates, do not execute
 //   session                 interactive session: read one query per line
-//                           from stdin and execute them against a shared
-//                           session cache (focal-subset reuse across
-//                           queries); prints per-query cache
-//                           telemetry and a final session summary
+//                           from stdin and execute each; prints every
+//                           result and a final query count
 //
 // Flags:
 //   --csv FILE              input relation (default: built-in salary data)
@@ -33,8 +31,6 @@
 //   --export-json FILE      write the last query's rules as JSON
 //   --measures              include interestingness measures in exports
 //   --limit N               print at most N rules (default 20)
-//   --cache-mb N            session-cache byte budget in MiB for the
-//                           `session` command (default 64; 0 disables)
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -65,7 +61,6 @@ struct CliOptions {
   std::string export_json;
   bool with_measures = false;
   size_t limit = 20;
-  size_t cache_mb = 64;
   std::string command;
   std::string argument;
 };
@@ -83,7 +78,7 @@ int Usage(const char* argv0) {
                "[--cache FILE]\n"
                "          [--plan NAME] [--export-csv FILE] "
                "[--export-json FILE]\n"
-               "          [--measures] [--limit N] [--cache-mb N]\n"
+               "          [--measures] [--limit N]\n"
                "          (query STMT | suggest | stats | explain STMT |"
                " session)\n",
                argv0);
@@ -148,14 +143,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--limit must be an integer");
       }
       options.limit = limit;
-    } else if (arg == "--cache-mb") {
-      auto v = need_value("--cache-mb");
-      if (!v.ok()) return v.status();
-      uint64_t mb = 0;
-      if (!ParseUint64(*v, &mb)) {
-        return Status::InvalidArgument("--cache-mb must be an integer");
-      }
-      options.cache_mb = mb;
     } else if (options.command.empty()) {
       options.command = arg;
     } else if (options.argument.empty()) {
@@ -211,8 +198,7 @@ int RunQuery(const Engine& engine, const Dataset& dataset,
   std::printf("%s", FormatRules(schema, result->rules, options.limit).c_str());
 
   if (!options.export_csv.empty() || !options.export_json.empty()) {
-    FocalSubset subset =
-        FocalSubset::Materialize(dataset, query->ToRect(schema));
+    const FocalSubset subset = OpSelect(engine.index(), *query);
     ExportOptions export_options;
     export_options.with_measures = options.with_measures;
     if (!options.export_csv.empty()) {
@@ -256,9 +242,6 @@ int Main(int argc, char** argv) {
   engine_options.index.primary_support =
       options.csv_path.empty() ? 0.27 : options.primary;
   engine_options.index_cache_path = options.cache_path;
-  if (options.command == "session") {
-    engine_options.cache.byte_budget = options.cache_mb << 20;
-  }
   auto engine = Engine::Build(dataset, engine_options);
   if (!engine.ok()) {
     std::fprintf(stderr, "index build failed: %s\n",
@@ -300,12 +283,8 @@ int Main(int argc, char** argv) {
                     options.command == "explain");
   }
   if (options.command == "session") {
-    // REPL over a cache-enabled engine: one statement per line, shared
-    // focal-subset reuse across the whole session.
     std::fprintf(stderr,
-                 "session mode (cache budget %zu MiB); one query per line, "
-                 "EOF ends the session\n",
-                 options.cache_mb);
+                 "session mode; one query per line, EOF ends the session\n");
     std::string line;
     size_t executed = 0;
     while (std::getline(std::cin, line)) {
@@ -323,27 +302,10 @@ int Main(int argc, char** argv) {
         continue;
       }
       ++executed;
-      if (result->decision.cache.tier != CacheTier::kNone) {
-        std::printf("[cache: %s hit, %.0f cached records]\n",
-                    CacheTierName(result->decision.cache.tier),
-                    result->decision.cache.cached_size);
-      }
       std::printf("%s",
                   FormatQueryResult(dataset.schema(), *result).c_str());
     }
-    if ((*engine)->cache() != nullptr) {
-      CacheTelemetry t = (*engine)->cache()->telemetry();
-      std::printf(
-          "session summary: %zu quer(ies); cache exact=%llu "
-          "containment=%llu misses=%llu evictions=%llu "
-          "resident=%llu bytes / %llu entries\n",
-          executed, static_cast<unsigned long long>(t.hits_exact),
-          static_cast<unsigned long long>(t.hits_containment),
-          static_cast<unsigned long long>(t.misses),
-          static_cast<unsigned long long>(t.evictions),
-          static_cast<unsigned long long>(t.bytes),
-          static_cast<unsigned long long>(t.entries));
-    }
+    std::printf("session summary: %zu quer(ies)\n", executed);
     return 0;
   }
   std::fprintf(stderr, "unknown command '%s'\n", options.command.c_str());

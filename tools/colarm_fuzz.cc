@@ -4,11 +4,11 @@
 // primary support, query batch) that is checked against every metamorphic
 // invariant: all six plans vs. the brute-force oracle, thread-count
 // invariance (1/2/8), serialize round-trips, threshold monotonicity,
-// focal-box containment dominance, session-cache equivalence and cache
-// persistence, SIMD kernel-level equivalence, and differential constraint
-// equivalence (constrained execution == post-filtered unconstrained
-// execution). The first failing case is shrunk to a minimal dataset+query
-// reproducer and printed as a ready-to-paste test.
+// focal-box containment dominance, SIMD kernel-level equivalence, and
+// differential constraint equivalence (constrained execution ==
+// post-filtered unconstrained execution). The first failing case is shrunk
+// to a minimal dataset+query reproducer and printed as a ready-to-paste
+// test.
 //
 // The record-level operators pick their route from the focal subset's
 // density (|DQ| x 64 >= |D|: bitmaps, otherwise row probes). Small cases
@@ -29,8 +29,6 @@
 //   --threads A,B,...  pool sizes for the thread-invariance sweep
 //                      (default 2,8; "1" alone disables the sweep)
 //   --no-serialize     skip the serialize round-trip invariant
-//   --no-session-cache skip the session-cache replay invariant
-//   --no-cache-persistence  skip the cache save->load->replay invariant
 //   --no-simd          skip the SIMD kernel-level equivalence invariant
 //   --no-constraints   generate only unconstrained queries and skip the
 //                      constraint-equivalence invariant
@@ -70,8 +68,8 @@ int Usage(const char* argv0) {
                "usage: %s [--seeds N] [--seed-base S] [--smoke] "
                "[--minutes M]\n"
                "          [--threads A,B,...] [--no-serialize] "
-               "[--no-session-cache] [--no-cache-persistence] [--no-simd] "
-               "[--no-constraints] [--no-shrink] [--inject-off-by-one]\n",
+               "[--no-simd] [--no-constraints] [--no-shrink]\n"
+               "          [--inject-off-by-one]\n",
                argv0);
   return 2;
 }
@@ -106,10 +104,6 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
       flags->smoke = true;
     } else if (arg == "--no-serialize") {
       flags->check.check_serialize = false;
-    } else if (arg == "--no-session-cache") {
-      flags->check.check_session_cache = false;
-    } else if (arg == "--no-cache-persistence") {
-      flags->check.check_cache_persistence = false;
     } else if (arg == "--no-simd") {
       flags->check.check_simd = false;
     } else if (arg == "--no-constraints") {
@@ -148,10 +142,12 @@ struct RouteSplit {
 
   void Add(const fuzzing::FuzzCase& fuzz_case) {
     const Dataset& dataset = fuzz_case.dataset;
+    const VerticalIndex vertical = VerticalIndex::Build(dataset, nullptr);
     for (const LocalizedQuery& query : fuzz_case.queries) {
       if (!query.Validate(dataset.schema()).ok()) continue;
       const uint32_t size =
-          FocalSubset::Materialize(dataset, query.ToRect(dataset.schema()))
+          FocalSubset::Materialize(dataset, vertical,
+                                   query.ToRect(dataset.schema()))
               .size();
       if (size == 0) {
         ++empty;

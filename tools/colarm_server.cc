@@ -1,9 +1,8 @@
 // colarm_server — multi-tenant TCP front end for the COLARM engine.
 //
 // One engine (and its MIP-index) is shared by every tenant; each tenant
-// gets a private session cache, so an analyst's drill-down sequence hits
-// its own containment tiers. The protocol is line-oriented text — try it
-// with nc:
+// keeps its own counters and request order. The protocol is line-oriented
+// text — try it with nc:
 //
 //   $ colarm_server --port 7437 &
 //   $ printf 'HELLO alice\nMINE REPORT LOCALIZED ASSOCIATION RULES WHERE
@@ -20,11 +19,6 @@
 //   --threads N         engine worker threads (0 = hardware); also the
 //                       number of tenants whose requests run at once
 //   --io-threads N      event-loop threads (0 = min(hardware, 4))
-//   --cache-mb N        per-tenant session-cache budget in MiB
-//                       (default 16; 0 disables tenant caches)
-//   --cache-dir PATH    warm-start directory: tenant caches load from
-//                       PATH/<tenant>.ccache at HELLO and persist back
-//                       at drain (missing/corrupt files start cold)
 //   --max-inflight N    global admitted-request bound (default 64)
 //   --tenant-inflight N per-tenant admitted-request bound (default 16)
 //   --deadline-ms F     per-request deadline (default 0 = none)
@@ -53,7 +47,6 @@ struct ToolOptions {
   uint32_t bins = 5;
   double primary = 0.1;
   unsigned threads = 0;
-  size_t cache_mb = 16;
   bool calibrate = true;
 };
 
@@ -61,9 +54,8 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--host ADDR] [--csv FILE] [--bins N]\n"
                "          [--primary F] [--threads N] [--io-threads N]\n"
-               "          [--cache-mb N] [--cache-dir PATH] [--max-inflight N]\n"
-               "          [--tenant-inflight N] [--deadline-ms F]\n"
-               "          [--no-calibrate]\n",
+               "          [--max-inflight N] [--tenant-inflight N]\n"
+               "          [--deadline-ms F] [--no-calibrate]\n",
                argv0);
   return 2;
 }
@@ -121,14 +113,6 @@ Result<ToolOptions> ParseArgs(int argc, char** argv) {
       auto v = need_uint("--io-threads");
       if (!v.ok()) return v.status();
       options.server.io_threads = static_cast<unsigned>(*v);
-    } else if (arg == "--cache-mb") {
-      auto v = need_uint("--cache-mb");
-      if (!v.ok()) return v.status();
-      options.cache_mb = *v;
-    } else if (arg == "--cache-dir") {
-      auto v = need_value("--cache-dir");
-      if (!v.ok()) return v.status();
-      options.server.service.cache_dir = *v;
     } else if (arg == "--max-inflight") {
       auto v = need_uint("--max-inflight");
       if (!v.ok()) return v.status();
@@ -157,7 +141,6 @@ Result<ToolOptions> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag: " + arg);
     }
   }
-  options.server.service.tenant_cache.byte_budget = options.cache_mb << 20;
   return options;
 }
 
@@ -225,13 +208,6 @@ int ServerMain(int argc, char** argv) {
   sigwait(&signals, &sig);
   std::fprintf(stderr, "signal %d: draining\n", sig);
   server.Shutdown();
-  // After the event loops stop, the tenant caches are quiescent — persist
-  // them so the next process starts warm.
-  if (!options.server.service.cache_dir.empty()) {
-    const size_t saved = server.service().PersistCaches();
-    std::fprintf(stderr, "persisted %zu tenant cache(s) to %s\n", saved,
-                 options.server.service.cache_dir.c_str());
-  }
   std::fprintf(stderr, "drained, bye\n");
   return 0;
 }
