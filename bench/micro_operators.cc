@@ -119,8 +119,8 @@ void BM_FullPlan(benchmark::State& state) {
 BENCHMARK(BM_FullPlan)->DenseRange(0, 5);
 
 // Multi-query ablation: an exploration session of 12 queries over 3
-// focal boxes, executed naively vs as one Engine::ExecuteBatch (shared
-// subset materializations + duplicate-result reuse).
+// focal boxes, executed one at a time vs as one Engine::ExecuteBatch,
+// which only runs its queries concurrently (nothing is shared or reused).
 std::vector<LocalizedQuery> SessionQueries() {
   std::vector<LocalizedQuery> queries;
   for (ValueId lo : {0, 25, 60}) {
@@ -152,8 +152,8 @@ void BM_SessionBatched(benchmark::State& state) {
   const Env& env = Env::Get();
   auto queries = SessionQueries();
   for (auto _ : state) {
-    BatchResult batch = env.engine->ExecuteBatch(queries);
-    benchmark::DoNotOptimize(batch.results.size());
+    auto results = env.engine->ExecuteBatch(queries);
+    benchmark::DoNotOptimize(results.size());
   }
 }
 BENCHMARK(BM_SessionBatched);

@@ -73,22 +73,10 @@ struct QueryResult {
   PlanKind plan_used = PlanKind::kSEV;
   bool chosen_by_optimizer = false;
   PlanStats stats;
+  /// The optimizer's decision; empty when the plan was forced.
   OptimizerDecision decision;
   /// Always zero. Removed by the benchmark-only change (ROADMAP item 4).
   CacheTelemetry cache;
-};
-
-/// Outcome of Engine::ExecuteBatch.
-struct BatchResult {
-  /// One entry per input query, in input order: its result, or the status
-  /// that failed it alone (invalid query, cancel token fired).
-  std::vector<Result<QueryResult>> results;
-  /// Focal-subset materializations avoided because an earlier executed
-  /// query of the batch selects the same box.
-  uint32_t subsets_shared = 0;
-  /// Queries answered with an identical earlier query's outcome (same
-  /// query, same cancel token).
-  uint32_t duplicates_reused = 0;
 };
 
 /// Per-call execution context for multi-tenant serving (src/server): a
@@ -127,7 +115,7 @@ class Engine {
   Result<QueryResult> Execute(const LocalizedQuery& query) const;
 
   /// Executes `query` under a session context's cancellation token
-  /// (request deadlines). The batch of one.
+  /// (request deadlines).
   Result<QueryResult> Execute(const LocalizedQuery& query,
                               const SessionContext& session) const;
 
@@ -136,22 +124,17 @@ class Engine {
   Result<QueryResult> ExecuteWithPlan(const LocalizedQuery& query,
                                       PlanKind kind) const;
 
-  /// Multi-query execution — the paper's future-work item (b) and the
-  /// engine's only query pipeline (Execute is a batch of one). Each
-  /// distinct focal box is selected once, concurrently; each query's plan
-  /// is chosen, and the queries execute on the engine's pool concurrently
-  /// with each other. A query identical to an earlier one under the same
-  /// cancel token shares that query's outcome.
-  ///
-  /// Every result equals the query's standalone Execute in rules, plan and
-  /// every effort counter, for any thread count.
+  /// Multi-query execution, the paper's future-work item (b): the queries
+  /// run concurrently on the engine's pool, each exactly as Execute would
+  /// run it. Returns one entry per query, in input order: its result, or
+  /// the status that failed it alone (invalid query, cancel token fired).
   ///
   /// `cancels` is empty (nothing is cancelled) or holds one token per query
   /// (null = never cancelled); any other size fails every slot with
-  /// kInvalidArgument. Failures stay in their slot.
-  BatchResult ExecuteBatch(std::span<const LocalizedQuery> queries,
-                           std::span<const CancelToken* const> cancels = {})
-      const;
+  /// kInvalidArgument.
+  std::vector<Result<QueryResult>> ExecuteBatch(
+      std::span<const LocalizedQuery> queries,
+      std::span<const CancelToken* const> cancels = {}) const;
 
   /// Cost estimates for all plans without executing anything.
   Result<OptimizerDecision> Explain(const LocalizedQuery& query) const;
@@ -166,15 +149,11 @@ class Engine {
  private:
   Engine() = default;
 
-  /// ExecuteBatch with one token per query (`cancels.size()` equals
-  /// `queries.size()`), every query on `forced` when it is set.
-  BatchResult Run(std::span<const LocalizedQuery> queries,
-                  std::span<const CancelToken* const> cancels,
-                  std::optional<PlanKind> forced) const;
-  /// The batch of one.
-  Result<QueryResult> RunOne(const LocalizedQuery& query,
-                             const CancelToken* cancel,
-                             std::optional<PlanKind> forced) const;
+  /// The one query pipeline: validate, fail a fired token before SELECT,
+  /// choose the plan unless `forced` is set, and execute it.
+  Result<QueryResult> Run(const LocalizedQuery& query,
+                          const CancelToken* cancel,
+                          std::optional<PlanKind> forced) const;
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -40,18 +39,6 @@ Status ValidateMeasure(double value, const char* name) {
   return Status::OK();
 }
 
-void AppendU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  std::memcpy(bytes, &v, sizeof(v));
-  out->append(bytes, sizeof(bytes));
-}
-
-void AppendDouble(std::string* out, double v) {
-  char bytes[8];
-  std::memcpy(bytes, &v, sizeof(v));
-  out->append(bytes, sizeof(bytes));
-}
-
 }  // namespace
 
 Status RuleConstraints::Validate(const Schema& schema) const {
@@ -81,24 +68,6 @@ Status RuleConstraints::Validate(const Schema& schema) const {
     return Status::InvalidArgument("minantsupp must be at most 1");
   }
   return Status::OK();
-}
-
-std::string RuleConstraints::CacheKey() const {
-  if (Empty()) return {};
-  // Length-prefixed binary layout: unambiguous, so equal keys <=> equal
-  // constraints (fields are kept sorted by Validate).
-  std::string key;
-  AppendU32(&key, static_cast<uint32_t>(must_contain.size()));
-  for (ItemId item : must_contain) AppendU32(&key, item);
-  AppendU32(&key, static_cast<uint32_t>(must_exclude.size()));
-  for (ItemId item : must_exclude) AppendU32(&key, item);
-  AppendU32(&key, static_cast<uint32_t>(antecedent_only.size()));
-  for (AttrId a : antecedent_only) AppendU32(&key, a);
-  AppendDouble(&key, min_lift);
-  AppendDouble(&key, min_cosine);
-  AppendDouble(&key, min_kulczynski);
-  AppendDouble(&key, min_antecedent_supp);
-  return key;
 }
 
 std::string RuleConstraints::ToString(const Schema& schema) const {

@@ -53,10 +53,6 @@ struct RuleConstraints {
   /// rule set, which execution short-circuits.
   Status Validate(const Schema& schema) const;
 
-  /// Canonical byte string: equal constraints <=> equal keys, and "" iff
-  /// Empty(). Used by batch duplicate detection.
-  std::string CacheKey() const;
-
   /// Query-text clause suffix (" AND CONTAIN {...} ..."); "" iff Empty().
   std::string ToString(const Schema& schema) const;
 

@@ -24,17 +24,6 @@ uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
   return static_cast<uint32_t>(Bitmap::AndCount(*scratch, dq));
 }
 
-uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
-                    const VerticalIndex* vertical, const Bitmap* dq,
-                    std::span<const ItemId> itemset, Bitmap* scratch) {
-  if (dq != nullptr) return BitmapLocalCount(*vertical, *dq, itemset, scratch);
-  uint32_t count = 0;
-  for (Tid t : tids) {
-    if (dataset.ContainsAll(t, itemset)) ++count;
-  }
-  return count;
-}
-
 LocalSubsetCounter::LocalSubsetCounter(const Dataset& dataset, Itemset itemset,
                                        std::span<const Tid> tids,
                                        const VerticalIndex* vertical,
@@ -118,8 +107,15 @@ void LocalSubsetCounter::LatticeDfs() {
 
 uint32_t LocalSubsetCounter::Count(std::span<const ItemId> items) const {
   record_checks_ += tids_.size();
-  Bitmap scratch;
-  return LocalCount(*dataset_, tids_, vertical_, dq_, items, &scratch);
+  if (dq_ != nullptr) {
+    Bitmap scratch;
+    return BitmapLocalCount(*vertical_, *dq_, items, &scratch);
+  }
+  uint32_t count = 0;
+  for (Tid t : tids_) {
+    if (dataset_->ContainsAll(t, items)) ++count;
+  }
+  return count;
 }
 
 uint32_t LocalSubsetCounter::MaskOf(std::span<const ItemId> subset) const {

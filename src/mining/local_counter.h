@@ -20,15 +20,6 @@ namespace colarm {
 uint32_t BitmapLocalCount(const VerticalIndex& vertical, const Bitmap& dq,
                           std::span<const ItemId> itemset, Bitmap* scratch);
 
-/// Local support of one (sorted) itemset within a focal subset: the
-/// bitmap count when the caller passes a dense DQ's bitmap `dq` (with the
-/// index's item bitmaps `vertical`), row probes over `tids` otherwise.
-/// The subset counter's per-query count past kMaxMaskItems; the caller
-/// charges the pass.
-uint32_t LocalCount(const Dataset& dataset, std::span<const Tid> tids,
-                    const VerticalIndex* vertical, const Bitmap* dq,
-                    std::span<const ItemId> itemset, Bitmap* scratch);
-
 /// Counts, within a focal subset, the local support of *every* subset of a
 /// candidate itemset — the record-level workhorse of VERIFY and
 /// SUPPORTED-VERIFY (rule confidence needs antecedent counts for all
@@ -85,7 +76,9 @@ class LocalSubsetCounter {
   uint32_t MaskOf(std::span<const ItemId> subset) const;
   void RowProbe();
   void LatticeDfs();
-  /// Direct count of one itemset over the focal subset (long itemsets).
+  /// Direct count of one itemset over the focal subset (long itemsets):
+  /// word-parallel against the DQ bitmap when there is one, row probes
+  /// over the tid list otherwise. Charges one pass over the subset.
   uint32_t Count(std::span<const ItemId> items) const;
 
   const Dataset* dataset_ = nullptr;

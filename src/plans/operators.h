@@ -93,10 +93,9 @@ struct PlanContext {
   RuleGenStats rule_stats;
   uint64_t local_cfis = 0;  // ARM plan only
 
-  /// Takes over the query's focal subset, selected by the caller (OpSelect
-  /// or a batch-shared materialization, which also charge SELECT), and
-  /// derives the absolute local support threshold. `subset.box` must equal
-  /// the query's box.
+  /// Takes over the query's focal subset, selected by the caller (OpSelect,
+  /// which also charges SELECT), and derives the absolute local support
+  /// threshold. `subset.box` must equal the query's box.
   PlanContext(const MipIndex& index, const LocalizedQuery& query,
               const RuleGenOptions& rulegen, FocalSubset subset,
               ThreadPool* pool = nullptr);

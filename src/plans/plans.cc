@@ -49,8 +49,7 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
 
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const PlanExecOptions& exec,
-                               std::optional<FocalSubset> subset) {
+                               const PlanExecOptions& exec) {
   COLARM_RETURN_IF_ERROR(query.Validate(index.dataset().schema()));
 
   PlanResult result;
@@ -60,8 +59,8 @@ Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
   Timer total_timer;
   Timer stage;
   uint64_t select_checks = 0;
-  if (!subset.has_value()) subset = OpSelect(index, query, &select_checks);
-  PlanContext ctx(index, query, exec.rulegen, std::move(*subset), exec.pool);
+  PlanContext ctx(index, query, exec.rulegen,
+                  OpSelect(index, query, &select_checks), exec.pool);
   ctx.record_checks = select_checks;
   // Plans that count records in DQ get its bitmap when DQ is dense; ARM
   // mines its own vertical view of DQ and verifies by row probes.

@@ -2,7 +2,6 @@
 #define COLARM_PLANS_PLANS_H_
 
 #include <array>
-#include <optional>
 #include <string>
 
 #include "common/cancel.h"
@@ -78,16 +77,12 @@ struct PlanExecOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Executes one plan end to end. All six plans return the same rule set
-/// (the plan-equivalence invariant); they differ only in cost profile.
-/// `subset`, when set, is the query's focal subset, already selected by
-/// the caller (the engine's batch-shared SELECT); the plan takes it over,
-/// and the caller charges that pass's time and record checks. Unset, the
-/// plan materializes it and charges SELECT itself.
+/// Executes one plan end to end, SELECT included. All six plans return
+/// the same rule set (the plan-equivalence invariant); they differ only in
+/// cost profile.
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,
                                const LocalizedQuery& query,
-                               const PlanExecOptions& exec,
-                               std::optional<FocalSubset> subset = {});
+                               const PlanExecOptions& exec);
 
 /// Legacy-parameter convenience overload (tests and benches).
 Result<PlanResult> ExecutePlan(PlanKind kind, const MipIndex& index,

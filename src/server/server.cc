@@ -566,10 +566,10 @@ void Server::RunTurn(const std::vector<Pending>& batch) {
   while (i < batch.size()) {
     const Pending& item = batch[i];
     if (item.kind == Pending::Kind::kMine) {
-      // A maximal run of mines executes as one batch: subset sharing and
-      // duplicate reuse across the tenant's pipelined requests. Every item
-      // of a turn belongs to one tenant, and the run keeps queue order, so
-      // per-connection response order is preserved.
+      // A maximal run of mines executes as one batch: the tenant's
+      // pipelined requests mine concurrently. Every item of a turn belongs
+      // to one tenant, and the run keeps queue order, so per-connection
+      // response order is preserved.
       size_t j = i;
       while (j < batch.size() && batch[j].kind == Pending::Kind::kMine) j++;
       std::vector<Service::MineRequest> group;

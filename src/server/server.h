@@ -28,9 +28,10 @@ struct ServerOptions {
   /// discarded without desynchronizing the stream.
   size_t max_line_bytes = size_t{64} << 10;
   /// Most requests a dispatcher worker takes from one tenant's queue per
-  /// turn; consecutive MINEs within the turn execute as one engine batch
-  /// (Engine::ExecuteBatch). A tenant with work left after its turn goes
-  /// to the back of the ready list, so other tenants are served in between.
+  /// turn; consecutive MINEs within the turn execute concurrently as one
+  /// engine batch (Engine::ExecuteBatch). A tenant with work left after
+  /// its turn goes to the back of the ready list, so other tenants are
+  /// served in between.
   uint32_t batch_max = 16;
   /// Graceful-shutdown budget: how long Shutdown waits for admitted work
   /// to finish before firing the kill-switch and force-closing.
@@ -54,12 +55,11 @@ struct ServerStats {
 /// many as the engine pool's parallelism) serve ready tenants round-robin,
 /// so tenants mine concurrently while each tenant's counters see its
 /// requests one after another, in queue order. Consecutive MINEs within a
-/// worker's turn run as one engine batch, each under its own deadline.
-/// Responses
-/// are delivered strictly in per-connection request order; cheap commands
-/// (HELLO, EXPLAIN, STATS, QUIT) run inline on the event loop when the
-/// connection has nothing in flight, and are queued on its tenant's strand
-/// behind its pending mines otherwise.
+/// worker's turn run concurrently as one engine batch, each under its own
+/// deadline. Responses are delivered strictly in per-connection request
+/// order; cheap commands (HELLO, EXPLAIN, STATS, QUIT) run inline on the
+/// event loop when the connection has nothing in flight, and are queued on
+/// its tenant's strand behind its pending mines otherwise.
 ///
 /// Shutdown() drains gracefully: listeners close, new MINEs answer
 /// ERR SHUTDOWN, admitted work finishes (bounded by drain_timeout_ms, then

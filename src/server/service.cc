@@ -68,8 +68,8 @@ void Service::NoteBusy(Tenant* tenant) {
 std::vector<std::string> Service::ExecuteMineGroup(
     Tenant* tenant, std::span<const MineRequest> group,
     const CancelToken* kill) {
-  // One batch, one token per request (its own deadline, chained to the
-  // drain kill-switch), so a request that fails fails alone.
+  // One concurrent batch, one token per request (its own deadline, chained
+  // to the drain kill-switch), so a request that fails fails alone.
   std::vector<LocalizedQuery> queries;
   queries.reserve(group.size());
   std::vector<CancelToken> tokens(group.size());
@@ -81,14 +81,14 @@ std::vector<std::string> Service::ExecuteMineGroup(
     if (group[i].has_deadline) tokens[i].SetDeadline(group[i].deadline);
     cancels.push_back(&tokens[i]);
   }
-  const BatchResult batch =
+  const std::vector<Result<QueryResult>> results =
       engine_->ExecuteBatch(queries, cancels);
 
   {
     // Counters only: rendering runs after the lock is released, so a
     // STATS on the same tenant never waits behind a large answer.
     std::lock_guard<std::mutex> lock(tenant->stats_mutex_);
-    for (const Result<QueryResult>& result : batch.results) {
+    for (const Result<QueryResult>& result : results) {
       tenant->stats_.mines++;
       if (!result.ok()) {
         tenant->stats_.mine_errors++;
@@ -99,7 +99,7 @@ std::vector<std::string> Service::ExecuteMineGroup(
   }
   std::vector<std::string> responses;
   responses.reserve(group.size());
-  for (const Result<QueryResult>& result : batch.results) {
+  for (const Result<QueryResult>& result : results) {
     responses.push_back(
         result.ok()
             ? OkResponse(RenderMineResult(engine_->index().dataset().schema(),

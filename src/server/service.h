@@ -110,12 +110,11 @@ class Service {
     CancelToken::Clock::time_point deadline{};
   };
 
-  /// Executes a group of same-tenant MINEs, of any size, as one
-  /// Engine::ExecuteBatch (a lone MINE is a batch of one), and renders one
-  /// full response (OK payload or ERR line) per request, in order. Each
-  /// request runs under its own deadline, so a failure stays with its
-  /// request; one whose deadline passed while it was queued answers ERR
-  /// DEADLINE without running. `kill` is the server's drain kill-switch
+  /// Executes a group of same-tenant MINEs, of any size, concurrently as
+  /// one Engine::ExecuteBatch, and renders one full response (OK payload
+  /// or ERR line) per request, in order. Each request runs under its own
+  /// deadline, so a failure stays with its request; one whose deadline
+  /// passed while it was queued answers ERR DEADLINE without running. `kill` is the server's drain kill-switch
   /// (may be null).
   std::vector<std::string> ExecuteMineGroup(Tenant* tenant,
                                             std::span<const MineRequest> group,

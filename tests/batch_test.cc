@@ -8,6 +8,7 @@
 namespace colarm {
 namespace {
 
+using testing_util::ExpectSameEffort;
 using testing_util::RandomDataset;
 
 struct Env {
@@ -56,29 +57,17 @@ std::vector<LocalizedQuery> SessionQueries() {
 TEST(BatchTest, ResultsMatchStandaloneExecution) {
   Env env = Env::Make(1);
   auto queries = SessionQueries();
-  BatchResult batch = env.engine->ExecuteBatch(queries);
-  ASSERT_EQ(batch.results.size(), queries.size());
+  auto results = env.engine->ExecuteBatch(queries);
+  ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(batch.results[i].ok()) << "query " << i;
+    ASSERT_TRUE(results[i].ok()) << "query " << i;
     auto standalone = env.engine->Execute(queries[i]);
     ASSERT_TRUE(standalone.ok());
-    EXPECT_TRUE(batch.results[i]->rules.SameAs(standalone->rules))
-        << "query " << i;
-    EXPECT_EQ(batch.results[i]->plan_used, standalone->plan_used);
-    EXPECT_EQ(batch.results[i]->stats.record_checks,
-              standalone->stats.record_checks)
+    EXPECT_TRUE(results[i]->rules.SameAs(standalone->rules)) << "query " << i;
+    EXPECT_EQ(results[i]->plan_used, standalone->plan_used);
+    EXPECT_EQ(results[i]->stats.record_checks, standalone->stats.record_checks)
         << "query " << i;
   }
-}
-
-TEST(BatchTest, SharesSubsetsAcrossQueries) {
-  Env env = Env::Make(2);
-  auto queries = SessionQueries();
-  BatchResult batch = env.engine->ExecuteBatch(queries);
-  // Six queries over two distinct boxes (the duplicate is served from
-  // its first copy): at least three materializations saved.
-  EXPECT_GE(batch.subsets_shared, 3u);
-  EXPECT_EQ(batch.duplicates_reused, 1u);
 }
 
 TEST(BatchTest, InvalidQueryFailsOnlyItsSlot) {
@@ -87,19 +76,18 @@ TEST(BatchTest, InvalidQueryFailsOnlyItsSlot) {
   LocalizedQuery bad;
   bad.ranges = {{99, 0, 0}};
   queries.insert(queries.begin() + 2, bad);
-  BatchResult batch = env.engine->ExecuteBatch(queries);
-  ASSERT_EQ(batch.results.size(), queries.size());
+  auto results = env.engine->ExecuteBatch(queries);
+  ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     if (i == 2) {
-      EXPECT_EQ(batch.results[i].status().code(),
+      EXPECT_EQ(results[i].status().code(),
                 env.engine->Execute(bad).status().code());
       continue;
     }
-    ASSERT_TRUE(batch.results[i].ok()) << "query " << i;
+    ASSERT_TRUE(results[i].ok()) << "query " << i;
     auto standalone = env.engine->Execute(queries[i]);
     ASSERT_TRUE(standalone.ok());
-    EXPECT_TRUE(batch.results[i]->rules.SameAs(standalone->rules))
-        << "query " << i;
+    EXPECT_TRUE(results[i]->rules.SameAs(standalone->rules)) << "query " << i;
   }
 }
 
@@ -124,19 +112,17 @@ TEST(BatchTest, CancelledQueryFailsAlone) {
   const std::vector<const CancelToken*> cancels = {nullptr, &fired, &open,
                                                    nullptr, nullptr};
 
-  BatchResult batch = env.engine->ExecuteBatch(queries, cancels);
-  ASSERT_EQ(batch.results.size(), queries.size());
-  EXPECT_EQ(batch.results[1].status().code(), StatusCode::kDeadlineExceeded);
-  // The copy of the cancelled query runs under its own (null) token; the
-  // copy of the first query shares its token, so it shares its outcome.
-  EXPECT_EQ(batch.duplicates_reused, 1u);
+  auto results = env.engine->ExecuteBatch(queries, cancels);
+  ASSERT_EQ(results.size(), queries.size());
+  EXPECT_EQ(results[1].status().code(), StatusCode::kDeadlineExceeded);
+  // The copy of the cancelled query runs under its own (null) token.
   for (size_t i : {size_t{0}, size_t{2}, size_t{3}, size_t{4}}) {
-    ASSERT_TRUE(batch.results[i].ok()) << "query " << i;
+    ASSERT_TRUE(results[i].ok()) << "query " << i;
     auto standalone = reference.engine->Execute(queries[i]);
     ASSERT_TRUE(standalone.ok());
-    EXPECT_TRUE(batch.results[i]->rules.SameAs(standalone->rules));
-    EXPECT_EQ(batch.results[i]->plan_used, standalone->plan_used);
-    EXPECT_EQ(batch.results[i]->stats.record_checks,
+    EXPECT_TRUE(results[i]->rules.SameAs(standalone->rules));
+    EXPECT_EQ(results[i]->plan_used, standalone->plan_used);
+    EXPECT_EQ(results[i]->stats.record_checks,
               standalone->stats.record_checks);
   }
 }
@@ -145,9 +131,9 @@ TEST(BatchTest, MismatchedCancelTokensFailEverySlot) {
   Env env = Env::Make(13);
   auto queries = SessionQueries();
   const std::vector<const CancelToken*> cancels = {nullptr, nullptr};
-  BatchResult batch = env.engine->ExecuteBatch(queries, cancels);
-  ASSERT_EQ(batch.results.size(), queries.size());
-  for (const Result<QueryResult>& result : batch.results) {
+  auto results = env.engine->ExecuteBatch(queries, cancels);
+  ASSERT_EQ(results.size(), queries.size());
+  for (const Result<QueryResult>& result : results) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 }
@@ -156,26 +142,23 @@ TEST(BatchTest, ConcurrencySweepIsDeterministic) {
   // The same two-batch session over fresh engines at 1, 2, and 8 threads
   // must produce identical results.
   auto queries = SessionQueries();
-  std::vector<BatchResult> firsts;
-  std::vector<BatchResult> seconds;
+  using Batch = std::vector<Result<QueryResult>>;
+  std::vector<Batch> firsts;
+  std::vector<Batch> seconds;
   for (unsigned threads : {1u, 2u, 8u}) {
     Env env = Env::Make(10, threads);
     firsts.push_back(env.engine->ExecuteBatch(queries));
     seconds.push_back(env.engine->ExecuteBatch(queries));
   }
-  auto expect_same = [&](const BatchResult& a, const BatchResult& b,
+  auto expect_same = [&](const Batch& a, const Batch& b,
                          const std::string& context) {
-    ASSERT_EQ(a.results.size(), b.results.size()) << context;
-    for (size_t i = 0; i < a.results.size(); ++i) {
-      ASSERT_TRUE(a.results[i].ok() && b.results[i].ok()) << context;
-      EXPECT_TRUE(a.results[i]->rules.SameAs(b.results[i]->rules)) << context;
-      EXPECT_EQ(a.results[i]->plan_used, b.results[i]->plan_used) << context;
-      EXPECT_EQ(a.results[i]->stats.record_checks,
-                b.results[i]->stats.record_checks)
-          << context;
+    ASSERT_EQ(a.size(), b.size()) << context;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_TRUE(a[i].ok() && b[i].ok()) << context;
+      EXPECT_TRUE(a[i]->rules.SameAs(b[i]->rules)) << context;
+      EXPECT_EQ(a[i]->plan_used, b[i]->plan_used) << context;
+      ExpectSameEffort(a[i]->stats, b[i]->stats, context);
     }
-    EXPECT_EQ(a.duplicates_reused, b.duplicates_reused) << context;
-    EXPECT_EQ(a.subsets_shared, b.subsets_shared) << context;
   };
   for (size_t t = 1; t < firsts.size(); ++t) {
     expect_same(firsts[0], firsts[t], "first batch, sweep " +
@@ -187,9 +170,7 @@ TEST(BatchTest, ConcurrencySweepIsDeterministic) {
 
 TEST(BatchTest, EmptyBatch) {
   Env env = Env::Make(7);
-  BatchResult batch = env.engine->ExecuteBatch({});
-  EXPECT_TRUE(batch.results.empty());
-  EXPECT_EQ(batch.duplicates_reused, 0u);
+  EXPECT_TRUE(env.engine->ExecuteBatch({}).empty());
 }
 
 }  // namespace

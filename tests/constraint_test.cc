@@ -370,7 +370,7 @@ TEST(ConstraintTest, AntecedentSupportFloorIsCountExact) {
       << "rule survived a floor above its antecedent support";
 }
 
-TEST(ConstraintTest, AntecedentSupportFloorValidationAndCacheKey) {
+TEST(ConstraintTest, AntecedentSupportFloorValidation) {
   Dataset data = RandomDataset(155, 60, 4, 3);
   RuleConstraints floor;
   floor.min_antecedent_supp = 0.3;
@@ -384,12 +384,6 @@ TEST(ConstraintTest, AntecedentSupportFloorValidationAndCacheKey) {
   RuleConstraints negative;
   negative.min_antecedent_supp = -0.1;
   EXPECT_FALSE(negative.Validate(data.schema()).ok());
-
-  // Distinct floors key distinct batch duplicates.
-  EXPECT_NE(floor.CacheKey(), RuleConstraints{}.CacheKey());
-  RuleConstraints other;
-  other.min_antecedent_supp = 0.4;
-  EXPECT_NE(floor.CacheKey(), other.CacheKey());
 }
 
 // Combined constraint sets across several seeds and focal boxes — the

@@ -16,28 +16,9 @@
 namespace colarm {
 namespace {
 
+using testing_util::ExpectSameEffort;
 using testing_util::RandomDataset;
 using testing_util::ReferenceLocalizedRules;
-
-// The counters the determinism contract covers: parallel execution must
-// report the exact effort the sequential path reports, not merely the same
-// rules.
-void ExpectSameEffort(const PlanStats& seq, const PlanStats& par,
-                      const std::string& context) {
-  EXPECT_EQ(seq.subset_size, par.subset_size) << context;
-  EXPECT_EQ(seq.local_min_count, par.local_min_count) << context;
-  EXPECT_EQ(seq.candidates_search, par.candidates_search) << context;
-  EXPECT_EQ(seq.candidates_contained, par.candidates_contained) << context;
-  EXPECT_EQ(seq.candidates_qualified, par.candidates_qualified) << context;
-  EXPECT_EQ(seq.record_checks, par.record_checks) << context;
-  EXPECT_EQ(seq.rtree_nodes_visited, par.rtree_nodes_visited) << context;
-  EXPECT_EQ(seq.rtree_pruned_by_support, par.rtree_pruned_by_support)
-      << context;
-  EXPECT_EQ(seq.rules_considered, par.rules_considered) << context;
-  EXPECT_EQ(seq.rules_emitted, par.rules_emitted) << context;
-  EXPECT_EQ(seq.itemsets_skipped, par.itemsets_skipped) << context;
-  EXPECT_EQ(seq.local_cfis, par.local_cfis) << context;
-}
 
 // Element-wise rule comparison (stronger than SameAs's set semantics: the
 // canonical order itself must match, i.e. output is byte-identical).
@@ -152,8 +133,11 @@ TEST_P(ParallelEquivalenceTest, EngineMatchesSequentialEngine) {
                             " threads=" + std::to_string(num_threads);
       ExpectSameRules(seq->rules, par->rules, context);
       ExpectSameEffort(seq->stats, par->stats, context);
-      EXPECT_EQ(seq->decision.chosen, par->decision.chosen) << context;
     }
+    // A forced plan skips the optimizer; ask it directly.
+    EXPECT_EQ((*seq_engine)->Explain(query)->chosen,
+              (*par_engine)->Explain(query)->chosen)
+        << "threads=" << num_threads;
   }
 }
 
@@ -234,21 +218,16 @@ TEST_P(ParallelEquivalenceTest, BatchMatchesStandaloneExecution) {
   auto engine = Engine::Build(*data, options);
   ASSERT_TRUE(engine.ok());
   for (int pass = 0; pass < 2; ++pass) {
-    BatchResult batch = (*engine)->ExecuteBatch(queries);
+    auto results = (*engine)->ExecuteBatch(queries);
     const std::string context = "pass=" + std::to_string(pass) +
                                 " threads=" + std::to_string(num_threads);
-    EXPECT_EQ(batch.duplicates_reused, 1u) << context;
-    // The five executed queries share two boxes.
-    EXPECT_EQ(batch.subsets_shared, 3u) << context;
-    ASSERT_EQ(batch.results.size(), queries.size()) << context;
+    ASSERT_EQ(results.size(), queries.size()) << context;
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string qcontext = context + " query " + std::to_string(i);
-      ASSERT_TRUE(batch.results[i].ok()) << qcontext;
-      EXPECT_EQ(batch.results[i]->plan_used, standalone[i].plan_used)
-          << qcontext;
-      ExpectSameRules(standalone[i].rules, batch.results[i]->rules, qcontext);
-      ExpectSameEffort(standalone[i].stats, batch.results[i]->stats,
-                       qcontext);
+      ASSERT_TRUE(results[i].ok()) << qcontext;
+      EXPECT_EQ(results[i]->plan_used, standalone[i].plan_used) << qcontext;
+      ExpectSameRules(standalone[i].rules, results[i]->rules, qcontext);
+      ExpectSameEffort(standalone[i].stats, results[i]->stats, qcontext);
     }
   }
 }
@@ -275,10 +254,10 @@ TEST_P(ParallelEquivalenceTest, BatchKeepsValidationFailureInItsSlot) {
   bad.ranges = {{99, 0, 0}};
   queries.push_back(bad);
 
-  BatchResult batch = (*engine)->ExecuteBatch(queries);
-  ASSERT_EQ(batch.results.size(), 2u);
-  EXPECT_TRUE(batch.results[0].ok());
-  EXPECT_FALSE(batch.results[1].ok());
+  auto results = (*engine)->ExecuteBatch(queries);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParallelEquivalenceTest,

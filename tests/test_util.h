@@ -1,12 +1,16 @@
 #ifndef COLARM_TESTS_TEST_UTIL_H_
 #define COLARM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "mining/rule.h"
 #include "mip/mip_index.h"
+#include "plans/plans.h"
 #include "plans/query.h"
 
 namespace colarm {
@@ -39,6 +43,26 @@ inline Dataset RandomDataset(uint64_t seed, uint32_t records, uint32_t n_attrs,
     if (!st.ok()) std::abort();
   }
   return dataset;
+}
+
+/// The counters the determinism contract covers: parallel and batched
+/// execution must report the exact effort the sequential path reports, not
+/// merely the same rules.
+inline void ExpectSameEffort(const PlanStats& seq, const PlanStats& par,
+                             const std::string& context) {
+  EXPECT_EQ(seq.subset_size, par.subset_size) << context;
+  EXPECT_EQ(seq.local_min_count, par.local_min_count) << context;
+  EXPECT_EQ(seq.candidates_search, par.candidates_search) << context;
+  EXPECT_EQ(seq.candidates_contained, par.candidates_contained) << context;
+  EXPECT_EQ(seq.candidates_qualified, par.candidates_qualified) << context;
+  EXPECT_EQ(seq.record_checks, par.record_checks) << context;
+  EXPECT_EQ(seq.rtree_nodes_visited, par.rtree_nodes_visited) << context;
+  EXPECT_EQ(seq.rtree_pruned_by_support, par.rtree_pruned_by_support)
+      << context;
+  EXPECT_EQ(seq.rules_considered, par.rules_considered) << context;
+  EXPECT_EQ(seq.rules_emitted, par.rules_emitted) << context;
+  EXPECT_EQ(seq.itemsets_skipped, par.itemsets_skipped) << context;
+  EXPECT_EQ(seq.local_cfis, par.local_cfis) << context;
 }
 
 /// Reference implementation of the localized-mining contract (DESIGN.md

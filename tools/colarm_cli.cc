@@ -190,8 +190,8 @@ int RunQuery(const Engine& engine, const Dataset& dataset,
   std::printf("%zu rule(s), plan %s, %.3f ms (|DQ|=%u)\n",
               result->rules.rules.size(), PlanKindName(result->plan_used),
               result->stats.total_ms, result->stats.subset_size);
-  if (!result->decision.constraints.empty()) {
-    std::string clauses = result->decision.constraints;
+  if (!query->constraints.Empty()) {
+    std::string clauses = query->constraints.ToString(schema);
     if (clauses.rfind(" AND ", 0) == 0) clauses.erase(0, 5);
     std::printf("constraints: %s\n", clauses.c_str());
   }
